@@ -4,7 +4,7 @@ On-disk layout is a directory of four UTF-8 text files:
 
     meta          lines ``n=<int>``, ``f=<int>``, ``c=<int>``
     edges.tsv     one ``src<TAB>dst`` pair per line, 0-based node ids
-    features.csv  n rows of f comma-separated decimals
+    features.csv  n rows of f comma-separated finite decimals
     labels.tsv    lines ``node<TAB>class``; omitted nodes are unlabeled
 
 ``convert_content_release`` maps the classic two-file citation release
@@ -46,6 +46,8 @@ class DatasetBundle:
         n = self.graph.n
         if self.features.ndim != 2 or self.features.shape[0] != n:
             raise ValueError(f"features must be (n, f) with n={n}, got {self.features.shape}")
+        if not np.isfinite(self.features).all():
+            raise ValueError("features must be finite (found nan or inf)")
         if self.gold.shape != (n,):
             raise ValueError(f"gold labels must have shape ({n},)")
         known = self.gold[self.gold != UNLABELED]
@@ -105,11 +107,103 @@ def _read_meta(path: Path) -> dict[str, int]:
     return values
 
 
+def _parse_table(path: Path, dtype, delimiter: str, width: int) -> np.ndarray | None:
+    """Every non-blank line of ``path`` as one row of a 2-D array, parsed in a
+    single call; None when a value does not parse or the field counts differ.
+
+    Values parse exactly as ``int`` and ``float`` parse them; a few spellings
+    those accept (``1_000``) are refused here and left to the line scan.
+    """
+    stripped = (line.strip() for line in path.read_text().split("\n"))
+    lines = [line for line in stripped if line]
+    if not lines:
+        return np.empty((0, width), dtype=dtype)
+    try:
+        return np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None, ndmin=2)
+    except ValueError:
+        return None
+
+
+def _scan_edges(path: Path, n: int) -> np.ndarray:
+    raw_pairs = []
+    with path.open() as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise DatasetFormatError(f"{path.name}:{lineno}: expected src<TAB>dst")
+            try:
+                src, dst = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise DatasetFormatError(f"{path.name}:{lineno}: non-integer node id") from None
+            if not (0 <= src < n and 0 <= dst < n):
+                raise DatasetFormatError(f"{path.name}:{lineno}: node id out of range [0, {n})")
+            raw_pairs.append((src, dst))
+    return np.asarray(raw_pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def _scan_features(path: Path, n: int, f: int) -> np.ndarray:
+    features = np.empty((n, f), dtype=np.float64)
+    with path.open() as fh:
+        row = 0
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            if row >= n:
+                raise DatasetFormatError(f"{path.name}:{lineno}: more than n={n} rows")
+            parts = line.split(",")
+            if len(parts) != f:
+                raise DatasetFormatError(
+                    f"{path.name}:{lineno}: expected {f} values, got {len(parts)}"
+                )
+            try:
+                features[row] = [float(p) for p in parts]
+            except ValueError:
+                raise DatasetFormatError(f"{path.name}:{lineno}: non-numeric feature") from None
+            if not np.isfinite(features[row]).all():
+                raise DatasetFormatError(f"{path.name}:{lineno}: non-finite feature")
+            row += 1
+    if row != n:
+        raise DatasetFormatError(f"{path.name}: expected {n} rows, got {row}")
+    return features
+
+
+def _scan_labels(path: Path, n: int, c: int) -> np.ndarray:
+    gold = np.full(n, UNLABELED, dtype=np.int64)
+    with path.open() as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise DatasetFormatError(f"{path.name}:{lineno}: expected node<TAB>class")
+            try:
+                node, cls = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise DatasetFormatError(f"{path.name}:{lineno}: non-integer entry") from None
+            if not 0 <= node < n:
+                raise DatasetFormatError(f"{path.name}:{lineno}: node id out of range [0, {n})")
+            if not 0 <= cls < c:
+                raise DatasetFormatError(
+                    f"{path.name}:{lineno}: label {cls} >= declared class count {c}"
+                )
+            if gold[node] != UNLABELED:
+                raise DatasetFormatError(f"{path.name}:{lineno}: duplicate label for node {node}")
+            gold[node] = cls
+    return gold
+
+
 def load_dataset(path: str | Path, fmt: str = "dir") -> DatasetBundle:
     """Load a dataset directory, validating and canonicalizing as it goes.
 
     Duplicate and self-loop edge rows are dropped with a logged count;
     anything else malformed raises DatasetFormatError with file and line.
+    Each file is parsed in one call and checked as a whole; only a file that
+    fails a check is scanned line by line, to name the offending line.
     """
     if fmt != "dir":
         raise ValueError(f"unknown dataset format {fmt!r}")
@@ -122,27 +216,10 @@ def load_dataset(path: str | Path, fmt: str = "dir") -> DatasetBundle:
     n, f, c = meta["n"], meta["f"], meta["c"]
 
     edges_path = root / "edges.tsv"
-    raw_pairs = []
-    with edges_path.open() as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DatasetFormatError(f"{edges_path.name}:{lineno}: expected src<TAB>dst")
-            try:
-                src, dst = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise DatasetFormatError(
-                    f"{edges_path.name}:{lineno}: non-integer node id"
-                ) from None
-            if not (0 <= src < n and 0 <= dst < n):
-                raise DatasetFormatError(
-                    f"{edges_path.name}:{lineno}: node id out of range [0, {n})"
-                )
-            raw_pairs.append((src, dst))
-    pairs = np.asarray(raw_pairs, dtype=np.int64).reshape(-1, 2)
+    pairs = _parse_table(edges_path, np.int64, "\t", 2)
+    if (pairs is None or pairs.shape[1] != 2
+            or pairs.min(initial=0) < 0 or pairs.max(initial=0) >= n):
+        pairs = _scan_edges(edges_path, n)
     edges, n_dup, n_loops = canonical_edges(pairs, n)
     if n_dup or n_loops:
         log.info(
@@ -150,57 +227,20 @@ def load_dataset(path: str | Path, fmt: str = "dir") -> DatasetBundle:
         )
 
     feats_path = root / "features.csv"
-    features = np.empty((n, f), dtype=np.float64)
-    with feats_path.open() as fh:
-        row = 0
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if row >= n:
-                raise DatasetFormatError(f"{feats_path.name}:{lineno}: more than n={n} rows")
-            parts = line.split(",")
-            if len(parts) != f:
-                raise DatasetFormatError(
-                    f"{feats_path.name}:{lineno}: expected {f} values, got {len(parts)}"
-                )
-            try:
-                features[row] = [float(p) for p in parts]
-            except ValueError:
-                raise DatasetFormatError(
-                    f"{feats_path.name}:{lineno}: non-numeric feature"
-                ) from None
-            row += 1
-    if row != n:
-        raise DatasetFormatError(f"{feats_path.name}: expected {n} rows, got {row}")
+    features = _parse_table(feats_path, np.float64, ",", f)
+    if features is None or features.shape != (n, f) or not np.isfinite(features).all():
+        features = _scan_features(feats_path, n, f)
 
     labels_path = root / "labels.tsv"
-    gold = np.full(n, UNLABELED, dtype=np.int64)
-    with labels_path.open() as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DatasetFormatError(f"{labels_path.name}:{lineno}: expected node<TAB>class")
-            try:
-                node, cls = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise DatasetFormatError(
-                    f"{labels_path.name}:{lineno}: non-integer entry"
-                ) from None
-            if not 0 <= node < n:
-                raise DatasetFormatError(
-                    f"{labels_path.name}:{lineno}: node id out of range [0, {n})"
-                )
-            if not 0 <= cls < c:
-                raise DatasetFormatError(
-                    f"{labels_path.name}:{lineno}: label {cls} >= declared class count {c}"
-                )
-            if gold[node] != UNLABELED:
-                raise DatasetFormatError(f"{labels_path.name}:{lineno}: duplicate label for node {node}")
-            gold[node] = cls
+    table = _parse_table(labels_path, np.int64, "\t", 2)
+    if (table is None or table.shape[1] != 2
+            or table[:, 0].min(initial=0) < 0 or table[:, 0].max(initial=0) >= n
+            or table[:, 1].min(initial=0) < 0 or table[:, 1].max(initial=0) >= c
+            or np.bincount(table[:, 0], minlength=n).max() > 1):
+        gold = _scan_labels(labels_path, n, c)
+    else:
+        gold = np.full(n, UNLABELED, dtype=np.int64)
+        gold[table[:, 0]] = table[:, 1]
 
     return DatasetBundle(SparseGraph(n, edges), features, gold, c)
 

@@ -9,10 +9,12 @@ pool; aggregation does not depend on completion order.
 from __future__ import annotations
 
 import csv
+import ctypes
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -140,8 +142,44 @@ def run_single(bundle: DatasetBundle, spec: ExperimentSpec, run_seed: int) -> Ru
 
 _WORKER: dict = {}
 
+# thread-count entry points of OpenBLAS builds: numpy's and scipy's wheels
+# prefix them with scipy_, 64-bit-integer builds add a 64_ suffix
+_OPENBLAS_CALLS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                   "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+
+
+def _openblas_calls(verb: str) -> dict[str, ctypes._CFuncPtr]:
+    """``openblas_<verb>_num_threads`` ("get" or "set") of every OpenBLAS
+    mapped into this process, by library path; empty where the process's
+    memory map cannot be read (outside Linux) or no library exports one."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return {}
+    found = {}
+    for lib in sorted({line.split()[-1] for line in maps.splitlines()
+                       if "openblas" in line.lower()}):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for template in _OPENBLAS_CALLS:
+            call = getattr(handle, template.format(verb), None)
+            if call is not None:
+                if verb == "set":
+                    call.argtypes, call.restype = [ctypes.c_int], None
+                else:
+                    call.argtypes, call.restype = [], ctypes.c_int
+                found[lib] = call
+                break
+    return found
+
 
 def _init_worker(bundle: DatasetBundle, spec: ExperimentSpec) -> None:
+    # a forked worker keeps OpenBLAS's pool of one thread per core, so
+    # ``workers`` processes would spin workers x cores threads
+    for set_threads in _openblas_calls("set").values():
+        set_threads(1)
     _WORKER["bundle"] = bundle
     _WORKER["spec"] = spec
 

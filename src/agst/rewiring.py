@@ -6,6 +6,14 @@ floor(beta_add * m) same-hard-label non-edges by score and removes the
 floor(beta_remove * m) lowest-score existing edges, always against the
 pristine input graph (m is its edge count).  Score ties break
 lexicographically on (i, j).
+
+Additions are planned class by class in blocks of ``BLOCK_ROWS`` rows: each
+block's dot products come from one matrix product, existing edges are looked
+up in the sorted edge keys, and only pairs that can still reach the top
+``quota`` are kept.  Memory is O(BLOCK_ROWS * n_c + quota) for the largest
+predicted class of n_c nodes, not the O(sum n_c^2) of listing every
+same-label pair; ``generate_candidates`` is that full list, kept as the
+reference the plan is tested against.
 """
 
 from __future__ import annotations
@@ -89,28 +97,96 @@ class AugmentationPlan:
     removed_prob: np.ndarray
 
 
+# rows of one class scored per matrix product: the transient block holds
+# BLOCK_ROWS * n_c dot products
+BLOCK_ROWS = 256
+# matmul and einsum dot products of the same rows may differ in the last
+# bits, so the matmul only prunes: every pair within this margin of the
+# running cut-off survives and is scored again with ``edge_probability``
+PRUNE_MARGIN = 1e-9
+
+
+def _is_edge(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    if sorted_keys.size == 0:
+        return np.zeros(keys.shape, dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    return sorted_keys[pos] == keys
+
+
+def _rank(p: np.ndarray, pairs: np.ndarray, dots: np.ndarray, quota: int):
+    """The first ``quota`` pairs by (-probability, i, j), with their matmul
+    dots and their probabilities."""
+    probs = edge_probability(p, pairs)
+    order = np.lexsort((pairs[:, 1], pairs[:, 0], -probs))[:quota]
+    return pairs[order], dots[order], probs[order]
+
+
+def _top_additions(p: np.ndarray, hard: np.ndarray, graph: SparseGraph,
+                   quota: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``quota`` same-label non-edges by (-probability, i, j), with
+    their probabilities.
+
+    Once ``quota`` pairs are held, a pair whose matmul dot falls more than
+    ``PRUNE_MARGIN`` below the smallest held dot cannot outrank any of them:
+    rows of ``p`` are class probabilities, so dots lie in [0, 1], where
+    sigmoid tells apart two dots further apart than the margin.  Pairs held
+    past the quota (ties within the margin) are ranked exactly and cut.
+    """
+    n = graph.n
+    existing = graph.edge_keys()   # sorted, because the edge list is
+    below = np.tri(BLOCK_ROWS, BLOCK_ROWS, -1, dtype=bool)
+    pairs, dots = np.empty((0, 2), dtype=np.int64), np.empty(0)
+    cutoff = -np.inf
+    for cls in np.unique(hard):
+        members = np.flatnonzero(hard == cls)
+        pm = p[members]
+        for start in range(0, members.size - 1, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, members.size - 1)
+            rows = stop - start
+            # row r pairs member start + r with member start + 1 + column
+            block = pm[start:stop] @ pm[start + 1:].T
+            block[:, :rows][below[:rows, :rows]] = np.nan
+            r, c = np.nonzero(block >= cutoff - PRUNE_MARGIN)
+            i, j = members[start + r], members[start + 1 + c]
+            fresh = ~_is_edge(existing, i * n + j)
+            pairs = np.concatenate([pairs, np.column_stack([i[fresh], j[fresh]])])
+            dots = np.concatenate([dots, block[r[fresh], c[fresh]]])
+            if dots.size > quota:
+                kth = np.partition(dots, dots.size - quota)[dots.size - quota]
+                keep = dots >= kth - PRUNE_MARGIN
+                pairs, dots = pairs[keep], dots[keep]
+                if dots.size > quota:
+                    pairs, dots, _ = _rank(p, pairs, dots, quota)
+                cutoff = dots.min()
+    pairs, _, probs = _rank(p, pairs, dots, quota)
+    return pairs, probs
+
+
 def plan_augmentation(graph: SparseGraph, p: np.ndarray, cfg: AugmentConfig) -> AugmentationPlan:
-    """Pick the edges to add and remove, without applying them."""
+    """Pick the edges to add and remove, without applying them.
+
+    ``p`` holds one row of class probabilities per node.  The plan equals
+    ranking every candidate from ``generate_candidates`` by (-probability,
+    i, j), without listing them all.
+    """
     m = graph.m
     quota_add = int(cfg.beta_add * m)
     quota_remove = int(cfg.beta_remove * m)
     empty = np.empty((0, 2), dtype=np.int64)
-    if quota_add == 0 and quota_remove == 0:
-        return AugmentationPlan(empty, np.empty(0), empty, np.empty(0))
-
-    additions, removals = generate_candidates(hard_labels(p), graph)
 
     add_pairs, add_probs = empty, np.empty(0)
     if quota_add > 0:
-        if additions.shape[0] < quota_add:
-            log.warning("only %d addition candidates for a quota of %d",
-                        additions.shape[0], quota_add)
-        probs = edge_probability(p, additions)
-        order = np.lexsort((additions[:, 1], additions[:, 0], -probs))[:quota_add]
-        add_pairs, add_probs = additions[order], probs[order]
+        hard = hard_labels(p)
+        sizes = np.bincount(hard)
+        same_label_edges = np.count_nonzero(hard[graph.edges[:, 0]] == hard[graph.edges[:, 1]])
+        available = int(np.sum(sizes * (sizes - 1) // 2)) - same_label_edges
+        if available < quota_add:
+            log.warning("only %d addition candidates for a quota of %d", available, quota_add)
+        add_pairs, add_probs = _top_additions(p, hard, graph, quota_add)
 
     rem_pairs, rem_probs = empty, np.empty(0)
     if quota_remove > 0:
+        removals = graph.edges
         probs = edge_probability(p, removals)
         order = np.lexsort((removals[:, 1], removals[:, 0], probs))[:quota_remove]
         rem_pairs, rem_probs = removals[order], probs[order]

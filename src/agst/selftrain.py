@@ -111,7 +111,8 @@ def run_agst(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig) -> RunRes
             probs = _probabilities(params, bundle)
             preds = np.argmax(probs, axis=1)
             plan = plan_augmentation(original, probs, cfg.augment)
-            if plan.added.size or plan.removed.size:
+            # the last round's plan is only reported; no round trains on it
+            if iteration < cfg.iterations and (plan.added.size or plan.removed.size):
                 current = apply_augmentation(original, plan)
             else:
                 current = original

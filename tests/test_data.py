@@ -78,6 +78,59 @@ class TestLoadDataset:
         assert bundle.graph.m == 2
         assert any("duplicate" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature(self, tmp_path, value):
+        # the blank line still counts, so the bad row is line 4
+        root = write_dataset_dir(tmp_path / "bad", "n=3\nf=2\nc=1\n",
+                                 "0\t1\n", f"1,2\n3,4\n\n5,{value}\n", "0\t0\n")
+        with pytest.raises(DatasetFormatError, match=r"^features\.csv:4: non-finite feature$"):
+            load_dataset(root)
+
+    @pytest.mark.parametrize("name, meta, edges, features, labels, message", [
+        ("edges.tsv", "n=3\nf=1\nc=1", "0\t1\n1\t2\t0\n", "0\n0\n0", "",
+         "edges.tsv:2: expected src<TAB>dst"),
+        ("edges.tsv", "n=3\nf=1\nc=1", "\n0\tx\n", "0\n0\n0", "",
+         "edges.tsv:2: non-integer node id"),
+        ("edges.tsv", "n=3\nf=1\nc=1", "0\t1\n-1\t2\n", "0\n0\n0", "",
+         "edges.tsv:2: node id out of range [0, 3)"),
+        ("features.csv", "n=2\nf=2\nc=1", "", "1,2\n3\n", "",
+         "features.csv:2: expected 2 values, got 1"),
+        ("features.csv", "n=2\nf=1\nc=1", "", "1\n2\n\n3\n", "",
+         "features.csv:4: more than n=2 rows"),
+        ("features.csv", "n=3\nf=1\nc=1", "", "1\n2\n", "",
+         "features.csv: expected 3 rows, got 2"),
+        ("labels.tsv", "n=2\nf=1\nc=2", "", "0\n0", "0\t1\n1\n",
+         "labels.tsv:2: expected node<TAB>class"),
+        ("labels.tsv", "n=2\nf=1\nc=2", "", "0\n0", "0\t1.0\n",
+         "labels.tsv:1: non-integer entry"),
+        ("labels.tsv", "n=2\nf=1\nc=2", "", "0\n0", "0\t1\n2\t0\n",
+         "labels.tsv:2: node id out of range [0, 2)"),
+        ("labels.tsv", "n=2\nf=1\nc=2", "", "0\n0", "1\t1\n\n1\t0\n",
+         "labels.tsv:3: duplicate label for node 1"),
+    ])
+    def test_error_names_file_and_line(self, tmp_path, name, meta, edges, features,
+                                       labels, message):
+        root = write_dataset_dir(tmp_path / "bad", meta, edges, features, labels)
+        with pytest.raises(DatasetFormatError) as err:
+            load_dataset(root)
+        assert str(err.value) == message
+
+    def test_spellings_only_the_line_scan_accepts(self, tmp_path):
+        # int() and float() accept digit underscores; the one-call parse does
+        # not, and the line scan then loads the file as before
+        root = write_dataset_dir(tmp_path / "odd", "n=12\nf=2\nc=2\n",
+                                 "0\t1_1\n\n  \n3\t4\t\n",
+                                 "1_0.5,2\n" + "0,0\n" * 11, "1_1\t1\n")
+        bundle = load_dataset(root)
+        assert bundle.graph.edges.tolist() == [[0, 11], [3, 4]]
+        assert bundle.features[0].tolist() == [10.5, 2.0]
+        assert bundle.gold[11] == 1
+
+    def test_bundle_rejects_non_finite_features(self):
+        features = np.array([[0.0, np.inf], [1.0, 2.0]])
+        with pytest.raises(ValueError, match="finite"):
+            DatasetBundle(SparseGraph(2, [[0, 1]]), features, np.array([0, -1]), 1)
+
     def test_unknown_format_tag(self, tiny_dir):
         with pytest.raises(ValueError, match="unknown dataset format"):
             load_dataset(tiny_dir, fmt="parquet")

@@ -1,6 +1,9 @@
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
+from agst import experiments
 from agst import (
     AgstConfig,
     AugmentConfig,
@@ -109,6 +112,27 @@ class TestSeedDiscipline:
         par = run_experiment(toy_spec(runs=4, method="agst-base", workers=2), noisy_bundle)
         assert seq.accuracies.tolist() == par.accuracies.tolist()
         assert seq.mean == par.mean
+
+    def test_worker_uses_one_blas_thread(self, noisy_bundle):
+        getters = experiments._openblas_calls("get")
+        setters = experiments._openblas_calls("set")
+        if not getters or getters.keys() != setters.keys():
+            pytest.skip("no OpenBLAS thread-count calls in this process")
+        before = {lib: get() for lib, get in getters.items()}
+        try:
+            for set_threads in setters.values():   # what a worker would inherit
+                set_threads(2)
+            with ProcessPoolExecutor(max_workers=1, initializer=experiments._init_worker,
+                                     initargs=(noisy_bundle, toy_spec(workers=2))) as pool:
+                counts = pool.submit(_blas_threads).result(timeout=60)
+        finally:
+            for lib, set_threads in setters.items():
+                set_threads(before[lib])
+        assert counts == {lib: 1 for lib in getters}
+
+
+def _blas_threads():
+    return {lib: get() for lib, get in experiments._openblas_calls("get").items()}
 
 
 class TestMethods:

@@ -112,6 +112,20 @@ class TestRunAgst:
         assert np.array_equal(result.final_params.w1, params.w1)
         assert np.array_equal(result.final_params.b3, params.b3)
 
+    def test_last_plan_reported_not_applied(self, monkeypatch):
+        from agst import selftrain
+
+        applied = []
+        original = selftrain.apply_augmentation
+        monkeypatch.setattr(selftrain, "apply_augmentation",
+                            lambda graph, plan: applied.append(plan) or original(graph, plan))
+        bundle, split = toy_setup(seed=12, noise=0.15)
+        result = run_agst(bundle, split, quick_cfg(iterations=2, seed=12))
+        assert len(applied) == 1
+        assert np.array_equal(applied[0].added, result.per_iteration[0].added_edges)
+        last = result.per_iteration[-1]
+        assert last.edges_added == last.added_edges.shape[0] > 0
+
     def test_iteration_count_respected(self):
         bundle, split = toy_setup(seed=5)
         result = run_agst(bundle, split, quick_cfg(iterations=1, seed=5))
