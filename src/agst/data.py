@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -112,15 +113,20 @@ def _parse_table(path: Path, dtype, delimiter: str, width: int) -> np.ndarray | 
     single call; None when a value does not parse or the field counts differ.
 
     Values parse exactly as ``int`` and ``float`` parse them; a few spellings
-    those accept (``1_000``) are refused here and left to the line scan.
+    those accept (``1_000``) are refused here and left to the line scan. Older
+    numpy reads a non-integer such as ``2.7`` as an integer with only a
+    DeprecationWarning; that warning is made an error, so the line scan
+    rejects the value.
     """
     stripped = (line.strip() for line in path.read_text().split("\n"))
     lines = [line for line in stripped if line]
     if not lines:
         return np.empty((0, width), dtype=dtype)
     try:
-        return np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None, ndmin=2)
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None, ndmin=2)
+    except (ValueError, DeprecationWarning):
         return None
 
 

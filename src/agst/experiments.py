@@ -142,43 +142,48 @@ def run_single(bundle: DatasetBundle, spec: ExperimentSpec, run_seed: int) -> Ru
 
 _WORKER: dict = {}
 
-# thread-count entry points of OpenBLAS builds: numpy's and scipy's wheels
-# prefix them with scipy_, 64-bit-integer builds add a 64_ suffix
-_OPENBLAS_CALLS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
-                   "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+# thread-count setters of OpenBLAS builds: numpy's and scipy's wheels prefix
+# them with scipy_, 64-bit-integer builds add a 64_ suffix
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads")
 
 
-def _openblas_calls(verb: str) -> dict[str, ctypes._CFuncPtr]:
-    """``openblas_<verb>_num_threads`` ("get" or "set") of every OpenBLAS
-    mapped into this process, by library path; empty where the process's
-    memory map cannot be read (outside Linux) or no library exports one."""
+def _openblas_libraries() -> dict[str, ctypes.CDLL]:
+    """Every OpenBLAS mapped into this process, by library path; empty where
+    the process's memory map cannot be read (outside Linux)."""
     try:
         maps = Path("/proc/self/maps").read_text()
     except OSError:
         return {}
-    found = {}
-    for lib in sorted({line.split()[-1] for line in maps.splitlines()
-                       if "openblas" in line.lower()}):
+    # fields: address perms offset dev inode pathname (which may hold spaces)
+    paths = {fields[5] for fields in (line.split(maxsplit=5) for line in maps.splitlines())
+             if len(fields) == 6 and "openblas" in fields[5].lower()}
+    libraries = {}
+    for path in sorted(paths):
         try:
-            handle = ctypes.CDLL(lib)
+            libraries[path] = ctypes.CDLL(path)
         except OSError:
             continue
-        for template in _OPENBLAS_CALLS:
-            call = getattr(handle, template.format(verb), None)
-            if call is not None:
-                if verb == "set":
-                    call.argtypes, call.restype = [ctypes.c_int], None
-                else:
-                    call.argtypes, call.restype = [], ctypes.c_int
-                found[lib] = call
+    return libraries
+
+
+def _openblas_setters() -> list:
+    """``openblas_set_num_threads`` of every loaded OpenBLAS that exports one."""
+    setters = []
+    for handle in _openblas_libraries().values():
+        for name in _OPENBLAS_SETTERS:
+            setter = getattr(handle, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setters.append(setter)
                 break
-    return found
+    return setters
 
 
 def _init_worker(bundle: DatasetBundle, spec: ExperimentSpec) -> None:
     # a forked worker keeps OpenBLAS's pool of one thread per core, so
     # ``workers`` processes would spin workers x cores threads
-    for set_threads in _openblas_calls("set").values():
+    for set_threads in _openblas_setters():
         set_threads(1)
     _WORKER["bundle"] = bundle
     _WORKER["spec"] = spec

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,10 @@ class TestLoadDataset:
          "edges.tsv:2: expected src<TAB>dst"),
         ("edges.tsv", "n=3\nf=1\nc=1", "\n0\tx\n", "0\n0\n0", "",
          "edges.tsv:2: non-integer node id"),
+        ("edges.tsv", "n=3\nf=1\nc=1", "0\t1\n0\t2.7\n", "0\n0\n0", "",
+         "edges.tsv:2: non-integer node id"),
+        ("edges.tsv", "n=3\nf=1\nc=1", "0\t1\n1e0\t2\n", "0\n0\n0", "",
+         "edges.tsv:2: non-integer node id"),
         ("edges.tsv", "n=3\nf=1\nc=1", "0\t1\n-1\t2\n", "0\n0\n0", "",
          "edges.tsv:2: node id out of range [0, 3)"),
         ("features.csv", "n=2\nf=2\nc=1", "", "1,2\n3\n", "",
@@ -103,6 +108,8 @@ class TestLoadDataset:
          "labels.tsv:2: expected node<TAB>class"),
         ("labels.tsv", "n=2\nf=1\nc=2", "", "0\n0", "0\t1.0\n",
          "labels.tsv:1: non-integer entry"),
+        ("labels.tsv", "n=2\nf=1\nc=2", "", "0\n0", "1\t0\n0\t2.7\n",
+         "labels.tsv:2: non-integer entry"),
         ("labels.tsv", "n=2\nf=1\nc=2", "", "0\n0", "0\t1\n2\t0\n",
          "labels.tsv:2: node id out of range [0, 2)"),
         ("labels.tsv", "n=2\nf=1\nc=2", "", "0\n0", "1\t1\n\n1\t0\n",
@@ -114,6 +121,24 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError) as err:
             load_dataset(root)
         assert str(err.value) == message
+
+    def test_integer_parse_via_float_is_refused(self, tmp_path, monkeypatch):
+        # numpy before 2.0 reads "2.7" as the integer 2 with only a
+        # DeprecationWarning; such a parse must still end in the line scan
+        real_loadtxt = np.loadtxt
+
+        def lenient_loadtxt(lines, dtype, **kwargs):
+            if np.issubdtype(dtype, np.integer):
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning, stacklevel=2)
+                return real_loadtxt(lines, dtype=np.float64, **kwargs).astype(dtype)
+            return real_loadtxt(lines, dtype=dtype, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
+        root = write_dataset_dir(tmp_path / "bad", "n=3\nf=1\nc=3", "0\t1\n",
+                                 "0\n0\n0", "0\t1\n1\t2.7\n")
+        with pytest.raises(DatasetFormatError, match=r"^labels\.tsv:2: non-integer entry$"):
+            load_dataset(root)
 
     def test_spellings_only_the_line_scan_accepts(self, tmp_path):
         # int() and float() accept digit underscores; the one-call parse does

@@ -1,3 +1,4 @@
+import ctypes
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -114,25 +115,39 @@ class TestSeedDiscipline:
         assert seq.mean == par.mean
 
     def test_worker_uses_one_blas_thread(self, noisy_bundle):
-        getters = experiments._openblas_calls("get")
-        setters = experiments._openblas_calls("set")
-        if not getters or getters.keys() != setters.keys():
+        calls = _blas_thread_calls()
+        if not calls:
             pytest.skip("no OpenBLAS thread-count calls in this process")
-        before = {lib: get() for lib, get in getters.items()}
+        before = {lib: get() for lib, (get, _) in calls.items()}
         try:
-            for set_threads in setters.values():   # what a worker would inherit
+            for _, set_threads in calls.values():   # what a worker would inherit
                 set_threads(2)
             with ProcessPoolExecutor(max_workers=1, initializer=experiments._init_worker,
                                      initargs=(noisy_bundle, toy_spec(workers=2))) as pool:
                 counts = pool.submit(_blas_threads).result(timeout=60)
         finally:
-            for lib, set_threads in setters.items():
+            for lib, (_, set_threads) in calls.items():
                 set_threads(before[lib])
-        assert counts == {lib: 1 for lib in getters}
+        assert counts == {lib: 1 for lib in calls}
+
+
+def _blas_thread_calls():
+    """(get, set) thread-count calls of every loaded OpenBLAS, by library path."""
+    calls = {}
+    for lib, handle in experiments._openblas_libraries().items():
+        for name in experiments._OPENBLAS_SETTERS:
+            set_threads = getattr(handle, name, None)
+            get_threads = getattr(handle, name.replace("_set_", "_get_"), None)
+            if set_threads is not None and get_threads is not None:
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                calls[lib] = (get_threads, set_threads)
+                break
+    return calls
 
 
 def _blas_threads():
-    return {lib: get() for lib, get in experiments._openblas_calls("get").items()}
+    return {lib: get() for lib, (get, _) in _blas_thread_calls().items()}
 
 
 class TestMethods:
