@@ -42,12 +42,15 @@ from .mlp import (
     filter_pseudo_labels,
     forward,
     init_params,
+    joint_objective,
     loss_ce_labeled,
     loss_ce_unlabeled,
     loss_contrastive,
     momentum_embed,
     momentum_update,
+    pseudo_targets,
     similarity_distribution,
+    student_features,
     train_student,
     write_trace_csv,
 )

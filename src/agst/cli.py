@@ -16,6 +16,7 @@ from .experiments import (
     ExperimentSpec,
     run_experiment,
     run_sweep,
+    single_blas_thread,
     write_sweep_csv,
 )
 from .gradcheck import run_gradcheck_suite
@@ -224,13 +225,16 @@ def cli_main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except (DatasetFormatError, ValueError, OSError) as exc:
+    except (DatasetFormatError, ValueError, OSError, RuntimeError) as exc:
+        # RuntimeError: a broken worker pool, or an error annotate could not rebuild
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def main() -> None:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
+    # in-process runs (--workers 1) would otherwise keep one BLAS thread per core
+    single_blas_thread()
     raise SystemExit(cli_main())
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .data import DatasetBundle, load_dataset, make_split
 from .graph import normalize_adjacency
 from .propagation import propagate_labels
-from .selftrain import AgstConfig, run_agst
+from .selftrain import AgstConfig, annotate, run_agst
 
 log = logging.getLogger(__name__)
 
@@ -130,12 +130,7 @@ def run_single(bundle: DatasetBundle, spec: ExperimentSpec, run_seed: int) -> Ru
                                      == bundle.gold[split.test]))
             iterations = [s.to_dict() for s in result.per_iteration]
     except Exception as err:
-        message = f"{err} [run seed {run_seed}]"
-        try:
-            wrapped = type(err)(message)
-        except TypeError:
-            wrapped = RuntimeError(message)
-        raise wrapped from err
+        raise annotate(err, f"run seed {run_seed}") from err
     return RunRecord(seed=run_seed, accuracy=accuracy, iterations=iterations,
                      wall_ms=(time.perf_counter() - started) * 1000.0)
 
@@ -167,24 +162,22 @@ def _openblas_libraries() -> dict[str, ctypes.CDLL]:
     return libraries
 
 
-def _openblas_setters() -> list:
-    """``openblas_set_num_threads`` of every loaded OpenBLAS that exports one."""
-    setters = []
+def single_blas_thread() -> None:
+    """Set every loaded OpenBLAS that exports a thread-count setter to one
+    thread: on this program's small matrices a second thread only spins."""
     for handle in _openblas_libraries().values():
         for name in _OPENBLAS_SETTERS:
             setter = getattr(handle, name, None)
             if setter is not None:
                 setter.argtypes, setter.restype = [ctypes.c_int], None
-                setters.append(setter)
+                setter(1)
                 break
-    return setters
 
 
 def _init_worker(bundle: DatasetBundle, spec: ExperimentSpec) -> None:
     # a forked worker keeps OpenBLAS's pool of one thread per core, so
     # ``workers`` processes would spin workers x cores threads
-    for set_threads in _openblas_setters():
-        set_threads(1)
+    single_blas_thread()
     _WORKER["bundle"] = bundle
     _WORKER["spec"] = spec
 

@@ -1,8 +1,10 @@
 """Central finite-difference verification of the joint-loss gradients.
 
-The loss is evaluated as a pure function of the trainable parameters with
-the prototypes and the filtered pseudo-label set frozen at their current
-values (they are constants of the gradient by design), dropout disabled.
+The check differentiates ``mlp.joint_objective``, the function training
+calls, as a pure function of the trainable parameters: the prototypes and
+the filtered pseudo-label set from ``mlp.pseudo_targets`` stay frozen at
+their current values (they are constants of the gradient by design), and
+dropout is off.
 """
 
 from __future__ import annotations
@@ -17,34 +19,10 @@ from .mlp import (
     PARAM_NAMES,
     StudentParams,
     TrainConfig,
-    _backward,
-    _forward_cache,
-    compute_prototypes,
-    filter_pseudo_labels,
     init_params,
-    loss_ce_labeled,
-    loss_ce_unlabeled,
-    loss_contrastive,
-    momentum_embed,
+    joint_objective,
+    pseudo_targets,
 )
-
-
-def _loss_and_grads(params, x, gold, labeled, unlabeled, soft, cfg, protos, pls):
-    cache = _forward_cache(params, x, False, 0.0, None)
-    p, z = cache["p"], cache["z"]
-    red = cfg.loss_reduction
-    l_lab, g_lab = loss_ce_labeled(p, gold, labeled, red)
-    l_unl, g_unl = loss_ce_unlabeled(p, soft, unlabeled, red)
-    if pls is not None:
-        l_con, g_z = loss_contrastive(z, protos, pls, cfg.tau, red)
-    else:
-        l_con, g_z = 0.0, None
-    joint = l_lab + cfg.lambda1 * l_unl + cfg.lambda2 * l_con
-    d_logits = np.zeros_like(p)
-    d_logits[labeled] += g_lab
-    d_logits[unlabeled] += cfg.lambda1 * g_unl
-    d_z_extra = cfg.lambda2 * g_z if g_z is not None else None
-    return joint, _backward(params, cache, d_logits, d_z_extra)
 
 
 def grad_check(
@@ -60,19 +38,12 @@ def grad_check(
     gold = bundle.gold
     labeled = split.labeled
     unlabeled = np.setdiff1d(np.arange(bundle.n), labeled)
+    protos, pls, _ = pseudo_targets(params, x, gold, labeled, unlabeled, soft, cfg)
 
-    if cfg.lambda2 > 0:
-        z_mom = momentum_embed(params, x)
-        protos = compute_prototypes(z_mom, gold, labeled, bundle.num_classes)
-        pls = filter_pseudo_labels(soft, z_mom, protos, cfg.tau, unlabeled)
-    else:
-        protos, pls = None, None
+    def objective():
+        return joint_objective(params, x, gold, labeled, unlabeled, soft, cfg, protos, pls)
 
-    def loss_only():
-        value, _ = _loss_and_grads(params, x, gold, labeled, unlabeled, soft, cfg, protos, pls)
-        return value
-
-    _, analytic = _loss_and_grads(params, x, gold, labeled, unlabeled, soft, cfg, protos, pls)
+    _, _, analytic, _ = objective()
 
     worst = 0.0
     for name in PARAM_NAMES:
@@ -81,9 +52,9 @@ def grad_check(
         for idx in range(flat.size):
             original = flat[idx]
             flat[idx] = original + eps
-            plus = loss_only()
+            plus = objective()[0]
             flat[idx] = original - eps
-            minus = loss_only()
+            minus = objective()[0]
             flat[idx] = original
             numeric = (plus - minus) / (2.0 * eps)
             a = analytic[name].ravel()[idx]

@@ -1,4 +1,5 @@
-"""Sparse undirected graphs and the symmetric normalized propagation operator."""
+"""Undirected graphs as canonical edge lists, and the symmetric normalized
+propagation operator, stored as a SciPy CSR matrix."""
 
 from __future__ import annotations
 
@@ -33,12 +34,10 @@ def canonical_edges(pairs: np.ndarray, n: int) -> tuple[np.ndarray, int, int]:
 
 
 class SparseGraph:
-    """Undirected unweighted graph: canonical edge list plus CSR adjacency.
+    """Undirected unweighted graph stored as its canonical edge list.
 
     ``edges`` is (m, 2) with i < j, no duplicates, no self-loops, sorted
-    lexicographically.  The CSR arrays store both directions of every edge
-    (2m entries), column indices strictly increasing within each row.
-    Instances are immutable after construction.
+    lexicographically.  Instances are immutable after construction.
     """
 
     def __init__(self, n: int, pairs: np.ndarray | list):
@@ -51,12 +50,6 @@ class SparseGraph:
         if n_dup or n_loops:
             log.debug("dropped %d duplicate edges, %d self-loops", n_dup, n_loops)
         self.edges = edges
-        rows = np.concatenate([edges[:, 0], edges[:, 1]])
-        cols = np.concatenate([edges[:, 1], edges[:, 0]])
-        order = np.lexsort((cols, rows))
-        self.indices = cols[order]
-        self.indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=self.n), out=self.indptr[1:])
 
     @property
     def m(self) -> int:
@@ -64,15 +57,11 @@ class SparseGraph:
 
     @property
     def degrees(self) -> np.ndarray:
-        return self.indptr[1:] - self.indptr[:-1]
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
     def edge_keys(self) -> np.ndarray:
         """Edges encoded as i*n + j (i < j), for fast membership tests."""
         return self.edges[:, 0] * self.n + self.edges[:, 1]
-
-    def to_scipy(self) -> sparse.csr_array:
-        data = np.ones(self.indices.shape[0], dtype=np.float64)
-        return sparse.csr_array((data, self.indices, self.indptr), shape=(self.n, self.n))
 
     def __eq__(self, other) -> bool:
         return (
@@ -92,9 +81,6 @@ class NormalizedOperator:
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray):
         self.n = n
-        self.indptr = indptr
-        self.indices = indices
-        self.values = values
         self._mat = sparse.csr_array((values, indices, indptr), shape=(n, n))
 
     def toarray(self) -> np.ndarray:

@@ -12,6 +12,11 @@ It trains full-batch with Adam on a weighted mix of three losses:
 Prototypes come from a momentum copy of the encoder (an exponential moving
 average of its weights) and are treated as constants by the gradient: the
 contrastive term only backpropagates through each node's own embedding.
+
+``joint_objective`` assembles the weighted loss and its gradient, and
+``pseudo_targets`` the constants of the contrastive term; training and the
+finite-difference check in ``gradcheck`` both call these two functions.
+``student_features`` prepares the matrix the student reads, once per run.
 """
 
 from __future__ import annotations
@@ -383,12 +388,71 @@ def write_trace_csv(trace: TrainTrace, path) -> None:
                              r.loss_contrastive, "" if r.val_acc is None else r.val_acc])
 
 
-def _maybe_sparse(x: np.ndarray) -> np.ndarray | sparse.csr_array:
+def student_features(features: np.ndarray, normalize: bool) -> np.ndarray | sparse.csr_array:
+    """The matrix the student reads: rows L2-normalized when ``normalize`` is
+    set, stored as CSR when the matrix is large and mostly zeros."""
+    x = l2_normalize_rows(features) if normalize else features
     # binary/bag-of-words feature matrices are mostly zeros; the two x-side
     # matmuls dominate an epoch, so switch representation when it pays off
     if x.size > 500_000 and np.count_nonzero(x) < 0.25 * x.size:
         return sparse.csr_array(x)
     return x
+
+
+def pseudo_targets(
+    params: StudentParams,
+    x: np.ndarray | sparse.csr_array,
+    gold: np.ndarray,
+    labeled: np.ndarray,
+    unlabeled: np.ndarray,
+    soft: SoftLabels,
+    cfg: TrainConfig,
+) -> tuple[np.ndarray | None, PseudoLabelSet | None, np.ndarray | None]:
+    """The constants of the contrastive term: momentum prototypes, the filtered
+    pseudo-label set, and the momentum embeddings both were taken from;
+    ``(None, None, None)`` when ``cfg.lambda2`` is zero."""
+    if cfg.lambda2 == 0:
+        return None, None, None
+    z_mom = momentum_embed(params, x)
+    protos = compute_prototypes(z_mom, gold, labeled, params.w3.shape[1])
+    return protos, filter_pseudo_labels(soft, z_mom, protos, cfg.tau, unlabeled), z_mom
+
+
+def joint_objective(
+    params: StudentParams,
+    x: np.ndarray | sparse.csr_array,
+    gold: np.ndarray,
+    labeled: np.ndarray,
+    unlabeled: np.ndarray,
+    soft: SoftLabels,
+    cfg: TrainConfig,
+    protos: np.ndarray | None,
+    pls: PseudoLabelSet | None,
+    rng: np.random.Generator | None = None,
+) -> tuple[float, tuple[float, float, float], dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """The joint loss, its (labeled, unlabeled, contrastive) parts, the
+    gradient of every trainable parameter, and the forward pass's arrays.
+
+    joint = l_lab + lambda1 * l_unl + lambda2 * l_con, with the prototypes and
+    pseudo-label set from ``pseudo_targets`` held constant.  Dropout at
+    ``cfg.dropout`` applies only when ``rng`` is given.
+    """
+    cache = _forward_cache(params, x, rng is not None, cfg.dropout, rng)
+    p, z = cache["p"], cache["z"]
+    red = cfg.loss_reduction
+    l_lab, g_lab = loss_ce_labeled(p, gold, labeled, red)
+    l_unl, g_unl = loss_ce_unlabeled(p, soft, unlabeled, red)
+    if pls is not None:
+        l_con, g_z = loss_contrastive(z, protos, pls, cfg.tau, red)
+    else:
+        l_con, g_z = 0.0, None
+    joint = l_lab + cfg.lambda1 * l_unl + cfg.lambda2 * l_con
+
+    d_logits = np.zeros_like(p)
+    d_logits[labeled] += g_lab
+    d_logits[unlabeled] += cfg.lambda1 * g_unl
+    d_z_extra = cfg.lambda2 * g_z if g_z is not None else None
+    return joint, (l_lab, l_unl, l_con), _backward(params, cache, d_logits, d_z_extra), cache
 
 
 def train_student(
@@ -398,6 +462,7 @@ def train_student(
     cfg: TrainConfig,
     rng: np.random.Generator | None = None,
     init: StudentParams | None = None,
+    features: np.ndarray | sparse.csr_array | None = None,
 ) -> tuple[StudentParams, TrainTrace]:
     """Full-batch Adam on the joint loss with validation early stopping.
 
@@ -408,6 +473,9 @@ def train_student(
     ``patience`` epochs, and the best-accuracy epoch's parameters are
     restored (accuracy ties broken by lower validation loss).  Without a
     validation set a fixed budget of ``no_val_epochs`` epochs runs.
+
+    ``features`` is ``student_features(bundle.features, cfg.normalize_features)``
+    from a caller that trains several rounds on it; it is built here if absent.
     """
     if split.labeled.size == 0:
         raise ValueError("empty labeled set")
@@ -416,8 +484,9 @@ def train_student(
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
 
-    x_dense = l2_normalize_rows(bundle.features) if cfg.normalize_features else bundle.features
-    x = _maybe_sparse(x_dense)
+    x = features
+    if x is None:
+        x = student_features(bundle.features, cfg.normalize_features)
     gold = bundle.gold
     labeled = split.labeled
     unlabeled = np.setdiff1d(np.arange(bundle.n), labeled)
@@ -438,34 +507,16 @@ def train_student(
     bad_epochs = 0
 
     for epoch in range(1, budget + 1):
-        if cfg.lambda2 > 0:
-            z_mom = momentum_embed(params, x)
-            protos = compute_prototypes(z_mom, gold, labeled, c)
-            pls = filter_pseudo_labels(soft, z_mom, protos, cfg.tau, unlabeled)
-        else:
-            protos = None
-            pls = None
-
-        cache = _forward_cache(params, x, True, cfg.dropout, rng)
-        p, z = cache["p"], cache["z"]
-
-        red = cfg.loss_reduction
-        l_lab, g_lab = loss_ce_labeled(p, gold, labeled, red)
-        l_unl, g_unl = loss_ce_unlabeled(p, soft, unlabeled, red)
-        if pls is not None:
-            l_con, g_z = loss_contrastive(z, protos, pls, cfg.tau, red)
-        else:
-            l_con, g_z = 0.0, None
-
-        joint = l_lab + cfg.lambda1 * l_unl + cfg.lambda2 * l_con
+        # z_mom and cache stay bound until the next epoch replaces them.
+        # Released when the calls return, the epoch's large arrays let malloc
+        # hand the top of its heap back to the OS, and every epoch faults
+        # those pages in again: at 3600 nodes and hidden width 64 that was
+        # five times the page faults and about 30% more run time.
+        protos, pls, z_mom = pseudo_targets(params, x, gold, labeled, unlabeled, soft, cfg)
+        joint, (l_lab, l_unl, l_con), grads, cache = joint_objective(
+            params, x, gold, labeled, unlabeled, soft, cfg, protos, pls, rng)
         if not np.isfinite(joint):
             raise ValueError(f"non-finite loss at epoch {epoch}")
-
-        d_logits = np.zeros_like(p)
-        d_logits[labeled] += g_lab
-        d_logits[unlabeled] += cfg.lambda1 * g_unl
-        d_z_extra = cfg.lambda2 * g_z if g_z is not None else None
-        grads = _backward(params, cache, d_logits, d_z_extra)
 
         optimizer.step(params, grads)
         momentum_update(params, cfg.momentum)

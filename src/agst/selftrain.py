@@ -14,9 +14,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import DatasetBundle, SplitSpec, l2_normalize_rows
+from .data import DatasetBundle, SplitSpec
 from .graph import normalize_adjacency
-from .mlp import StudentParams, TrainConfig, TrainTrace, forward, train_student
+from .mlp import StudentParams, TrainConfig, TrainTrace, forward, student_features, train_student
 from .propagation import LpConfig, propagate_labels, to_distribution
 from .rewiring import AugmentConfig, apply_augmentation, plan_augmentation
 
@@ -72,8 +72,7 @@ class RunResult:
 
 def predict(params: StudentParams, bundle: DatasetBundle) -> np.ndarray:
     """Hard labels for every node (dropout off, argmax ties to lowest index)."""
-    x = l2_normalize_rows(bundle.features) if params.normalize_features else bundle.features
-    _, p = forward(params, x)
+    _, p = forward(params, student_features(bundle.features, params.normalize_features))
     return np.argmax(p, axis=1)
 
 
@@ -82,8 +81,10 @@ def student_rng(seed: int, iteration: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed).spawn(iteration)[-1])
 
 
-def _annotate(err: Exception, iteration: int) -> Exception:
-    message = f"{err} [self-training iteration {iteration}]"
+def annotate(err: Exception, context: str) -> Exception:
+    """``err`` with its message extended by ``[context]``: the same exception
+    type when that type can be built from one message, a RuntimeError otherwise."""
+    message = f"{err} [{context}]"
     try:
         return type(err)(message)
     except TypeError:
@@ -96,8 +97,10 @@ def run_agst(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig) -> RunRes
     stats: list[IterationStats] = []
     params: StudentParams | None = None
     best_params: StudentParams | None = None
+    best_preds: np.ndarray | None = None
     best_val = -np.inf
     test_gold = bundle.gold[split.test] if split.test.size else None
+    x = student_features(bundle.features, cfg.train.normalize_features)
 
     for iteration in range(1, cfg.iterations + 1):
         started = time.perf_counter()
@@ -107,8 +110,8 @@ def run_agst(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig) -> RunRes
             rng = student_rng(cfg.seed, iteration)
             init = params if (cfg.warm_start and params is not None) else None
             params, trace = train_student(bundle, split, soft, cfg.train,
-                                          rng=rng, init=init)
-            probs = _probabilities(params, bundle)
+                                          rng=rng, init=init, features=x)
+            _, probs = forward(params, x)
             preds = np.argmax(probs, axis=1)
             plan = plan_augmentation(original, probs, cfg.augment)
             # the last round's plan is only reported; no round trains on it
@@ -117,14 +120,14 @@ def run_agst(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig) -> RunRes
             else:
                 current = original
         except Exception as err:
-            raise _annotate(err, iteration) from err
+            raise annotate(err, f"self-training iteration {iteration}") from err
 
         val_acc = None
         if split.validation.size:
             val_acc = float(np.mean(preds[split.validation] == bundle.gold[split.validation]))
             if val_acc > best_val:
                 best_val = val_acc
-                best_params = params
+                best_params, best_preds = params, preds
         test_acc = None
         if test_gold is not None:
             test_acc = float(np.mean(preds[split.test] == test_gold))
@@ -142,17 +145,10 @@ def run_agst(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig) -> RunRes
         log.debug("iteration %d: val=%s test=%s +%d/-%d edges",
                   iteration, val_acc, test_acc, plan.added.shape[0], plan.removed.shape[0])
 
-    final = params
+    final, final_preds = params, preds
     if cfg.report_best_iteration and best_params is not None:
-        final = best_params
-    return RunResult(final_params=final, per_iteration=stats,
-                     predictions=predict(final, bundle))
-
-
-def _probabilities(params: StudentParams, bundle: DatasetBundle) -> np.ndarray:
-    x = l2_normalize_rows(bundle.features) if params.normalize_features else bundle.features
-    _, p = forward(params, x)
-    return p
+        final, final_preds = best_params, best_preds
+    return RunResult(final_params=final, per_iteration=stats, predictions=final_preds)
 
 
 def result_to_dict(result: RunResult, cfg: AgstConfig, wall_ms: float | None = None) -> dict:

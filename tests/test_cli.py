@@ -47,6 +47,19 @@ class TestRunCommand:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_broken_pool_is_one_line_runtime_error(self, dataset_dir, monkeypatch, capsys):
+        from concurrent.futures.process import BrokenProcessPool
+
+        from agst import cli
+
+        def broken(spec):
+            raise BrokenProcessPool("a worker process terminated abruptly")
+
+        monkeypatch.setattr(cli, "run_experiment", broken)
+        code = cli_main(["run", "--dataset", "cora", "--runs", "2", "--workers", "2"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: a worker process terminated abruptly\n"
+
     def test_method_and_seed_flags_respected(self, dataset_dir):
         code = cli_main(["run", "--dataset", "cora", "--method", "lp-only",
                          "--runs", "3", "--seed", "5", "--output", "lp.json"])
@@ -134,3 +147,30 @@ class TestEntryPoint:
 
     def test_help_exits_zero(self):
         assert cli_main(["--help"]) == 0
+
+    def test_console_entry_runs_on_one_blas_thread(self, monkeypatch):
+        from agst import cli
+        from test_experiments import _blas_thread_calls
+
+        calls = _blas_thread_calls()
+        if not calls:
+            pytest.skip("no OpenBLAS thread-count calls in this process")
+        before = {lib: get() for lib, (get, _) in calls.items()}
+        seen = {}
+
+        def fake_cli_main():
+            seen.update({lib: get() for lib, (get, _) in calls.items()})
+            return 0
+
+        monkeypatch.setattr(cli, "cli_main", fake_cli_main)
+        monkeypatch.setattr(cli.logging, "basicConfig", lambda **kwargs: None)
+        try:
+            for _, set_threads in calls.values():
+                set_threads(2)
+            with pytest.raises(SystemExit) as exited:
+                cli.main()
+        finally:
+            for lib, (_, set_threads) in calls.items():
+                set_threads(before[lib])
+        assert exited.value.code == 0
+        assert seen == {lib: 1 for lib in calls}

@@ -1,7 +1,13 @@
 import numpy as np
 
-from agst import SoftLabels, TrainConfig, grad_check, init_params, run_gradcheck_suite
-from agst.gradcheck import _loss_and_grads
+from agst import (
+    SoftLabels,
+    TrainConfig,
+    grad_check,
+    init_params,
+    joint_objective,
+    run_gradcheck_suite,
+)
 
 from conftest import make_bundle, split_of
 
@@ -48,8 +54,8 @@ class TestGradCheck:
         cfg = TrainConfig(lambda2=0.1, dropout=0.0, hidden=6)
         x = bundle.features
         unlabeled = np.setdiff1d(np.arange(bundle.n), split.labeled)
-        _, grads = _loss_and_grads(params, x, bundle.gold, split.labeled,
-                                   unlabeled, soft, cfg, None, None)
+        _, _, grads, _ = joint_objective(params, x, bundle.gold, split.labeled,
+                                         unlabeled, soft, cfg, None, None)
         for g in grads.values():
             assert np.max(np.abs(g)) < 1e-8
         assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-8

@@ -24,19 +24,20 @@ class TestSparseGraph:
         assert np.array_equal(g.edges, [[0, 1], [1, 3]])
 
     def test_csr_symmetry_and_counts(self):
+        # every edge given in both directions: one canonical (i < j) row per
+        # edge, sorted, and degrees equal to the dense adjacency's row sums
         rng = np.random.default_rng(7)
         for _ in range(20):
             n = int(rng.integers(2, 15))
-            g = SparseGraph(n, random_graph_edges(rng, n, 0.4))
-            assert g.indices.size == 2 * g.m
-            assert np.all(np.diff(g.indptr) >= 0)
+            pairs = random_graph_edges(rng, n, 0.4)
+            both = np.concatenate([pairs[:, ::-1], pairs])
+            g = SparseGraph(n, both)
             dense = np.zeros((n, n))
-            for i in range(n):
-                row = g.indices[g.indptr[i]:g.indptr[i + 1]]
-                assert np.all(np.diff(row) > 0)  # strictly increasing columns
-                dense[i, row] = 1.0
+            dense[both[:, 0], both[:, 1]] = 1.0
             assert np.array_equal(dense, dense.T)
-            assert not np.any(np.diag(dense))
+            assert g.m == pairs.shape[0]
+            assert np.array_equal(g.edges, np.argwhere(np.triu(dense)))
+            assert np.array_equal(g.degrees, dense.sum(axis=1))
 
     def test_out_of_range_endpoint_rejected(self):
         with pytest.raises(ValueError, match="out of range"):

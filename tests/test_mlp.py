@@ -15,6 +15,7 @@ from agst import (
     loss_contrastive,
     momentum_update,
     similarity_distribution,
+    student_features,
     train_student,
     two_cluster_bundle,
     write_trace_csv,
@@ -436,6 +437,16 @@ class TestTrainStudent:
         assert lines[0] == "epoch,loss_labeled,loss_unlabeled,loss_contrastive,val_acc"
         assert len(lines) == len(trace.records) + 1
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_prepared_features_give_identical_parameters(self, normalize):
+        bundle, split, uniform = toy_training_setup(seed=3)
+        cfg = TrainConfig(patience=5, seed=3, normalize_features=normalize)
+        own, _ = train_student(bundle, split, uniform, cfg)
+        given, _ = train_student(bundle, split, uniform, cfg,
+                                 features=student_features(bundle.features, normalize))
+        for name in ("w1", "b1", "w2", "b2", "w3", "b3", "mw1", "mb1", "mw2", "mb2"):
+            assert np.array_equal(getattr(own, name), getattr(given, name))
+
     def test_sparse_feature_path_matches_dense(self, monkeypatch):
         # bag-of-words-scale inputs take the csr branch; numerics must agree
         # with the dense branch to rounding
@@ -456,9 +467,9 @@ class TestTrainStudent:
         soft = SoftLabels(np.full((n, 2), 0.5), normalized=True)
         cfg = TrainConfig(dropout=0.0, patience=2, max_epochs=30, seed=6)
 
-        assert sp.issparse(mlp._maybe_sparse(bundle.features))
+        assert sp.issparse(mlp.student_features(bundle.features, False))
         p_sparse, t_sparse = train_student(bundle, split, soft, cfg)
-        monkeypatch.setattr(mlp, "_maybe_sparse", lambda x: x)
+        monkeypatch.setattr(mlp, "student_features", lambda features, normalize: features)
         p_dense, t_dense = train_student(bundle, split, soft, cfg)
 
         assert len(t_sparse.records) == len(t_dense.records)

@@ -107,14 +107,6 @@ class TestPropagateLabels:
                 total = out.matrix.sum()
                 assert (1 - alpha) * s0 - 1e-9 <= total <= s0 / (1 - alpha) + 1e-9
 
-    def test_tolerance_mode_stops_early(self):
-        rng = np.random.default_rng(6)
-        bundle, split = random_lp_problem(rng)
-        op = normalize_adjacency(bundle.graph)
-        full = propagate_labels(op, bundle, split, LpConfig(alpha=0.5, steps=500))
-        tol = propagate_labels(op, bundle, split, LpConfig(alpha=0.5, steps=500), tol=1e-12)
-        assert np.max(np.abs(full.matrix - tol.matrix)) < 1e-9
-
 
 class TestClosedFormOracle:
     def test_identity_operator_returns_seed_matrix(self):

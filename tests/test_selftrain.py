@@ -139,6 +139,15 @@ class TestRunAgst:
         with pytest.raises(ValueError, match="iteration 1"):
             run_agst(bad, split, quick_cfg(seed=6))
 
+    @pytest.mark.parametrize("best", [False, True])
+    def test_normalized_features_predictions_match_predict(self, best):
+        bundle, split = toy_setup(seed=7, noise=0.2)
+        cfg = quick_cfg(iterations=2, seed=7, report_best_iteration=best,
+                        train={"normalize_features": True})
+        result = run_agst(bundle, split, cfg)
+        assert result.final_params.normalize_features
+        assert np.array_equal(result.predictions, predict(result.final_params, bundle))
+
     def test_best_iteration_selection(self):
         bundle, split = toy_setup(seed=7, noise=0.2)
         cfg = quick_cfg(iterations=2, seed=7, report_best_iteration=True)
