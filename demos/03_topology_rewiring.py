@@ -12,7 +12,7 @@ from agst import (
     AgstConfig,
     AugmentConfig,
     TrainConfig,
-    augment_topology,
+    apply_augmentation,
     edge_probability,
     make_split,
     plan_augmentation,
@@ -42,7 +42,7 @@ removed_inter = np.sum(bundle.gold[plan.removed[:, 0]] != bundle.gold[plan.remov
 print(f"plan: +{plan.added.shape[0]} edges, -{plan.removed.shape[0]} edges "
       f"({removed_inter} of the removals are true inter-class edges)")
 
-rewired = augment_topology(bundle.graph, p, cfg)
+rewired = apply_augmentation(bundle.graph, plan)
 print(f"edge count: {bundle.graph.m} -> {rewired.m}")
 
 write_plan_tsv(plan, "rewiring_plan.tsv")

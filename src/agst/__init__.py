@@ -31,7 +31,7 @@ from .experiments import (
     write_sweep_csv,
 )
 from .gradcheck import GradCheckReport, grad_check, run_gradcheck_suite
-from .graph import NormalizedOperator, SparseGraph, normalize_adjacency, spmm
+from .graph import SparseGraph, normalize_adjacency
 from .mlp import (
     Adam,
     PseudoLabelSet,
@@ -49,7 +49,6 @@ from .mlp import (
     momentum_embed,
     momentum_update,
     pseudo_targets,
-    similarity_distribution,
     student_features,
     train_student,
     write_trace_csv,
@@ -58,19 +57,15 @@ from .propagation import (
     LpConfig,
     SoftLabels,
     closed_form_oracle,
-    initial_label_matrix,
     propagate_labels,
     to_distribution,
 )
 from .rewiring import (
     AugmentConfig,
     AugmentationPlan,
-    augment_topology,
+    apply_augmentation,
     edge_probability,
-    generate_candidates,
-    hard_labels,
     plan_augmentation,
-    sigmoid,
     write_plan_tsv,
 )
 from .selftrain import AgstConfig, IterationStats, RunResult, predict, result_to_dict, run_agst

@@ -28,6 +28,20 @@ from .selftrain import AgstConfig
 log = logging.getLogger(__name__)
 
 
+class _ConfigFound(Exception):
+    """Carries the subcommand's parser and a config file not read yet."""
+
+
+class _ConfigFile(argparse.Action):
+    """``--config FILE`` in any spelling argparse accepts (``--config=FILE``,
+    ``--conf FILE``): ends the parse so that ``_parse`` reads the file first."""
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        if path != parser.get_default(self.dest):
+            raise _ConfigFound(parser, path)
+        setattr(namespace, self.dest, path)
+
+
 def _positive_int(raw: str) -> int:
     value = int(raw)
     if value < 1:
@@ -53,7 +67,7 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--workers", type=_positive_int, default=1)
     sub.add_argument("--val-per-class", type=_positive_int, default=30)
-    sub.add_argument("--config", default=None, metavar="FILE",
+    sub.add_argument("--config", action=_ConfigFile, default=None, metavar="FILE",
                      help="key = value file; command-line flags override it")
     # hyperparameters
     sub.add_argument("--alpha", type=float, default=0.9)
@@ -104,7 +118,6 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         dataset=args.dataset, protocol=args.protocol, k=args.k, rate=args.rate,
         runs=args.runs, method=args.method, config=_config_from_args(args),
         seed=args.seed, workers=args.workers, val_per_class=args.val_per_class,
-        output=getattr(args, "output", None),
     )
 
 
@@ -128,16 +141,19 @@ def _load_config_file(path: str) -> list[str]:
     return extra
 
 
-def _expand_config(argv: list[str]) -> list[str]:
-    """Splice config-file tokens right after the subcommand so explicit
-    command-line flags, which come later, take precedence."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return argv  # let argparse report the missing value
-    extra = _load_config_file(argv[idx + 1])
-    return argv[:1] + extra + argv[1:]
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` with a config file's flags spliced in right after the
+    subcommand, so explicit command-line flags, which come later, win."""
+    try:
+        return parser.parse_args(argv)
+    except _ConfigFound as found:
+        subparser, path = found.args
+        subparser.set_defaults(config=path)
+        expanded = argv[:1] + _load_config_file(path) + argv[1:]
+    try:
+        return parser.parse_args(expanded)
+    except _ConfigFound as found:
+        raise ValueError(f"{found.args[1]}: only one config file can be given") from None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -216,11 +232,10 @@ def cli_main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     raw = list(argv) if argv is not None else sys.argv[1:]
     try:
-        expanded = _expand_config(raw)
-        args = parser.parse_args(expanded)
+        args = _parse(parser, raw)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:   # a malformed or unreadable config file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -85,21 +85,26 @@ class SplitSpec:
             raise ValueError("labeled/validation/test sets must be pairwise disjoint")
 
 
-def _read_meta(path: Path) -> dict[str, int]:
-    values: dict[str, int] = {}
+def _lines(path: Path):
+    """(line number, stripped line) for every non-blank line of ``path``."""
     with path.open() as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if not line:
-                continue
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            if key not in ("n", "f", "c"):
-                raise DatasetFormatError(f"{path.name}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = int(raw)
-            except ValueError:
-                raise DatasetFormatError(f"{path.name}:{lineno}: non-integer value {raw!r}") from None
+            if line:
+                yield lineno, line
+
+
+def _read_meta(path: Path) -> dict[str, int]:
+    values: dict[str, int] = {}
+    for lineno, line in _lines(path):
+        key, _, raw = line.partition("=")
+        key = key.strip()
+        if key not in ("n", "f", "c"):
+            raise DatasetFormatError(f"{path.name}:{lineno}: unknown key {key!r}")
+        try:
+            values[key] = int(raw)
+        except ValueError:
+            raise DatasetFormatError(f"{path.name}:{lineno}: non-integer value {raw!r}") from None
     for key in ("n", "f", "c"):
         if key not in values:
             raise DatasetFormatError(f"{path.name}: missing key {key!r}")
@@ -132,46 +137,38 @@ def _parse_table(path: Path, dtype, delimiter: str, width: int) -> np.ndarray | 
 
 def _scan_edges(path: Path, n: int) -> np.ndarray:
     raw_pairs = []
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DatasetFormatError(f"{path.name}:{lineno}: expected src<TAB>dst")
-            try:
-                src, dst = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise DatasetFormatError(f"{path.name}:{lineno}: non-integer node id") from None
-            if not (0 <= src < n and 0 <= dst < n):
-                raise DatasetFormatError(f"{path.name}:{lineno}: node id out of range [0, {n})")
-            raw_pairs.append((src, dst))
+    for lineno, line in _lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DatasetFormatError(f"{path.name}:{lineno}: expected src<TAB>dst")
+        try:
+            src, dst = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise DatasetFormatError(f"{path.name}:{lineno}: non-integer node id") from None
+        if not (0 <= src < n and 0 <= dst < n):
+            raise DatasetFormatError(f"{path.name}:{lineno}: node id out of range [0, {n})")
+        raw_pairs.append((src, dst))
     return np.asarray(raw_pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def _scan_features(path: Path, n: int, f: int) -> np.ndarray:
     features = np.empty((n, f), dtype=np.float64)
-    with path.open() as fh:
-        row = 0
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if row >= n:
-                raise DatasetFormatError(f"{path.name}:{lineno}: more than n={n} rows")
-            parts = line.split(",")
-            if len(parts) != f:
-                raise DatasetFormatError(
-                    f"{path.name}:{lineno}: expected {f} values, got {len(parts)}"
-                )
-            try:
-                features[row] = [float(p) for p in parts]
-            except ValueError:
-                raise DatasetFormatError(f"{path.name}:{lineno}: non-numeric feature") from None
-            if not np.isfinite(features[row]).all():
-                raise DatasetFormatError(f"{path.name}:{lineno}: non-finite feature")
-            row += 1
+    row = 0
+    for lineno, line in _lines(path):
+        if row >= n:
+            raise DatasetFormatError(f"{path.name}:{lineno}: more than n={n} rows")
+        parts = line.split(",")
+        if len(parts) != f:
+            raise DatasetFormatError(
+                f"{path.name}:{lineno}: expected {f} values, got {len(parts)}"
+            )
+        try:
+            features[row] = [float(p) for p in parts]
+        except ValueError:
+            raise DatasetFormatError(f"{path.name}:{lineno}: non-numeric feature") from None
+        if not np.isfinite(features[row]).all():
+            raise DatasetFormatError(f"{path.name}:{lineno}: non-finite feature")
+        row += 1
     if row != n:
         raise DatasetFormatError(f"{path.name}: expected {n} rows, got {row}")
     return features
@@ -179,27 +176,23 @@ def _scan_features(path: Path, n: int, f: int) -> np.ndarray:
 
 def _scan_labels(path: Path, n: int, c: int) -> np.ndarray:
     gold = np.full(n, UNLABELED, dtype=np.int64)
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DatasetFormatError(f"{path.name}:{lineno}: expected node<TAB>class")
-            try:
-                node, cls = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise DatasetFormatError(f"{path.name}:{lineno}: non-integer entry") from None
-            if not 0 <= node < n:
-                raise DatasetFormatError(f"{path.name}:{lineno}: node id out of range [0, {n})")
-            if not 0 <= cls < c:
-                raise DatasetFormatError(
-                    f"{path.name}:{lineno}: label {cls} >= declared class count {c}"
-                )
-            if gold[node] != UNLABELED:
-                raise DatasetFormatError(f"{path.name}:{lineno}: duplicate label for node {node}")
-            gold[node] = cls
+    for lineno, line in _lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DatasetFormatError(f"{path.name}:{lineno}: expected node<TAB>class")
+        try:
+            node, cls = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise DatasetFormatError(f"{path.name}:{lineno}: non-integer entry") from None
+        if not 0 <= node < n:
+            raise DatasetFormatError(f"{path.name}:{lineno}: node id out of range [0, {n})")
+        if not 0 <= cls < c:
+            raise DatasetFormatError(
+                f"{path.name}:{lineno}: label {cls} >= declared class count {c}"
+            )
+        if gold[node] != UNLABELED:
+            raise DatasetFormatError(f"{path.name}:{lineno}: duplicate label for node {node}")
+        gold[node] = cls
     return gold
 
 

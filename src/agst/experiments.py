@@ -42,7 +42,6 @@ class ExperimentSpec:
     seed: int = 0
     workers: int = 1
     val_per_class: int = 30
-    output: str | None = None
 
     def __post_init__(self):
         if self.runs < 1:

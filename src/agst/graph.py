@@ -1,5 +1,5 @@
 """Undirected graphs as canonical edge lists, and the symmetric normalized
-propagation operator, stored as a SciPy CSR matrix."""
+propagation operator as a plain SciPy CSR matrix."""
 
 from __future__ import annotations
 
@@ -63,32 +63,14 @@ class SparseGraph:
         """Edges encoded as i*n + j (i < j), for fast membership tests."""
         return self.edges[:, 0] * self.n + self.edges[:, 1]
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SparseGraph)
-            and self.n == other.n
-            and np.array_equal(self.edges, other.edges)
-        )
 
-
-class NormalizedOperator:
-    """Symmetric degree-normalized adjacency with self-loops, in CSR form.
+def normalize_adjacency(graph: SparseGraph) -> sparse.csr_array:
+    """The symmetric degree-normalized adjacency with self-loops, in CSR form.
 
     Entry (i, j) is 1/sqrt((d_i + 1)(d_j + 1)) for every edge of the
     self-looped adjacency, d being the degree in the plain graph.  An
     isolated node keeps a unit self-loop.
     """
-
-    def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray):
-        self.n = n
-        self._mat = sparse.csr_array((values, indices, indptr), shape=(n, n))
-
-    def toarray(self) -> np.ndarray:
-        return self._mat.toarray()
-
-
-def normalize_adjacency(graph: SparseGraph) -> NormalizedOperator:
-    """Build the normalized operator of a graph (self-loops added here)."""
     n = graph.n
     deg_plus_1 = graph.degrees.astype(np.float64) + 1.0
     inv_sqrt = 1.0 / np.sqrt(deg_plus_1)
@@ -96,15 +78,4 @@ def normalize_adjacency(graph: SparseGraph) -> NormalizedOperator:
     rows = np.concatenate([graph.edges[:, 0], graph.edges[:, 1], loops])
     cols = np.concatenate([graph.edges[:, 1], graph.edges[:, 0], loops])
     vals = inv_sqrt[rows] * inv_sqrt[cols]
-    order = np.lexsort((cols, rows))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return NormalizedOperator(n, indptr, cols[order], vals[order])
-
-
-def spmm(op: NormalizedOperator, dense: np.ndarray) -> np.ndarray:
-    """Sparse-dense product op @ dense for an (n, c) matrix."""
-    dense = np.asarray(dense, dtype=np.float64)
-    if dense.ndim != 2 or dense.shape[0] != op.n:
-        raise ValueError(f"expected a ({op.n}, c) matrix, got shape {dense.shape}")
-    return op._mat @ dense
+    return sparse.csr_array((vals, (rows, cols)), shape=(n, n))

@@ -64,10 +64,6 @@ class StudentParams:
     mb2: np.ndarray
     normalize_features: bool = False
 
-    @property
-    def hidden(self) -> int:
-        return self.w1.shape[1]
-
     def copy(self) -> "StudentParams":
         arrays = {name: getattr(self, name).copy()
                   for name in (*PARAM_NAMES, "mw1", "mb1", "mw2", "mb2")}
@@ -104,14 +100,12 @@ def init_params(
     )
 
 
-def _forward_cache(params, x, training, dropout, rng):
+def _forward_cache(params, x, dropout=0.0, rng=None):
     h1 = x @ params.w1 + params.b1
     a1 = np.maximum(h1, 0.0)
     mask = None
     d1 = a1
-    if training and dropout > 0.0:
-        if rng is None:
-            raise ValueError("dropout needs an RNG")
+    if rng is not None and dropout > 0.0:
         mask = (rng.random(a1.shape) >= dropout) / (1.0 - dropout)
         d1 = a1 * mask
     z = d1 @ params.w2 + params.b2
@@ -124,15 +118,12 @@ def forward(
     params: StudentParams,
     features: np.ndarray,
     nodes: np.ndarray | None = None,
-    training: bool = False,
-    dropout: float = 0.0,
-    rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Embeddings and softmax predictions for the given rows (all by default)."""
     x = features if nodes is None else features[nodes]
     if x.shape[1] != params.w1.shape[0]:
         raise ValueError(f"feature dim {x.shape[1]} != expected {params.w1.shape[0]}")
-    cache = _forward_cache(params, x, training, dropout, rng)
+    cache = _forward_cache(params, x)
     return cache["z"], cache["p"]
 
 
@@ -236,7 +227,6 @@ class PseudoLabelSet:
     """Hard teacher labels for every node and the ids that survived filtering."""
 
     hard: np.ndarray
-    soft: SoftLabels
     kept: np.ndarray
 
 
@@ -257,7 +247,7 @@ def filter_pseudo_labels(
     sims = similarity_distribution(z_momentum[unlabeled], protos, tau)
     own = sims[np.arange(unlabeled.size), hard[unlabeled]]
     kept = unlabeled[own > 1.0 / c]
-    return PseudoLabelSet(hard=hard, soft=soft, kept=kept)
+    return PseudoLabelSet(hard=hard, kept=kept)
 
 
 def loss_contrastive(
@@ -437,7 +427,7 @@ def joint_objective(
     pseudo-label set from ``pseudo_targets`` held constant.  Dropout at
     ``cfg.dropout`` applies only when ``rng`` is given.
     """
-    cache = _forward_cache(params, x, rng is not None, cfg.dropout, rng)
+    cache = _forward_cache(params, x, cfg.dropout, rng)
     p, z = cache["p"], cache["z"]
     red = cfg.loss_reduction
     l_lab, g_lab = loss_ce_labeled(p, gold, labeled, red)

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .data import DatasetBundle, SplitSpec
-from .graph import NormalizedOperator, spmm
 
 
 @dataclass
@@ -61,7 +61,7 @@ def initial_label_matrix(bundle: DatasetBundle, split: SplitSpec) -> np.ndarray:
 
 
 def propagate_labels(
-    op: NormalizedOperator,
+    op: sparse.csr_array,
     bundle: DatasetBundle,
     split: SplitSpec,
     cfg: LpConfig,
@@ -70,23 +70,24 @@ def propagate_labels(
     y0 = initial_label_matrix(bundle, split)
     y = y0.copy()
     for _ in range(cfg.steps):
-        y = cfg.alpha * spmm(op, y) + (1.0 - cfg.alpha) * y0
+        y = cfg.alpha * (op @ y) + (1.0 - cfg.alpha) * y0
     return SoftLabels(y, normalized=False)
 
 
 def closed_form_oracle(
-    op: NormalizedOperator,
+    op: sparse.csr_array,
     bundle: DatasetBundle,
     split: SplitSpec,
     alpha: float,
 ) -> SoftLabels:
     """Exact fixed point via a dense solve; test-only path for n <= 2000."""
-    if op.n > 2000:
+    n = op.shape[0]
+    if n > 2000:
         raise ValueError("dense oracle is limited to n <= 2000")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (0, 1)")
     y0 = initial_label_matrix(bundle, split)
-    system = np.eye(op.n) - alpha * op.toarray()
+    system = np.eye(n) - alpha * op.toarray()
     solution = (1.0 - alpha) * np.linalg.solve(system, y0)
     return SoftLabels(np.maximum(solution, 0.0), normalized=False)
 

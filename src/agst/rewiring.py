@@ -12,8 +12,8 @@ block's dot products come from one matrix product, existing edges are looked
 up in the sorted edge keys, and only pairs that can still reach the top
 ``quota`` are kept.  Memory is O(BLOCK_ROWS * n_c + quota) for the largest
 predicted class of n_c nodes, not the O(sum n_c^2) of listing every
-same-label pair; ``generate_candidates`` is that full list, kept as the
-reference the plan is tested against.
+same-label pair.  The enumerator that lists them all, ``generate_candidates``
+in ``tests/reference.py``, is the reference the plan is tested against.
 """
 
 from __future__ import annotations
@@ -54,39 +54,6 @@ def edge_probability(p: np.ndarray, pairs: np.ndarray) -> np.ndarray:
         raise ValueError(f"pair index out of range [0, {p.shape[0]})")
     dots = np.einsum("ij,ij->i", p[pairs[:, 0]], p[pairs[:, 1]])
     return sigmoid(dots)
-
-
-def hard_labels(p: np.ndarray) -> np.ndarray:
-    """Argmax class per row; ties resolve to the lowest class index."""
-    return np.argmax(p, axis=1)
-
-
-def generate_candidates(
-    hard: np.ndarray, graph: SparseGraph
-) -> tuple[np.ndarray, np.ndarray]:
-    """Addition candidates (same-hard-label non-edges) and removal candidates
-    (every existing edge), both as canonical (k, 2) arrays.
-
-    Nodes are grouped by label first, so no cross-class pair is ever touched.
-    """
-    n = graph.n
-    existing = graph.edge_keys()
-    blocks = []
-    for cls in np.unique(hard):
-        members = np.flatnonzero(hard == cls)
-        if members.size < 2:
-            continue
-        iu, ju = np.triu_indices(members.size, k=1)
-        blocks.append(np.column_stack([members[iu], members[ju]]))
-    if blocks:
-        pairs = np.concatenate(blocks)
-        keys = pairs[:, 0] * n + pairs[:, 1]
-        additions = pairs[~np.isin(keys, existing)]
-        order = np.lexsort((additions[:, 1], additions[:, 0]))
-        additions = additions[order]
-    else:
-        additions = np.empty((0, 2), dtype=np.int64)
-    return additions, graph.edges.copy()
 
 
 @dataclass
@@ -166,8 +133,8 @@ def plan_augmentation(graph: SparseGraph, p: np.ndarray, cfg: AugmentConfig) -> 
     """Pick the edges to add and remove, without applying them.
 
     ``p`` holds one row of class probabilities per node.  The plan equals
-    ranking every candidate from ``generate_candidates`` by (-probability,
-    i, j), without listing them all.
+    ranking every same-label non-edge by (-probability, i, j), without
+    listing them all.
     """
     m = graph.m
     quota_add = int(cfg.beta_add * m)
@@ -176,7 +143,7 @@ def plan_augmentation(graph: SparseGraph, p: np.ndarray, cfg: AugmentConfig) -> 
 
     add_pairs, add_probs = empty, np.empty(0)
     if quota_add > 0:
-        hard = hard_labels(p)
+        hard = np.argmax(p, axis=1)   # ties go to the lowest class
         sizes = np.bincount(hard)
         same_label_edges = np.count_nonzero(hard[graph.edges[:, 0]] == hard[graph.edges[:, 1]])
         available = int(np.sum(sizes * (sizes - 1) // 2)) - same_label_edges
@@ -195,6 +162,9 @@ def plan_augmentation(graph: SparseGraph, p: np.ndarray, cfg: AugmentConfig) -> 
 
 
 def apply_augmentation(graph: SparseGraph, plan: AugmentationPlan) -> SparseGraph:
+    """``graph`` rewired by ``plan``; ``graph`` itself when the plan is empty."""
+    if plan.added.size == 0 and plan.removed.size == 0:
+        return graph
     n = graph.n
     keys = graph.edge_keys()
     if plan.removed.size:
@@ -202,14 +172,6 @@ def apply_augmentation(graph: SparseGraph, plan: AugmentationPlan) -> SparseGrap
     if plan.added.size:
         keys = np.union1d(keys, plan.added[:, 0] * n + plan.added[:, 1])
     return SparseGraph(n, np.column_stack([keys // n, keys % n]))
-
-
-def augment_topology(graph: SparseGraph, p: np.ndarray, cfg: AugmentConfig) -> SparseGraph:
-    """Refined copy of ``graph``; a no-op when both quotas floor to zero."""
-    plan = plan_augmentation(graph, p, cfg)
-    if plan.added.size == 0 and plan.removed.size == 0:
-        return graph
-    return apply_augmentation(graph, plan)
 
 
 def write_plan_tsv(plan: AugmentationPlan, path) -> None:

@@ -43,12 +43,18 @@ class IterationStats:
     iteration: int
     val_acc: float | None
     test_acc: float | None
-    edges_added: int
-    edges_removed: int
     trace: TrainTrace
     added_edges: np.ndarray
     removed_edges: np.ndarray
     wall_ms: float
+
+    @property
+    def edges_added(self) -> int:
+        return self.added_edges.shape[0]
+
+    @property
+    def edges_removed(self) -> int:
+        return self.removed_edges.shape[0]
 
     def to_dict(self) -> dict:
         return {
@@ -115,10 +121,8 @@ def run_agst(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig) -> RunRes
             preds = np.argmax(probs, axis=1)
             plan = plan_augmentation(original, probs, cfg.augment)
             # the last round's plan is only reported; no round trains on it
-            if iteration < cfg.iterations and (plan.added.size or plan.removed.size):
+            if iteration < cfg.iterations:
                 current = apply_augmentation(original, plan)
-            else:
-                current = original
         except Exception as err:
             raise annotate(err, f"self-training iteration {iteration}") from err
 
@@ -135,8 +139,6 @@ def run_agst(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig) -> RunRes
             iteration=iteration,
             val_acc=val_acc,
             test_acc=test_acc,
-            edges_added=plan.added.shape[0],
-            edges_removed=plan.removed.shape[0],
             trace=trace,
             added_edges=plan.added,
             removed_edges=plan.removed,

@@ -87,6 +87,34 @@ class TestConfigFile:
         assert len(report["runs"]) == 2  # explicit flag wins
         assert report["config"]["seed"] == 9
 
+    @pytest.mark.parametrize("spelling", [["--config=exp.cfg"], ["--conf", "exp.cfg"]])
+    def test_every_accepted_spelling_reads_the_file(self, dataset_dir, spelling):
+        (dataset_dir / "exp.cfg").write_text("runs = 3\nlambda2 = 0.5\nmethod = lp-only\n")
+        assert cli_main(["run", "--dataset", "cora", *spelling]) == 0
+        report = json.loads((dataset_dir / "report.json").read_text())
+        assert len(report["runs"]) == 3
+        assert report["config"]["train"]["lambda2"] == 0.5
+
+    def test_required_flag_from_the_file(self, dataset_dir):
+        (dataset_dir / "exp.cfg").write_text("dataset = cora\nruns = 2\nmethod = lp-only\n")
+        assert cli_main(["run", "--conf=exp.cfg", "--runs", "1"]) == 0
+        report = json.loads((dataset_dir / "report.json").read_text())
+        assert len(report["runs"]) == 1  # explicit flag wins
+
+    def test_missing_config_file_is_usage_error(self, dataset_dir, capsys):
+        code = cli_main(["run", "--dataset", "cora", "--config", "absent.cfg"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "absent.cfg" in err
+        assert err.count("\n") == 1
+
+    def test_second_config_file_is_usage_error(self, dataset_dir, capsys):
+        (dataset_dir / "a.cfg").write_text("runs = 2\n")
+        (dataset_dir / "b.cfg").write_text("runs = 3\n")
+        code = cli_main(["run", "--dataset", "cora", "--config", "a.cfg", "--config", "b.cfg"])
+        assert code == 2
+        assert "only one config file" in capsys.readouterr().err
+
     def test_malformed_config_file(self, dataset_dir, capsys):
         (dataset_dir / "bad.cfg").write_text("runs 3\n")
         code = cli_main(["run", "--dataset", "cora", "--config", "bad.cfg"])

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from agst import (
     SoftLabels,
@@ -6,8 +7,10 @@ from agst import (
     grad_check,
     init_params,
     joint_objective,
+    pseudo_targets,
     run_gradcheck_suite,
 )
+from agst import gradcheck
 
 from conftest import make_bundle, split_of
 
@@ -60,11 +63,62 @@ class TestGradCheck:
             assert np.max(np.abs(g)) < 1e-8
         assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-8
 
+    def test_exactly_zero_gradient_passes(self):
+        # zero features and negative first-layer biases kill every hidden
+        # unit, so predictions are uniform; with class-balanced targets every
+        # analytic gradient is exactly 0 and the central difference is pure
+        # roundoff, which the check must not count as a relative error
+        bundle, split, soft, params = tiny_problem(5, n=4, c=2)
+        bundle.features[:] = 0.0
+        bundle.gold[:] = [0, 1, 0, 1]
+        split = split_of([0, 1])
+        soft = SoftLabels(np.full((4, 2), 0.5), normalized=True)
+        params.b1[:] = -0.5
+        params.mb1[:] = -0.5
+        cfg = TrainConfig(lambda2=0.1, dropout=0.0, hidden=6)
+        unlabeled = np.setdiff1d(np.arange(bundle.n), split.labeled)
+        _, _, grads, _ = joint_objective(params, bundle.features, bundle.gold, split.labeled,
+                                         unlabeled, soft, cfg, None, None)
+        assert all(not np.any(g) for g in grads.values())
+        assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-4
+
     def test_individual_losses_each_match(self):
         for lam1, lam2 in ((1.0, 0.0), (0.0, 0.0), (0.0, 0.5)):
             bundle, split, soft, params = tiny_problem(4)
             cfg = TrainConfig(lambda1=lam1, lambda2=lam2, dropout=0.0, hidden=6)
             assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-4
+
+
+def scaled(grads, args):
+    return {name: 1.001 * g for name, g in grads.items()}
+
+
+def sign_flipped(grads, args):
+    return {name: -g for name, g in grads.items()}
+
+
+def without_contrastive(grads, args):
+    # the gradient of the same objective with the contrastive term left out
+    return joint_objective(*args[:7], None, None)[2]
+
+
+class TestGradCheckRejects:
+    @pytest.mark.parametrize("corrupt", [sign_flipped, without_contrastive, scaled])
+    def test_wrong_gradient_fails(self, monkeypatch, corrupt):
+        bundle, split, soft, params = tiny_problem(1)
+        cfg = TrainConfig(lambda2=1.0, dropout=0.0, hidden=6)
+        unlabeled = np.setdiff1d(np.arange(bundle.n), split.labeled)
+        _, pls, _ = pseudo_targets(params, bundle.features, bundle.gold, split.labeled,
+                                   unlabeled, soft, cfg)
+        assert pls.kept.size > 0
+        assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-4
+
+        def corrupted(*args):
+            joint, parts, grads, cache = joint_objective(*args)
+            return joint, parts, corrupt(grads, args), cache
+
+        monkeypatch.setattr(gradcheck, "joint_objective", corrupted)
+        assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) > 1e-4
 
 
 class TestGradCheckSuite:

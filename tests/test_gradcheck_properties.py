@@ -17,8 +17,8 @@ from agst import (  # noqa: E402
     init_params,
     momentum_embed,
     pseudo_targets,
-    similarity_distribution,
 )
+from agst.mlp import similarity_distribution  # noqa: E402
 
 from conftest import make_bundle, split_of  # noqa: E402
 
@@ -46,9 +46,11 @@ def problems(draw):
     labeled = np.array([np.flatnonzero(gold == cls)[0] for cls in range(c)])
     split = split_of(labeled)
     params = init_params(f, c, hidden, rng)
-    # biases away from zero keep all-zero rows off the ReLU kink, where a
-    # centered difference says nothing about either one-sided gradient
-    params.b1[:] = rng.uniform(0.1, 1.0, hidden)
+    # biases of either sign: a negative one kills its unit on all-zero rows,
+    # and a unit dead on every row has an exactly-zero gradient.  Rows within
+    # 1e-3 of the ReLU kink are redrawn: a centered difference straddling it
+    # says nothing about either one-sided gradient
+    params.b1[:] = rng.uniform(-1.0, 1.0, hidden)
     assume(np.min(np.abs(features @ params.w1 + params.b1)) > 1e-3)
 
     raw = rng.random((n, c)) + 0.1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from agst import SparseGraph, normalize_adjacency, spmm
+from agst import SparseGraph, normalize_adjacency
 
 from conftest import random_graph_edges
 
@@ -77,24 +77,26 @@ class TestNormalizeAdjacency:
         op = normalize_adjacency(g)
         for _ in range(10):
             v = rng.normal(size=(12, 1))
-            assert np.linalg.norm(spmm(op, v)) <= np.linalg.norm(v) + 1e-12
+            assert np.linalg.norm(op @ v) <= np.linalg.norm(v) + 1e-12
 
 
 class TestSpmm:
+    """The operator's sparse-dense product ``op @ dense``."""
+
     def test_identity_operator(self):
         op = normalize_adjacency(SparseGraph(3, []))  # isolated nodes: S = I
         m = np.arange(6.0).reshape(3, 2)
-        assert np.array_equal(spmm(op, m), m)
+        assert np.array_equal(op @ m, m)
 
     def test_two_node_product(self):
         op = normalize_adjacency(SparseGraph(2, [[0, 1]]))
         m = np.array([[1.0, 0.0], [0.0, 0.0]])
         # dense oracle: [[.5,.5],[.5,.5]] @ [[1,0],[0,0]]
-        assert np.allclose(spmm(op, m), [[0.5, 0.0], [0.5, 0.0]], atol=1e-15)
+        assert np.allclose(op @ m, [[0.5, 0.0], [0.5, 0.0]], atol=1e-15)
 
     def test_zero_matrix_annihilated(self):
         op = normalize_adjacency(SparseGraph(4, [[0, 1], [2, 3]]))
-        assert np.array_equal(spmm(op, np.zeros((4, 3))), np.zeros((4, 3)))
+        assert np.array_equal(op @ np.zeros((4, 3)), np.zeros((4, 3)))
 
     def test_matches_dense_product_on_random_instances(self):
         rng = np.random.default_rng(5)
@@ -103,9 +105,9 @@ class TestSpmm:
             g = SparseGraph(n, random_graph_edges(rng, n, 0.35))
             op = normalize_adjacency(g)
             m = rng.normal(size=(n, int(rng.integers(1, 5))))
-            assert np.max(np.abs(spmm(op, m) - dense_normalized(g) @ m)) < 1e-12
+            assert np.max(np.abs(op @ m - dense_normalized(g) @ m)) < 1e-12
 
     def test_shape_mismatch_rejected(self):
         op = normalize_adjacency(SparseGraph(3, [[0, 1]]))
-        with pytest.raises(ValueError, match="matrix"):
-            spmm(op, np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="mismatch"):
+            op @ np.zeros((4, 2))

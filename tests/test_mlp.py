@@ -14,13 +14,12 @@ from agst import (
     loss_ce_unlabeled,
     loss_contrastive,
     momentum_update,
-    similarity_distribution,
     student_features,
     train_student,
     two_cluster_bundle,
     write_trace_csv,
 )
-from agst.mlp import PseudoLabelSet
+from agst.mlp import PseudoLabelSet, joint_objective, similarity_distribution
 
 def zero_params(f=3, c=4, hidden=5):
     rng = np.random.default_rng(0)
@@ -64,15 +63,19 @@ class TestForward:
             forward(params, np.zeros((2, 7)))
 
     def test_dropout_only_when_training(self):
+        # dropout applies only in the joint objective, and only given an RNG
         rng = np.random.default_rng(4)
         params = init_params(4, 2, 8, rng)
         x = rng.normal(size=(5, 4))
-        _, p_eval = forward(params, x, training=False, dropout=0.5)
-        _, p_eval2 = forward(params, x)
-        assert np.array_equal(p_eval, p_eval2)
-        _, p_train = forward(params, x, training=True, dropout=0.5,
-                             rng=np.random.default_rng(0))
-        assert not np.array_equal(p_train, p_eval)
+        gold, labeled, unlabeled = np.array([0, 1, 0, 1, 0]), np.array([0, 1]), np.arange(2, 5)
+        soft = SoftLabels(np.full((5, 2), 0.5), normalized=True)
+        cfg = TrainConfig(dropout=0.5, lambda2=0.0)
+        _, p_eval = forward(params, x)
+        *_, cache = joint_objective(params, x, gold, labeled, unlabeled, soft, cfg, None, None)
+        assert np.array_equal(cache["p"], p_eval)
+        *_, cache = joint_objective(params, x, gold, labeled, unlabeled, soft, cfg, None, None,
+                                    rng=np.random.default_rng(0))
+        assert not np.array_equal(cache["p"], p_eval)
 
 
 class TestLabeledCrossEntropy:
@@ -241,8 +244,7 @@ class TestFilterPseudoLabels:
 
 class TestContrastiveLoss:
     def test_empty_kept_set_is_zero(self):
-        soft = SoftLabels(np.full((2, 2), 0.5), normalized=True)
-        pls = PseudoLabelSet(np.zeros(2, dtype=int), soft, np.array([], dtype=int))
+        pls = PseudoLabelSet(np.zeros(2, dtype=int), np.array([], dtype=int))
         value, grad = loss_contrastive(np.ones((2, 3)), np.ones((2, 3)), pls, 0.5)
         assert value == 0.0
         assert np.array_equal(grad, np.zeros((2, 3)))
@@ -251,16 +253,14 @@ class TestContrastiveLoss:
         # logits (1, 0) toward own prototype: -ln(e/(e+1)) = ln(1 + e^-1)
         protos = np.array([[1.0, 0.0], [0.0, 0.0]])
         z = np.array([[1.0, 1.0]])
-        soft = SoftLabels(np.array([[0.9, 0.1]]), normalized=True)
-        pls = PseudoLabelSet(np.array([0]), soft, np.array([0]))
+        pls = PseudoLabelSet(np.array([0]), np.array([0]))
         value, _ = loss_contrastive(z, protos, pls, tau=1.0)
         assert value == pytest.approx(math.log(1 + math.exp(-1.0)), abs=1e-12)
 
     def test_equidistant_node_costs_log_c(self):
         protos = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         z = np.zeros((1, 3))
-        soft = SoftLabels(np.full((1, 3), 1 / 3), normalized=True)
-        pls = PseudoLabelSet(np.array([1]), soft, np.array([0]))
+        pls = PseudoLabelSet(np.array([1]), np.array([0]))
         value, _ = loss_contrastive(z, protos, pls, tau=0.5)
         assert value == pytest.approx(math.log(3), abs=1e-12)
 
@@ -268,8 +268,7 @@ class TestContrastiveLoss:
         rng = np.random.default_rng(9)
         z = rng.normal(size=(3, 4))
         protos = rng.normal(size=(2, 4))
-        soft = SoftLabels(np.array([[0.8, 0.2], [0.1, 0.9], [0.6, 0.4]]), normalized=True)
-        pls = PseudoLabelSet(np.array([0, 1, 0]), soft, np.array([0, 2]))
+        pls = PseudoLabelSet(np.array([0, 1, 0]), np.array([0, 2]))
         tau = 0.7
         _, grad = loss_contrastive(z, protos, pls, tau)
         for i in (0, 2):
@@ -286,8 +285,7 @@ class TestContrastiveLoss:
         rng = np.random.default_rng(10)
         z = rng.normal(size=(4, 3))
         protos = rng.normal(size=(3, 3))
-        soft = SoftLabels(np.full((4, 3), 1 / 3), normalized=True)
-        pls = PseudoLabelSet(rng.integers(0, 3, size=4), soft, np.arange(4))
+        pls = PseudoLabelSet(rng.integers(0, 3, size=4), np.arange(4))
         tau, kappa = 0.5, 37.0
         base, _ = loss_contrastive(z, protos, pls, tau)
         z_aug = np.column_stack([z, np.ones(4)])

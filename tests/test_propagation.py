@@ -5,12 +5,11 @@ from agst import (
     LpConfig,
     SoftLabels,
     closed_form_oracle,
-    initial_label_matrix,
     normalize_adjacency,
     propagate_labels,
-    spmm,
     to_distribution,
 )
+from agst.propagation import initial_label_matrix
 
 from conftest import make_bundle, random_graph_edges, split_of
 
@@ -48,7 +47,7 @@ class TestPropagateLabels:
         bundle, split = random_lp_problem(rng)
         op = normalize_adjacency(bundle.graph)
         y0 = initial_label_matrix(bundle, split)
-        expected = 0.7 * spmm(op, y0) + (1 - 0.7) * y0
+        expected = 0.7 * (op @ y0) + (1 - 0.7) * y0
         out = propagate_labels(op, bundle, split, LpConfig(alpha=0.7, steps=1))
         assert np.array_equal(out.matrix, expected)
 

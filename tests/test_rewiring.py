@@ -6,16 +6,15 @@ import pytest
 from agst import (
     AugmentConfig,
     SparseGraph,
-    augment_topology,
+    apply_augmentation,
     edge_probability,
-    generate_candidates,
-    hard_labels,
     plan_augmentation,
-    sigmoid,
     write_plan_tsv,
 )
+from agst.rewiring import sigmoid
 
 from conftest import random_graph_edges
+from reference import generate_candidates
 
 
 def sigmoid_scalar(x):
@@ -83,17 +82,22 @@ def random_predictions(rng, n, c):
     return raw / raw.sum(1, keepdims=True)
 
 
+def rewire(graph, p, cfg):
+    """The plan for ``graph``, applied to it."""
+    return apply_augmentation(graph, plan_augmentation(graph, p, cfg))
+
+
 class TestAugmentTopology:
     def test_zero_quotas_are_identity(self):
         rng = np.random.default_rng(1)
         g = SparseGraph(8, random_graph_edges(rng, 8, 0.4))
-        out = augment_topology(g, random_predictions(rng, 8, 3), AugmentConfig(0.0, 0.0))
+        out = rewire(g, random_predictions(rng, 8, 3), AugmentConfig(0.0, 0.0))
         assert out is g
 
     def test_full_removal_with_distinct_labels(self):
         g = SparseGraph(4, [[0, 1], [1, 2], [2, 3]])
         p = np.eye(4)
-        out = augment_topology(g, p, AugmentConfig(beta_add=0.0, beta_remove=1.0))
+        out = rewire(g, p, AugmentConfig(beta_add=0.0, beta_remove=1.0))
         assert out.m == 0
 
     def test_single_addition_matches_exhaustive_oracle(self):
@@ -102,8 +106,8 @@ class TestAugmentTopology:
         g = SparseGraph(4, [[0, 1], [2, 3]])
         rng = np.random.default_rng(2)
         p = random_predictions(rng, 4, 2)
-        hard = hard_labels(p)
-        out = augment_topology(g, p, AugmentConfig(beta_add=0.5, beta_remove=0.0))
+        hard = np.argmax(p, axis=1)
+        out = rewire(g, p, AugmentConfig(beta_add=0.5, beta_remove=0.0))
         added = {tuple(e) for e in out.edges} - {tuple(e) for e in g.edges}
         assert len(added) == 1
         best, best_prob = None, -1.0
@@ -123,8 +127,8 @@ class TestAugmentTopology:
             g = SparseGraph(n, random_graph_edges(rng, n, 0.25))
             p = random_predictions(rng, n, int(rng.integers(2, 5)))
             cfg = AugmentConfig(beta_add=float(rng.random()), beta_remove=float(rng.random()))
-            additions, _ = generate_candidates(hard_labels(p), g)
-            out = augment_topology(g, p, cfg)
+            additions, _ = generate_candidates(np.argmax(p, axis=1), g)
+            out = rewire(g, p, cfg)
             expected = (g.m
                         + min(int(cfg.beta_add * g.m), additions.shape[0])
                         - min(int(cfg.beta_remove * g.m), g.m))
@@ -143,7 +147,7 @@ class TestAugmentTopology:
             p = random_predictions(rng, n, 3)
             cfg = AugmentConfig(beta_add=0.5, beta_remove=0.5)
             plan = plan_augmentation(g, p, cfg)
-            additions, removals = generate_candidates(hard_labels(p), g)
+            additions, removals = generate_candidates(np.argmax(p, axis=1), g)
             if plan.added.size:
                 rejected = np.array([r for r in map(tuple, additions)
                                      if r not in set(map(tuple, plan.added))])
@@ -160,15 +164,15 @@ class TestAugmentTopology:
         g = SparseGraph(12, random_graph_edges(rng, 12, 0.3))
         p = random_predictions(rng, 12, 3)
         cfg = AugmentConfig(0.7, 0.3)
-        a = augment_topology(g, p, cfg)
-        b = augment_topology(g, p, cfg)
+        a = rewire(g, p, cfg)
+        b = rewire(g, p, cfg)
         assert np.array_equal(a.edges, b.edges)
 
     def test_probability_ties_break_lexicographically(self):
         # identical prediction rows make every candidate probability equal
         g = SparseGraph(5, [[3, 4]])
         p = np.tile([0.6, 0.4], (5, 1))
-        out = augment_topology(g, p, AugmentConfig(beta_add=1.0, beta_remove=0.0))
+        out = rewire(g, p, AugmentConfig(beta_add=1.0, beta_remove=0.0))
         added = {tuple(e) for e in out.edges} - {(3, 4)}
         assert added == {(0, 1)}  # lexicographically first non-edge
 
@@ -176,7 +180,7 @@ class TestAugmentTopology:
         g = SparseGraph(4, [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3]])
         p = np.tile([0.9, 0.1], (4, 1))  # one non-edge (2, 3) remains
         with caplog.at_level("WARNING", logger="agst.rewiring"):
-            out = augment_topology(g, p, AugmentConfig(beta_add=1.0, beta_remove=0.0))
+            out = rewire(g, p, AugmentConfig(beta_add=1.0, beta_remove=0.0))
         assert out.m == 6
         assert any("quota" in r.message for r in caplog.records)
 
