@@ -69,12 +69,11 @@ class DatasetBundle:
 
 @dataclass
 class SplitSpec:
-    """Disjoint labeled/validation/test node sets and the seed that drew them."""
+    """Disjoint labeled/validation/test node sets."""
 
     labeled: np.ndarray
     validation: np.ndarray
     test: np.ndarray
-    seed: int
 
     def __post_init__(self):
         self.labeled = np.sort(np.asarray(self.labeled, dtype=np.int64))
@@ -310,7 +309,7 @@ def make_split(
         validation = np.concatenate(validation)
         held = np.concatenate([labeled, validation])
         test = np.setdiff1d(bundle.labeled_nodes(), held)
-        return SplitSpec(labeled, validation, test, seed)
+        return SplitSpec(labeled, validation, test)
 
     if protocol == "imbalanced":
         if rate is None or not 0.0 < rate < 1.0:
@@ -338,7 +337,7 @@ def make_split(
         if n_test < test_size:
             log.info("only %d nodes left for the test set (wanted %d)", n_test, test_size)
         test = rng.choice(remaining, size=n_test, replace=False)
-        return SplitSpec(labeled, np.empty(0, dtype=np.int64), test, draw_seed)
+        return SplitSpec(labeled, np.empty(0, dtype=np.int64), test)
 
     raise ValueError(f"unknown protocol {protocol!r}")
 

@@ -18,6 +18,7 @@ from .graph import SparseGraph
 from .propagation import SoftLabels
 from .mlp import (
     PARAM_NAMES,
+    EpochWorkspace,
     StudentParams,
     TrainConfig,
     init_params,
@@ -50,10 +51,12 @@ def grad_check(
     gold = bundle.gold
     labeled = split.labeled
     unlabeled = np.setdiff1d(np.arange(bundle.n), labeled)
-    protos, pls, _ = pseudo_targets(params, x, gold, labeled, unlabeled, soft, cfg)
+    ws = EpochWorkspace.for_rows(params, x)
+    protos, pls, _ = pseudo_targets(params, x, gold, labeled, unlabeled, soft, cfg, ws)
 
     def objective():
-        return joint_objective(params, x, gold, labeled, unlabeled, soft, cfg, protos, pls)
+        return joint_objective(params, x, gold, labeled, unlabeled, soft, cfg, protos, pls,
+                               workspace=ws)
 
     _, _, analytic, _ = objective()
     roundoff = ROUNDOFF_ULPS * np.finfo(np.float64).eps / eps   # per unit of |f|
@@ -108,8 +111,7 @@ def run_gradcheck_suite(
         bundle = DatasetBundle(SparseGraph(n, np.empty((0, 2), dtype=np.int64)),
                                features, gold, c)
         labeled = np.array([np.flatnonzero(gold == cls)[0] for cls in range(c)])
-        split = SplitSpec(labeled, np.empty(0, dtype=np.int64),
-                          np.empty(0, dtype=np.int64), seed)
+        split = SplitSpec(labeled, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
         raw = rng.random((n, c)) + 0.1
         soft = SoftLabels(raw / raw.sum(axis=1, keepdims=True), normalized=True)
         params = init_params(f, c, hidden, rng)

@@ -17,6 +17,20 @@ contrastive term only backpropagates through each node's own embedding.
 ``pseudo_targets`` the constants of the contrastive term; training and the
 finite-difference check in ``gradcheck`` both call these two functions.
 ``student_features`` prepares the matrix the student reads, once per run.
+
+An ``EpochWorkspace`` holds every n x hidden and n x c array of one epoch:
+the hidden layer (pre-activation, ReLU and dropout applied in place) and its
+ReLU mask, the dropout mask, embeddings, logits turned into probabilities in
+place, the backward temporaries, the momentum encoder's hidden layer and
+embeddings, and the contrastive gradient; the last three share storage with
+the backward temporaries, which are dead while they are live.  The forward
+and backward passes, ``momentum_embed`` and ``loss_contrastive`` write into
+it with ``out=`` and in-place operations.  ``run_agst`` builds one per run
+and ``train_student`` reuses it every epoch; ``forward`` and the gradient
+check build one sized to their rows.  What an epoch still allocates is
+parameter-sized (gradients, Adam's temporaries), n x c (the cross-entropy
+terms), the rows of the unlabeled and kept sets gathered for the
+contrastive term, and, with CSR features, SciPy's ``x @ w`` products.
 """
 
 from __future__ import annotations
@@ -38,10 +52,11 @@ LOG_FLOOR = 1e-12
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    out = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def clamped_log(p: np.ndarray) -> np.ndarray:
@@ -100,55 +115,105 @@ def init_params(
     )
 
 
-def _forward_cache(params, x, dropout=0.0, rng=None):
-    h1 = x @ params.w1 + params.b1
-    a1 = np.maximum(h1, 0.0)
+class EpochWorkspace:
+    """The n x hidden and n x c arrays one epoch writes into, allocated once.
+
+    ``train_student`` fills the same workspace every epoch, and ``run_agst``
+    hands one to every round.  The embeddings and probabilities of a forward
+    pass stay valid until the next forward pass into the workspace; the
+    momentum embeddings until the next backward pass.
+    """
+
+    def __init__(self, n: int, hidden: int, num_classes: int):
+        self.shape = (n, hidden, num_classes)
+        rows = (n, hidden)
+        self.h1 = np.empty(rows)                 # x @ w1 + b1, then ReLU and dropout (dense x)
+        self.relu = np.empty(rows, dtype=bool)   # h1 > 0
+        self.mask = np.empty(rows)               # dropout mask, 0 or 1/(1 - rate)
+        self.z = np.empty(rows)                  # embeddings
+        self.p = np.empty((n, num_classes))      # logits, then their softmax
+        self.d_logits = np.empty((n, num_classes))
+        self.d_z = np.empty(rows)
+        self.d_d1 = np.empty(rows)
+        # pseudo_targets reads the momentum encoder's arrays before the
+        # backward pass starts, and the backward pass adds the contrastive
+        # gradient to d_z before it writes d_d1
+        self.m_h1 = self.d_d1                    # momentum encoder's hidden layer
+        self.z_mom = self.d_z                    # momentum embeddings
+        self.g_z = self.d_d1                     # contrastive gradient w.r.t. z
+
+    @classmethod
+    def for_rows(cls, params: StudentParams, x) -> "EpochWorkspace":
+        """A workspace for ``params`` over the rows of ``x``."""
+        return cls(x.shape[0], params.w2.shape[0], params.w3.shape[1])
+
+
+def _first_layer(x, w, b, out):
+    """x @ w + b, written into ``out`` for dense x; for CSR x, SciPy's product."""
+    h = x @ w if sparse.issparse(x) else np.matmul(x, w, out=out)
+    h += b
+    return h
+
+
+def _forward_cache(params, x, ws, dropout=0.0, rng=None):
+    h1 = _first_layer(x, params.w1, params.b1, ws.h1)
+    relu = np.greater(h1, 0.0, out=ws.relu)
+    d1 = np.maximum(h1, 0.0, out=h1)
     mask = None
-    d1 = a1
     if rng is not None and dropout > 0.0:
-        mask = (rng.random(a1.shape) >= dropout) / (1.0 - dropout)
-        d1 = a1 * mask
-    z = d1 @ params.w2 + params.b2
-    logits = z @ params.w3 + params.b3
-    p = softmax(logits)
-    return {"x": x, "h1": h1, "d1": d1, "mask": mask, "z": z, "p": p}
+        mask = rng.random(out=ws.mask)
+        np.greater_equal(mask, dropout, out=mask)
+        mask /= 1.0 - dropout
+        d1 *= mask
+    z = np.matmul(d1, params.w2, out=ws.z)
+    z += params.b2
+    logits = np.matmul(z, params.w3, out=ws.p)
+    logits += params.b3
+    p = softmax(logits, out=logits)
+    return {"x": x, "relu": relu, "d1": d1, "mask": mask, "z": z, "p": p}
 
 
-def forward(
-    params: StudentParams,
-    features: np.ndarray,
-    nodes: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Embeddings and softmax predictions for the given rows (all by default)."""
-    x = features if nodes is None else features[nodes]
+def forward(params: StudentParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Embeddings and softmax predictions for every row of ``x``."""
     if x.shape[1] != params.w1.shape[0]:
         raise ValueError(f"feature dim {x.shape[1]} != expected {params.w1.shape[0]}")
-    cache = _forward_cache(params, x)
+    cache = _forward_cache(params, x, EpochWorkspace.for_rows(params, x))
     return cache["z"], cache["p"]
 
 
-def momentum_embed(params: StudentParams, features: np.ndarray) -> np.ndarray:
-    """Embeddings from the momentum encoder (never trained, never dropped out)."""
-    a1 = np.maximum(features @ params.mw1 + params.mb1, 0.0)
-    return a1 @ params.mw2 + params.mb2
+def momentum_embed(
+    params: StudentParams,
+    features: np.ndarray,
+    workspace: EpochWorkspace | None = None,
+) -> np.ndarray:
+    """Embeddings from the momentum encoder (never trained, never dropped out),
+    written into ``workspace.z_mom``."""
+    ws = workspace if workspace is not None else EpochWorkspace.for_rows(params, features)
+    a1 = _first_layer(features, params.mw1, params.mb1, ws.m_h1)
+    np.maximum(a1, 0.0, out=a1)
+    z = np.matmul(a1, params.mw2, out=ws.z_mom)
+    z += params.mb2
+    return z
 
 
-def _backward(params, cache, d_logits, d_z_extra=None):
-    """Gradients of the assembled loss given d(loss)/d(logits) and an optional
-    extra d(loss)/d(embeddings) term (the contrastive path)."""
+def _backward(params, cache, ws, d_z_extra=None):
+    """Gradients of the assembled loss given d(loss)/d(logits) in
+    ``ws.d_logits`` and an optional extra d(loss)/d(embeddings) term (the
+    contrastive path).  The gradients are fresh arrays; the n-row
+    temporaries live in ``ws``."""
     grads = {}
-    z, d1, h1, x = cache["z"], cache["d1"], cache["h1"], cache["x"]
+    d_logits, z, d1, x = ws.d_logits, cache["z"], cache["d1"], cache["x"]
     grads["w3"] = z.T @ d_logits
     grads["b3"] = d_logits.sum(axis=0)
-    d_z = d_logits @ params.w3.T
+    d_z = np.matmul(d_logits, params.w3.T, out=ws.d_z)
     if d_z_extra is not None:
-        d_z = d_z + d_z_extra
+        d_z += d_z_extra
     grads["w2"] = d1.T @ d_z
     grads["b2"] = d_z.sum(axis=0)
-    d_d1 = d_z @ params.w2.T
+    d_h1 = np.matmul(d_z, params.w2.T, out=ws.d_d1)
     if cache["mask"] is not None:
-        d_d1 = d_d1 * cache["mask"]
-    d_h1 = d_d1 * (h1 > 0.0)
+        d_h1 *= cache["mask"]
+    d_h1 *= cache["relu"]
     grads["w1"] = (x.T @ d_h1) if not sparse.issparse(x) else np.asarray(x.T @ d_h1)
     grads["b1"] = d_h1.sum(axis=0)
     return grads
@@ -256,13 +321,16 @@ def loss_contrastive(
     pls: PseudoLabelSet,
     tau: float,
     reduction: str = "sum",
+    out: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Prototype contrastive loss over the kept set; gradient w.r.t. z.
+    """Prototype contrastive loss over the kept set; gradient w.r.t. z,
+    written into ``out`` when given.
 
     Prototypes are constants here: the gradient of each kept node i is
     (sum_c s_i^c * proto_c - proto_{hard_i}) / tau, zero rows elsewhere.
     """
-    grad = np.zeros_like(z)
+    grad = np.empty_like(z) if out is None else out
+    grad.fill(0.0)
     kept = pls.kept
     if kept.size == 0:
         return 0.0, grad
@@ -397,13 +465,14 @@ def pseudo_targets(
     unlabeled: np.ndarray,
     soft: SoftLabels,
     cfg: TrainConfig,
+    workspace: EpochWorkspace | None = None,
 ) -> tuple[np.ndarray | None, PseudoLabelSet | None, np.ndarray | None]:
     """The constants of the contrastive term: momentum prototypes, the filtered
     pseudo-label set, and the momentum embeddings both were taken from;
     ``(None, None, None)`` when ``cfg.lambda2`` is zero."""
     if cfg.lambda2 == 0:
         return None, None, None
-    z_mom = momentum_embed(params, x)
+    z_mom = momentum_embed(params, x, workspace)
     protos = compute_prototypes(z_mom, gold, labeled, params.w3.shape[1])
     return protos, filter_pseudo_labels(soft, z_mom, protos, cfg.tau, unlabeled), z_mom
 
@@ -419,30 +488,35 @@ def joint_objective(
     protos: np.ndarray | None,
     pls: PseudoLabelSet | None,
     rng: np.random.Generator | None = None,
+    workspace: EpochWorkspace | None = None,
 ) -> tuple[float, tuple[float, float, float], dict[str, np.ndarray], dict[str, np.ndarray]]:
     """The joint loss, its (labeled, unlabeled, contrastive) parts, the
     gradient of every trainable parameter, and the forward pass's arrays.
 
     joint = l_lab + lambda1 * l_unl + lambda2 * l_con, with the prototypes and
     pseudo-label set from ``pseudo_targets`` held constant.  Dropout at
-    ``cfg.dropout`` applies only when ``rng`` is given.
+    ``cfg.dropout`` applies only when ``rng`` is given.  The forward pass's
+    arrays live in ``workspace`` (one sized to ``x`` when absent); the
+    gradients do not.
     """
-    cache = _forward_cache(params, x, cfg.dropout, rng)
+    ws = workspace if workspace is not None else EpochWorkspace.for_rows(params, x)
+    cache = _forward_cache(params, x, ws, cfg.dropout, rng)
     p, z = cache["p"], cache["z"]
     red = cfg.loss_reduction
     l_lab, g_lab = loss_ce_labeled(p, gold, labeled, red)
     l_unl, g_unl = loss_ce_unlabeled(p, soft, unlabeled, red)
     if pls is not None:
-        l_con, g_z = loss_contrastive(z, protos, pls, cfg.tau, red)
+        l_con, g_z = loss_contrastive(z, protos, pls, cfg.tau, red, out=ws.g_z)
+        g_z *= cfg.lambda2
     else:
         l_con, g_z = 0.0, None
     joint = l_lab + cfg.lambda1 * l_unl + cfg.lambda2 * l_con
 
-    d_logits = np.zeros_like(p)
+    d_logits = ws.d_logits
+    d_logits.fill(0.0)
     d_logits[labeled] += g_lab
     d_logits[unlabeled] += cfg.lambda1 * g_unl
-    d_z_extra = cfg.lambda2 * g_z if g_z is not None else None
-    return joint, (l_lab, l_unl, l_con), _backward(params, cache, d_logits, d_z_extra), cache
+    return joint, (l_lab, l_unl, l_con), _backward(params, cache, ws, g_z), cache
 
 
 def train_student(
@@ -453,6 +527,7 @@ def train_student(
     rng: np.random.Generator | None = None,
     init: StudentParams | None = None,
     features: np.ndarray | sparse.csr_array | None = None,
+    workspace: EpochWorkspace | None = None,
 ) -> tuple[StudentParams, TrainTrace]:
     """Full-batch Adam on the joint loss with validation early stopping.
 
@@ -465,7 +540,8 @@ def train_student(
     validation set a fixed budget of ``no_val_epochs`` epochs runs.
 
     ``features`` is ``student_features(bundle.features, cfg.normalize_features)``
-    from a caller that trains several rounds on it; it is built here if absent.
+    and ``workspace`` an ``EpochWorkspace(n, hidden, c)``, from a caller that
+    trains several rounds on them; each is built here if absent.
     """
     if split.labeled.size == 0:
         raise ValueError("empty labeled set")
@@ -486,6 +562,15 @@ def train_student(
     params = init.copy() if init is not None else init_params(
         bundle.num_features, c, cfg.hidden, rng, cfg.normalize_features
     )
+    expected = (bundle.n, params.w2.shape[0], c)
+    if workspace is None:
+        workspace = EpochWorkspace(*expected)
+    elif workspace.shape != expected:
+        raise ValueError(f"workspace shape {workspace.shape} != expected {expected}")
+    if has_val:
+        x_val = x[split.validation]
+        gold_val = gold[split.validation]
+        rows_val = np.arange(split.validation.size)
     optimizer = Adam(lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
     trace = TrainTrace()
 
@@ -497,14 +582,10 @@ def train_student(
     bad_epochs = 0
 
     for epoch in range(1, budget + 1):
-        # z_mom and cache stay bound until the next epoch replaces them.
-        # Released when the calls return, the epoch's large arrays let malloc
-        # hand the top of its heap back to the OS, and every epoch faults
-        # those pages in again: at 3600 nodes and hidden width 64 that was
-        # five times the page faults and about 30% more run time.
-        protos, pls, z_mom = pseudo_targets(params, x, gold, labeled, unlabeled, soft, cfg)
-        joint, (l_lab, l_unl, l_con), grads, cache = joint_objective(
-            params, x, gold, labeled, unlabeled, soft, cfg, protos, pls, rng)
+        protos, pls, _ = pseudo_targets(params, x, gold, labeled, unlabeled, soft, cfg,
+                                        workspace)
+        joint, (l_lab, l_unl, l_con), grads, _ = joint_objective(
+            params, x, gold, labeled, unlabeled, soft, cfg, protos, pls, rng, workspace)
         if not np.isfinite(joint):
             raise ValueError(f"non-finite loss at epoch {epoch}")
 
@@ -515,11 +596,10 @@ def train_student(
 
         val_acc = None
         if has_val:
-            _, p_val = forward(params, x, nodes=split.validation)
+            _, p_val = forward(params, x_val)
             pred_val = np.argmax(p_val, axis=1)
-            val_acc = float(np.mean(pred_val == gold[split.validation]))
-            val_loss, _ = loss_ce_labeled(p_val, gold[split.validation],
-                                          np.arange(split.validation.size), "mean")
+            val_acc = float(np.mean(pred_val == gold_val))
+            val_loss, _ = loss_ce_labeled(p_val, gold_val, rows_val, "mean")
         trace.records.append(EpochRecord(epoch, l_lab, l_unl, l_con, val_acc))
 
         if has_val:

@@ -11,10 +11,10 @@ def make_bundle(n, edges, gold, c, features=None, f=2, rng=None):
     return DatasetBundle(SparseGraph(n, edges), features, gold, c)
 
 
-def split_of(labeled, validation=(), test=(), seed=0):
+def split_of(labeled, validation=(), test=()):
     return SplitSpec(np.asarray(labeled, dtype=np.int64),
                      np.asarray(list(validation), dtype=np.int64),
-                     np.asarray(list(test), dtype=np.int64), seed)
+                     np.asarray(list(test), dtype=np.int64))
 
 
 def random_graph_edges(rng, n, p):

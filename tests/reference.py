@@ -1,8 +1,9 @@
 """Reference implementations the program's faster code is tested against."""
 
 import numpy as np
+from scipy import sparse
 
-from agst import SparseGraph
+from agst import SparseGraph, loss_ce_labeled, loss_ce_unlabeled, loss_contrastive
 
 
 def generate_candidates(
@@ -31,3 +32,74 @@ def generate_candidates(
     else:
         additions = np.empty((0, 2), dtype=np.int64)
     return additions, graph.edges.copy()
+
+
+# The student's epoch as it was written before the epoch workspace: every
+# array is fresh.  ``joint_objective`` below assembles the loss the same way
+# ``agst.mlp.joint_objective`` does.
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=-1, keepdims=True)
+
+
+def _forward_cache(params, x, dropout=0.0, rng=None):
+    h1 = x @ params.w1 + params.b1
+    a1 = np.maximum(h1, 0.0)
+    mask = None
+    d1 = a1
+    if rng is not None and dropout > 0.0:
+        mask = (rng.random(a1.shape) >= dropout) / (1.0 - dropout)
+        d1 = a1 * mask
+    z = d1 @ params.w2 + params.b2
+    logits = z @ params.w3 + params.b3
+    p = softmax(logits)
+    return {"x": x, "h1": h1, "d1": d1, "mask": mask, "z": z, "p": p}
+
+
+def _backward(params, cache, d_logits, d_z_extra=None):
+    """Gradients of the assembled loss given d(loss)/d(logits) and an optional
+    extra d(loss)/d(embeddings) term (the contrastive path)."""
+    grads = {}
+    z, d1, h1, x = cache["z"], cache["d1"], cache["h1"], cache["x"]
+    grads["w3"] = z.T @ d_logits
+    grads["b3"] = d_logits.sum(axis=0)
+    d_z = d_logits @ params.w3.T
+    if d_z_extra is not None:
+        d_z = d_z + d_z_extra
+    grads["w2"] = d1.T @ d_z
+    grads["b2"] = d_z.sum(axis=0)
+    d_d1 = d_z @ params.w2.T
+    if cache["mask"] is not None:
+        d_d1 = d_d1 * cache["mask"]
+    d_h1 = d_d1 * (h1 > 0.0)
+    grads["w1"] = (x.T @ d_h1) if not sparse.issparse(x) else np.asarray(x.T @ d_h1)
+    grads["b1"] = d_h1.sum(axis=0)
+    return grads
+
+
+def momentum_embed(params, features):
+    a1 = np.maximum(features @ params.mw1 + params.mb1, 0.0)
+    return a1 @ params.mw2 + params.mb2
+
+
+def joint_objective(params, x, gold, labeled, unlabeled, soft, cfg, protos, pls, rng=None):
+    """(joint loss, its three parts, gradients, forward cache)."""
+    cache = _forward_cache(params, x, cfg.dropout, rng)
+    p, z = cache["p"], cache["z"]
+    red = cfg.loss_reduction
+    l_lab, g_lab = loss_ce_labeled(p, gold, labeled, red)
+    l_unl, g_unl = loss_ce_unlabeled(p, soft, unlabeled, red)
+    if pls is not None:
+        l_con, g_z = loss_contrastive(z, protos, pls, cfg.tau, red)
+    else:
+        l_con, g_z = 0.0, None
+    joint = l_lab + cfg.lambda1 * l_unl + cfg.lambda2 * l_con
+
+    d_logits = np.zeros_like(p)
+    d_logits[labeled] += g_lab
+    d_logits[unlabeled] += cfg.lambda1 * g_unl
+    d_z_extra = cfg.lambda2 * g_z if g_z is not None else None
+    return joint, (l_lab, l_unl, l_con), _backward(params, cache, d_logits, d_z_extra), cache

@@ -113,8 +113,8 @@ class TestGradCheckRejects:
         assert pls.kept.size > 0
         assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-4
 
-        def corrupted(*args):
-            joint, parts, grads, cache = joint_objective(*args)
+        def corrupted(*args, **kwargs):
+            joint, parts, grads, cache = joint_objective(*args, **kwargs)
             return joint, parts, corrupt(grads, args), cache
 
         monkeypatch.setattr(gradcheck, "joint_objective", corrupted)

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from agst import (
+    EpochWorkspace,
     SoftLabels,
     TrainConfig,
     compute_prototypes,
@@ -380,7 +382,7 @@ class TestTrainStudent:
         bundle, split, uniform = toy_training_setup()
         from agst import SplitSpec
 
-        no_val = SplitSpec(split.labeled, np.empty(0, dtype=np.int64), split.test, 0)
+        no_val = SplitSpec(split.labeled, np.empty(0, dtype=np.int64), split.test)
         cfg = TrainConfig(no_val_epochs=17, dropout=0.0, seed=2)
         _, trace = train_student(bundle, no_val, uniform, cfg)
         assert len(trace.records) == 17
@@ -421,7 +423,7 @@ class TestTrainStudent:
         bundle, split, uniform = toy_training_setup()
         from agst import SplitSpec
 
-        empty = SplitSpec(np.empty(0, dtype=np.int64), split.validation, split.test, 0)
+        empty = SplitSpec(np.empty(0, dtype=np.int64), split.validation, split.test)
         with pytest.raises(ValueError, match="empty labeled"):
             train_student(bundle, empty, uniform, TrainConfig())
 
@@ -444,6 +446,27 @@ class TestTrainStudent:
                                  features=student_features(bundle.features, normalize))
         for name in ("w1", "b1", "w2", "b2", "w3", "b3", "mw1", "mb1", "mw2", "mb2"):
             assert np.array_equal(getattr(own, name), getattr(given, name))
+
+    def test_reused_workspace_gives_identical_parameters(self):
+        # run_agst hands every round the workspace the previous round filled
+        bundle, split, uniform = toy_training_setup(seed=4, noise=0.1)
+        raw = np.random.default_rng(4).random((bundle.n, 2)) + 0.1
+        soft = SoftLabels(raw / raw.sum(axis=1, keepdims=True), normalized=True)
+        cfg = TrainConfig(patience=5, seed=4)
+        workspace = EpochWorkspace(bundle.n, cfg.hidden, 2)
+        train_student(bundle, split, uniform, cfg, workspace=workspace)
+        reused, t_reused = train_student(bundle, split, soft, cfg, workspace=workspace)
+        fresh, t_fresh = train_student(bundle, split, soft, cfg)
+        for name in ("w1", "b1", "w2", "b2", "w3", "b3", "mw1", "mb1", "mw2", "mb2"):
+            assert getattr(reused, name).tobytes() == getattr(fresh, name).tobytes()
+        assert t_reused.records == t_fresh.records
+
+    def test_workspace_of_wrong_shape_rejected(self):
+        bundle, split, uniform = toy_training_setup()
+        cfg = TrainConfig(patience=5, seed=0)
+        with pytest.raises(ValueError, match=re.escape(f"expected {(bundle.n, cfg.hidden, 2)}")):
+            train_student(bundle, split, uniform, cfg,
+                          workspace=EpochWorkspace(bundle.n, cfg.hidden + 1, 2))
 
     def test_sparse_feature_path_matches_dense(self, monkeypatch):
         # bag-of-words-scale inputs take the csr branch; numerics must agree
