@@ -34,7 +34,6 @@ from .gradcheck import GradCheckReport, grad_check, run_gradcheck_suite
 from .graph import SparseGraph, normalize_adjacency
 from .mlp import (
     Adam,
-    EpochWorkspace,
     PseudoLabelSet,
     StudentParams,
     TrainConfig,

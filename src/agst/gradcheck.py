@@ -18,7 +18,6 @@ from .graph import SparseGraph
 from .propagation import SoftLabels
 from .mlp import (
     PARAM_NAMES,
-    EpochWorkspace,
     StudentParams,
     TrainConfig,
     init_params,
@@ -51,14 +50,12 @@ def grad_check(
     gold = bundle.gold
     labeled = split.labeled
     unlabeled = np.setdiff1d(np.arange(bundle.n), labeled)
-    ws = EpochWorkspace.for_rows(params, x)
-    protos, pls, _ = pseudo_targets(params, x, gold, labeled, unlabeled, soft, cfg, ws)
+    protos, pls = pseudo_targets(params, x, gold, labeled, unlabeled, soft, cfg)
 
     def objective():
-        return joint_objective(params, x, gold, labeled, unlabeled, soft, cfg, protos, pls,
-                               workspace=ws)
+        return joint_objective(params, x, gold, labeled, unlabeled, soft, cfg, protos, pls)
 
-    _, _, analytic, _ = objective()
+    _, _, analytic = objective()
     roundoff = ROUNDOFF_ULPS * np.finfo(np.float64).eps / eps   # per unit of |f|
 
     worst = 0.0

@@ -18,19 +18,18 @@ contrastive term only backpropagates through each node's own embedding.
 finite-difference check in ``gradcheck`` both call these two functions.
 ``student_features`` prepares the matrix the student reads, once per run.
 
-An ``EpochWorkspace`` holds every n x hidden and n x c array of one epoch:
-the hidden layer (pre-activation, ReLU and dropout applied in place) and its
-ReLU mask, the dropout mask, embeddings, logits turned into probabilities in
-place, the backward temporaries, the momentum encoder's hidden layer and
-embeddings, and the contrastive gradient; the last three share storage with
-the backward temporaries, which are dead while they are live.  The forward
-and backward passes, ``momentum_embed`` and ``loss_contrastive`` write into
-it with ``out=`` and in-place operations.  ``run_agst`` builds one per run
-and ``train_student`` reuses it every epoch; ``forward`` and the gradient
-check build one sized to their rows.  What an epoch still allocates is
-parameter-sized (gradients, Adam's temporaries), n x c (the cross-entropy
-terms), the rows of the unlabeled and kept sets gathered for the
-contrastive term, and, with CSR features, SciPy's ``x @ w`` products.
+``_encode`` computes ReLU(x @ w1 + b1) @ w2 + b2 for the live encoder (with
+dropout in training) and for its momentum copy.  An ``EpochWorkspace`` holds
+every n x hidden and n x c array of one epoch.  The forward pass leaves its
+state there for the backward pass: the hidden layer (ReLU and dropout applied
+in place), its ReLU mask, the dropout mask or None, the embeddings and the
+probabilities.  The momentum encoder's arrays and the contrastive gradient
+share storage with the backward temporaries, which are dead while they are
+live.  ``train_student`` builds one workspace per call and fills it every
+epoch; callers that pass none get one sized to their rows.  What an epoch
+still allocates is the gradients, the n x c cross-entropy terms, the rows
+gathered for the contrastive term, and, with CSR features, SciPy's ``x @ w``
+products.
 """
 
 from __future__ import annotations
@@ -50,6 +49,9 @@ log = logging.getLogger(__name__)
 LOG_FLOOR = 1e-12
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
+# (live, momentum) names of the encoder's arrays; the head has no momentum copy
+ENCODER_PAIRS = (("w1", "mw1"), ("b1", "mb1"), ("w2", "mw2"), ("b2", "mb2"))
+ARRAY_NAMES = PARAM_NAMES + tuple(mom for _, mom in ENCODER_PAIRS)
 
 
 def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -80,13 +82,15 @@ class StudentParams:
     normalize_features: bool = False
 
     def copy(self) -> "StudentParams":
-        arrays = {name: getattr(self, name).copy()
-                  for name in (*PARAM_NAMES, "mw1", "mb1", "mw2", "mb2")}
+        arrays = {name: getattr(self, name).copy() for name in ARRAY_NAMES}
         return StudentParams(**arrays, normalize_features=self.normalize_features)
 
     def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(getattr(self, name)))
-                   for name in (*PARAM_NAMES, "mw1", "mb1", "mw2", "mb2"))
+        return all(np.all(np.isfinite(getattr(self, name))) for name in ARRAY_NAMES)
+
+    def encoder(self, momentum: bool = False) -> tuple[np.ndarray, ...]:
+        """(w1, b1, w2, b2) of the live encoder, or of its momentum copy."""
+        return tuple(getattr(self, pair[momentum]) for pair in ENCODER_PAIRS)
 
 
 def init_params(
@@ -102,39 +106,33 @@ def init_params(
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
-    w1 = glorot(num_features, hidden)
-    w2 = glorot(hidden, hidden)
-    w3 = glorot(hidden, num_classes)
-    return StudentParams(
-        w1=w1, b1=np.zeros(hidden),
-        w2=w2, b2=np.zeros(hidden),
-        w3=w3, b3=np.zeros(num_classes),
-        mw1=w1.copy(), mb1=np.zeros(hidden),
-        mw2=w2.copy(), mb2=np.zeros(hidden),
-        normalize_features=normalize_features,
-    )
+    live = {"w1": glorot(num_features, hidden), "b1": np.zeros(hidden),
+            "w2": glorot(hidden, hidden), "b2": np.zeros(hidden),
+            "w3": glorot(hidden, num_classes), "b3": np.zeros(num_classes)}
+    momentum = {mom: live[name].copy() for name, mom in ENCODER_PAIRS}
+    return StudentParams(**live, **momentum, normalize_features=normalize_features)
 
 
 class EpochWorkspace:
     """The n x hidden and n x c arrays one epoch writes into, allocated once.
 
-    ``train_student`` fills the same workspace every epoch, and ``run_agst``
-    hands one to every round.  The embeddings and probabilities of a forward
-    pass stay valid until the next forward pass into the workspace; the
-    momentum embeddings until the next backward pass.
+    ``train_student`` fills the same workspace every epoch.  The forward
+    pass's state stays valid until the next forward pass into the workspace;
+    the momentum embeddings until the next backward pass.
     """
 
     def __init__(self, n: int, hidden: int, num_classes: int):
-        self.shape = (n, hidden, num_classes)
         rows = (n, hidden)
-        self.h1 = np.empty(rows)                 # x @ w1 + b1, then ReLU and dropout (dense x)
+        # the forward pass's state, read by the backward pass
+        self.h1 = np.empty(rows)                 # x @ w1 + b1 (SciPy's for CSR x), ReLU, dropout
         self.relu = np.empty(rows, dtype=bool)   # h1 > 0
-        self.mask = np.empty(rows)               # dropout mask, 0 or 1/(1 - rate)
+        self.mask: np.ndarray | None = None      # dropout mask, None without dropout
         self.z = np.empty(rows)                  # embeddings
         self.p = np.empty((n, num_classes))      # logits, then their softmax
         self.d_logits = np.empty((n, num_classes))
         self.d_z = np.empty(rows)
         self.d_d1 = np.empty(rows)
+        self.mask_buffer = np.empty(rows)        # where a dropout mask is drawn
         # pseudo_targets reads the momentum encoder's arrays before the
         # backward pass starts, and the backward pass adds the contrastive
         # gradient to d_z before it writes d_d1
@@ -148,37 +146,44 @@ class EpochWorkspace:
         return cls(x.shape[0], params.w2.shape[0], params.w3.shape[1])
 
 
-def _first_layer(x, w, b, out):
-    """x @ w + b, written into ``out`` for dense x; for CSR x, SciPy's product."""
-    h = x @ w if sparse.issparse(x) else np.matmul(x, w, out=out)
-    h += b
-    return h
-
-
-def _forward_cache(params, x, ws, dropout=0.0, rng=None):
-    h1 = _first_layer(x, params.w1, params.b1, ws.h1)
-    relu = np.greater(h1, 0.0, out=ws.relu)
-    d1 = np.maximum(h1, 0.0, out=h1)
-    mask = None
-    if rng is not None and dropout > 0.0:
-        mask = rng.random(out=ws.mask)
+def _encode(weights, x, h1, z, relu=None, mask=None, dropout=0.0, rng=None):
+    """ReLU(x @ w1 + b1) @ w2 + b2 for ``weights`` = (w1, b1, w2, b2), into
+    ``z``; the hidden layer goes into ``h1`` (dense x) and its ReLU mask into
+    ``relu`` if given.  Dropout applies only given ``rng``, its mask drawn into
+    ``mask``.  Returns the hidden layer and the dropout mask or None."""
+    w1, b1, w2, b2 = weights
+    h = x @ w1 if sparse.issparse(x) else np.matmul(x, w1, out=h1)
+    h += b1
+    if relu is not None:
+        np.greater(h, 0.0, out=relu)
+    np.maximum(h, 0.0, out=h)
+    if rng is None or dropout <= 0.0:
+        mask = None
+    else:
+        rng.random(out=mask)
         np.greater_equal(mask, dropout, out=mask)
         mask /= 1.0 - dropout
-        d1 *= mask
-    z = np.matmul(d1, params.w2, out=ws.z)
-    z += params.b2
-    logits = np.matmul(z, params.w3, out=ws.p)
-    logits += params.b3
-    p = softmax(logits, out=logits)
-    return {"x": x, "relu": relu, "d1": d1, "mask": mask, "z": z, "p": p}
+        h *= mask
+    np.matmul(h, w2, out=z)
+    z += b2
+    return h, mask
+
+
+def _forward(params, x, ws, dropout=0.0, rng=None):
+    """The live encoder and the softmax head, their state left on ``ws``;
+    returns the embeddings and probabilities."""
+    ws.h1, ws.mask = _encode(params.encoder(), x, ws.h1, ws.z, ws.relu,
+                             ws.mask_buffer, dropout, rng)
+    np.matmul(ws.z, params.w3, out=ws.p)
+    ws.p += params.b3
+    return ws.z, softmax(ws.p, out=ws.p)
 
 
 def forward(params: StudentParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Embeddings and softmax predictions for every row of ``x``."""
     if x.shape[1] != params.w1.shape[0]:
         raise ValueError(f"feature dim {x.shape[1]} != expected {params.w1.shape[0]}")
-    cache = _forward_cache(params, x, EpochWorkspace.for_rows(params, x))
-    return cache["z"], cache["p"]
+    return _forward(params, x, EpochWorkspace.for_rows(params, x))
 
 
 def momentum_embed(
@@ -189,31 +194,28 @@ def momentum_embed(
     """Embeddings from the momentum encoder (never trained, never dropped out),
     written into ``workspace.z_mom``."""
     ws = workspace if workspace is not None else EpochWorkspace.for_rows(params, features)
-    a1 = _first_layer(features, params.mw1, params.mb1, ws.m_h1)
-    np.maximum(a1, 0.0, out=a1)
-    z = np.matmul(a1, params.mw2, out=ws.z_mom)
-    z += params.mb2
-    return z
+    _encode(params.encoder(momentum=True), features, ws.m_h1, ws.z_mom)
+    return ws.z_mom
 
 
-def _backward(params, cache, ws, d_z_extra=None):
-    """Gradients of the assembled loss given d(loss)/d(logits) in
-    ``ws.d_logits`` and an optional extra d(loss)/d(embeddings) term (the
-    contrastive path).  The gradients are fresh arrays; the n-row
-    temporaries live in ``ws``."""
+def _backward(params, x, ws, d_z_extra=None):
+    """Gradients of the assembled loss given the forward pass's state and
+    d(loss)/d(logits) in ``ws.d_logits``, plus an optional extra
+    d(loss)/d(embeddings) term (the contrastive path).  The gradients are
+    fresh arrays; the n-row temporaries live in ``ws``."""
     grads = {}
-    d_logits, z, d1, x = ws.d_logits, cache["z"], cache["d1"], cache["x"]
-    grads["w3"] = z.T @ d_logits
+    d_logits = ws.d_logits
+    grads["w3"] = ws.z.T @ d_logits
     grads["b3"] = d_logits.sum(axis=0)
     d_z = np.matmul(d_logits, params.w3.T, out=ws.d_z)
     if d_z_extra is not None:
         d_z += d_z_extra
-    grads["w2"] = d1.T @ d_z
+    grads["w2"] = ws.h1.T @ d_z
     grads["b2"] = d_z.sum(axis=0)
     d_h1 = np.matmul(d_z, params.w2.T, out=ws.d_d1)
-    if cache["mask"] is not None:
-        d_h1 *= cache["mask"]
-    d_h1 *= cache["relu"]
+    if ws.mask is not None:
+        d_h1 *= ws.mask
+    d_h1 *= ws.relu
     grads["w1"] = (x.T @ d_h1) if not sparse.issparse(x) else np.asarray(x.T @ d_h1)
     grads["b1"] = d_h1.sum(axis=0)
     return grads
@@ -351,14 +353,15 @@ def momentum_update(params: StudentParams, m: float) -> None:
     """Exponential moving average of the encoder into the momentum copy."""
     if not 0.0 <= m <= 1.0:
         raise ValueError("momentum must lie in [0, 1]")
-    for src, dst in (("w1", "mw1"), ("b1", "mb1"), ("w2", "mw2"), ("b2", "mb2")):
-        target = getattr(params, dst)
+    for live, mom in ENCODER_PAIRS:
+        target = getattr(params, mom)
         target *= m
-        target += (1.0 - m) * getattr(params, src)
+        target += (1.0 - m) * getattr(params, live)
 
 
 class Adam:
-    """Plain Adam with L2 weight decay folded into the gradient."""
+    """Plain Adam with L2 weight decay folded into the gradient; each
+    parameter's step works in two scratch arrays of its own shape."""
 
     def __init__(self, lr=0.01, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -367,25 +370,30 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.state: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self.state: dict[str, tuple[np.ndarray, ...]] = {}
 
     def step(self, params: StudentParams, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
         for name in PARAM_NAMES:
             value = getattr(params, name)
             g = grads[name]
-            if self.weight_decay:
-                g = g + self.weight_decay * value
             if name not in self.state:
-                self.state[name] = (np.zeros_like(value), np.zeros_like(value))
-            m, v = self.state[name]
+                self.state[name] = (np.zeros_like(value), np.zeros_like(value),
+                                    np.empty_like(value), np.empty_like(value))
+            m, v, a, b = self.state[name]
+            if self.weight_decay:
+                g = np.add(g, np.multiply(value, self.weight_decay, out=a), out=a)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=b)
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1 ** self.t)
-            v_hat = v / (1.0 - self.beta2 ** self.t)
-            value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            v += np.multiply(np.multiply(g, 1.0 - self.beta2, out=b), g, out=b)
+            # value -= lr * m_hat / (sqrt(v_hat) + eps), each rounding in that order
+            np.sqrt(np.divide(v, 1.0 - self.beta2 ** self.t, out=b), out=b)
+            b += self.eps
+            np.divide(m, 1.0 - self.beta1 ** self.t, out=a)
+            a *= self.lr
+            a /= b
+            value -= a
 
 
 @dataclass
@@ -406,12 +414,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        # each test is written so that NaN fails it
+        if not self.tau > 0:
+            raise ValueError(f"tau must be positive, got {self.tau}")
         if not 0.0 <= self.momentum <= 1.0:
             raise ValueError("momentum must lie in [0, 1]")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("loss weights must be non-negative")
+        if not (0 <= self.lambda1 < np.inf and 0 <= self.lambda2 < np.inf):
+            raise ValueError("loss weights must be finite and >= 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
         if self.patience < 0 or self.max_epochs < 1 or self.no_val_epochs < 1:
@@ -466,15 +479,15 @@ def pseudo_targets(
     soft: SoftLabels,
     cfg: TrainConfig,
     workspace: EpochWorkspace | None = None,
-) -> tuple[np.ndarray | None, PseudoLabelSet | None, np.ndarray | None]:
-    """The constants of the contrastive term: momentum prototypes, the filtered
-    pseudo-label set, and the momentum embeddings both were taken from;
-    ``(None, None, None)`` when ``cfg.lambda2`` is zero."""
+) -> tuple[np.ndarray | None, PseudoLabelSet | None]:
+    """The constants of the contrastive term: momentum prototypes and the
+    filtered pseudo-label set, both taken from the momentum embeddings;
+    ``(None, None)`` when ``cfg.lambda2`` is zero."""
     if cfg.lambda2 == 0:
-        return None, None, None
+        return None, None
     z_mom = momentum_embed(params, x, workspace)
     protos = compute_prototypes(z_mom, gold, labeled, params.w3.shape[1])
-    return protos, filter_pseudo_labels(soft, z_mom, protos, cfg.tau, unlabeled), z_mom
+    return protos, filter_pseudo_labels(soft, z_mom, protos, cfg.tau, unlabeled)
 
 
 def joint_objective(
@@ -489,9 +502,9 @@ def joint_objective(
     pls: PseudoLabelSet | None,
     rng: np.random.Generator | None = None,
     workspace: EpochWorkspace | None = None,
-) -> tuple[float, tuple[float, float, float], dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """The joint loss, its (labeled, unlabeled, contrastive) parts, the
-    gradient of every trainable parameter, and the forward pass's arrays.
+) -> tuple[float, tuple[float, float, float], dict[str, np.ndarray]]:
+    """The joint loss, its (labeled, unlabeled, contrastive) parts, and the
+    gradient of every trainable parameter.
 
     joint = l_lab + lambda1 * l_unl + lambda2 * l_con, with the prototypes and
     pseudo-label set from ``pseudo_targets`` held constant.  Dropout at
@@ -500,8 +513,7 @@ def joint_objective(
     gradients do not.
     """
     ws = workspace if workspace is not None else EpochWorkspace.for_rows(params, x)
-    cache = _forward_cache(params, x, ws, cfg.dropout, rng)
-    p, z = cache["p"], cache["z"]
+    z, p = _forward(params, x, ws, cfg.dropout, rng)
     red = cfg.loss_reduction
     l_lab, g_lab = loss_ce_labeled(p, gold, labeled, red)
     l_unl, g_unl = loss_ce_unlabeled(p, soft, unlabeled, red)
@@ -516,7 +528,7 @@ def joint_objective(
     d_logits.fill(0.0)
     d_logits[labeled] += g_lab
     d_logits[unlabeled] += cfg.lambda1 * g_unl
-    return joint, (l_lab, l_unl, l_con), _backward(params, cache, ws, g_z), cache
+    return joint, (l_lab, l_unl, l_con), _backward(params, x, ws, g_z)
 
 
 def train_student(
@@ -527,7 +539,6 @@ def train_student(
     rng: np.random.Generator | None = None,
     init: StudentParams | None = None,
     features: np.ndarray | sparse.csr_array | None = None,
-    workspace: EpochWorkspace | None = None,
 ) -> tuple[StudentParams, TrainTrace]:
     """Full-batch Adam on the joint loss with validation early stopping.
 
@@ -539,9 +550,9 @@ def train_student(
     restored (accuracy ties broken by lower validation loss).  Without a
     validation set a fixed budget of ``no_val_epochs`` epochs runs.
 
-    ``features`` is ``student_features(bundle.features, cfg.normalize_features)``
-    and ``workspace`` an ``EpochWorkspace(n, hidden, c)``, from a caller that
-    trains several rounds on them; each is built here if absent.
+    ``features`` is ``student_features(bundle.features, cfg.normalize_features)``,
+    from a caller that trains several rounds on it; it is built here if absent.
+    Every epoch writes into one ``EpochWorkspace`` built here.
     """
     if split.labeled.size == 0:
         raise ValueError("empty labeled set")
@@ -562,11 +573,7 @@ def train_student(
     params = init.copy() if init is not None else init_params(
         bundle.num_features, c, cfg.hidden, rng, cfg.normalize_features
     )
-    expected = (bundle.n, params.w2.shape[0], c)
-    if workspace is None:
-        workspace = EpochWorkspace(*expected)
-    elif workspace.shape != expected:
-        raise ValueError(f"workspace shape {workspace.shape} != expected {expected}")
+    workspace = EpochWorkspace.for_rows(params, x)
     if has_val:
         x_val = x[split.validation]
         gold_val = gold[split.validation]
@@ -582,9 +589,8 @@ def train_student(
     bad_epochs = 0
 
     for epoch in range(1, budget + 1):
-        protos, pls, _ = pseudo_targets(params, x, gold, labeled, unlabeled, soft, cfg,
-                                        workspace)
-        joint, (l_lab, l_unl, l_con), grads, _ = joint_objective(
+        protos, pls = pseudo_targets(params, x, gold, labeled, unlabeled, soft, cfg, workspace)
+        joint, (l_lab, l_unl, l_con), grads = joint_objective(
             params, x, gold, labeled, unlabeled, soft, cfg, protos, pls, rng, workspace)
         if not np.isfinite(joint):
             raise ValueError(f"non-finite loss at epoch {epoch}")

@@ -27,6 +27,8 @@ class SoftLabels:
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
         if self.matrix.ndim != 2:
             raise ValueError("soft labels must be a 2-D matrix")
+        if not np.all(np.isfinite(self.matrix)):
+            raise ValueError("soft label entries must be finite")
         if np.any(self.matrix < 0):
             raise ValueError("soft label entries must be non-negative")
         if self.normalized and np.max(np.abs(self.matrix.sum(axis=1) - 1.0)) > 1e-9:

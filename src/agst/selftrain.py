@@ -16,15 +16,7 @@ import numpy as np
 
 from .data import DatasetBundle, SplitSpec
 from .graph import normalize_adjacency
-from .mlp import (
-    EpochWorkspace,
-    StudentParams,
-    TrainConfig,
-    TrainTrace,
-    forward,
-    student_features,
-    train_student,
-)
+from .mlp import StudentParams, TrainConfig, TrainTrace, forward, student_features, train_student
 from .propagation import LpConfig, propagate_labels, to_distribution
 from .rewiring import AugmentConfig, apply_augmentation, plan_augmentation
 
@@ -115,7 +107,6 @@ def run_agst(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig) -> RunRes
     best_val = -np.inf
     test_gold = bundle.gold[split.test] if split.test.size else None
     x = student_features(bundle.features, cfg.train.normalize_features)
-    workspace = EpochWorkspace(bundle.n, cfg.train.hidden, bundle.num_classes)
 
     for iteration in range(1, cfg.iterations + 1):
         started = time.perf_counter()
@@ -125,8 +116,7 @@ def run_agst(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig) -> RunRes
             rng = student_rng(cfg.seed, iteration)
             init = params if (cfg.warm_start and params is not None) else None
             params, trace = train_student(bundle, split, soft, cfg.train,
-                                          rng=rng, init=init, features=x,
-                                          workspace=workspace)
+                                          rng=rng, init=init, features=x)
             _, probs = forward(params, x)
             preds = np.argmax(probs, axis=1)
             plan = plan_augmentation(original, probs, cfg.augment)

@@ -4,6 +4,7 @@ import numpy as np
 from scipy import sparse
 
 from agst import SparseGraph, loss_ce_labeled, loss_ce_unlabeled, loss_contrastive
+from agst.mlp import PARAM_NAMES
 
 
 def generate_candidates(
@@ -103,3 +104,35 @@ def joint_objective(params, x, gold, labeled, unlabeled, soft, cfg, protos, pls,
     d_logits[unlabeled] += cfg.lambda1 * g_unl
     d_z_extra = cfg.lambda2 * g_z if g_z is not None else None
     return joint, (l_lab, l_unl, l_con), _backward(params, cache, d_logits, d_z_extra), cache
+
+
+class Adam:
+    """``agst.mlp.Adam`` as it was written before its scratch buffers: every
+    step allocates its temporaries."""
+
+    def __init__(self, lr=0.01, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr = lr
+        self.weight_decay = weight_decay
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self.state = {}
+
+    def step(self, params, grads):
+        self.t += 1
+        for name in PARAM_NAMES:
+            value = getattr(params, name)
+            g = grads[name]
+            if self.weight_decay:
+                g = g + self.weight_decay * value
+            if name not in self.state:
+                self.state[name] = (np.zeros_like(value), np.zeros_like(value))
+            m, v = self.state[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            m_hat = m / (1.0 - self.beta1 ** self.t)
+            v_hat = v / (1.0 - self.beta2 ** self.t)
+            value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

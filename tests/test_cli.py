@@ -32,6 +32,15 @@ class TestRunCommand:
         assert code == 2
         assert "positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--lr", "-0.5"], ["--lr", "nan"], ["--tau", "nan"],
+                                       ["--lambda2", "nan"], ["--weight-decay", "-1"]])
+    def test_invalid_training_value_is_runtime_error(self, dataset_dir, capsys, flags):
+        code = cli_main(["run", "--dataset", "cora", "--runs", "1", *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert not (dataset_dir / "report.json").exists()
+
     def test_unknown_flag_is_usage_error(self, dataset_dir, capsys):
         assert cli_main(["run", "--dataset", "cora", "--frobnicate"]) == 2
 

@@ -57,8 +57,8 @@ class TestGradCheck:
         cfg = TrainConfig(lambda2=0.1, dropout=0.0, hidden=6)
         x = bundle.features
         unlabeled = np.setdiff1d(np.arange(bundle.n), split.labeled)
-        _, _, grads, _ = joint_objective(params, x, bundle.gold, split.labeled,
-                                         unlabeled, soft, cfg, None, None)
+        _, _, grads = joint_objective(params, x, bundle.gold, split.labeled,
+                                      unlabeled, soft, cfg, None, None)
         for g in grads.values():
             assert np.max(np.abs(g)) < 1e-8
         assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-8
@@ -77,8 +77,8 @@ class TestGradCheck:
         params.mb1[:] = -0.5
         cfg = TrainConfig(lambda2=0.1, dropout=0.0, hidden=6)
         unlabeled = np.setdiff1d(np.arange(bundle.n), split.labeled)
-        _, _, grads, _ = joint_objective(params, bundle.features, bundle.gold, split.labeled,
-                                         unlabeled, soft, cfg, None, None)
+        _, _, grads = joint_objective(params, bundle.features, bundle.gold, split.labeled,
+                                      unlabeled, soft, cfg, None, None)
         assert all(not np.any(g) for g in grads.values())
         assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-4
 
@@ -108,14 +108,14 @@ class TestGradCheckRejects:
         bundle, split, soft, params = tiny_problem(1)
         cfg = TrainConfig(lambda2=1.0, dropout=0.0, hidden=6)
         unlabeled = np.setdiff1d(np.arange(bundle.n), split.labeled)
-        _, pls, _ = pseudo_targets(params, bundle.features, bundle.gold, split.labeled,
-                                   unlabeled, soft, cfg)
+        _, pls = pseudo_targets(params, bundle.features, bundle.gold, split.labeled,
+                                unlabeled, soft, cfg)
         assert pls.kept.size > 0
         assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-4
 
         def corrupted(*args, **kwargs):
-            joint, parts, grads, cache = joint_objective(*args, **kwargs)
-            return joint, parts, corrupt(grads, args), cache
+            joint, parts, grads = joint_objective(*args, **kwargs)
+            return joint, parts, corrupt(grads, args)
 
         monkeypatch.setattr(gradcheck, "joint_objective", corrupted)
         assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) > 1e-4

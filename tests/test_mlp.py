@@ -1,11 +1,9 @@
 import math
-import re
 
 import numpy as np
 import pytest
 
 from agst import (
-    EpochWorkspace,
     SoftLabels,
     TrainConfig,
     compute_prototypes,
@@ -21,7 +19,17 @@ from agst import (
     two_cluster_bundle,
     write_trace_csv,
 )
-from agst.mlp import PseudoLabelSet, joint_objective, similarity_distribution
+from agst.mlp import (
+    ARRAY_NAMES,
+    PARAM_NAMES,
+    Adam,
+    EpochWorkspace,
+    PseudoLabelSet,
+    joint_objective,
+    similarity_distribution,
+)
+
+import reference
 
 def zero_params(f=3, c=4, hidden=5):
     rng = np.random.default_rng(0)
@@ -73,11 +81,14 @@ class TestForward:
         soft = SoftLabels(np.full((5, 2), 0.5), normalized=True)
         cfg = TrainConfig(dropout=0.5, lambda2=0.0)
         _, p_eval = forward(params, x)
-        *_, cache = joint_objective(params, x, gold, labeled, unlabeled, soft, cfg, None, None)
-        assert np.array_equal(cache["p"], p_eval)
-        *_, cache = joint_objective(params, x, gold, labeled, unlabeled, soft, cfg, None, None,
-                                    rng=np.random.default_rng(0))
-        assert not np.array_equal(cache["p"], p_eval)
+        ws = EpochWorkspace.for_rows(params, x)
+        joint_objective(params, x, gold, labeled, unlabeled, soft, cfg, None, None, workspace=ws)
+        assert ws.mask is None
+        assert np.array_equal(ws.p, p_eval)
+        joint_objective(params, x, gold, labeled, unlabeled, soft, cfg, None, None,
+                        rng=np.random.default_rng(0), workspace=ws)
+        assert ws.mask is not None
+        assert not np.array_equal(ws.p, p_eval)
 
 
 class TestLabeledCrossEntropy:
@@ -338,6 +349,52 @@ class TestMomentumUpdate:
             momentum_update(params, 1.5)
 
 
+class TestAdam:
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    def test_steps_equal_the_allocating_reference_bit_for_bit(self, weight_decay):
+        rng = np.random.default_rng(11)
+        params = init_params(7, 3, 5, rng)
+        ref_params = params.copy()
+        ours = Adam(lr=0.05, weight_decay=weight_decay)
+        ref = reference.Adam(lr=0.05, weight_decay=weight_decay)
+        for _ in range(50):
+            grads = {name: rng.normal(size=getattr(params, name).shape) for name in PARAM_NAMES}
+            kept = {name: g.copy() for name, g in grads.items()}
+            ours.step(params, grads)
+            ref.step(ref_params, kept)
+            # the caller's gradients are read, never written
+            assert all(np.array_equal(grads[name], kept[name]) for name in PARAM_NAMES)
+        for name in ARRAY_NAMES:
+            assert getattr(params, name).tobytes() == getattr(ref_params, name).tobytes(), name
+
+    def test_step_moves_against_the_gradient(self):
+        params = zero_params()
+        grads = {name: np.ones_like(getattr(params, name)) for name in PARAM_NAMES}
+        Adam(lr=0.1).step(params, grads)
+        # the first bias-corrected step is lr * g / (|g| + eps) per entry
+        assert np.allclose(params.w1, -0.1)
+        assert np.array_equal(params.mw1, np.zeros_like(params.mw1))
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("tau", math.nan), ("tau", 0.0),
+        ("lambda1", math.nan), ("lambda2", math.nan), ("lambda2", -0.1), ("lambda1", math.inf),
+        ("learning_rate", -0.5), ("learning_rate", math.nan), ("learning_rate", 0.0),
+        ("learning_rate", math.inf),
+        ("weight_decay", -1e-4), ("weight_decay", math.nan),
+        ("momentum", math.nan), ("dropout", math.nan),
+    ])
+    def test_invalid_value_rejected(self, field, value):
+        message = "loss weights" if field.startswith("lambda") else field
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**{field: value})
+
+    def test_defaults_and_zero_weights_accepted(self):
+        TrainConfig()
+        TrainConfig(lambda1=0.0, lambda2=0.0, weight_decay=0.0, dropout=0.0)
+
+
 def toy_training_setup(seed=0, noise=0.0, val_per_class=4):
     from agst import make_split
 
@@ -446,27 +503,6 @@ class TestTrainStudent:
                                  features=student_features(bundle.features, normalize))
         for name in ("w1", "b1", "w2", "b2", "w3", "b3", "mw1", "mb1", "mw2", "mb2"):
             assert np.array_equal(getattr(own, name), getattr(given, name))
-
-    def test_reused_workspace_gives_identical_parameters(self):
-        # run_agst hands every round the workspace the previous round filled
-        bundle, split, uniform = toy_training_setup(seed=4, noise=0.1)
-        raw = np.random.default_rng(4).random((bundle.n, 2)) + 0.1
-        soft = SoftLabels(raw / raw.sum(axis=1, keepdims=True), normalized=True)
-        cfg = TrainConfig(patience=5, seed=4)
-        workspace = EpochWorkspace(bundle.n, cfg.hidden, 2)
-        train_student(bundle, split, uniform, cfg, workspace=workspace)
-        reused, t_reused = train_student(bundle, split, soft, cfg, workspace=workspace)
-        fresh, t_fresh = train_student(bundle, split, soft, cfg)
-        for name in ("w1", "b1", "w2", "b2", "w3", "b3", "mw1", "mb1", "mw2", "mb2"):
-            assert getattr(reused, name).tobytes() == getattr(fresh, name).tobytes()
-        assert t_reused.records == t_fresh.records
-
-    def test_workspace_of_wrong_shape_rejected(self):
-        bundle, split, uniform = toy_training_setup()
-        cfg = TrainConfig(patience=5, seed=0)
-        with pytest.raises(ValueError, match=re.escape(f"expected {(bundle.n, cfg.hidden, 2)}")):
-            train_student(bundle, split, uniform, cfg,
-                          workspace=EpochWorkspace(bundle.n, cfg.hidden + 1, 2))
 
     def test_sparse_feature_path_matches_dense(self, monkeypatch):
         # bag-of-words-scale inputs take the csr branch; numerics must agree

@@ -145,3 +145,10 @@ class TestToDistribution:
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             SoftLabels(np.array([[0.5, -0.5]]))
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, normalized, bad):
+        # NaN fails both the sign check and the row-sum check silently
+        with pytest.raises(ValueError, match="finite"):
+            SoftLabels(np.full((2, 2), bad), normalized=normalized)

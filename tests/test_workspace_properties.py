@@ -2,7 +2,7 @@
 fresh-array epoch in ``reference`` bit for bit.
 
 Two consecutive epochs with different parameters share one workspace, as
-consecutive epochs and rounds of training do, over dense and CSR features,
+the epochs of one ``train_student`` call do, over dense and CSR features,
 dropout on and off, and the contrastive term on and off.  No gradient may
 live in the workspace, since the next epoch overwrites it.
 """
@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import reference  # noqa: E402
 from agst import (  # noqa: E402
-    EpochWorkspace,
     SoftLabels,
     TrainConfig,
     compute_prototypes,
@@ -25,6 +24,7 @@ from agst import (  # noqa: E402
     joint_objective,
     pseudo_targets,
 )
+from agst.mlp import EpochWorkspace  # noqa: E402
 
 
 def same_bits(a, b):
@@ -74,17 +74,17 @@ def test_shared_workspace_epochs_equal_fresh_arrays(problem):
     buffers = [a for a in vars(ws).values() if isinstance(a, np.ndarray)]
 
     for params, seed in epochs:
-        protos, pls, z_mom = pseudo_targets(params, x, gold, labeled, unlabeled, soft, cfg, ws)
+        protos, pls = pseudo_targets(params, x, gold, labeled, unlabeled, soft, cfg, ws)
         if cfg.lambda2 == 0:
-            assert (protos, pls, z_mom) == (None, None, None)
+            assert (protos, pls) == (None, None)
         else:
             ref_z_mom = reference.momentum_embed(params, x)
             ref_protos = compute_prototypes(ref_z_mom, gold, labeled, c)
             ref_pls = filter_pseudo_labels(soft, ref_z_mom, ref_protos, cfg.tau, unlabeled)
-            assert same_bits(z_mom, ref_z_mom)
+            assert same_bits(ws.z_mom, ref_z_mom)
             assert same_bits(protos, ref_protos)
             assert same_bits(pls.kept, ref_pls.kept)
-        joint, parts, grads, cache = joint_objective(
+        joint, parts, grads = joint_objective(
             params, x, gold, labeled, unlabeled, soft, cfg, protos, pls,
             rng=generator(seed), workspace=ws)
         ref_joint, ref_parts, ref_grads, ref_cache = reference.joint_objective(
@@ -96,5 +96,8 @@ def test_shared_workspace_epochs_equal_fresh_arrays(problem):
         for name, g in grads.items():
             assert same_bits(g, ref_grads[name]), name
             assert not any(np.shares_memory(g, b) for b in buffers), name
-        assert same_bits(cache["p"], ref_cache["p"])
-        assert same_bits(cache["z"], ref_cache["z"])
+        assert same_bits(ws.p, ref_cache["p"])
+        assert same_bits(ws.z, ref_cache["z"])
+        assert (ws.mask is None) == (ref_cache["mask"] is None)
+        if ws.mask is not None:
+            assert same_bits(ws.mask, ref_cache["mask"])
