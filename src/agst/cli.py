@@ -28,20 +28,6 @@ from .selftrain import AgstConfig
 log = logging.getLogger(__name__)
 
 
-class _ConfigFound(Exception):
-    """Carries the subcommand's parser and a config file not read yet."""
-
-
-class _ConfigFile(argparse.Action):
-    """``--config FILE`` in any spelling argparse accepts (``--config=FILE``,
-    ``--conf FILE``): ends the parse so that ``_parse`` reads the file first."""
-
-    def __call__(self, parser, namespace, path, option_string=None):
-        if path != parser.get_default(self.dest):
-            raise _ConfigFound(parser, path)
-        setattr(namespace, self.dest, path)
-
-
 def _positive_int(raw: str) -> int:
     value = int(raw)
     if value < 1:
@@ -67,7 +53,8 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--workers", type=_positive_int, default=1)
     sub.add_argument("--val-per-class", type=_positive_int, default=30)
-    sub.add_argument("--config", action=_ConfigFile, default=None, metavar="FILE",
+    # read by _parse before this parser runs
+    sub.add_argument("--config", metavar="FILE",
                      help="key = value file; command-line flags override it")
     # hyperparameters
     sub.add_argument("--alpha", type=float, default=0.9)
@@ -131,7 +118,10 @@ def _load_config_file(path: str) -> list[str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected key = value")
-        flag = "--" + key.strip().replace("_", "-")
+        name = key.strip().replace("_", "-")
+        if name and "config".startswith(name):   # argparse would take it for --config
+            raise ValueError(f"{path}:{lineno}: a config file cannot name another config file")
+        flag = "--" + name
         value = value.strip()
         if value.lower() in ("true", "false"):
             if value.lower() == "true":
@@ -143,17 +133,17 @@ def _load_config_file(path: str) -> list[str]:
 
 def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     """Parse ``argv`` with a config file's flags spliced in right after the
-    subcommand, so explicit command-line flags, which come later, win."""
-    try:
-        return parser.parse_args(argv)
-    except _ConfigFound as found:
-        subparser, path = found.args
-        subparser.set_defaults(config=path)
-        expanded = argv[:1] + _load_config_file(path) + argv[1:]
-    try:
-        return parser.parse_args(expanded)
-    except _ConfigFound as found:
-        raise ValueError(f"{found.args[1]}: only one config file can be given") from None
+    subcommand, so explicit command-line flags, which come later, win.
+
+    A pre-parser that knows only ``--config`` finds the file in any spelling
+    argparse accepts (``--config=FILE``, ``--conf FILE``)."""
+    finder = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    finder.add_argument("--config", action="append", default=[])
+    paths = list(dict.fromkeys(finder.parse_known_args(argv)[0].config))
+    if len(paths) > 1:
+        raise ValueError(f"{paths[1]}: only one config file can be given")
+    extra = _load_config_file(paths[0]) if paths else []
+    return parser.parse_args(argv[:1] + extra + argv[1:])
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

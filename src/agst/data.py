@@ -2,10 +2,16 @@
 
 On-disk layout is a directory of four UTF-8 text files:
 
-    meta          lines ``n=<int>``, ``f=<int>``, ``c=<int>``
+    meta          lines ``n=<int>``, ``f=<int>``, ``c=<int>``, each key once
     edges.tsv     one ``src<TAB>dst`` pair per line, 0-based node ids
     features.csv  n rows of f comma-separated finite decimals
-    labels.tsv    lines ``node<TAB>class``; omitted nodes are unlabeled
+    labels.tsv    lines ``node<TAB>class``, at most one per node; omitted
+                  nodes are unlabeled (there is no -1 marker)
+
+Blank lines are skipped. ``load_dataset`` parses each table in one call and
+checks each rule once over the parsed rows; a fault raises
+DatasetFormatError naming the file and its first faulty line.
+``save_dataset`` writes the same layout with ``np.savetxt``.
 
 ``convert_content_release`` maps the classic two-file citation release
 (``<stem>.content`` + ``<stem>.cites``) into this layout.
@@ -84,22 +90,18 @@ class SplitSpec:
             raise ValueError("labeled/validation/test sets must be pairwise disjoint")
 
 
-def _lines(path: Path):
-    """(line number, stripped line) for every non-blank line of ``path``."""
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if line:
-                yield lineno, line
-
-
 def _read_meta(path: Path) -> dict[str, int]:
     values: dict[str, int] = {}
-    for lineno, line in _lines(path):
+    for lineno, line in enumerate(path.read_text().split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
         key, _, raw = line.partition("=")
         key = key.strip()
         if key not in ("n", "f", "c"):
             raise DatasetFormatError(f"{path.name}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise DatasetFormatError(f"{path.name}:{lineno}: duplicate key {key!r}")
         try:
             values[key] = int(raw)
         except ValueError:
@@ -112,99 +114,92 @@ def _read_meta(path: Path) -> dict[str, int]:
     return values
 
 
-def _parse_table(path: Path, dtype, delimiter: str, width: int) -> np.ndarray | None:
-    """Every non-blank line of ``path`` as one row of a 2-D array, parsed in a
-    single call; None when a value does not parse or the field counts differ.
+@dataclass
+class _Table:
+    """The non-blank lines of one dataset file as the rows of an array."""
 
-    Values parse exactly as ``int`` and ``float`` parse them; a few spellings
-    those accept (``1_000``) are refused here and left to the line scan. Older
-    numpy reads a non-integer such as ``2.7`` as an integer with only a
-    DeprecationWarning; that warning is made an error, so the line scan
-    rejects the value.
-    """
-    stripped = (line.strip() for line in path.read_text().split("\n"))
-    lines = [line for line in stripped if line]
-    if not lines:
-        return np.empty((0, width), dtype=dtype)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            return np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None, ndmin=2)
-    except (ValueError, DeprecationWarning):
-        return None
+    path: Path
+    text: str
+    rows: np.ndarray
+    fault: str | None     # why the line after the last row did not parse
 
+    @classmethod
+    def read(cls, path: Path, dtype, delimiter: str, width: int, parse,
+             bad_count: str, bad_value: str) -> _Table:
+        """Parse every non-blank line of ``path`` in one ``np.loadtxt`` call.
 
-def _scan_edges(path: Path, n: int) -> np.ndarray:
-    raw_pairs = []
-    for lineno, line in _lines(path):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DatasetFormatError(f"{path.name}:{lineno}: expected src<TAB>dst")
+        Values parse exactly as ``parse`` (``int`` or ``float``) parses them.
+        Only when that call fails are the lines parsed one by one with
+        ``parse``, which accepts a few spellings ``loadtxt`` refuses
+        (``1_000``); that parse stops at the first line with other than
+        ``width`` fields (``bad_count``, formatted with ``got``) or a value
+        that does not parse (``bad_value``). Older numpy reads a non-integer
+        such as ``2.7`` as an integer with only a DeprecationWarning; that
+        warning is made an error, so the value reaches ``int`` and is refused.
+        """
+        text = path.read_text()
+        lines = list(filter(None, map(str.strip, text.split("\n"))))
+        if lines:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", DeprecationWarning)
+                    rows = np.loadtxt(lines, dtype=dtype, delimiter=delimiter,
+                                      comments=None, ndmin=2)
+                if rows.shape[1] == width:
+                    return cls(path, text, rows, None)
+            except (ValueError, DeprecationWarning):
+                pass
+        parsed, fault = [], None
+        for line in lines:
+            values = line.split(delimiter)
+            if len(values) != width:
+                fault = bad_count.format(got=len(values))
+                break
+            try:
+                parsed.append([parse(v) for v in values])
+            except ValueError:
+                fault = bad_value
+                break
         try:
-            src, dst = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise DatasetFormatError(f"{path.name}:{lineno}: non-integer node id") from None
-        if not (0 <= src < n and 0 <= dst < n):
-            raise DatasetFormatError(f"{path.name}:{lineno}: node id out of range [0, {n})")
-        raw_pairs.append((src, dst))
-    return np.asarray(raw_pairs, dtype=np.int64).reshape(-1, 2)
+            rows = np.array(parsed, dtype=dtype)
+        except OverflowError:   # an int past int64 stays a Python int for the range rules
+            rows = np.array(parsed, dtype=object)
+        return cls(path, text, rows.reshape(-1, width), fault)
+
+    def check(self, *rules) -> None:
+        """Raise DatasetFormatError for the earliest faulty line.
+
+        Each rule is a mask over the lines read (the rows, then the line that
+        did not parse, if any), one entry or one row of entries per line,
+        with the message for a faulty index, listed in the order the rules
+        apply to one line. The parse fault comes last.
+        """
+        faults = []
+        for k, (mask, _) in enumerate(rules):
+            # a 2-D mask is searched flat: numpy's .any(axis=1) is slow on short rows
+            hits = np.flatnonzero(mask)
+            if hits.size:
+                faults.append((hits[0] // (mask.size // len(mask)), k))
+        if self.fault is not None:
+            faults.append((len(self.rows), len(rules)))
+        if not faults:
+            return
+        index, k = min(faults)
+        message = rules[k][1](index) if k < len(rules) else self.fault
+        linenos = [lineno for lineno, line in enumerate(self.text.split("\n"), 1)
+                   if line.strip()]
+        raise DatasetFormatError(f"{self.path.name}:{linenos[index]}: {message}")
 
 
-def _scan_features(path: Path, n: int, f: int) -> np.ndarray:
-    features = np.empty((n, f), dtype=np.float64)
-    row = 0
-    for lineno, line in _lines(path):
-        if row >= n:
-            raise DatasetFormatError(f"{path.name}:{lineno}: more than n={n} rows")
-        parts = line.split(",")
-        if len(parts) != f:
-            raise DatasetFormatError(
-                f"{path.name}:{lineno}: expected {f} values, got {len(parts)}"
-            )
-        try:
-            features[row] = [float(p) for p in parts]
-        except ValueError:
-            raise DatasetFormatError(f"{path.name}:{lineno}: non-numeric feature") from None
-        if not np.isfinite(features[row]).all():
-            raise DatasetFormatError(f"{path.name}:{lineno}: non-finite feature")
-        row += 1
-    if row != n:
-        raise DatasetFormatError(f"{path.name}: expected {n} rows, got {row}")
-    return features
-
-
-def _scan_labels(path: Path, n: int, c: int) -> np.ndarray:
-    gold = np.full(n, UNLABELED, dtype=np.int64)
-    for lineno, line in _lines(path):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DatasetFormatError(f"{path.name}:{lineno}: expected node<TAB>class")
-        try:
-            node, cls = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise DatasetFormatError(f"{path.name}:{lineno}: non-integer entry") from None
-        if not 0 <= node < n:
-            raise DatasetFormatError(f"{path.name}:{lineno}: node id out of range [0, {n})")
-        if not 0 <= cls < c:
-            raise DatasetFormatError(
-                f"{path.name}:{lineno}: label {cls} >= declared class count {c}"
-            )
-        if gold[node] != UNLABELED:
-            raise DatasetFormatError(f"{path.name}:{lineno}: duplicate label for node {node}")
-        gold[node] = cls
-    return gold
-
-
-def load_dataset(path: str | Path, fmt: str = "dir") -> DatasetBundle:
+def load_dataset(path: str | Path) -> DatasetBundle:
     """Load a dataset directory, validating and canonicalizing as it goes.
 
     Duplicate and self-loop edge rows are dropped with a logged count;
-    anything else malformed raises DatasetFormatError with file and line.
-    Each file is parsed in one call and checked as a whole; only a file that
-    fails a check is scanned line by line, to name the offending line.
+    anything else malformed raises DatasetFormatError naming the file and
+    its first faulty line. Each file is parsed in one call and every rule is
+    checked once, as a mask over the parsed rows; line numbers are worked out
+    only when a rule fails.
     """
-    if fmt != "dir":
-        raise ValueError(f"unknown dataset format {fmt!r}")
     root = Path(path)
     for name in ("meta", "edges.tsv", "features.csv", "labels.tsv"):
         if not (root / name).exists():
@@ -213,34 +208,40 @@ def load_dataset(path: str | Path, fmt: str = "dir") -> DatasetBundle:
     meta = _read_meta(root / "meta")
     n, f, c = meta["n"], meta["f"], meta["c"]
 
-    edges_path = root / "edges.tsv"
-    pairs = _parse_table(edges_path, np.int64, "\t", 2)
-    if (pairs is None or pairs.shape[1] != 2
-            or pairs.min(initial=0) < 0 or pairs.max(initial=0) >= n):
-        pairs = _scan_edges(edges_path, n)
-    edges, n_dup, n_loops = canonical_edges(pairs, n)
+    edges = _Table.read(root / "edges.tsv", np.int64, "\t", 2, int,
+                        "expected src<TAB>dst", "non-integer node id")
+    pairs = edges.rows
+    edges.check(((pairs < 0) | (pairs >= n), lambda i: f"node id out of range [0, {n})"))
+    canonical, n_dup, n_loops = canonical_edges(pairs, n)
     if n_dup or n_loops:
         log.info(
-            "%s: dropped %d duplicate edge rows and %d self-loops", edges_path, n_dup, n_loops
+            "%s: dropped %d duplicate edge rows and %d self-loops", edges.path, n_dup, n_loops
         )
 
-    feats_path = root / "features.csv"
-    features = _parse_table(feats_path, np.float64, ",", f)
-    if features is None or features.shape != (n, f) or not np.isfinite(features).all():
-        features = _scan_features(feats_path, n, f)
+    feats = _Table.read(root / "features.csv", np.float64, ",", f, float,
+                        f"expected {f} values, got {{got}}", "non-numeric feature")
+    features = feats.rows
+    lines_read = len(features) + (feats.fault is not None)
+    feats.check((np.arange(lines_read) >= n, lambda i: f"more than n={n} rows"),
+                (~np.isfinite(features), lambda i: "non-finite feature"))
+    if len(features) != n:
+        raise DatasetFormatError(f"{feats.path.name}: expected {n} rows, got {len(features)}")
 
-    labels_path = root / "labels.tsv"
-    table = _parse_table(labels_path, np.int64, "\t", 2)
-    if (table is None or table.shape[1] != 2
-            or table[:, 0].min(initial=0) < 0 or table[:, 0].max(initial=0) >= n
-            or table[:, 1].min(initial=0) < 0 or table[:, 1].max(initial=0) >= c
-            or np.bincount(table[:, 0], minlength=n).max() > 1):
-        gold = _scan_labels(labels_path, n, c)
-    else:
-        gold = np.full(n, UNLABELED, dtype=np.int64)
-        gold[table[:, 0]] = table[:, 1]
+    labels = _Table.read(root / "labels.tsv", np.int64, "\t", 2, int,
+                         "expected node<TAB>class", "non-integer entry")
+    nodes, classes = labels.rows.T
+    order = np.argsort(nodes, kind="stable")
+    repeat = np.zeros(len(nodes), dtype=bool)
+    repeat[order[1:]] = nodes[order[1:]] == nodes[order[:-1]]
+    labels.check(((nodes < 0) | (nodes >= n), lambda i: f"node id out of range [0, {n})"),
+                 (classes < 0, lambda i: f"negative label {classes[i]}; unlabeled nodes "
+                                         f"are omitted, not marked {UNLABELED}"),
+                 (classes >= c, lambda i: f"label {classes[i]} >= declared class count {c}"),
+                 (repeat, lambda i: f"duplicate label for node {nodes[i]}"))
+    gold = np.full(n, UNLABELED, dtype=np.int64)
+    gold[nodes] = classes
 
-    return DatasetBundle(SparseGraph(n, edges), features, gold, c)
+    return DatasetBundle(SparseGraph(n, canonical), features, gold, c)
 
 
 def save_dataset(bundle: DatasetBundle, path: str | Path) -> None:
@@ -250,15 +251,11 @@ def save_dataset(bundle: DatasetBundle, path: str | Path) -> None:
     (root / "meta").write_text(
         f"n={bundle.n}\nf={bundle.num_features}\nc={bundle.num_classes}\n"
     )
-    with (root / "edges.tsv").open("w") as fh:
-        for i, j in bundle.graph.edges:
-            fh.write(f"{i}\t{j}\n")
-    with (root / "features.csv").open("w") as fh:
-        for row in bundle.features:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    with (root / "labels.tsv").open("w") as fh:
-        for node in np.flatnonzero(bundle.gold != UNLABELED):
-            fh.write(f"{node}\t{bundle.gold[node]}\n")
+    np.savetxt(root / "edges.tsv", bundle.graph.edges, fmt="%d", delimiter="\t")
+    np.savetxt(root / "features.csv", bundle.features, fmt="%.17g", delimiter=",")
+    labeled = bundle.labeled_nodes()
+    np.savetxt(root / "labels.tsv", np.column_stack([labeled, bundle.gold[labeled]]),
+               fmt="%d", delimiter="\t")
 
 
 def l2_normalize_rows(features: np.ndarray) -> np.ndarray:
@@ -401,19 +398,7 @@ def ring_clusters_bundle(
     Label signal here travels along the rings, so accuracy is governed by
     the propagation radius rather than by the features.
     """
-    rng = np.random.default_rng(seed)
-    n0 = n // 2
-    sizes = [n0, n - n0]
-    offsets = [0, n0]
-    pairs = []
-    for size, off in zip(sizes, offsets):
-        for u in range(size):
-            pairs.append((off + u, off + (u + 1) % size))
-    features = np.empty((n, feature_dim))
-    features[:n0] = rng.normal(+separation / 2, 1.0, size=(n0, feature_dim))
-    features[n0:] = rng.normal(-separation / 2, 1.0, size=(n - n0, feature_dim))
-    gold = np.repeat([0, 1], sizes)
-    return DatasetBundle(SparseGraph(n, pairs), features, gold, 2)
+    return two_cluster_bundle(n, feature_dim, separation, intra_degree=0, seed=seed)
 
 
 def convert_content_release(input_dir: str | Path, output_dir: str | Path) -> dict:
@@ -442,12 +427,17 @@ def convert_content_release(input_dir: str | Path, output_dir: str | Path) -> di
                 continue
             if len(parts) < 3:
                 raise DatasetFormatError(f"{content.name}:{lineno}: expected id, features, label")
+            if rows and len(parts) - 2 != len(rows[0]):
+                raise DatasetFormatError(f"{content.name}:{lineno}: expected "
+                                         f"{len(rows[0])} features, got {len(parts) - 2}")
             ids.append(parts[0])
             try:
                 rows.append([float(v) for v in parts[1:-1]])
             except ValueError:
                 raise DatasetFormatError(f"{content.name}:{lineno}: non-numeric feature") from None
             label_names.append(parts[-1])
+    if not ids:
+        raise DatasetFormatError(f"{content.name}: no nodes (empty file)")
     index = {pid: i for i, pid in enumerate(ids)}
     if len(index) != len(ids):
         raise DatasetFormatError(f"{content.name}: duplicate node ids")

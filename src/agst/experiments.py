@@ -215,6 +215,12 @@ def run_experiment(spec: ExperimentSpec, bundle: DatasetBundle | None = None) ->
     )
 
 
+def _integral(axis: str, value: float) -> int:
+    if not float(value).is_integer():
+        raise ValueError(f"sweep axis {axis} takes integer values, got {value:g}")
+    return int(value)
+
+
 def apply_axis(spec: ExperimentSpec, axis: str, value: float) -> ExperimentSpec:
     cfg = spec.config
     if axis == "lambda1":
@@ -226,9 +232,9 @@ def apply_axis(spec: ExperimentSpec, axis: str, value: float) -> ExperimentSpec:
     elif axis == "beta_remove":
         cfg = replace(cfg, augment=replace(cfg.augment, beta_remove=value))
     elif axis == "steps":
-        cfg = replace(cfg, lp=replace(cfg.lp, steps=int(value)))
+        cfg = replace(cfg, lp=replace(cfg.lp, steps=_integral(axis, value)))
     elif axis == "k":
-        return replace(spec, k=int(value))
+        return replace(spec, k=_integral(axis, value))
     else:
         raise ValueError(f"unknown sweep axis {axis!r}, expected one of {SWEEP_AXES}")
     return replace(spec, config=cfg)
@@ -255,9 +261,10 @@ def run_sweep(
         if spec.dataset is None:
             raise ValueError("spec needs a dataset path or an in-memory bundle")
         bundle = load_dataset(spec.dataset)
+    points = [apply_axis(spec, axis, value) for value in values]   # refuse bad values first
     rows = []
-    for value in values:
-        report = run_experiment(apply_axis(spec, axis, value), bundle)
+    for value, point in zip(values, points):
+        report = run_experiment(point, bundle)
         rows.append(SweepRow(axis=axis, value=value, mean=report.mean, ci95=report.ci95))
         log.info("sweep %s=%g: mean=%.4f ci95=%.4f", axis, value, report.mean, report.ci95)
     return rows

@@ -1,5 +1,7 @@
 """Reference implementations the program's faster code is tested against."""
 
+from pathlib import Path
+
 import numpy as np
 from scipy import sparse
 
@@ -33,6 +35,25 @@ def generate_candidates(
     else:
         additions = np.empty((0, 2), dtype=np.int64)
     return additions, graph.edges.copy()
+
+
+def save_dataset(bundle, path) -> None:
+    """The dataset writer as it was before ``np.savetxt``: one formatted value
+    at a time."""
+    root = Path(path)
+    root.mkdir(parents=True, exist_ok=True)
+    (root / "meta").write_text(
+        f"n={bundle.n}\nf={bundle.num_features}\nc={bundle.num_classes}\n"
+    )
+    with (root / "edges.tsv").open("w") as fh:
+        for i, j in bundle.graph.edges:
+            fh.write(f"{i}\t{j}\n")
+    with (root / "features.csv").open("w") as fh:
+        for row in bundle.features:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    with (root / "labels.tsv").open("w") as fh:
+        for node in np.flatnonzero(bundle.gold != -1):
+            fh.write(f"{node}\t{bundle.gold[node]}\n")
 
 
 # The student's epoch as it was written before the epoch workspace: every

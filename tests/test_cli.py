@@ -124,6 +124,16 @@ class TestConfigFile:
         assert code == 2
         assert "only one config file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["config", "conf"])
+    def test_config_file_naming_a_config_file_is_usage_error(self, dataset_dir, capsys, key):
+        (dataset_dir / "a.cfg").write_text(f"runs = 2\n{key} = b.cfg\n")
+        (dataset_dir / "b.cfg").write_text("runs = 3\n")
+        code = cli_main(["run", "--dataset", "cora", "--config", "a.cfg"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: a.cfg:2: a config file cannot name another config file\n")
+        assert not (dataset_dir / "report.json").exists()
+
     def test_malformed_config_file(self, dataset_dir, capsys):
         (dataset_dir / "bad.cfg").write_text("runs 3\n")
         code = cli_main(["run", "--dataset", "cora", "--config", "bad.cfg"])
@@ -140,6 +150,15 @@ class TestSweepCommand:
         lines = (dataset_dir / "sweep.csv").read_text().strip().splitlines()
         assert lines[0] == "axis,value,mean,ci95"
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("value", ["2.5", "inf"])
+    def test_non_integral_k_is_runtime_error(self, dataset_dir, capsys, value):
+        code = cli_main(["sweep", "--dataset", "cora", "--method", "lp-only", "--runs", "1",
+                         "--axis", "k", "--values", f"3,{value}"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: sweep axis k takes integer values, got {float(value):g}\n")
+        assert not (dataset_dir / "sweep.csv").exists()
 
     def test_axis_required(self, dataset_dir):
         assert cli_main(["sweep", "--dataset", "cora", "--values", "1"]) == 2

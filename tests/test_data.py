@@ -16,6 +16,7 @@ from agst import (
     two_cluster_bundle,
 )
 
+import reference
 from conftest import make_bundle, random_graph_edges
 
 
@@ -114,6 +115,22 @@ class TestLoadDataset:
          "labels.tsv:2: node id out of range [0, 2)"),
         ("labels.tsv", "n=2\nf=1\nc=2", "", "0\n0", "1\t1\n\n1\t0\n",
          "labels.tsv:3: duplicate label for node 1"),
+        ("labels.tsv", "n=2\nf=1\nc=2", "", "0\n0", "1\t0\n0\t99999999999999999999\n",
+         "labels.tsv:2: label 99999999999999999999 >= declared class count 2"),
+        ("labels.tsv", "n=2\nf=1\nc=2", "", "0\n0", "0\t1\n1\t-1\n",
+         "labels.tsv:2: negative label -1; unlabeled nodes are omitted, not marked -1"),
+        ("meta", "n=2\nf=1\nc=2\n\nn=5", "", "0\n0", "",
+         "meta:5: duplicate key 'n'"),
+        # two faults: the earliest faulty line wins, and on one line
+        # `more than n rows` comes before a parse fault
+        ("edges.tsv", "n=3\nf=1\nc=1", "0\t5\n0\tx\n", "0\n0\n0", "",
+         "edges.tsv:1: node id out of range [0, 3)"),
+        ("features.csv", "n=2\nf=2\nc=1", "", "1,2\n3,4\n5\n", "",
+         "features.csv:3: more than n=2 rows"),
+        ("labels.tsv", "n=2\nf=1\nc=2", "", "0\n0", "1\t0\n1\t1\n5\t0\n",
+         "labels.tsv:2: duplicate label for node 1"),
+        ("labels.tsv", "n=2\nf=1\nc=2", "", "0\n0", "0\t5\n1\tx\n",
+         "labels.tsv:1: label 5 >= declared class count 2"),
     ])
     def test_error_names_file_and_line(self, tmp_path, name, meta, edges, features,
                                        labels, message):
@@ -156,10 +173,6 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="finite"):
             DatasetBundle(SparseGraph(2, [[0, 1]]), features, np.array([0, -1]), 1)
 
-    def test_unknown_format_tag(self, tiny_dir):
-        with pytest.raises(ValueError, match="unknown dataset format"):
-            load_dataset(tiny_dir, fmt="parquet")
-
 
 class TestRoundTrip:
     def test_save_then_load_is_identical(self, tmp_path):
@@ -175,6 +188,24 @@ class TestRoundTrip:
         assert np.array_equal(back.features, bundle.features)  # exact, %.17g
         assert np.array_equal(back.gold, bundle.gold)
         assert back.num_classes == bundle.num_classes
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_files_equal_the_per_value_writer(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n, f, c = int(rng.integers(1, 25)), int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        features = rng.normal(size=(n, f)) * 10.0 ** rng.integers(-300, 300, size=(n, f))
+        extremes = [-0.0, 5e-324, 1.7976931348623157e308, -2.2250738585072014e-308,
+                    1e16, 0.1, 1 / 3]
+        hit = rng.random((n, f)) < 0.3
+        features[hit] = rng.choice(extremes, size=hit.sum())
+        gold = rng.integers(-1, c, size=n)
+        edges = rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2))
+        bundle = DatasetBundle(SparseGraph(n, edges), features, gold, c)
+        save_dataset(bundle, tmp_path / "ours")
+        reference.save_dataset(bundle, tmp_path / "reference")
+        for name in ("meta", "edges.tsv", "features.csv", "labels.tsv"):
+            assert ((tmp_path / "ours" / name).read_bytes()
+                    == (tmp_path / "reference" / name).read_bytes()), name
 
 
 class TestMakeSplit:
@@ -302,6 +333,19 @@ class TestConverter:
         assert bundle.n == 3
         assert np.array_equal(bundle.gold, [0, 1, 0])
         assert np.array_equal(bundle.features[0], [1, 0, 1])
+
+    @pytest.mark.parametrize("content, message", [
+        ("p1\t1\t0\tml\n\np2\t1\tdb\n", "toy.content:3: expected 2 features, got 1"),
+        ("p1\t1\t0\tml\np2\t1\t0\t1\tdb\n", "toy.content:2: expected 2 features, got 3"),
+        ("", "toy.content: no nodes (empty file)"),
+        ("\n \n", "toy.content: no nodes (empty file)"),
+    ])
+    def test_malformed_content_names_the_file(self, tmp_path, content, message):
+        (tmp_path / "toy.content").write_text(content)
+        (tmp_path / "toy.cites").write_text("")
+        with pytest.raises(DatasetFormatError) as err:
+            convert_content_release(tmp_path, tmp_path / "out")
+        assert str(err.value) == message
 
     def test_missing_content_file(self, tmp_path):
         with pytest.raises(DatasetFormatError, match="content"):

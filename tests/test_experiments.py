@@ -1,4 +1,5 @@
 import ctypes
+import math
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -205,6 +206,16 @@ class TestSweep:
     def test_unknown_axis_rejected(self, noisy_bundle):
         with pytest.raises(ValueError, match="axis"):
             run_sweep(toy_spec(), "gamma", [1.0], noisy_bundle)
+
+    @pytest.mark.parametrize("axis, value", [("k", 2.5), ("steps", 2.5), ("k", math.inf),
+                                             ("steps", math.nan)])
+    def test_non_integral_value_of_integer_axis_rejected(self, noisy_bundle, monkeypatch,
+                                                         axis, value):
+        ran = []
+        monkeypatch.setattr(experiments, "run_experiment", lambda *a: ran.append(a))
+        with pytest.raises(ValueError, match=f"^sweep axis {axis} takes integer values"):
+            run_sweep(toy_spec(), axis, [10, value], noisy_bundle)
+        assert not ran  # refused before any value runs
 
     def test_empty_values_rejected(self, noisy_bundle):
         with pytest.raises(ValueError, match="at least one"):
