@@ -17,13 +17,10 @@ from .experiments import (
     run_experiment,
     run_sweep,
     single_blas_thread,
+    with_parameters,
     write_sweep_csv,
 )
 from .gradcheck import run_gradcheck_suite
-from .mlp import TrainConfig
-from .propagation import LpConfig
-from .rewiring import AugmentConfig
-from .selftrain import AgstConfig
 
 log = logging.getLogger(__name__)
 
@@ -42,70 +39,57 @@ def _unit_open_float(raw: str) -> float:
     return value
 
 
+def _float_list(raw: str) -> list[float]:
+    return [float(v) for v in raw.split(",") if v.strip()]
+
+
 def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dataset", required=True, help="dataset directory")
-    sub.add_argument("--protocol", choices=PROTOCOLS, default="balanced")
-    sub.add_argument("--k", type=_positive_int, default=5, help="labeled nodes per class")
-    sub.add_argument("--rate", type=_unit_open_float, default=0.01,
+    sub.add_argument("--protocol", choices=PROTOCOLS)
+    sub.add_argument("--k", type=_positive_int, help="labeled nodes per class")
+    sub.add_argument("--rate", type=_unit_open_float,
                      help="label rate for the imbalanced protocol")
-    sub.add_argument("--method", choices=METHODS, default="agst")
-    sub.add_argument("--runs", type=_positive_int, default=20)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--workers", type=_positive_int, default=1)
-    sub.add_argument("--val-per-class", type=_positive_int, default=30)
+    sub.add_argument("--method", choices=METHODS)
+    sub.add_argument("--runs", type=_positive_int)
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--workers", type=_positive_int)
+    sub.add_argument("--val-per-class", type=_positive_int)
     # read by _parse before this parser runs
     sub.add_argument("--config", metavar="FILE",
                      help="key = value file; command-line flags override it")
-    # hyperparameters
-    sub.add_argument("--alpha", type=float, default=0.9)
-    sub.add_argument("--steps", type=_positive_int, default=10)
-    sub.add_argument("--tau", type=float, default=0.5)
-    sub.add_argument("--momentum", type=float, default=0.999)
-    sub.add_argument("--lambda1", type=float, default=1.0)
-    sub.add_argument("--lambda2", type=float, default=0.1)
-    sub.add_argument("--beta-add", type=float, default=0.4)
-    sub.add_argument("--beta-remove", type=float, default=0.1)
-    sub.add_argument("--iterations", type=_positive_int, default=3)
-    sub.add_argument("--lr", type=float, default=0.01)
-    sub.add_argument("--weight-decay", type=float, default=5e-4)
-    sub.add_argument("--dropout", type=float, default=0.5)
-    sub.add_argument("--patience", type=int, default=100)
-    sub.add_argument("--max-epochs", type=_positive_int, default=10_000)
-    sub.add_argument("--no-val-epochs", type=_positive_int, default=300)
-    sub.add_argument("--hidden", type=_positive_int, default=64)
-    sub.add_argument("--loss-reduction", choices=("mean", "sum"), default="mean")
+    # hyperparameters; experiments.PARAMETERS says where each one lives
+    sub.add_argument("--alpha", type=float)
+    sub.add_argument("--steps", type=_positive_int)
+    sub.add_argument("--tau", type=float)
+    sub.add_argument("--momentum", type=float)
+    sub.add_argument("--lambda1", type=float)
+    sub.add_argument("--lambda2", type=float)
+    sub.add_argument("--beta-add", type=float)
+    sub.add_argument("--beta-remove", type=float)
+    sub.add_argument("--iterations", type=_positive_int)
+    sub.add_argument("--lr", type=float)
+    sub.add_argument("--weight-decay", type=float)
+    sub.add_argument("--dropout", type=float)
+    sub.add_argument("--patience", type=int)
+    sub.add_argument("--max-epochs", type=_positive_int)
+    sub.add_argument("--no-val-epochs", type=_positive_int)
+    sub.add_argument("--hidden", type=_positive_int)
+    sub.add_argument("--loss-reduction", choices=("mean", "sum"))
     sub.add_argument("--normalize-features", action="store_true")
     sub.add_argument("--warm-start", action="store_true")
     sub.add_argument("--best-iteration", action="store_true",
                      help="report the best-validation iteration instead of the last")
 
 
-def _config_from_args(args: argparse.Namespace) -> AgstConfig:
-    return AgstConfig(
-        lp=LpConfig(alpha=args.alpha, steps=args.steps),
-        train=TrainConfig(
-            tau=args.tau, momentum=args.momentum,
-            lambda1=args.lambda1, lambda2=args.lambda2,
-            learning_rate=args.lr, weight_decay=args.weight_decay,
-            dropout=args.dropout, patience=args.patience,
-            max_epochs=args.max_epochs, no_val_epochs=args.no_val_epochs,
-            hidden=args.hidden, loss_reduction=args.loss_reduction,
-            normalize_features=args.normalize_features,
-        ),
-        augment=AugmentConfig(beta_add=args.beta_add, beta_remove=args.beta_remove),
-        iterations=args.iterations,
-        seed=args.seed,
-        warm_start=args.warm_start,
-        report_best_iteration=args.best_iteration,
-    )
+# flags a command reads itself rather than passing on
+_COMMAND_FLAGS = ("command", "func", "config", "output", "axis", "values", "threshold")
 
 
-def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    return ExperimentSpec(
-        dataset=args.dataset, protocol=args.protocol, k=args.k, rate=args.rate,
-        runs=args.runs, method=args.method, config=_config_from_args(args),
-        seed=args.seed, workers=args.workers, val_per_class=args.val_per_class,
-    )
+def _given(args: argparse.Namespace) -> dict:
+    """The parameters set on the command line or in the config file.  The
+    parsers suppress absent flags, so every other parameter keeps the default
+    its dataclass or function declares."""
+    return {name: value for name, value in vars(args).items() if name not in _COMMAND_FLAGS}
 
 
 def _load_config_file(path: str) -> list[str]:
@@ -147,7 +131,7 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
+    spec = with_parameters(ExperimentSpec(), _given(args))
     report = run_experiment(spec)
     out = Path(args.output)
     out.write_text(json.dumps(report.to_dict(), indent=2))
@@ -158,9 +142,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
-    rows = run_sweep(spec, args.axis, values)
+    spec = with_parameters(ExperimentSpec(), _given(args))
+    rows = run_sweep(spec, args.axis, args.values)
     write_sweep_csv(rows, args.output)
     for row in rows:
         print(f"{row.axis}={row.value:g}: {row.mean:.4f} +/- {row.ci95:.4f}")
@@ -176,7 +159,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
-    report = run_gradcheck_suite(instances=args.instances, seed=args.seed, eps=args.epsilon)
+    report = run_gradcheck_suite(**_given(args))
     print(f"max relative error over {report.instances} instances: {report.max_rel_error:.3e}")
     if report.max_rel_error < args.threshold:
         print("gradcheck: PASS")
@@ -190,15 +173,18 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="graph self-training toolkit")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    run = commands.add_parser("run", help="evaluate a method over repeated splits")
+    run = commands.add_parser("run", help="evaluate a method over repeated splits",
+                              argument_default=argparse.SUPPRESS)
     _add_experiment_flags(run)
     run.add_argument("--output", default="report.json", help="JSON report path")
     run.set_defaults(func=_cmd_run)
 
-    sweep = commands.add_parser("sweep", help="sweep one hyperparameter axis")
+    sweep = commands.add_parser("sweep", help="sweep one hyperparameter axis",
+                                argument_default=argparse.SUPPRESS)
     _add_experiment_flags(sweep)
     sweep.add_argument("--axis", choices=SWEEP_AXES, required=True)
-    sweep.add_argument("--values", required=True, help="comma-separated axis values")
+    sweep.add_argument("--values", type=_float_list, required=True,
+                       help="comma-separated axis values")
     sweep.add_argument("--output", default="sweep.csv", help="CSV output path")
     sweep.set_defaults(func=_cmd_sweep)
 
@@ -208,10 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
     convert.add_argument("--output", required=True)
     convert.set_defaults(func=_cmd_convert)
 
-    gradcheck = commands.add_parser("gradcheck", help="finite-difference gradient check")
-    gradcheck.add_argument("--instances", type=_positive_int, default=20)
-    gradcheck.add_argument("--seed", type=int, default=0)
-    gradcheck.add_argument("--epsilon", type=float, default=1e-5)
+    gradcheck = commands.add_parser("gradcheck", help="finite-difference gradient check",
+                                    argument_default=argparse.SUPPRESS)
+    gradcheck.add_argument("--instances", type=_positive_int)
+    gradcheck.add_argument("--seed", type=int)
+    gradcheck.add_argument("--epsilon", type=float, dest="eps", metavar="EPSILON")
     gradcheck.add_argument("--threshold", type=float, default=1e-4)
     gradcheck.set_defaults(func=_cmd_gradcheck)
 

@@ -405,8 +405,8 @@ def convert_content_release(input_dir: str | Path, output_dir: str | Path) -> di
     """Convert a ``<stem>.content`` + ``<stem>.cites`` release to the directory format.
 
     Node ids take the .content file order; label names map to indices in
-    sorted order.  Citation rows naming unknown ids are skipped with a log.
-    Returns summary statistics.
+    sorted order.  Citation rows naming unknown ids are skipped with a log; a
+    row without exactly two ids is refused.  Returns summary statistics.
     """
     root = Path(input_dir)
     content_files = sorted(root.glob("*.content"))
@@ -448,13 +448,13 @@ def convert_content_release(input_dir: str | Path, output_dir: str | Path) -> di
     pairs = []
     skipped = 0
     with cites.open() as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             parts = line.split()
             if not parts:
                 continue
             if len(parts) != 2:
-                skipped += 1
-                continue
+                raise DatasetFormatError(
+                    f"{cites.name}:{lineno}: expected two ids, got {len(parts)}")
             a, b = parts
             if a in index and b in index:
                 pairs.append((index[a], index[b]))

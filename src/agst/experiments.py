@@ -13,7 +13,8 @@ import ctypes
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,20 @@ log = logging.getLogger(__name__)
 METHODS = ("agst", "agst-base", "lp-only", "mlp-only", "no-contrast", "no-augment")
 PROTOCOLS = ("balanced", "imbalanced", "standard20")
 SWEEP_AXES = ("lambda1", "lambda2", "beta_add", "beta_remove", "steps", "k")
+
+# Where each hyperparameter lives in an ExperimentSpec.  One name serves as
+# the command-line flag (with - for _), the config-file key and the sweep
+# axis; any other such name is an ExperimentSpec field of that name.
+PARAMETERS = {
+    **{name: f"config.lp.{name}" for name in ("alpha", "steps")},
+    **{name: f"config.train.{name}" for name in (
+        "tau", "momentum", "lambda1", "lambda2", "weight_decay", "dropout", "patience",
+        "max_epochs", "no_val_epochs", "hidden", "loss_reduction", "normalize_features")},
+    "lr": "config.train.learning_rate",
+    **{name: f"config.augment.{name}" for name in ("beta_add", "beta_remove")},
+    **{name: f"config.{name}" for name in ("iterations", "warm_start")},
+    "best_iteration": "config.report_best_iteration",
+}
 
 
 @dataclass
@@ -52,6 +67,19 @@ class ExperimentSpec:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+
+
+def with_parameters(spec: ExperimentSpec, values: dict) -> ExperimentSpec:
+    """``spec`` with each named parameter, a ``PARAMETERS`` key or an
+    ExperimentSpec field, set to its value, one after the other."""
+    for name, value in values.items():
+        spec = _with_path(spec, PARAMETERS.get(name, name).split("."), value)
+    return spec
+
+
+def _with_path(obj, path: list[str], value):
+    head, *rest = path
+    return replace(obj, **{head: _with_path(getattr(obj, head), rest, value) if rest else value})
 
 
 def method_config(method: str, base: AgstConfig) -> AgstConfig:
@@ -92,11 +120,7 @@ class Report:
     def to_dict(self) -> dict:
         return {
             "config": self.config,
-            "runs": [
-                {"seed": r.seed, "accuracy": r.accuracy,
-                 "iterations": r.iterations, "wall_ms": r.wall_ms}
-                for r in self.records
-            ],
+            "runs": [asdict(r) for r in self.records],
             "mean": self.mean,
             "ci95": self.ci95,
             "wall_ms": self.wall_ms,
@@ -185,11 +209,15 @@ def _worker_run(run_seed: int) -> RunRecord:
     return run_single(_WORKER["bundle"], _WORKER["spec"], run_seed)
 
 
+def _dataset(spec: ExperimentSpec, bundle: DatasetBundle | None) -> DatasetBundle:
+    """The in-memory bundle when one is given, else the one at ``spec.dataset``."""
+    if bundle is None and spec.dataset is None:
+        raise ValueError("spec needs a dataset path or an in-memory bundle")
+    return load_dataset(spec.dataset) if bundle is None else bundle
+
+
 def run_experiment(spec: ExperimentSpec, bundle: DatasetBundle | None = None) -> Report:
-    if bundle is None:
-        if spec.dataset is None:
-            raise ValueError("spec needs a dataset path or an in-memory bundle")
-        bundle = load_dataset(spec.dataset)
+    bundle = _dataset(spec, bundle)
     seeds = [spec.seed + r for r in range(spec.runs)]
     started = time.perf_counter()
     if spec.workers > 1:
@@ -215,29 +243,16 @@ def run_experiment(spec: ExperimentSpec, bundle: DatasetBundle | None = None) ->
     )
 
 
-def _integral(axis: str, value: float) -> int:
-    if not float(value).is_integer():
-        raise ValueError(f"sweep axis {axis} takes integer values, got {value:g}")
-    return int(value)
-
-
 def apply_axis(spec: ExperimentSpec, axis: str, value: float) -> ExperimentSpec:
-    cfg = spec.config
-    if axis == "lambda1":
-        cfg = replace(cfg, train=replace(cfg.train, lambda1=value))
-    elif axis == "lambda2":
-        cfg = replace(cfg, train=replace(cfg.train, lambda2=value))
-    elif axis == "beta_add":
-        cfg = replace(cfg, augment=replace(cfg.augment, beta_add=value))
-    elif axis == "beta_remove":
-        cfg = replace(cfg, augment=replace(cfg.augment, beta_remove=value))
-    elif axis == "steps":
-        cfg = replace(cfg, lp=replace(cfg.lp, steps=_integral(axis, value)))
-    elif axis == "k":
-        return replace(spec, k=_integral(axis, value))
-    else:
+    if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}, expected one of {SWEEP_AXES}")
-    return replace(spec, config=cfg)
+    *parents, leaf = PARAMETERS.get(axis, axis).split(".")
+    owner = reduce(getattr, parents, spec)
+    if {f.name: f.type for f in fields(owner)}[leaf] in (int, "int"):
+        if not float(value).is_integer():
+            raise ValueError(f"sweep axis {axis} takes integer values, got {value:g}")
+        value = int(value)
+    return with_parameters(spec, {axis: value})
 
 
 @dataclass
@@ -257,10 +272,7 @@ def run_sweep(
     """One report row per axis value, everything else held fixed."""
     if not values:
         raise ValueError("sweep needs at least one axis value")
-    if bundle is None:
-        if spec.dataset is None:
-            raise ValueError("spec needs a dataset path or an in-memory bundle")
-        bundle = load_dataset(spec.dataset)
+    bundle = _dataset(spec, bundle)
     points = [apply_axis(spec, axis, value) for value in values]   # refuse bad values first
     rows = []
     for value, point in zip(values, points):

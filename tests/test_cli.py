@@ -1,9 +1,14 @@
+import argparse
 import json
+from dataclasses import replace
 
 import pytest
 
-from agst import save_dataset, two_cluster_bundle
+from agst import ExperimentSpec, Report, save_dataset, two_cluster_bundle
+from agst import cli
 from agst.cli import cli_main
+from agst.experiments import SWEEP_AXES, apply_axis
+from agst.gradcheck import GradCheckReport
 
 
 @pytest.fixture
@@ -163,6 +168,130 @@ class TestSweepCommand:
     def test_axis_required(self, dataset_dir):
         assert cli_main(["sweep", "--dataset", "cora", "--values", "1"]) == 2
 
+    @pytest.mark.parametrize("values", ["abc", "1,two", "1e"])
+    def test_malformed_values_are_usage_error(self, dataset_dir, capsys, values):
+        code = cli_main(["sweep", "--dataset", "cora", "--axis", "k", "--values", values])
+        assert code == 2
+        assert "argument --values" in capsys.readouterr().err
+        assert not (dataset_dir / "sweep.csv").exists()
+
+    def test_empty_value_entries_are_skipped(self, monkeypatch, tmp_path):
+        calls = []
+
+        def fake_sweep(spec, axis, values):
+            calls.append((axis, values))
+            return []
+
+        monkeypatch.setattr(cli, "run_sweep", fake_sweep)
+        monkeypatch.chdir(tmp_path)
+        argv = ["sweep", "--dataset", "d", "--axis", "lambda1", "--values", "0.5,, 1,"]
+        assert cli_main(argv) == 0
+        assert calls == [("lambda1", [0.5, 1.0])]
+
+
+def built_spec(argv, monkeypatch, tmp_path):
+    """The ExperimentSpec that ``agst run`` or ``agst sweep`` hands on."""
+    monkeypatch.chdir(tmp_path)
+    seen = {}
+
+    def fake_run(spec):
+        seen["spec"] = spec
+        return Report(spec.method, spec.protocol, [], 0.0, 0.0, 0.0, {})
+
+    def fake_sweep(spec, axis, values):
+        seen["spec"] = spec
+        return []
+
+    monkeypatch.setattr(cli, "run_experiment", fake_run)
+    monkeypatch.setattr(cli, "run_sweep", fake_sweep)
+    assert cli_main(argv) == 0
+    return seen["spec"]
+
+
+DEFAULT = ExperimentSpec(dataset="d")
+
+
+def config(**changes):
+    return replace(DEFAULT, config=replace(DEFAULT.config, **changes))
+
+
+def lp(**changes):
+    return config(lp=replace(DEFAULT.config.lp, **changes))
+
+
+def train(**changes):
+    return config(train=replace(DEFAULT.config.train, **changes))
+
+
+def augment(**changes):
+    return config(augment=replace(DEFAULT.config.augment, **changes))
+
+
+# each flag set alone, with a value other than its default, and the spec it
+# must build, written out by hand
+FLAG_ALONE = [
+    (["--protocol", "imbalanced"], replace(DEFAULT, protocol="imbalanced")),
+    (["--k", "7"], replace(DEFAULT, k=7)),
+    (["--rate", "0.25"], replace(DEFAULT, rate=0.25)),
+    (["--method", "lp-only"], replace(DEFAULT, method="lp-only")),
+    (["--runs", "3"], replace(DEFAULT, runs=3)),
+    (["--seed", "11"], replace(DEFAULT, seed=11)),
+    (["--workers", "2"], replace(DEFAULT, workers=2)),
+    (["--val-per-class", "9"], replace(DEFAULT, val_per_class=9)),
+    (["--alpha", "0.75"], lp(alpha=0.75)),
+    (["--steps", "4"], lp(steps=4)),
+    (["--tau", "0.25"], train(tau=0.25)),
+    (["--momentum", "0.5"], train(momentum=0.5)),
+    (["--lambda1", "2.5"], train(lambda1=2.5)),
+    (["--lambda2", "0.75"], train(lambda2=0.75)),
+    (["--beta-add", "0.25"], augment(beta_add=0.25)),
+    (["--beta-remove", "0.75"], augment(beta_remove=0.75)),
+    (["--iterations", "5"], config(iterations=5)),
+    (["--lr", "0.125"], train(learning_rate=0.125)),
+    (["--weight-decay", "0.0625"], train(weight_decay=0.0625)),
+    (["--dropout", "0.25"], train(dropout=0.25)),
+    (["--patience", "7"], train(patience=7)),
+    (["--max-epochs", "40"], train(max_epochs=40)),
+    (["--no-val-epochs", "30"], train(no_val_epochs=30)),
+    (["--hidden", "16"], train(hidden=16)),
+    (["--loss-reduction", "sum"], train(loss_reduction="sum")),
+    (["--normalize-features"], train(normalize_features=True)),
+    (["--warm-start"], config(warm_start=True)),
+    (["--best-iteration"], config(report_best_iteration=True)),
+]
+SWEEP = ["--axis", "k", "--values", "1"]
+
+
+class TestSpecFromFlags:
+    @pytest.mark.parametrize("extra", [[], SWEEP], ids=["run", "sweep"])
+    def test_no_flags_build_the_default_spec(self, monkeypatch, tmp_path, extra):
+        command = "sweep" if extra else "run"
+        spec = built_spec([command, "--dataset", "d", *extra], monkeypatch, tmp_path)
+        assert spec == ExperimentSpec(dataset="d")
+
+    def test_every_flag_is_listed(self):
+        parser = argparse.ArgumentParser(add_help=False)
+        cli._add_experiment_flags(parser)
+        declared = {action.option_strings[0] for action in parser._actions}
+        listed = {flags[0] for flags, _ in FLAG_ALONE}
+        assert declared - listed == {"--dataset", "--config"}
+        assert listed <= declared
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("flags, expected", FLAG_ALONE, ids=[f[0] for f, _ in FLAG_ALONE])
+    def test_flag_alone_sets_its_field(self, monkeypatch, tmp_path, command, flags, expected):
+        extra = SWEEP if command == "sweep" else []
+        spec = built_spec([command, "--dataset", "d", *flags, *extra], monkeypatch, tmp_path)
+        assert spec == expected
+
+    @pytest.mark.parametrize("axis", SWEEP_AXES)
+    def test_sweep_axis_sets_the_field_of_its_flag(self, monkeypatch, tmp_path, axis):
+        flag = "--" + axis.replace("_", "-")
+        value = 3 if axis in ("k", "steps") else 0.25
+        spec = built_spec(["run", "--dataset", "d", flag, str(value)], monkeypatch, tmp_path)
+        assert spec != DEFAULT
+        assert apply_axis(DEFAULT, axis, value) == spec
+
 
 class TestConvertCommand:
     def test_converts_content_release(self, tmp_path, monkeypatch, capsys):
@@ -190,6 +319,24 @@ class TestGradcheckCommand:
         assert code == 0
         assert "max relative error" in out
         assert "PASS" in out
+
+    @pytest.mark.parametrize("flags, expected", [
+        ([], {}),
+        (["--instances", "3", "--seed", "4", "--epsilon", "1e-6"],
+         {"instances": 3, "seed": 4, "eps": 1e-6}),
+        (["--epsilon", "1e-6", "--threshold", "0.5"], {"eps": 1e-6}),
+    ])
+    def test_only_given_flags_reach_the_suite(self, monkeypatch, capsys, flags, expected):
+        calls = []
+
+        def fake_suite(**kwargs):
+            calls.append(kwargs)
+            return GradCheckReport(max_rel_error=1e-3, instances=1)
+
+        monkeypatch.setattr(cli, "run_gradcheck_suite", fake_suite)
+        code = cli_main(["gradcheck", *flags])
+        assert calls == [expected]
+        assert code == (0 if "--threshold" in flags else 1)
 
     def test_impossible_threshold_fails(self, capsys):
         code = cli_main(["gradcheck", "--instances", "2", "--threshold", "0"])

@@ -347,6 +347,18 @@ class TestConverter:
             convert_content_release(tmp_path, tmp_path / "out")
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("cites, message", [
+        ("p1\tp2\tp3\np2\tp1\n", "toy.cites:1: expected two ids, got 3"),
+        ("p1\tp2\n\np2\n", "toy.cites:3: expected two ids, got 1"),
+    ])
+    def test_malformed_cites_row_names_the_line(self, tmp_path, cites, message):
+        (tmp_path / "toy.content").write_text("p1\t1\tml\np2\t0\tdb\np3\t1\tml\n")
+        (tmp_path / "toy.cites").write_text(cites)
+        with pytest.raises(DatasetFormatError) as err:
+            convert_content_release(tmp_path, tmp_path / "out")
+        assert str(err.value) == message
+        assert not (tmp_path / "out").exists()
+
     def test_missing_content_file(self, tmp_path):
         with pytest.raises(DatasetFormatError, match="content"):
             convert_content_release(tmp_path, tmp_path / "out")

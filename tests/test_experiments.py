@@ -247,6 +247,10 @@ class TestDatasetLoading:
         with pytest.raises(ValueError, match="dataset"):
             run_experiment(toy_spec(dataset=None))
 
+    def test_sweep_without_dataset_or_bundle_rejected(self):
+        with pytest.raises(ValueError, match="dataset path or an in-memory bundle"):
+            run_sweep(toy_spec(dataset=None), "lambda1", [1.0])
+
     def test_loads_from_directory(self, tmp_path, noisy_bundle):
         from agst import save_dataset
 
