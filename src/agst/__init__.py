@@ -68,6 +68,6 @@ from .rewiring import (
     plan_augmentation,
     write_plan_tsv,
 )
-from .selftrain import AgstConfig, IterationStats, RunResult, predict, result_to_dict, run_agst
+from .selftrain import AgstConfig, IterationStats, RunResult, result_to_dict, run_agst
 
 __version__ = "0.1.0"

@@ -25,22 +25,24 @@ from .gradcheck import run_gradcheck_suite
 log = logging.getLogger(__name__)
 
 
-def _positive_int(raw: str) -> int:
-    value = int(raw)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _checked(convert, accept, expected: str):
+    """An argparse type refusing text that ``convert`` cannot read or whose value
+    ``accept`` rejects; argparse prints an ArgumentTypeError's message as is."""
+    def parse(raw: str):
+        try:
+            value = convert(raw)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {raw!r}")
+        return value
+    return parse
 
 
-def _unit_open_float(raw: str) -> float:
-    value = float(raw)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"expected a value in (0, 1), got {value}")
-    return value
-
-
-def _float_list(raw: str) -> list[float]:
-    return [float(v) for v in raw.split(",") if v.strip()]
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_unit_open_float = _checked(float, lambda v: 0.0 < v < 1.0, "a value in (0, 1)")
+_float_list = _checked(lambda raw: [float(v) for v in raw.split(",") if v.strip()],
+                       lambda values: True, "comma-separated numbers")
 
 
 def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:

@@ -13,6 +13,9 @@ checks each rule once over the parsed rows; a fault raises
 DatasetFormatError naming the file and its first faulty line.
 ``save_dataset`` writes the same layout with ``np.savetxt``.
 
+Bundles hold the raw features; the student trains on ``mlp.student_features``
+of them, and prediction is ``forward`` on that matrix.
+
 ``convert_content_release`` maps the classic two-file citation release
 (``<stem>.content`` + ``<stem>.cites``) into this layout.
 """
@@ -32,6 +35,8 @@ from .graph import SparseGraph, canonical_edges
 log = logging.getLogger(__name__)
 
 UNLABELED = -1
+# the imbalanced protocol's test-set size, and its tries at covering every class
+IMBALANCED_TEST_SIZE, MAX_RESAMPLE = 1000, 1000
 
 
 class DatasetFormatError(ValueError):
@@ -124,19 +129,21 @@ class _Table:
     fault: str | None     # why the line after the last row did not parse
 
     @classmethod
-    def read(cls, path: Path, dtype, delimiter: str, width: int, parse,
+    def read(cls, path: Path, dtype, delimiter: str, width: int,
              bad_count: str, bad_value: str) -> _Table:
         """Parse every non-blank line of ``path`` in one ``np.loadtxt`` call.
 
-        Values parse exactly as ``parse`` (``int`` or ``float``) parses them.
-        Only when that call fails are the lines parsed one by one with
-        ``parse``, which accepts a few spellings ``loadtxt`` refuses
-        (``1_000``); that parse stops at the first line with other than
-        ``width`` fields (``bad_count``, formatted with ``got``) or a value
-        that does not parse (``bad_value``). Older numpy reads a non-integer
-        such as ``2.7`` as an integer with only a DeprecationWarning; that
-        warning is made an error, so the value reaches ``int`` and is refused.
+        Values parse exactly as ``parse`` parses them: ``int`` for an integer
+        ``dtype``, else ``float``.  Only when that call fails are the lines
+        parsed one by one with ``parse``, which accepts a few spellings
+        ``loadtxt`` refuses (``1_000``); that parse stops at the first line
+        with other than ``width`` fields (``bad_count``, formatted with
+        ``got``) or a value that does not parse (``bad_value``). Older numpy
+        reads a non-integer such as ``2.7`` as an integer with only a
+        DeprecationWarning; that warning is made an error, so the value
+        reaches ``int`` and is refused.
         """
+        parse = int if np.issubdtype(dtype, np.integer) else float
         text = path.read_text()
         lines = list(filter(None, map(str.strip, text.split("\n"))))
         if lines:
@@ -208,7 +215,7 @@ def load_dataset(path: str | Path) -> DatasetBundle:
     meta = _read_meta(root / "meta")
     n, f, c = meta["n"], meta["f"], meta["c"]
 
-    edges = _Table.read(root / "edges.tsv", np.int64, "\t", 2, int,
+    edges = _Table.read(root / "edges.tsv", np.int64, "\t", 2,
                         "expected src<TAB>dst", "non-integer node id")
     pairs = edges.rows
     edges.check(((pairs < 0) | (pairs >= n), lambda i: f"node id out of range [0, {n})"))
@@ -218,7 +225,7 @@ def load_dataset(path: str | Path) -> DatasetBundle:
             "%s: dropped %d duplicate edge rows and %d self-loops", edges.path, n_dup, n_loops
         )
 
-    feats = _Table.read(root / "features.csv", np.float64, ",", f, float,
+    feats = _Table.read(root / "features.csv", np.float64, ",", f,
                         f"expected {f} values, got {{got}}", "non-numeric feature")
     features = feats.rows
     lines_read = len(features) + (feats.fault is not None)
@@ -227,7 +234,7 @@ def load_dataset(path: str | Path) -> DatasetBundle:
     if len(features) != n:
         raise DatasetFormatError(f"{feats.path.name}: expected {n} rows, got {len(features)}")
 
-    labels = _Table.read(root / "labels.tsv", np.int64, "\t", 2, int,
+    labels = _Table.read(root / "labels.tsv", np.int64, "\t", 2,
                          "expected node<TAB>class", "non-integer entry")
     nodes, classes = labels.rows.T
     order = np.argsort(nodes, kind="stable")
@@ -271,16 +278,14 @@ def make_split(
     k: int | None = None,
     rate: float | None = None,
     val_per_class: int = 30,
-    test_size: int = 1000,
-    max_resample: int = 1000,
 ) -> SplitSpec:
     """Draw a labeled/validation/test split under one of three protocols.
 
     balanced    exactly ``k`` labeled and ``val_per_class`` validation nodes
                 per class, the remaining gold-labeled nodes as test
     imbalanced  ceil(rate * n) labeled nodes drawn uniformly (resampled with
-                an incremented seed until every class appears), ``test_size``
-                test nodes, no validation
+                an incremented seed until every class appears),
+                IMBALANCED_TEST_SIZE test nodes, no validation
     standard20  balanced with k = 20
 
     Deterministic given the seed.
@@ -317,7 +322,7 @@ def make_split(
             raise ValueError(f"rate {rate} asks for {n_labeled} labeled nodes, "
                              f"only {eligible.size} eligible")
         present = np.unique(bundle.gold[eligible])
-        for attempt in range(max_resample):
+        for attempt in range(MAX_RESAMPLE):
             draw_seed = seed + attempt
             rng = np.random.default_rng(draw_seed)
             labeled = rng.choice(eligible, size=n_labeled, replace=False)
@@ -328,11 +333,12 @@ def make_split(
                 break
             log.debug("seed %d missed a class, resampling", draw_seed)
         else:
-            raise ValueError(f"could not cover every class in {max_resample} resamples")
+            raise ValueError(f"could not cover every class in {MAX_RESAMPLE} resamples")
         remaining = np.setdiff1d(eligible, labeled)
-        n_test = min(test_size, remaining.size)
-        if n_test < test_size:
-            log.info("only %d nodes left for the test set (wanted %d)", n_test, test_size)
+        n_test = min(IMBALANCED_TEST_SIZE, remaining.size)
+        if n_test < IMBALANCED_TEST_SIZE:
+            log.info("only %d nodes left for the test set (wanted %d)",
+                     n_test, IMBALANCED_TEST_SIZE)
         test = rng.choice(remaining, size=n_test, replace=False)
         return SplitSpec(labeled, np.empty(0, dtype=np.int64), test)
 

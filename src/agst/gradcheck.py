@@ -4,7 +4,8 @@ The check differentiates ``mlp.joint_objective``, the function training
 calls, as a pure function of the trainable parameters: the prototypes and
 the filtered pseudo-label set from ``mlp.pseudo_targets`` stay frozen at
 their current values (they are constants of the gradient by design), and
-dropout is off.
+dropout is off.  It reads the matrix training and prediction read,
+``mlp.student_features(bundle.features, cfg.normalize_features)``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .mlp import (
     init_params,
     joint_objective,
     pseudo_targets,
+    student_features,
 )
 
 # roundoff of one loss evaluation, in machine epsilons times |loss|; on
@@ -46,7 +48,7 @@ def grad_check(
     Wright, *Numerical Optimization*, section 8.1): a zero or tiny gradient
     whose difference is roundoff alone passes.
     """
-    x = bundle.features
+    x = student_features(bundle.features, cfg.normalize_features)
     gold = bundle.gold
     labeled = split.labeled
     unlabeled = np.setdiff1d(np.arange(bundle.n), labeled)

@@ -16,7 +16,8 @@ contrastive term only backpropagates through each node's own embedding.
 ``joint_objective`` assembles the weighted loss and its gradient, and
 ``pseudo_targets`` the constants of the contrastive term; training and the
 finite-difference check in ``gradcheck`` both call these two functions.
-``student_features`` prepares the matrix the student reads, once per run.
+``student_features`` prepares the matrix the student reads, once per run, from
+``TrainConfig.normalize_features``; prediction is ``forward`` on that matrix.
 
 ``_encode`` computes ReLU(x @ w1 + b1) @ w2 + b2 for the live encoder (with
 dropout in training) and for its momentum copy.  An ``EpochWorkspace`` holds
@@ -79,11 +80,10 @@ class StudentParams:
     mb1: np.ndarray
     mw2: np.ndarray
     mb2: np.ndarray
-    normalize_features: bool = False
 
     def copy(self) -> "StudentParams":
         arrays = {name: getattr(self, name).copy() for name in ARRAY_NAMES}
-        return StudentParams(**arrays, normalize_features=self.normalize_features)
+        return StudentParams(**arrays)
 
     def all_finite(self) -> bool:
         return all(np.all(np.isfinite(getattr(self, name))) for name in ARRAY_NAMES)
@@ -98,7 +98,6 @@ def init_params(
     num_classes: int,
     hidden: int,
     rng: np.random.Generator,
-    normalize_features: bool = False,
 ) -> StudentParams:
     """Glorot-uniform weights, zero biases; momentum encoder starts as a copy."""
 
@@ -110,7 +109,7 @@ def init_params(
             "w2": glorot(hidden, hidden), "b2": np.zeros(hidden),
             "w3": glorot(hidden, num_classes), "b3": np.zeros(num_classes)}
     momentum = {mom: live[name].copy() for name, mom in ENCODER_PAIRS}
-    return StudentParams(**live, **momentum, normalize_features=normalize_features)
+    return StudentParams(**live, **momentum)
 
 
 class EpochWorkspace:
@@ -216,16 +215,27 @@ def _backward(params, x, ws, d_z_extra=None):
     if ws.mask is not None:
         d_h1 *= ws.mask
     d_h1 *= ws.relu
-    grads["w1"] = (x.T @ d_h1) if not sparse.issparse(x) else np.asarray(x.T @ d_h1)
+    grads["w1"] = x.T @ d_h1
     grads["b1"] = d_h1.sum(axis=0)
     return grads
+
+
+def _reduce(value, grad: np.ndarray, count: int, reduction: str) -> tuple[float, np.ndarray]:
+    """A loss summed over ``count`` nodes and its gradient rows, both divided
+    by ``count`` under the "mean" reduction (left as sums when it is zero)."""
+    if reduction == "mean" and count:
+        value /= count
+        grad /= count
+    elif reduction not in ("mean", "sum"):
+        raise ValueError(f"unknown reduction {reduction!r}")
+    return float(value), grad
 
 
 def loss_ce_labeled(
     p: np.ndarray,
     gold: np.ndarray,
     nodes: np.ndarray,
-    reduction: str = "sum",
+    reduction: str,
 ) -> tuple[float, np.ndarray]:
     """Cross-entropy against gold labels; gradient w.r.t. the nodes' logits."""
     nodes = np.asarray(nodes)
@@ -236,19 +246,14 @@ def loss_ce_labeled(
     value = -clamped_log(rows[np.arange(nodes.size), targets]).sum()
     grad = rows.copy()
     grad[np.arange(nodes.size), targets] -= 1.0
-    if reduction == "mean":
-        value /= nodes.size
-        grad /= nodes.size
-    elif reduction != "sum":
-        raise ValueError(f"unknown reduction {reduction!r}")
-    return float(value), grad
+    return _reduce(value, grad, nodes.size, reduction)
 
 
 def loss_ce_unlabeled(
     p: np.ndarray,
     soft: SoftLabels,
     nodes: np.ndarray,
-    reduction: str = "sum",
+    reduction: str,
 ) -> tuple[float, np.ndarray]:
     """Cross-entropy against soft targets; gradient w.r.t. the nodes' logits."""
     if not soft.normalized:
@@ -257,13 +262,7 @@ def loss_ce_unlabeled(
     rows = p[nodes]
     targets = soft.matrix[nodes]
     value = -(targets * clamped_log(rows)).sum()
-    grad = rows - targets
-    if reduction == "mean" and nodes.size:
-        value /= nodes.size
-        grad /= nodes.size
-    elif reduction not in ("mean", "sum"):
-        raise ValueError(f"unknown reduction {reduction!r}")
-    return float(value), grad
+    return _reduce(value, rows - targets, nodes.size, reduction)
 
 
 def compute_prototypes(
@@ -322,7 +321,7 @@ def loss_contrastive(
     protos: np.ndarray,
     pls: PseudoLabelSet,
     tau: float,
-    reduction: str = "sum",
+    reduction: str,
     out: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Prototype contrastive loss over the kept set; gradient w.r.t. z,
@@ -339,14 +338,9 @@ def loss_contrastive(
     sims = similarity_distribution(z[kept], protos, tau)
     own = pls.hard[kept]
     value = -clamped_log(sims[np.arange(kept.size), own]).sum()
-    g = (sims @ protos - protos[own]) / tau
-    if reduction == "mean":
-        value /= kept.size
-        g /= kept.size
-    elif reduction != "sum":
-        raise ValueError(f"unknown reduction {reduction!r}")
+    value, g = _reduce(value, (sims @ protos - protos[own]) / tau, kept.size, reduction)
     grad[kept] = g
-    return float(value), grad
+    return value, grad
 
 
 def momentum_update(params: StudentParams, m: float) -> None:
@@ -359,16 +353,17 @@ def momentum_update(params: StudentParams, m: float) -> None:
         target += (1.0 - m) * getattr(params, live)
 
 
+# Adam's moment decay rates and the denominator's guard (Kingma & Ba's defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Plain Adam with L2 weight decay folded into the gradient; each
     parameter's step works in two scratch arrays of its own shape."""
 
-    def __init__(self, lr=0.01, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, lr=0.01, weight_decay=0.0):
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.state: dict[str, tuple[np.ndarray, ...]] = {}
 
@@ -383,14 +378,14 @@ class Adam:
             m, v, a, b = self.state[name]
             if self.weight_decay:
                 g = np.add(g, np.multiply(value, self.weight_decay, out=a), out=a)
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=b)
-            v *= self.beta2
-            v += np.multiply(np.multiply(g, 1.0 - self.beta2, out=b), g, out=b)
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=b)
+            v *= ADAM_BETA2
+            v += np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=b), g, out=b)
             # value -= lr * m_hat / (sqrt(v_hat) + eps), each rounding in that order
-            np.sqrt(np.divide(v, 1.0 - self.beta2 ** self.t, out=b), out=b)
-            b += self.eps
-            np.divide(m, 1.0 - self.beta1 ** self.t, out=a)
+            np.sqrt(np.divide(v, 1.0 - ADAM_BETA2 ** self.t, out=b), out=b)
+            b += ADAM_EPS
+            np.divide(m, 1.0 - ADAM_BETA1 ** self.t, out=a)
             a *= self.lr
             a /= b
             value -= a
@@ -570,22 +565,21 @@ def train_student(
     has_val = split.validation.size > 0
     c = bundle.num_classes
 
-    params = init.copy() if init is not None else init_params(
-        bundle.num_features, c, cfg.hidden, rng, cfg.normalize_features
-    )
+    params = (init.copy() if init is not None
+              else init_params(bundle.num_features, c, cfg.hidden, rng))
     workspace = EpochWorkspace.for_rows(params, x)
     if has_val:
         x_val = x[split.validation]
         gold_val = gold[split.validation]
-        rows_val = np.arange(split.validation.size)
+        n_val = split.validation.size
+        rows_val = np.arange(n_val)
     optimizer = Adam(lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
     trace = TrainTrace()
 
     budget = cfg.max_epochs if has_val else cfg.no_val_epochs
-    best_params = params.copy()
-    best_epoch = None
-    snap_acc, snap_loss = -np.inf, np.inf
-    seen_acc, seen_loss = -np.inf, np.inf
+    best_params, best_epoch = None, None
+    best_acc, best_loss = -np.inf, np.inf
+    low_loss = np.inf
     bad_epochs = 0
 
     for epoch in range(1, budget + 1):
@@ -605,21 +599,21 @@ def train_student(
             _, p_val = forward(params, x_val)
             pred_val = np.argmax(p_val, axis=1)
             val_acc = float(np.mean(pred_val == gold_val))
-            val_loss, _ = loss_ce_labeled(p_val, gold_val, rows_val, "mean")
+            val_loss = -clamped_log(p_val[rows_val, gold_val]).sum() / n_val
         trace.records.append(EpochRecord(epoch, l_lab, l_unl, l_con, val_acc))
 
         if has_val:
-            if val_acc > snap_acc or (val_acc == snap_acc and val_loss < snap_loss):
-                snap_acc, snap_loss = val_acc, val_loss
-                best_params = params.copy()
-                best_epoch = epoch
-            # patience resets on any validation improvement, accuracy or loss
-            if val_acc > seen_acc or val_loss < seen_loss:
+            # patience resets on any validation improvement, accuracy or
+            # loss; best_acc is the highest accuracy seen so far
+            if val_acc > best_acc or val_loss < low_loss:
                 bad_epochs = 0
             else:
                 bad_epochs += 1
-            seen_acc = max(seen_acc, val_acc)
-            seen_loss = min(seen_loss, val_loss)
+            low_loss = min(low_loss, val_loss)
+            if val_acc > best_acc or (val_acc == best_acc and val_loss < best_loss):
+                best_acc, best_loss = val_acc, val_loss
+                best_params = params.copy()
+                best_epoch = epoch
             if bad_epochs > cfg.patience:
                 break
 

@@ -3,7 +3,8 @@
 Each round propagates gold labels over the current graph, trains a fresh
 student on the resulting soft targets, then uses the student's predictions
 to rewire the PRISTINE input graph for the next round, so augmentations
-never compound.  The run is deterministic given its seed.
+never compound.  Predictions are the argmax of ``forward`` on the run's one
+``student_features`` matrix.  The run is deterministic given its seed.
 """
 
 from __future__ import annotations
@@ -74,12 +75,6 @@ class RunResult:
     final_params: StudentParams
     per_iteration: list[IterationStats]
     predictions: np.ndarray
-
-
-def predict(params: StudentParams, bundle: DatasetBundle) -> np.ndarray:
-    """Hard labels for every node (dropout off, argmax ties to lowest index)."""
-    _, p = forward(params, student_features(bundle.features, params.normalize_features))
-    return np.argmax(p, axis=1)
 
 
 def student_rng(seed: int, iteration: int) -> np.random.Generator:

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -342,6 +343,50 @@ class TestGradcheckCommand:
         code = cli_main(["gradcheck", "--instances", "2", "--threshold", "0"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+# malformed values for each of cli.py's own argparse types
+BAD_VALUES = {
+    cli._positive_int: ["abc", "0", "-3", "2.5"],
+    cli._unit_open_float: ["abc", "0", "1.5", "nan"],
+    cli._float_list: ["abc", "1,two"],
+}
+# what each command needs besides the flag under test
+REQUIRED = {"run": ["--dataset", "cora"],
+            "sweep": ["--dataset", "cora", "--axis", "k", "--values", "1"],
+            "gradcheck": []}
+
+
+def typed_flags():
+    """(command, flag, type) for every flag that parses with one of BAD_VALUES' types."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[0], action.type)
+            for command, sub in commands.choices.items() for action in sub._actions
+            if action.type in BAD_VALUES]
+
+
+TYPED_FLAGS = typed_flags()
+
+
+class TestTypedFlagErrors:
+    def test_flags_found(self):
+        flags = {(command, flag) for command, flag, _ in TYPED_FLAGS}
+        assert {("run", "--k"), ("run", "--rate"), ("sweep", "--values"),
+                ("gradcheck", "--instances")} <= flags
+        assert {command for command, _ in flags} == set(REQUIRED)
+
+    @pytest.mark.parametrize("command, flag, kind", TYPED_FLAGS,
+                             ids=[f"{c}{f}" for c, f, _ in TYPED_FLAGS])
+    def test_malformed_value_is_plain_usage_error(self, capsys, command, flag, kind):
+        for value in BAD_VALUES[kind]:
+            code = cli_main([command, *REQUIRED[command], flag, value])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert f"error: argument {flag}: expected " in err
+            assert f"got {value!r}" in err
+            # no private helper's name (a word starting with "_")
+            assert not re.search(r"(?<!\w)_[a-z]", err), err
 
 
 class TestEntryPoint:

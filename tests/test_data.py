@@ -264,7 +264,7 @@ class TestMakeSplit:
         gold[199] = 2
         bundle = make_bundle(200, [[0, 1]], gold, 3)
         with caplog.at_level("DEBUG", logger="agst.data"):
-            split = make_split(bundle, "imbalanced", seed=0, rate=0.02, test_size=50)
+            split = make_split(bundle, "imbalanced", seed=0, rate=0.02)
         assert np.unique(bundle.gold[split.labeled]).size == 3
 
     def test_rate_outside_unit_interval_rejected(self, big_bundle):

@@ -9,6 +9,7 @@ from agst import (
     joint_objective,
     pseudo_targets,
     run_gradcheck_suite,
+    student_features,
 )
 from agst import gradcheck
 
@@ -43,6 +44,22 @@ class TestGradCheck:
         bundle, split, soft, params = tiny_problem(2)
         cfg = TrainConfig(lambda2=0.1, dropout=0.0, hidden=6, loss_reduction="sum")
         assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-4
+
+    def test_normalized_features_are_the_matrix_checked(self, monkeypatch):
+        # the check differentiates on the matrix training reads, not the raw rows
+        bundle, split, soft, params = tiny_problem(2)
+        cfg = TrainConfig(lambda2=0.1, dropout=0.0, hidden=6, normalize_features=True)
+        seen = []
+        real = gradcheck.joint_objective
+
+        def spy(params, x, *args):
+            seen.append(x)
+            return real(params, x, *args)
+
+        monkeypatch.setattr(gradcheck, "joint_objective", spy)
+        assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-4
+        expected = student_features(bundle.features, True)
+        assert seen and all(np.array_equal(x, expected) for x in seen)
 
     def test_symmetric_stationary_point(self):
         # zero parameters + zero features + class-balanced targets: every

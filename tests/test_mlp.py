@@ -94,17 +94,17 @@ class TestForward:
 class TestLabeledCrossEntropy:
     def test_uniform_prediction_costs_log_c(self):
         p = np.full((1, 4), 0.25)
-        value, _ = loss_ce_labeled(p, np.array([2]), np.array([0]))
+        value, _ = loss_ce_labeled(p, np.array([2]), np.array([0]), "sum")
         assert value == pytest.approx(math.log(4), abs=1e-12)
 
     def test_perfect_prediction_costs_nothing(self):
         p = np.array([[1.0, 0.0]])
-        value, _ = loss_ce_labeled(p, np.array([0]), np.array([0]))
+        value, _ = loss_ce_labeled(p, np.array([0]), np.array([0]), "sum")
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_two_uniform_nodes_sum_form(self):
         p = np.full((2, 2), 0.5)
-        value, _ = loss_ce_labeled(p, np.array([0, 1]), np.array([0, 1]))
+        value, _ = loss_ce_labeled(p, np.array([0, 1]), np.array([0, 1]), "sum")
         assert value == pytest.approx(2 * math.log(2), abs=1e-12)
 
     def test_mean_reduction_divides(self):
@@ -115,39 +115,39 @@ class TestLabeledCrossEntropy:
 
     def test_gradient_is_softmax_minus_onehot(self):
         p = np.array([[0.7, 0.2, 0.1]])
-        _, grad = loss_ce_labeled(p, np.array([1]), np.array([0]))
+        _, grad = loss_ce_labeled(p, np.array([1]), np.array([0]), "sum")
         assert np.allclose(grad, [[0.7, -0.8, 0.1]])
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            loss_ce_labeled(np.ones((1, 2)), np.array([0]), np.array([], dtype=int))
+            loss_ce_labeled(np.ones((1, 2)), np.array([0]), np.array([], dtype=int), "sum")
 
 
 class TestUnlabeledCrossEntropy:
     def test_uniform_against_itself(self):
         soft = SoftLabels(np.full((1, 2), 0.5), normalized=True)
-        value, _ = loss_ce_unlabeled(np.full((1, 2), 0.5), soft, np.array([0]))
+        value, _ = loss_ce_unlabeled(np.full((1, 2), 0.5), soft, np.array([0]), "sum")
         assert value == pytest.approx(math.log(2), abs=1e-12)
 
     def test_hard_target_scalar_log(self):
         soft = SoftLabels(np.array([[1.0, 0.0]]), normalized=True)
-        value, _ = loss_ce_unlabeled(np.array([[0.75, 0.25]]), soft, np.array([0]))
+        value, _ = loss_ce_unlabeled(np.array([[0.75, 0.25]]), soft, np.array([0]), "sum")
         assert value == pytest.approx(-math.log(0.75), abs=1e-12)
 
     def test_mixed_target_arithmetic(self):
         soft = SoftLabels(np.array([[0.5, 0.5]]), normalized=True)
-        value, _ = loss_ce_unlabeled(np.array([[0.75, 0.25]]), soft, np.array([0]))
+        value, _ = loss_ce_unlabeled(np.array([[0.75, 0.25]]), soft, np.array([0]), "sum")
         assert value == pytest.approx(-0.5 * (math.log(0.75) + math.log(0.25)), abs=1e-12)
 
     def test_gradient_is_softmax_minus_target(self):
         soft = SoftLabels(np.array([[0.3, 0.7]]), normalized=True)
-        _, grad = loss_ce_unlabeled(np.array([[0.6, 0.4]]), soft, np.array([0]))
+        _, grad = loss_ce_unlabeled(np.array([[0.6, 0.4]]), soft, np.array([0]), "sum")
         assert np.allclose(grad, [[0.3, -0.3]])
 
     def test_unnormalized_targets_rejected(self):
         soft = SoftLabels(np.array([[2.0, 2.0]]), normalized=False)
         with pytest.raises(ValueError, match="normalized"):
-            loss_ce_unlabeled(np.full((1, 2), 0.5), soft, np.array([0]))
+            loss_ce_unlabeled(np.full((1, 2), 0.5), soft, np.array([0]), "sum")
 
 
 class TestPrototypes:
@@ -258,7 +258,7 @@ class TestFilterPseudoLabels:
 class TestContrastiveLoss:
     def test_empty_kept_set_is_zero(self):
         pls = PseudoLabelSet(np.zeros(2, dtype=int), np.array([], dtype=int))
-        value, grad = loss_contrastive(np.ones((2, 3)), np.ones((2, 3)), pls, 0.5)
+        value, grad = loss_contrastive(np.ones((2, 3)), np.ones((2, 3)), pls, 0.5, "sum")
         assert value == 0.0
         assert np.array_equal(grad, np.zeros((2, 3)))
 
@@ -267,14 +267,14 @@ class TestContrastiveLoss:
         protos = np.array([[1.0, 0.0], [0.0, 0.0]])
         z = np.array([[1.0, 1.0]])
         pls = PseudoLabelSet(np.array([0]), np.array([0]))
-        value, _ = loss_contrastive(z, protos, pls, tau=1.0)
+        value, _ = loss_contrastive(z, protos, pls, 1.0, "sum")
         assert value == pytest.approx(math.log(1 + math.exp(-1.0)), abs=1e-12)
 
     def test_equidistant_node_costs_log_c(self):
         protos = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         z = np.zeros((1, 3))
         pls = PseudoLabelSet(np.array([1]), np.array([0]))
-        value, _ = loss_contrastive(z, protos, pls, tau=0.5)
+        value, _ = loss_contrastive(z, protos, pls, 0.5, "sum")
         assert value == pytest.approx(math.log(3), abs=1e-12)
 
     def test_gradient_formula(self):
@@ -283,7 +283,7 @@ class TestContrastiveLoss:
         protos = rng.normal(size=(2, 4))
         pls = PseudoLabelSet(np.array([0, 1, 0]), np.array([0, 2]))
         tau = 0.7
-        _, grad = loss_contrastive(z, protos, pls, tau)
+        _, grad = loss_contrastive(z, protos, pls, tau, "sum")
         for i in (0, 2):
             logits = z[i] @ protos.T / tau
             s = np.exp(logits - logits.max())
@@ -300,10 +300,10 @@ class TestContrastiveLoss:
         protos = rng.normal(size=(3, 3))
         pls = PseudoLabelSet(rng.integers(0, 3, size=4), np.arange(4))
         tau, kappa = 0.5, 37.0
-        base, _ = loss_contrastive(z, protos, pls, tau)
+        base, _ = loss_contrastive(z, protos, pls, tau, "sum")
         z_aug = np.column_stack([z, np.ones(4)])
         protos_aug = np.column_stack([protos, np.full(3, kappa * tau)])
-        shifted, _ = loss_contrastive(z_aug, protos_aug, pls, tau)
+        shifted, _ = loss_contrastive(z_aug, protos_aug, pls, tau, "sum")
         assert shifted == pytest.approx(base, abs=1e-9)
 
 
@@ -416,15 +416,14 @@ class TestTrainStudent:
     @pytest.mark.parametrize("n", [20, 40])
     def test_toy_problem_reaches_perfect_accuracy(self, n):
         from agst import LpConfig, make_split, normalize_adjacency, propagate_labels, to_distribution
-        from agst.selftrain import predict
-
         bundle = two_cluster_bundle(n=n, seed=3)
         split = make_split(bundle, "balanced", seed=3, k=3, val_per_class=4)
         op = normalize_adjacency(bundle.graph)
         soft = to_distribution(propagate_labels(op, bundle, split, LpConfig()))
         cfg = TrainConfig(seed=3)
         params, _ = train_student(bundle, split, soft, cfg)
-        preds = predict(params, bundle)
+        _, p = forward(params, student_features(bundle.features, cfg.normalize_features))
+        preds = np.argmax(p, axis=1)
         assert np.mean(preds[split.test] == bundle.gold[split.test]) == 1.0
 
     def test_patience_zero_stops_at_first_non_improvement(self):
@@ -453,6 +452,50 @@ class TestTrainStudent:
         accs = [r.val_acc for r in trace.records]
         assert trace.best_epoch is not None
         assert accs[trace.best_epoch - 1] == max(accs)
+
+    # (5, 0.2, 0) and (0, 0.3, 2) have epochs where accuracy rises while
+    # loss makes no new low; (7, 0.1, 10) has accuracy ties
+    @pytest.mark.parametrize("seed, noise, patience", [(7, 0.1, 10), (5, 0.2, 0), (0, 0.3, 2)])
+    def test_early_stopping_replays_documented_rule(self, monkeypatch, seed, noise, patience):
+        # forward runs only on the validation rows inside train_student, so
+        # it hands over each epoch's validation probabilities
+        import agst.mlp as mlp
+
+        bundle, split, uniform = toy_training_setup(seed=seed, noise=noise)
+        cfg = TrainConfig(patience=patience, seed=seed)
+        real_forward = mlp.forward
+        seen = []
+
+        def capture(params, x):
+            z, p = real_forward(params, x)
+            seen.append(p.copy())
+            return z, p
+
+        monkeypatch.setattr(mlp, "forward", capture)
+        params, trace = train_student(bundle, split, uniform, cfg)
+
+        gold = bundle.gold[split.validation]
+        rows = np.arange(gold.size)
+        best_epoch, best_acc, best_loss = None, -np.inf, np.inf
+        top_acc, low_loss, bad, stopped = -np.inf, np.inf, 0, None
+        for epoch, p in enumerate(seen, 1):
+            acc = float(np.mean(np.argmax(p, axis=1) == gold))
+            loss = -np.log(np.maximum(p[rows, gold], 1e-12)).sum() / gold.size
+            assert trace.records[epoch - 1].val_acc == acc
+            # best: highest accuracy, ties to the lower loss
+            if acc > best_acc or (acc == best_acc and loss < best_loss):
+                best_epoch, best_acc, best_loss = epoch, acc, loss
+            # patience resets when accuracy rises or loss falls
+            bad = 0 if (acc > top_acc or loss < low_loss) else bad + 1
+            top_acc, low_loss = max(top_acc, acc), min(low_loss, loss)
+            if bad > patience:
+                stopped = epoch
+                break
+        assert stopped is not None
+        assert len(trace.records) == len(seen) == stopped
+        assert trace.best_epoch == best_epoch
+        x_val = student_features(bundle.features, False)[split.validation]
+        assert np.array_equal(real_forward(params, x_val)[1], seen[best_epoch - 1])
 
     def test_deterministic_given_rng_seed(self):
         bundle, split, uniform = toy_training_setup(seed=9)

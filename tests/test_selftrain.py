@@ -6,12 +6,13 @@ from agst import (
     AugmentConfig,
     LpConfig,
     TrainConfig,
+    forward,
     make_split,
     normalize_adjacency,
-    predict,
     propagate_labels,
     result_to_dict,
     run_agst,
+    student_features,
     to_distribution,
     train_student,
     two_cluster_bundle,
@@ -25,6 +26,11 @@ def toy_setup(seed=0, noise=0.0):
     bundle = two_cluster_bundle(n=40, noise_fraction=noise, seed=seed)
     split = make_split(bundle, "balanced", seed=seed, k=3, val_per_class=4)
     return bundle, split
+
+
+def hard_labels(params, x):
+    """Prediction as run_agst makes it: argmax of forward on the student's matrix."""
+    return np.argmax(forward(params, x)[1], axis=1)
 
 
 def quick_cfg(**overrides):
@@ -51,7 +57,8 @@ class TestRunAgst:
                                   rng=student_rng(cfg.seed, 1))
         assert np.array_equal(result.final_params.w1, params.w1)
         assert np.array_equal(result.final_params.w3, params.w3)
-        assert np.array_equal(result.predictions, predict(params, bundle))
+        x = student_features(bundle.features, cfg.train.normalize_features)
+        assert np.array_equal(result.predictions, hard_labels(params, x))
 
     def test_clean_toy_is_perfect_every_iteration(self):
         bundle, split = toy_setup(seed=2)
@@ -140,13 +147,18 @@ class TestRunAgst:
             run_agst(bad, split, quick_cfg(seed=6))
 
     @pytest.mark.parametrize("best", [False, True])
-    def test_normalized_features_predictions_match_predict(self, best):
+    def test_normalized_features_predictions_match_forward(self, best):
         bundle, split = toy_setup(seed=7, noise=0.2)
+        # rows scaled by 1e-6..1: normalization undoes it, while forward on
+        # the raw rows predicts the bias's class for the smallest ones
+        scale = 10.0 ** np.random.default_rng(7).uniform(-6, 0, size=(bundle.n, 1))
+        bundle = make_bundle(bundle.n, bundle.graph.edges, bundle.gold, 2,
+                             features=bundle.features * scale)
         cfg = quick_cfg(iterations=2, seed=7, report_best_iteration=best,
                         train={"normalize_features": True})
         result = run_agst(bundle, split, cfg)
-        assert result.final_params.normalize_features
-        assert np.array_equal(result.predictions, predict(result.final_params, bundle))
+        x = student_features(bundle.features, True)
+        assert np.array_equal(result.predictions, hard_labels(result.final_params, x))
 
     def test_best_iteration_selection(self):
         bundle, split = toy_setup(seed=7, noise=0.2)
@@ -195,18 +207,17 @@ class TestPredict:
         for name in ("w1", "b1", "w2", "b2", "w3"):
             getattr(params, name)[:] = 0.0
         params.b3[:] = [0.0, 0.0, 5.0]
-        assert np.all(predict(params, bundle) == 2)
+        assert np.all(hard_labels(params, student_features(bundle.features, False)) == 2)
 
     def test_rowwise_independence_under_permutation(self):
         from agst import init_params
 
         bundle, _ = toy_setup(seed=10)
         params = init_params(bundle.num_features, 2, 8, np.random.default_rng(1))
-        preds = predict(params, bundle)
+        preds = hard_labels(params, student_features(bundle.features, False))
         perm = np.random.default_rng(2).permutation(bundle.n)
-        permuted = make_bundle(bundle.n, bundle.graph.edges, bundle.gold, 2,
-                               features=bundle.features[perm])
-        assert np.array_equal(predict(params, permuted), preds[perm])
+        permuted = student_features(bundle.features[perm], False)
+        assert np.array_equal(hard_labels(params, permuted), preds[perm])
 
     def test_toy_pipeline_agrees_with_gold(self):
         bundle, split = toy_setup(seed=11)
