@@ -11,12 +11,12 @@ import numpy as np
 from agst import (
     LpConfig,
     TrainConfig,
+    feature_matrix,
     forward,
     make_split,
     normalize_adjacency,
     propagate_labels,
     run_gradcheck_suite,
-    student_features,
     to_distribution,
     train_student,
     two_cluster_bundle,
@@ -37,8 +37,10 @@ print(f"labeled CE: {first.loss_labeled:.4f} -> {last.loss_labeled:.4f}")
 print(f"soft-target CE: {first.loss_unlabeled:.4f} -> {last.loss_unlabeled:.4f}")
 print(f"contrastive: {first.loss_contrastive:.4f} -> {last.loss_contrastive:.4f}")
 
-# prediction: the argmax of the trained student on the matrix it trained on
-_, probs = forward(params, student_features(bundle.features, cfg.normalize_features))
+# prediction as run_agst makes it: the float32 student's weights read in
+# float64, on the float64 matrix it trained on
+x = feature_matrix(bundle.features, cfg.normalize_features)
+_, probs = forward(params.astype(np.float64), x)
 preds = np.argmax(probs, axis=1)
 acc = np.mean(preds[split.test] == bundle.gold[split.test])
 print(f"test accuracy: {acc:.3f}")

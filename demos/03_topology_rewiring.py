@@ -14,6 +14,7 @@ from agst import (
     TrainConfig,
     apply_augmentation,
     edge_probability,
+    feature_matrix,
     make_split,
     plan_augmentation,
     run_agst,
@@ -26,9 +27,12 @@ bundle = two_cluster_bundle(n=40, noise_fraction=0.15, seed=2)
 split = make_split(bundle, "balanced", seed=2, k=3, val_per_class=4)
 
 # one self-training round gives us a student to score pairs with
-result = run_agst(bundle, split, AgstConfig(train=TrainConfig(patience=30),
-                                            iterations=1, seed=2))
-_, p = forward(result.final_params, bundle.features)
+agst_cfg = AgstConfig(train=TrainConfig(patience=30), iterations=1, seed=2)
+result = run_agst(bundle, split, agst_cfg)
+# probabilities as run_agst computes them: the weights and the feature matrix
+# in float64
+x = feature_matrix(bundle.features, agst_cfg.train.normalize_features)
+_, p = forward(result.final_params.astype(np.float64), x)
 
 edges = bundle.graph.edges
 probs = edge_probability(p, edges)

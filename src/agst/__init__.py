@@ -39,6 +39,7 @@ from .mlp import (
     TrainConfig,
     TrainTrace,
     compute_prototypes,
+    feature_matrix,
     filter_pseudo_labels,
     forward,
     init_params,

@@ -4,8 +4,10 @@ The check differentiates ``mlp.joint_objective``, the function training
 calls, as a pure function of the trainable parameters: the prototypes and
 the filtered pseudo-label set from ``mlp.pseudo_targets`` stay frozen at
 their current values (they are constants of the gradient by design), and
-dropout is off.  It reads the matrix training and prediction read,
-``mlp.student_features(bundle.features, cfg.normalize_features)``.
+dropout is off.  It works in float64 whatever the student's dtype: on a
+float64 copy of the parameters, so the caller's arrays are never written,
+and on ``mlp.feature_matrix(bundle.features, cfg.normalize_features)``, the
+float64 matrix that prediction reads and that training reads cast to float32.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from .mlp import (
     PARAM_NAMES,
     StudentParams,
     TrainConfig,
+    feature_matrix,
     init_params,
     joint_objective,
     pseudo_targets,
-    student_features,
 )
 
 # roundoff of one loss evaluation, in machine epsilons times |loss|; on
@@ -48,7 +50,8 @@ def grad_check(
     Wright, *Numerical Optimization*, section 8.1): a zero or tiny gradient
     whose difference is roundoff alone passes.
     """
-    x = student_features(bundle.features, cfg.normalize_features)
+    params = params.astype(np.float64)
+    x = feature_matrix(bundle.features, cfg.normalize_features)
     gold = bundle.gold
     labeled = split.labeled
     unlabeled = np.setdiff1d(np.arange(bundle.n), labeled)

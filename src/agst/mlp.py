@@ -16,8 +16,20 @@ contrastive term only backpropagates through each node's own embedding.
 ``joint_objective`` assembles the weighted loss and its gradient, and
 ``pseudo_targets`` the constants of the contrastive term; training and the
 finite-difference check in ``gradcheck`` both call these two functions.
-``student_features`` prepares the matrix the student reads, once per run, from
-``TrainConfig.normalize_features``; prediction is ``forward`` on that matrix.
+``feature_matrix`` prepares the float64 matrix the student reads, once per
+run, from ``TrainConfig.normalize_features``; ``student_features`` is that
+matrix in ``STUDENT_DTYPE``.
+
+The student trains in ``STUDENT_DTYPE`` (float32): ``init_params``,
+``student_features`` and ``train_student`` set it, and every other array of
+an epoch (the workspace, the dropout mask, the gradients, Adam's moments,
+the momentum update) follows the weights' dtype.  Epochs are memory-bound sparse products
+and n x hidden passes, so float32 halves their traffic.  What reads the
+student's output stays in float64: prediction is
+``forward(params.astype(np.float64), feature_matrix(...))``, the validation
+loss is summed in float64, and ``gradcheck`` differentiates a float64 copy of
+the parameters.  The teacher's ``SoftLabels`` are float64 throughout; the
+losses read their rows in the student's dtype.
 
 ``_encode`` computes ReLU(x @ w1 + b1) @ w2 + b2 for the live encoder (with
 dropout in training) and for its momentum copy.  An ``EpochWorkspace`` holds
@@ -48,6 +60,10 @@ from .propagation import SoftLabels
 log = logging.getLogger(__name__)
 
 LOG_FLOOR = 1e-12
+# the dtype the student trains in; read where its weights and its matrix are
+# made: init_params, student_features, and train_student's casts of the
+# matrix and warm-start weights it is given
+STUDENT_DTYPE = np.float32
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 # (live, momentum) names of the encoder's arrays; the head has no momentum copy
@@ -85,6 +101,10 @@ class StudentParams:
         arrays = {name: getattr(self, name).copy() for name in ARRAY_NAMES}
         return StudentParams(**arrays)
 
+    def astype(self, dtype) -> "StudentParams":
+        """A copy with every array in ``dtype``."""
+        return StudentParams(**{name: getattr(self, name).astype(dtype) for name in ARRAY_NAMES})
+
     def all_finite(self) -> bool:
         return all(np.all(np.isfinite(getattr(self, name))) for name in ARRAY_NAMES)
 
@@ -99,15 +119,20 @@ def init_params(
     hidden: int,
     rng: np.random.Generator,
 ) -> StudentParams:
-    """Glorot-uniform weights, zero biases; momentum encoder starts as a copy."""
+    """Glorot-uniform weights, zero biases, in ``STUDENT_DTYPE``; momentum
+    encoder starts as a copy.  The weights are drawn in float64 and cast, so
+    the generator's stream does not depend on the dtype."""
 
     def glorot(fan_in, fan_out):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+        return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(STUDENT_DTYPE)
 
-    live = {"w1": glorot(num_features, hidden), "b1": np.zeros(hidden),
-            "w2": glorot(hidden, hidden), "b2": np.zeros(hidden),
-            "w3": glorot(hidden, num_classes), "b3": np.zeros(num_classes)}
+    def zeros(size):
+        return np.zeros(size, dtype=STUDENT_DTYPE)
+
+    live = {"w1": glorot(num_features, hidden), "b1": zeros(hidden),
+            "w2": glorot(hidden, hidden), "b2": zeros(hidden),
+            "w3": glorot(hidden, num_classes), "b3": zeros(num_classes)}
     momentum = {mom: live[name].copy() for name, mom in ENCODER_PAIRS}
     return StudentParams(**live, **momentum)
 
@@ -120,18 +145,18 @@ class EpochWorkspace:
     the momentum embeddings until the next backward pass.
     """
 
-    def __init__(self, n: int, hidden: int, num_classes: int):
+    def __init__(self, n: int, hidden: int, num_classes: int, dtype):
         rows = (n, hidden)
         # the forward pass's state, read by the backward pass
-        self.h1 = np.empty(rows)                 # x @ w1 + b1 (SciPy's for CSR x), ReLU, dropout
+        self.h1 = np.empty(rows, dtype)          # x @ w1 + b1 (SciPy's for CSR x), ReLU, dropout
         self.relu = np.empty(rows, dtype=bool)   # h1 > 0
         self.mask: np.ndarray | None = None      # dropout mask, None without dropout
-        self.z = np.empty(rows)                  # embeddings
-        self.p = np.empty((n, num_classes))      # logits, then their softmax
-        self.d_logits = np.empty((n, num_classes))
-        self.d_z = np.empty(rows)
-        self.d_d1 = np.empty(rows)
-        self.mask_buffer = np.empty(rows)        # where a dropout mask is drawn
+        self.z = np.empty(rows, dtype)           # embeddings
+        self.p = np.empty((n, num_classes), dtype)   # logits, then their softmax
+        self.d_logits = np.empty((n, num_classes), dtype)
+        self.d_z = np.empty(rows, dtype)
+        self.d_d1 = np.empty(rows, dtype)
+        self.mask_buffer = np.empty(rows, dtype)     # where a dropout mask is drawn
         # pseudo_targets reads the momentum encoder's arrays before the
         # backward pass starts, and the backward pass adds the contrastive
         # gradient to d_z before it writes d_d1
@@ -141,8 +166,8 @@ class EpochWorkspace:
 
     @classmethod
     def for_rows(cls, params: StudentParams, x) -> "EpochWorkspace":
-        """A workspace for ``params`` over the rows of ``x``."""
-        return cls(x.shape[0], params.w2.shape[0], params.w3.shape[1])
+        """A workspace for ``params`` over the rows of ``x``, in their dtype."""
+        return cls(x.shape[0], params.w2.shape[0], params.w3.shape[1], params.w1.dtype)
 
 
 def _encode(weights, x, h1, z, relu=None, mask=None, dropout=0.0, rng=None):
@@ -159,7 +184,7 @@ def _encode(weights, x, h1, z, relu=None, mask=None, dropout=0.0, rng=None):
     if rng is None or dropout <= 0.0:
         mask = None
     else:
-        rng.random(out=mask)
+        rng.random(dtype=mask.dtype, out=mask)
         np.greater_equal(mask, dropout, out=mask)
         mask /= 1.0 - dropout
         h *= mask
@@ -179,7 +204,8 @@ def _forward(params, x, ws, dropout=0.0, rng=None):
 
 
 def forward(params: StudentParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Embeddings and softmax predictions for every row of ``x``."""
+    """Embeddings and softmax predictions for every row of ``x``, in the
+    dtype of ``params``."""
     if x.shape[1] != params.w1.shape[0]:
         raise ValueError(f"feature dim {x.shape[1]} != expected {params.w1.shape[0]}")
     return _forward(params, x, EpochWorkspace.for_rows(params, x))
@@ -255,12 +281,13 @@ def loss_ce_unlabeled(
     nodes: np.ndarray,
     reduction: str,
 ) -> tuple[float, np.ndarray]:
-    """Cross-entropy against soft targets; gradient w.r.t. the nodes' logits."""
+    """Cross-entropy against soft targets; gradient w.r.t. the nodes' logits.
+    The teacher's rows are read in the dtype of ``p``."""
     if not soft.normalized:
         raise ValueError("soft labels must be row-normalized distributions")
     nodes = np.asarray(nodes)
     rows = p[nodes]
-    targets = soft.matrix[nodes]
+    targets = soft.matrix[nodes].astype(p.dtype, copy=False)
     value = -(targets * clamped_log(rows)).sum()
     return _reduce(value, rows - targets, nodes.size, reduction)
 
@@ -271,8 +298,9 @@ def compute_prototypes(
     labeled: np.ndarray,
     num_classes: int,
 ) -> np.ndarray:
-    """Per-class mean of the labeled nodes' momentum embeddings, (c, hidden)."""
-    protos = np.empty((num_classes, z_momentum.shape[1]))
+    """Per-class mean of the labeled nodes' momentum embeddings, (c, hidden),
+    in their dtype."""
+    protos = np.empty((num_classes, z_momentum.shape[1]), z_momentum.dtype)
     for cls in range(num_classes):
         members = labeled[gold[labeled] == cls]
         if members.size == 0:
@@ -343,14 +371,23 @@ def loss_contrastive(
     return value, grad
 
 
-def momentum_update(params: StudentParams, m: float) -> None:
-    """Exponential moving average of the encoder into the momentum copy."""
+def momentum_update(
+    params: StudentParams,
+    m: float,
+    scratch: tuple[np.ndarray, ...] | None = None,
+) -> None:
+    """Exponential moving average of the encoder into the momentum copy.
+
+    ``scratch``, arrays shaped like ``params.encoder()``, receives each
+    ``(1 - m) * live`` product; without it each product is a fresh array.
+    """
     if not 0.0 <= m <= 1.0:
         raise ValueError("momentum must lie in [0, 1]")
-    for live, mom in ENCODER_PAIRS:
+    for k, (live, mom) in enumerate(ENCODER_PAIRS):
         target = getattr(params, mom)
         target *= m
-        target += (1.0 - m) * getattr(params, live)
+        target += np.multiply(getattr(params, live), 1.0 - m,
+                              out=None if scratch is None else scratch[k])
 
 
 # Adam's moment decay rates and the denominator's guard (Kingma & Ba's defaults)
@@ -454,15 +491,22 @@ def write_trace_csv(trace: TrainTrace, path) -> None:
                              r.loss_contrastive, "" if r.val_acc is None else r.val_acc])
 
 
-def student_features(features: np.ndarray, normalize: bool) -> np.ndarray | sparse.csr_array:
-    """The matrix the student reads: rows L2-normalized when ``normalize`` is
-    set, stored as CSR when the matrix is large and mostly zeros."""
+def feature_matrix(features: np.ndarray, normalize: bool) -> np.ndarray | sparse.csr_array:
+    """The float64 matrix the student reads: rows L2-normalized when
+    ``normalize`` is set, stored as CSR when the matrix is large and mostly
+    zeros.  Prediction reads it as it is; training reads ``student_features``."""
     x = l2_normalize_rows(features) if normalize else features
     # binary/bag-of-words feature matrices are mostly zeros; the two x-side
     # matmuls dominate an epoch, so switch representation when it pays off
     if x.size > 500_000 and np.count_nonzero(x) < 0.25 * x.size:
         return sparse.csr_array(x)
     return x
+
+
+def student_features(features: np.ndarray, normalize: bool) -> np.ndarray | sparse.csr_array:
+    """``feature_matrix`` in ``STUDENT_DTYPE``, the matrix training reads.  The
+    cast comes after the CSR conversion, so no dense copy is made."""
+    return feature_matrix(features, normalize).astype(STUDENT_DTYPE)
 
 
 def pseudo_targets(
@@ -545,9 +589,11 @@ def train_student(
     restored (accuracy ties broken by lower validation loss).  Without a
     validation set a fixed budget of ``no_val_epochs`` epochs runs.
 
-    ``features`` is ``student_features(bundle.features, cfg.normalize_features)``,
-    from a caller that trains several rounds on it; it is built here if absent.
-    Every epoch writes into one ``EpochWorkspace`` built here.
+    ``features`` is ``feature_matrix(bundle.features, cfg.normalize_features)``
+    or its ``student_features`` cast, from a caller that trains several rounds
+    on it; ``student_features`` is built here if it is absent, and training
+    reads it in ``STUDENT_DTYPE``.  Every epoch writes into one
+    ``EpochWorkspace`` built here.  The validation loss is summed in float64.
     """
     if split.labeled.size == 0:
         raise ValueError("empty labeled set")
@@ -559,15 +605,17 @@ def train_student(
     x = features
     if x is None:
         x = student_features(bundle.features, cfg.normalize_features)
+    x = x.astype(STUDENT_DTYPE, copy=False)
     gold = bundle.gold
     labeled = split.labeled
     unlabeled = np.setdiff1d(np.arange(bundle.n), labeled)
     has_val = split.validation.size > 0
     c = bundle.num_classes
 
-    params = (init.copy() if init is not None
+    params = (init.astype(STUDENT_DTYPE) if init is not None
               else init_params(bundle.num_features, c, cfg.hidden, rng))
     workspace = EpochWorkspace.for_rows(params, x)
+    scratch = tuple(np.empty_like(a) for a in params.encoder())
     if has_val:
         x_val = x[split.validation]
         gold_val = gold[split.validation]
@@ -590,7 +638,7 @@ def train_student(
             raise ValueError(f"non-finite loss at epoch {epoch}")
 
         optimizer.step(params, grads)
-        momentum_update(params, cfg.momentum)
+        momentum_update(params, cfg.momentum, scratch)
         if not params.all_finite():
             raise ValueError(f"non-finite parameter after epoch {epoch}")
 
@@ -599,7 +647,7 @@ def train_student(
             _, p_val = forward(params, x_val)
             pred_val = np.argmax(p_val, axis=1)
             val_acc = float(np.mean(pred_val == gold_val))
-            val_loss = -clamped_log(p_val[rows_val, gold_val]).sum() / n_val
+            val_loss = -clamped_log(p_val[rows_val, gold_val]).sum(dtype=np.float64) / n_val
         trace.records.append(EpochRecord(epoch, l_lab, l_unl, l_con, val_acc))
 
         if has_val:

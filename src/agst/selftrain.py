@@ -3,8 +3,10 @@
 Each round propagates gold labels over the current graph, trains a fresh
 student on the resulting soft targets, then uses the student's predictions
 to rewire the PRISTINE input graph for the next round, so augmentations
-never compound.  Predictions are the argmax of ``forward`` on the run's one
-``student_features`` matrix.  The run is deterministic given its seed.
+never compound.  The student trains in float32; each round's probabilities
+(the predictions and the rewiring plan's scores) come from one float64
+``forward`` on the run's one ``feature_matrix``.  The run is deterministic
+given its seed.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .data import DatasetBundle, SplitSpec
 from .graph import normalize_adjacency
-from .mlp import StudentParams, TrainConfig, TrainTrace, forward, student_features, train_student
+from .mlp import StudentParams, TrainConfig, TrainTrace, feature_matrix, forward, train_student
 from .propagation import LpConfig, propagate_labels, to_distribution
 from .rewiring import AugmentConfig, apply_augmentation, plan_augmentation
 
@@ -101,7 +103,7 @@ def run_agst(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig) -> RunRes
     best_preds: np.ndarray | None = None
     best_val = -np.inf
     test_gold = bundle.gold[split.test] if split.test.size else None
-    x = student_features(bundle.features, cfg.train.normalize_features)
+    x = feature_matrix(bundle.features, cfg.train.normalize_features)
 
     for iteration in range(1, cfg.iterations + 1):
         started = time.perf_counter()
@@ -112,7 +114,7 @@ def run_agst(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig) -> RunRes
             init = params if (cfg.warm_start and params is not None) else None
             params, trace = train_student(bundle, split, soft, cfg.train,
                                           rng=rng, init=init, features=x)
-            _, probs = forward(params, x)
+            _, probs = forward(params.astype(np.float64), x)
             preds = np.argmax(probs, axis=1)
             plan = plan_augmentation(original, probs, cfg.augment)
             # the last round's plan is only reported; no round trains on it

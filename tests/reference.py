@@ -57,7 +57,8 @@ def save_dataset(bundle, path) -> None:
 
 
 # The student's epoch as it was written before the epoch workspace: every
-# array is fresh.  ``joint_objective`` below assembles the loss the same way
+# array is fresh, in the dtype of the parameters and features it is given.
+# ``joint_objective`` below assembles the loss the same way
 # ``agst.mlp.joint_objective`` does.
 
 
@@ -73,7 +74,8 @@ def _forward_cache(params, x, dropout=0.0, rng=None):
     mask = None
     d1 = a1
     if rng is not None and dropout > 0.0:
-        mask = (rng.random(a1.shape) >= dropout) / (1.0 - dropout)
+        # drawn and scaled in the dtype of the hidden layer
+        mask = (rng.random(a1.shape, dtype=a1.dtype) >= dropout).astype(a1.dtype) / (1.0 - dropout)
         d1 = a1 * mask
     z = d1 @ params.w2 + params.b2
     logits = z @ params.w3 + params.b3

@@ -191,8 +191,11 @@ def test_criterion_7_cora_ablation_ordering(cora_5shot_agst):
 
 
 def test_criterion_8_momentum_closed_form():
+    # momentum_update keeps the dtype it is given; the 1e-9 bound is a
+    # float64 one, so the float32 student weights are checked cast up (the
+    # float32 trail has its own epsilon-derived bound in test_mlp.py)
     rng = np.random.default_rng(8)
-    params = init_params(4, 3, 8, rng)
+    params = init_params(4, 3, 8, rng).astype(np.float64)
     theta0 = params.mw1.copy()
     m = 0.999
     for _ in range(1000):

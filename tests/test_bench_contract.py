@@ -4,7 +4,9 @@
 attributes asserted below; ``bench/checks.py`` recomputes the student's
 probabilities from the six trained weight arrays.  A name removed from the
 program would crash the benchmark's run or its checks, so the test calls the
-same functions with the same keywords, on a tiny bundle.
+same functions with the same keywords, on a tiny bundle.  The checks hold
+the predictions to the argmax of their float64 recomputation, so the float32
+student's predictions must come from float64 probabilities too.
 """
 
 from dataclasses import replace
@@ -30,16 +32,21 @@ def job(bundle, protocol, seed, no_val_epochs):
     return split, replace(cfg, iterations=2)
 
 
+def probabilities(features, params):
+    """bench/checks.probabilities: the student's softmax from the raw float64
+    features, whatever the weights' dtype."""
+    z = np.maximum(features @ params.w1 + params.b1, 0.0) @ params.w2 + params.b2
+    logits = z @ params.w3 + params.b3
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def check_result(bundle, result, cfg):
     """The attributes ``Job.summary`` and ``run_checks`` read of a run."""
-    x = bundle.features
     params = result.final_params
     for name in WEIGHTS:
         assert isinstance(getattr(params, name), np.ndarray)
-    # bench/checks.probabilities: the student's softmax from the raw features
-    z = np.maximum(x @ params.w1 + params.b1, 0.0) @ params.w2 + params.b2
-    logits = z @ params.w3 + params.b3
-    assert logits.shape == (bundle.n, bundle.num_classes)
+    assert probabilities(bundle.features, params).shape == (bundle.n, bundle.num_classes)
     assert result.predictions.shape == (bundle.n,)
     last = result.per_iteration[-1]
     assert last.added_edges.ndim == last.removed_edges.ndim == 2
@@ -75,3 +82,29 @@ def test_run_experiment_as_the_benchmark_calls_it(bundle):
     check_result(bundle, result, cfg)
     acc = float(np.mean(result.predictions[split.test] == bundle.gold[split.test]))
     assert acc == report.records[0].accuracy
+
+
+def test_predictions_are_the_argmax_the_benchmark_recomputes(bundle, monkeypatch):
+    # bench/checks.check_predictions: the run's predictions are the argmax of
+    # the float64 recomputation, apart from top-two ties within 1e-12; and
+    # the rewiring plan is scored on float64 probabilities
+    planned = []
+    real_plan = selftrain.plan_augmentation
+
+    def plan(graph, probs, cfg):
+        planned.append(probs)
+        return real_plan(graph, probs, cfg)
+
+    monkeypatch.setattr(selftrain, "plan_augmentation", plan)
+    split, cfg = job(bundle, "balanced", seed=3, no_val_epochs=300)
+    result = selftrain.run_agst(bundle, split, cfg)
+
+    p = probabilities(bundle.features, result.final_params)
+    assert p.dtype == np.float64
+    top2 = np.sort(p, axis=1)[:, -2:]
+    differ = (np.argmax(p, axis=1) != result.predictions) & (top2[:, 1] - top2[:, 0] > 1e-12)
+    assert not differ.any()
+    assert len(planned) == cfg.iterations
+    assert all(probs.dtype == np.float64 for probs in planned)
+    # the last round's plan read the probabilities the checks recompute
+    assert np.max(np.abs(planned[-1] - p)) < 1e-12

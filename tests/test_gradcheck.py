@@ -8,10 +8,11 @@ from agst import (
     init_params,
     joint_objective,
     pseudo_targets,
+    feature_matrix,
     run_gradcheck_suite,
-    student_features,
 )
 from agst import gradcheck
+from agst.mlp import ARRAY_NAMES, STUDENT_DTYPE
 
 from conftest import make_bundle, split_of
 
@@ -46,7 +47,8 @@ class TestGradCheck:
         assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-4
 
     def test_normalized_features_are_the_matrix_checked(self, monkeypatch):
-        # the check differentiates on the matrix training reads, not the raw rows
+        # the check differentiates on the matrix training reads, not the raw
+        # rows: the normalized float64 matrix that training casts to float32
         bundle, split, soft, params = tiny_problem(2)
         cfg = TrainConfig(lambda2=0.1, dropout=0.0, hidden=6, normalize_features=True)
         seen = []
@@ -58,8 +60,30 @@ class TestGradCheck:
 
         monkeypatch.setattr(gradcheck, "joint_objective", spy)
         assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-4
-        expected = student_features(bundle.features, True)
-        assert seen and all(np.array_equal(x, expected) for x in seen)
+        expected = feature_matrix(bundle.features, True)
+        assert seen and all(x.dtype == np.float64 and np.array_equal(x, expected) for x in seen)
+
+    def test_float32_weights_are_checked_on_a_float64_copy(self, monkeypatch):
+        # init_params gives the student's float32 weights; the check perturbs
+        # a float64 copy and leaves the caller's arrays as they were
+        bundle, split, soft, params = tiny_problem(1)
+        assert params.w1.dtype == STUDENT_DTYPE
+        before = {name: getattr(params, name).tobytes() for name in ARRAY_NAMES}
+        dtypes = set()
+        real = gradcheck.joint_objective
+
+        def spy(checked, x, *args):
+            dtypes.update(getattr(checked, name).dtype for name in ARRAY_NAMES)
+            dtypes.add(x.dtype)
+            return real(checked, x, *args)
+
+        monkeypatch.setattr(gradcheck, "joint_objective", spy)
+        cfg = TrainConfig(lambda2=0.1, dropout=0.0, hidden=6)
+        assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-4
+        assert dtypes == {np.dtype(np.float64)}
+        for name in ARRAY_NAMES:
+            assert getattr(params, name).dtype == STUDENT_DTYPE
+            assert getattr(params, name).tobytes() == before[name], name
 
     def test_symmetric_stationary_point(self):
         # zero parameters + zero features + class-balanced targets: every

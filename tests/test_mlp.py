@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from agst import (
 from agst.mlp import (
     ARRAY_NAMES,
     PARAM_NAMES,
+    STUDENT_DTYPE,
     Adam,
     EpochWorkspace,
     PseudoLabelSet,
@@ -30,6 +32,11 @@ from agst.mlp import (
 )
 
 import reference
+
+# float32's machine epsilon, 2**-23: the student's tolerances are stated as
+# multiples of it
+EPS32 = float(np.finfo(np.float32).eps)
+
 
 def zero_params(f=3, c=4, hidden=5):
     rng = np.random.default_rng(0)
@@ -63,9 +70,18 @@ class TestForward:
     def test_rows_are_distributions(self):
         rng = np.random.default_rng(3)
         params = init_params(5, 4, 8, rng)
-        _, p = forward(params, rng.normal(size=(20, 5)) * 10)
+        x = rng.normal(size=(20, 5)) * 10
+        # in float64, as prediction reads the student
+        _, p = forward(params.astype(np.float64), x)
         assert np.all(p > 0)
         assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-9
+        # in the student's float32: the c quotients, the divisor's c - 1
+        # additions and the test's own c - 1 additions each round by at most
+        # eps/2 of a value <= 1, so a row sum is within 2c eps of 1
+        _, p = forward(params, x.astype(STUDENT_DTYPE))
+        assert p.dtype == STUDENT_DTYPE
+        assert np.all(p > 0)
+        assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 2 * 4 * EPS32
 
     def test_feature_dim_mismatch(self):
         params = zero_params(f=3)
@@ -332,9 +348,10 @@ class TestMomentumUpdate:
         assert np.allclose(params.mw1, 1.0)
 
     def test_geometric_series_closed_form(self):
-        # theta held fixed: theta'_t = m^t theta'_0 + (1 - m^t) theta
+        # theta held fixed: theta'_t = m^t theta'_0 + (1 - m^t) theta; the
+        # update keeps the dtype it is given, and 1e-9 is a float64 bound
         rng = np.random.default_rng(14)
-        params = init_params(3, 2, 4, rng)
+        params = init_params(3, 2, 4, rng).astype(np.float64)
         theta0 = params.mw1.copy()
         theta = params.w1.copy()
         m = 0.999
@@ -342,6 +359,47 @@ class TestMomentumUpdate:
             momentum_update(params, m)
         expected = m ** 1000 * theta0 + (1 - m ** 1000) * theta
         assert np.max(np.abs(params.mw1 - expected)) < 1e-9
+
+    def test_geometric_series_closed_form_float32(self):
+        # the student's float32 trail against the exact closed form of its
+        # own float32 start.  Each step rounds m and 1 - m to float32, the
+        # two products and the sum: five roundings of at most eps/2 of a
+        # value bounded by B = max |theta|, so at most 2.5 eps B per step.
+        # Earlier errors shrink by m per step, so after t steps the error is
+        # below 2.5 eps B (1 - m^t) / (1 - m), about 1600 eps B here
+        rng = np.random.default_rng(14)
+        params = init_params(3, 2, 4, rng)
+        assert params.w1.dtype == STUDENT_DTYPE
+        theta0 = params.mw1.astype(np.float64)
+        theta = params.w1.astype(np.float64)
+        m = 0.999
+        for _ in range(1000):
+            momentum_update(params, m)
+        assert params.mw1.dtype == STUDENT_DTYPE
+        expected = m ** 1000 * theta0 + (1 - m ** 1000) * theta
+        bound = 2.5 * EPS32 * np.max(np.abs(theta)) * (1 - m ** 1000) / (1 - m)
+        assert np.max(np.abs(params.mw1 - expected)) < bound
+
+    def test_scratch_gives_the_same_bits_and_allocates_nothing(self):
+        # at cora-csbm's width (f=1433, hidden 64) a w1-sized temporary is
+        # 0.37 MB; with scratch arrays no call after the first allocates one
+        rng = np.random.default_rng(15)
+        params = init_params(1433, 7, 64, rng)
+        params.w1 += rng.normal(scale=0.1, size=params.w1.shape).astype(STUDENT_DTYPE)
+        fresh = params.copy()
+        scratch = tuple(np.empty_like(a) for a in params.encoder())
+        momentum_update(params, 0.9, scratch)
+        momentum_update(fresh, 0.9)
+        tracemalloc.start()
+        try:
+            momentum_update(params, 0.9, scratch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        momentum_update(fresh, 0.9)
+        assert peak < params.w1.nbytes
+        for name in ARRAY_NAMES:
+            assert getattr(params, name).tobytes() == getattr(fresh, name).tobytes(), name
 
     def test_momentum_range_checked(self):
         params = zero_params()
@@ -358,7 +416,9 @@ class TestAdam:
         ours = Adam(lr=0.05, weight_decay=weight_decay)
         ref = reference.Adam(lr=0.05, weight_decay=weight_decay)
         for _ in range(50):
-            grads = {name: rng.normal(size=getattr(params, name).shape) for name in PARAM_NAMES}
+            # gradients in the parameters' dtype, as joint_objective returns them
+            grads = {name: rng.normal(size=getattr(params, name).shape).astype(STUDENT_DTYPE)
+                     for name in PARAM_NAMES}
             kept = {name: g.copy() for name, g in grads.items()}
             ours.step(params, grads)
             ref.step(ref_params, kept)
@@ -480,7 +540,7 @@ class TestTrainStudent:
         top_acc, low_loss, bad, stopped = -np.inf, np.inf, 0, None
         for epoch, p in enumerate(seen, 1):
             acc = float(np.mean(np.argmax(p, axis=1) == gold))
-            loss = -np.log(np.maximum(p[rows, gold], 1e-12)).sum() / gold.size
+            loss = -np.log(np.maximum(p[rows, gold], 1e-12)).sum(dtype=np.float64) / gold.size
             assert trace.records[epoch - 1].val_acc == acc
             # best: highest accuracy, ties to the lower loss
             if acc > best_acc or (acc == best_acc and loss < best_loss):
@@ -549,7 +609,11 @@ class TestTrainStudent:
 
     def test_sparse_feature_path_matches_dense(self, monkeypatch):
         # bag-of-words-scale inputs take the csr branch; numerics must agree
-        # with the dense branch to rounding
+        # with the dense branch to rounding.  Both train in float32, where the
+        # two branches sum the 900 rows of x.T @ d in different orders, and
+        # Adam's per-entry normalization carries that roundoff into the
+        # weights: after the 7 epochs this run takes, w1 differs by up to
+        # 27 eps.  256 eps (3.1e-5) leaves about ten times that
         import scipy.sparse as sp
 
         import agst.mlp as mlp
@@ -573,8 +637,77 @@ class TestTrainStudent:
         p_dense, t_dense = train_student(bundle, split, soft, cfg)
 
         assert len(t_sparse.records) == len(t_dense.records)
-        np.testing.assert_allclose(p_sparse.w1, p_dense.w1, rtol=1e-6, atol=1e-9)
-        np.testing.assert_allclose(p_sparse.b3, p_dense.b3, rtol=1e-6, atol=1e-9)
+        assert p_sparse.w1.dtype == p_dense.w1.dtype == STUDENT_DTYPE
+        tol = 256 * EPS32
+        np.testing.assert_allclose(p_sparse.w1, p_dense.w1, rtol=tol, atol=tol)
+        np.testing.assert_allclose(p_sparse.b3, p_dense.b3, rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize("as_csr", [False, True])
+    def test_one_epoch_stays_in_student_dtype(self, monkeypatch, as_csr):
+        # one float64 operand (a teacher row, a prototype) would silently
+        # upcast a whole n x hidden pass, even where the result is written
+        # back into a float32 buffer.  After one epoch on a dense or a
+        # float64 CSR matrix, every float array the epoch's functions return,
+        # every workspace array, Adam moment and parameter is float32
+        import scipy.sparse as sp
+
+        import agst.mlp as mlp
+
+        bundle, split, uniform = toy_training_setup(seed=2)
+        soft = SoftLabels(np.tile([0.8, 0.2], (bundle.n, 1)), normalized=True)
+        workspaces, optimizers, returned = [], [], {}
+
+        class Workspace(EpochWorkspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                workspaces.append(self)
+
+        class Recorded(Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                optimizers.append(self)
+
+        def floats(value):
+            if isinstance(value, np.ndarray):
+                return [value] if value.dtype.kind == "f" else []
+            if isinstance(value, dict):
+                value = list(value.values())
+            if isinstance(value, (tuple, list)):
+                return [a for v in value for a in floats(v)]
+            return []
+
+        def recording(name):
+            real = getattr(mlp, name)
+
+            def call(*args, **kwargs):
+                out = real(*args, **kwargs)
+                returned.setdefault(name, []).extend(floats(out))
+                return out
+            return call
+
+        monkeypatch.setattr(mlp, "EpochWorkspace", Workspace)
+        monkeypatch.setattr(mlp, "Adam", Recorded)
+        epoch_functions = ("joint_objective", "pseudo_targets", "momentum_embed",
+                           "compute_prototypes", "similarity_distribution", "loss_ce_labeled",
+                           "loss_ce_unlabeled", "loss_contrastive", "forward")
+        for name in epoch_functions:
+            monkeypatch.setattr(mlp, name, recording(name))
+        features = sp.csr_array(bundle.features) if as_csr else None
+        cfg = TrainConfig(max_epochs=1, seed=2)
+        params, trace = train_student(bundle, split, soft, cfg, features=features)
+
+        assert len(trace.records) == 1 and trace.records[0].loss_contrastive > 0.0
+        assert set(returned) == set(epoch_functions)
+        arrays = [a for found in returned.values() for a in found]
+        arrays += [getattr(params, name) for name in ARRAY_NAMES]
+        for ws in workspaces:   # the epoch's and the validation forward's
+            arrays += [a for a in vars(ws).values()
+                       if isinstance(a, np.ndarray) and a.dtype.kind == "f"]
+        (optimizer,) = optimizers
+        arrays += [a for state in optimizer.state.values() for a in state]
+        assert len(workspaces) == 2 and len(optimizer.state) == len(PARAM_NAMES)
+        assert len(returned["joint_objective"]) == len(PARAM_NAMES)   # the gradients
+        assert {a.dtype for a in arrays} == {np.dtype(STUDENT_DTYPE)}
 
     def test_sum_reduction_mode(self):
         bundle, split, uniform = toy_training_setup()

@@ -17,6 +17,7 @@ from agst import (
     train_student,
     two_cluster_bundle,
 )
+from agst.mlp import feature_matrix
 from agst.selftrain import student_rng
 
 from conftest import make_bundle
@@ -29,8 +30,9 @@ def toy_setup(seed=0, noise=0.0):
 
 
 def hard_labels(params, x):
-    """Prediction as run_agst makes it: argmax of forward on the student's matrix."""
-    return np.argmax(forward(params, x)[1], axis=1)
+    """Prediction as run_agst makes it: argmax of a float64 forward, on
+    ``feature_matrix`` when it is to equal run_agst's."""
+    return np.argmax(forward(params.astype(np.float64), x)[1], axis=1)
 
 
 def quick_cfg(**overrides):
@@ -57,7 +59,7 @@ class TestRunAgst:
                                   rng=student_rng(cfg.seed, 1))
         assert np.array_equal(result.final_params.w1, params.w1)
         assert np.array_equal(result.final_params.w3, params.w3)
-        x = student_features(bundle.features, cfg.train.normalize_features)
+        x = feature_matrix(bundle.features, cfg.train.normalize_features)
         assert np.array_equal(result.predictions, hard_labels(params, x))
 
     def test_clean_toy_is_perfect_every_iteration(self):
@@ -157,7 +159,7 @@ class TestRunAgst:
         cfg = quick_cfg(iterations=2, seed=7, report_best_iteration=best,
                         train={"normalize_features": True})
         result = run_agst(bundle, split, cfg)
-        x = student_features(bundle.features, True)
+        x = feature_matrix(bundle.features, True)
         assert np.array_equal(result.predictions, hard_labels(result.final_params, x))
 
     def test_best_iteration_selection(self):

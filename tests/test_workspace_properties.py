@@ -3,8 +3,10 @@ fresh-array epoch in ``reference`` bit for bit.
 
 Two consecutive epochs with different parameters share one workspace, as
 the epochs of one ``train_student`` call do, over dense and CSR features,
-dropout on and off, and the contrastive term on and off.  No gradient may
-live in the workspace, since the next epoch overwrites it.
+dropout on and off, and the contrastive term on and off.  Parameters,
+features and workspace are in ``STUDENT_DTYPE``, as in training, and the
+reference follows their dtype.  No gradient may live in the workspace, since
+the next epoch overwrites it.
 """
 
 import numpy as np
@@ -24,7 +26,7 @@ from agst import (  # noqa: E402
     joint_objective,
     pseudo_targets,
 )
-from agst.mlp import EpochWorkspace  # noqa: E402
+from agst.mlp import STUDENT_DTYPE, EpochWorkspace  # noqa: E402
 
 
 def same_bits(a, b):
@@ -43,7 +45,7 @@ def problems(draw):
     f = draw(st.integers(1, 6))
     hidden = draw(st.integers(2, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    features = rng.normal(size=(n, f)) * (rng.random((n, f)) < 0.6)
+    features = (rng.normal(size=(n, f)) * (rng.random((n, f)) < 0.6)).astype(STUDENT_DTYPE)
     x = sparse.csr_array(features) if draw(st.booleans()) else features
     gold = np.concatenate([np.arange(c), rng.integers(0, c, size=n - c)])
     rng.shuffle(gold)
@@ -70,7 +72,7 @@ def test_shared_workspace_epochs_equal_fresh_arrays(problem):
     x, gold, labeled, soft, cfg, epochs = problem
     n, c = gold.size, soft.matrix.shape[1]
     unlabeled = np.setdiff1d(np.arange(n), labeled)
-    ws = EpochWorkspace(n, cfg.hidden, c)
+    ws = EpochWorkspace(n, cfg.hidden, c, STUDENT_DTYPE)
     buffers = [a for a in vars(ws).values() if isinstance(a, np.ndarray)]
 
     for params, seed in epochs:
