@@ -2,10 +2,11 @@
 
 The check differentiates ``mlp.joint_objective``, the function training
 calls, as a pure function of the trainable parameters: the prototypes and
-the filtered pseudo-label set from ``mlp.pseudo_targets`` stay frozen at
-their current values (they are constants of the gradient by design), and
-dropout is off.  It works in float64 whatever the student's dtype: on a
-float64 copy of the parameters, so the caller's arrays are never written,
+the filtered pseudo-label set from ``mlp.pseudo_targets``, taken on the
+direct product x @ mw1, stay frozen at their current values (they are
+constants of the gradient by design), and dropout is off.  It works in
+float64 whatever the student's dtype: on a float64 copy of the parameters,
+so the caller's arrays are never written,
 and on ``mlp.feature_matrix(bundle.features, cfg.normalize_features)``, the
 float64 matrix that prediction reads and that training reads cast to float32.
 """
@@ -55,10 +56,14 @@ def grad_check(
     gold = bundle.gold
     labeled = split.labeled
     unlabeled = np.setdiff1d(np.arange(bundle.n), labeled)
-    protos, pls = pseudo_targets(params, x, gold, labeled, unlabeled, soft, cfg)
+    if not soft.normalized:
+        raise ValueError("soft labels must be row-normalized distributions")
+    targets = soft.matrix[unlabeled]
+    protos, pls = pseudo_targets(params, x @ params.mw1, gold, labeled, unlabeled,
+                                 np.argmax(soft.matrix, axis=1), cfg)
 
     def objective():
-        return joint_objective(params, x, gold, labeled, unlabeled, soft, cfg, protos, pls)
+        return joint_objective(params, x, gold, labeled, unlabeled, targets, cfg, protos, pls)
 
     _, _, analytic = objective()
     roundoff = ROUNDOFF_ULPS * np.finfo(np.float64).eps / eps   # per unit of |f|

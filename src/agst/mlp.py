@@ -28,21 +28,28 @@ and n x hidden passes, so float32 halves their traffic.  What reads the
 student's output stays in float64: prediction is
 ``forward(params.astype(np.float64), feature_matrix(...))``, the validation
 loss is summed in float64, and ``gradcheck`` differentiates a float64 copy of
-the parameters.  The teacher's ``SoftLabels`` are float64 throughout; the
-losses read their rows in the student's dtype.
+the parameters.  The teacher's ``SoftLabels`` are float64 throughout;
+``train_student`` takes what its epochs read of them once per call: the hard
+pseudo-labels and the unlabeled rows, cast to the student's dtype.
 
-``_encode`` computes ReLU(x @ w1 + b1) @ w2 + b2 for the live encoder (with
-dropout in training) and for its momentum copy.  An ``EpochWorkspace`` holds
-every n x hidden and n x c array of one epoch.  The forward pass leaves its
-state there for the backward pass: the hidden layer (ReLU and dropout applied
-in place), its ReLU mask, the dropout mask or None, the embeddings and the
-probabilities.  The momentum encoder's arrays and the contrastive gradient
-share storage with the backward temporaries, which are dead while they are
-live.  ``train_student`` builds one workspace per call and fills it every
-epoch; callers that pass none get one sized to their rows.  What an epoch
-still allocates is the gradients, the n x c cross-entropy terms, the rows
-gathered for the contrastive term, and, with CSR features, SciPy's ``x @ w``
-products.
+``_forward`` computes ReLU(x @ w1 + b1) @ w2 + b2 (with dropout in training)
+and the softmax head, and leaves its state in an ``EpochWorkspace``, which
+holds every n x hidden and n x c array of an epoch.
+
+The momentum encoder never runs over x.  Its first layer is an average,
+mw1 <- m * mw1 + (1 - m) * w1, so s = x @ mw1 follows
+s <- m * s + (1 - m) * (x @ w1), the product the live forward pass takes
+anyway: ``train_student`` takes x @ mw1 once per call and then folds each
+epoch's x @ w1 into it (``momentum_fold``; ``EpochWorkspace`` gives the
+epoch's order).  Of the momentum branch only s and its hidden layer
+h = ReLU(s + mb1) are n x hidden: prototypes are class means of h mapped
+through (mw2, mb2), filter logits are h @ (mw2 @ P.T / tau) + mb2 @ P.T / tau,
+and the contrastive gradient is taken w.r.t. the similarity logits
+z @ P.T / tau, which the backward pass maps to the embeddings in the same
+product as d(loss)/d(logits).  ``gradcheck`` calls the same functions on the
+direct x @ mw1.  An epoch allocates the gradients, n x c arrays, the labeled
+rows the prototypes average, and, with CSR features, SciPy's x @ w1 and
+x.T @ d products.
 """
 
 from __future__ import annotations
@@ -71,8 +78,17 @@ ENCODER_PAIRS = (("w1", "mw1"), ("b1", "mb1"), ("w2", "mw2"), ("b2", "mb2"))
 ARRAY_NAMES = PARAM_NAMES + tuple(mom for _, mom in ENCODER_PAIRS)
 
 
+def row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1, keepdims=True)``, taken one column at a time: NumPy
+    reduces a short last axis row by row, ten times slower at c = 7."""
+    peak = a[..., :1].copy()
+    for k in range(1, a.shape[-1]):
+        np.maximum(peak, a[..., k:k + 1], out=peak)
+    return peak
+
+
 def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    out = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
+    out = np.subtract(logits, row_max(logits), out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
     return out
@@ -108,9 +124,9 @@ class StudentParams:
     def all_finite(self) -> bool:
         return all(np.all(np.isfinite(getattr(self, name))) for name in ARRAY_NAMES)
 
-    def encoder(self, momentum: bool = False) -> tuple[np.ndarray, ...]:
-        """(w1, b1, w2, b2) of the live encoder, or of its momentum copy."""
-        return tuple(getattr(self, pair[momentum]) for pair in ENCODER_PAIRS)
+    def encoder(self) -> tuple[np.ndarray, ...]:
+        """(w1, b1, w2, b2) of the live encoder."""
+        return tuple(getattr(self, live) for live, _ in ENCODER_PAIRS)
 
 
 def init_params(
@@ -140,29 +156,38 @@ def init_params(
 class EpochWorkspace:
     """The n x hidden and n x c arrays one epoch writes into, allocated once.
 
-    ``train_student`` fills the same workspace every epoch.  The forward
-    pass's state stays valid until the next forward pass into the workspace;
-    the momentum embeddings until the next backward pass.
+    ``train_student`` fills the same workspace every epoch, in this order:
+    the live product x @ w1 (into ``h1`` for dense x), its fold into ``s``
+    (the (1 - m) x @ w1 term in ``d_z``), ``pseudo_targets``'s momentum hidden
+    layer ``h_mom`` (in ``d_d1``), the rest of the forward pass, the losses
+    with the contrastive gradient in ``g_sim``, then the backward pass.  The
+    forward pass's state stays valid until the next forward pass into the
+    workspace; ``h_mom`` until the backward pass.  ``s``, the momentum
+    encoder's pre-activation x @ mw1, is the one array carried from epoch to
+    epoch.  No array holds momentum embeddings or an n x hidden contrastive
+    gradient.
     """
 
     def __init__(self, n: int, hidden: int, num_classes: int, dtype):
         rows = (n, hidden)
         # the forward pass's state, read by the backward pass
-        self.h1 = np.empty(rows, dtype)          # x @ w1 + b1 (SciPy's for CSR x), ReLU, dropout
+        self.h1 = np.empty(rows, dtype)          # x @ w1 (SciPy's for CSR x), + b1, ReLU, dropout
         self.relu = np.empty(rows, dtype=bool)   # h1 > 0
         self.mask: np.ndarray | None = None      # dropout mask, None without dropout
         self.z = np.empty(rows, dtype)           # embeddings
         self.p = np.empty((n, num_classes), dtype)   # logits, then their softmax
-        self.d_logits = np.empty((n, num_classes), dtype)
+        # [d(loss)/d(logits) | contrastive gradient w.r.t. the similarity
+        # logits]: one product maps both back to the embeddings
+        self.d_out = np.empty((n, 2 * num_classes), dtype)
+        self.d_logits = self.d_out[:, :num_classes]
+        self.g_sim = self.d_out[:, num_classes:]
         self.d_z = np.empty(rows, dtype)
         self.d_d1 = np.empty(rows, dtype)
         self.mask_buffer = np.empty(rows, dtype)     # where a dropout mask is drawn
-        # pseudo_targets reads the momentum encoder's arrays before the
-        # backward pass starts, and the backward pass adds the contrastive
-        # gradient to d_z before it writes d_d1
-        self.m_h1 = self.d_d1                    # momentum encoder's hidden layer
-        self.z_mom = self.d_z                    # momentum embeddings
-        self.g_z = self.d_d1                     # contrastive gradient w.r.t. z
+        self.s: np.ndarray | None = None             # x @ mw1, carried across epochs
+        # pseudo_targets writes the momentum hidden layer before the backward
+        # pass writes d_d1
+        self.h_mom = self.d_d1
 
     @classmethod
     def for_rows(cls, params: StudentParams, x) -> "EpochWorkspace":
@@ -170,71 +195,77 @@ class EpochWorkspace:
         return cls(x.shape[0], params.w2.shape[0], params.w3.shape[1], params.w1.dtype)
 
 
-def _encode(weights, x, h1, z, relu=None, mask=None, dropout=0.0, rng=None):
-    """ReLU(x @ w1 + b1) @ w2 + b2 for ``weights`` = (w1, b1, w2, b2), into
-    ``z``; the hidden layer goes into ``h1`` (dense x) and its ReLU mask into
-    ``relu`` if given.  Dropout applies only given ``rng``, its mask drawn into
-    ``mask``.  Returns the hidden layer and the dropout mask or None."""
-    w1, b1, w2, b2 = weights
-    h = x @ w1 if sparse.issparse(x) else np.matmul(x, w1, out=h1)
-    h += b1
-    if relu is not None:
-        np.greater(h, 0.0, out=relu)
+def _product(x, w, out):
+    """x @ w: into ``out`` for dense x, SciPy's fresh array for CSR x."""
+    return x @ w if sparse.issparse(x) else np.matmul(x, w, out=out)
+
+
+def _forward(params, x, ws, dropout=0.0, rng=None, xw1=None):
+    """The live encoder ReLU(x @ w1 + b1) @ w2 + b2 and the softmax head,
+    their state left on ``ws``; returns the embeddings and probabilities.
+    ``xw1`` is the product x @ w1 when the caller has taken it.  Dropout
+    applies only given ``rng``, its mask drawn into ``ws.mask_buffer``."""
+    h = _product(x, params.w1, ws.h1) if xw1 is None else xw1
+    h += params.b1
+    np.greater(h, 0.0, out=ws.relu)
     np.maximum(h, 0.0, out=h)
-    if rng is None or dropout <= 0.0:
-        mask = None
-    else:
+    ws.h1, ws.mask = h, None
+    if rng is not None and dropout > 0.0:
+        mask = ws.mask = ws.mask_buffer
         rng.random(dtype=mask.dtype, out=mask)
         np.greater_equal(mask, dropout, out=mask)
         mask /= 1.0 - dropout
         h *= mask
-    np.matmul(h, w2, out=z)
-    z += b2
-    return h, mask
-
-
-def _forward(params, x, ws, dropout=0.0, rng=None):
-    """The live encoder and the softmax head, their state left on ``ws``;
-    returns the embeddings and probabilities."""
-    ws.h1, ws.mask = _encode(params.encoder(), x, ws.h1, ws.z, ws.relu,
-                             ws.mask_buffer, dropout, rng)
+    np.matmul(h, params.w2, out=ws.z)
+    ws.z += params.b2
     np.matmul(ws.z, params.w3, out=ws.p)
     ws.p += params.b3
     return ws.z, softmax(ws.p, out=ws.p)
 
 
-def forward(params: StudentParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def forward(params: StudentParams, x: np.ndarray,
+            workspace: EpochWorkspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Embeddings and softmax predictions for every row of ``x``, in the
-    dtype of ``params``."""
+    dtype of ``params``; written into ``workspace`` when given, into a fresh
+    one sized to ``x`` otherwise."""
     if x.shape[1] != params.w1.shape[0]:
         raise ValueError(f"feature dim {x.shape[1]} != expected {params.w1.shape[0]}")
-    return _forward(params, x, EpochWorkspace.for_rows(params, x))
+    ws = workspace if workspace is not None else EpochWorkspace.for_rows(params, x)
+    return _forward(params, x, ws)
 
 
 def momentum_embed(
     params: StudentParams,
-    features: np.ndarray,
-    workspace: EpochWorkspace | None = None,
+    s: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Embeddings from the momentum encoder (never trained, never dropped out),
-    written into ``workspace.z_mom``."""
-    ws = workspace if workspace is not None else EpochWorkspace.for_rows(params, features)
-    _encode(params.encoder(momentum=True), features, ws.m_h1, ws.z_mom)
-    return ws.z_mom
+    """The momentum encoder's hidden layer ReLU(s + mb1) (never trained,
+    never dropped out) from its pre-activation s = x @ mw1, written into
+    ``out`` when given.  Its embeddings, this layer @ mw2 + mb2, are never
+    formed: ``pseudo_targets`` applies mw2 and mb2 in class space."""
+    h = np.add(s, params.mb1, out=out)
+    return np.maximum(h, 0.0, out=h)
 
 
-def _backward(params, x, ws, d_z_extra=None):
-    """Gradients of the assembled loss given the forward pass's state and
-    d(loss)/d(logits) in ``ws.d_logits``, plus an optional extra
-    d(loss)/d(embeddings) term (the contrastive path).  The gradients are
-    fresh arrays; the n-row temporaries live in ``ws``."""
+def momentum_fold(s: np.ndarray, xw1: np.ndarray, m: float, scratch: np.ndarray) -> None:
+    """Carry s = x @ mw1 across ``momentum_update(params, m)``: s <- m * s +
+    (1 - m) * xw1 in place, for xw1 = x @ w1 of the weights that update
+    averages in.  The steps round as ``momentum_update``'s do; ``scratch``,
+    shaped like s, receives the (1 - m) * xw1 product."""
+    s *= m
+    s += np.multiply(xw1, 1.0 - m, out=scratch)
+
+
+def _backward(params, x, ws, d_out, w_out):
+    """Gradients of the assembled loss given the forward pass's state,
+    d(loss)/d(logits) in ``ws.d_logits``, and d(loss)/d(embeddings) as
+    ``d_out @ w_out``.  The gradients are fresh arrays; the n-row
+    temporaries live in ``ws``."""
     grads = {}
     d_logits = ws.d_logits
     grads["w3"] = ws.z.T @ d_logits
     grads["b3"] = d_logits.sum(axis=0)
-    d_z = np.matmul(d_logits, params.w3.T, out=ws.d_z)
-    if d_z_extra is not None:
-        d_z += d_z_extra
+    d_z = np.matmul(d_out, w_out, out=ws.d_z)
     grads["w2"] = ws.h1.T @ d_z
     grads["b2"] = d_z.sum(axis=0)
     d_h1 = np.matmul(d_z, params.w2.T, out=ws.d_d1)
@@ -277,35 +308,36 @@ def loss_ce_labeled(
 
 def loss_ce_unlabeled(
     p: np.ndarray,
-    soft: SoftLabels,
+    targets: np.ndarray,
     nodes: np.ndarray,
     reduction: str,
 ) -> tuple[float, np.ndarray]:
-    """Cross-entropy against soft targets; gradient w.r.t. the nodes' logits.
-    The teacher's rows are read in the dtype of ``p``."""
-    if not soft.normalized:
-        raise ValueError("soft labels must be row-normalized distributions")
+    """Cross-entropy against soft targets, row i of ``targets`` being the
+    teacher's distribution for ``nodes[i]``; gradient w.r.t. the nodes'
+    logits.  The targets are read in the dtype of ``p``."""
     nodes = np.asarray(nodes)
     rows = p[nodes]
-    targets = soft.matrix[nodes].astype(p.dtype, copy=False)
+    targets = targets.astype(p.dtype, copy=False)
     value = -(targets * clamped_log(rows)).sum()
     return _reduce(value, rows - targets, nodes.size, reduction)
 
 
 def compute_prototypes(
-    z_momentum: np.ndarray,
+    h: np.ndarray,
     gold: np.ndarray,
     labeled: np.ndarray,
     num_classes: int,
 ) -> np.ndarray:
-    """Per-class mean of the labeled nodes' momentum embeddings, (c, hidden),
-    in their dtype."""
-    protos = np.empty((num_classes, z_momentum.shape[1]), z_momentum.dtype)
+    """Per-class mean of the labeled rows of ``h``, (c, h.shape[1]), in its
+    dtype.  An affine map of the means is the mean of the mapped rows, so
+    ``pseudo_targets`` averages the momentum hidden layer and maps the c
+    means to embeddings."""
+    protos = np.empty((num_classes, h.shape[1]), h.dtype)
     for cls in range(num_classes):
         members = labeled[gold[labeled] == cls]
         if members.size == 0:
             raise ValueError(f"class {cls} has no labeled node")
-        protos[cls] = z_momentum[members].mean(axis=0)
+        protos[cls] = h[members].mean(axis=0)
     return protos
 
 
@@ -325,23 +357,29 @@ class PseudoLabelSet:
 
 
 def filter_pseudo_labels(
-    soft: SoftLabels,
-    z_momentum: np.ndarray,
+    hard: np.ndarray,
+    h: np.ndarray,
+    head: tuple[np.ndarray, np.ndarray],
     protos: np.ndarray,
     tau: float,
     unlabeled: np.ndarray,
 ) -> PseudoLabelSet:
     """Keep unlabeled nodes whose similarity to their own pseudo-class
-    prototype strictly exceeds uniform probability 1/c."""
+    prototype (``hard``, the teacher's argmax class of every node) strictly
+    exceeds uniform probability 1/c.  The similarities are the softmax of
+    z @ protos.T / tau for embeddings z = h @ w + b, ``head`` = (w, b), taken
+    as h @ (w @ protos.T / tau) + b @ protos.T / tau, so z is never formed."""
     c = protos.shape[0]
     if c < 2:
         raise ValueError("pseudo-label filtering needs at least two classes")
-    hard = np.argmax(soft.matrix, axis=1)
+    w, b = head
+    scaled = protos.T / tau
+    logits = h @ (w @ scaled)
+    logits += b @ scaled
     unlabeled = np.asarray(unlabeled)
-    sims = similarity_distribution(z_momentum[unlabeled], protos, tau)
+    sims = softmax(logits[unlabeled])
     own = sims[np.arange(unlabeled.size), hard[unlabeled]]
-    kept = unlabeled[own > 1.0 / c]
-    return PseudoLabelSet(hard=hard, kept=kept)
+    return PseudoLabelSet(hard=hard, kept=unlabeled[own > 1.0 / c])
 
 
 def loss_contrastive(
@@ -352,21 +390,26 @@ def loss_contrastive(
     reduction: str,
     out: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Prototype contrastive loss over the kept set; gradient w.r.t. z,
-    written into ``out`` when given.
+    """Prototype contrastive loss over the kept set, and its gradient
+    w.r.t. the similarity logits z @ protos.T / tau, (n, c), written into
+    ``out`` when given.
 
-    Prototypes are constants here: the gradient of each kept node i is
-    (sum_c s_i^c * proto_c - proto_{hard_i}) / tau, zero rows elsewhere.
+    Prototypes are constants here: row i of the gradient is s_i -
+    onehot(hard_i) for a kept node i with similarity distribution s_i, and
+    zero elsewhere.  The gradient w.r.t. z is that times protos / tau.
     """
-    grad = np.empty_like(z) if out is None else out
+    grad = np.empty((z.shape[0], protos.shape[0]), z.dtype) if out is None else out
     grad.fill(0.0)
     kept = pls.kept
     if kept.size == 0:
         return 0.0, grad
-    sims = similarity_distribution(z[kept], protos, tau)
+    # over every row: gathering the kept rows of z would copy most of it
+    sims = similarity_distribution(z, protos, tau)[kept]
+    rows = np.arange(kept.size)
     own = pls.hard[kept]
-    value = -clamped_log(sims[np.arange(kept.size), own]).sum()
-    value, g = _reduce(value, (sims @ protos - protos[own]) / tau, kept.size, reduction)
+    value = -clamped_log(sims[rows, own]).sum()
+    sims[rows, own] -= 1.0
+    value, g = _reduce(value, sims, kept.size, reduction)
     grad[kept] = g
     return value, grad
 
@@ -511,22 +554,25 @@ def student_features(features: np.ndarray, normalize: bool) -> np.ndarray | spar
 
 def pseudo_targets(
     params: StudentParams,
-    x: np.ndarray | sparse.csr_array,
+    s: np.ndarray,
     gold: np.ndarray,
     labeled: np.ndarray,
     unlabeled: np.ndarray,
-    soft: SoftLabels,
+    hard: np.ndarray,
     cfg: TrainConfig,
     workspace: EpochWorkspace | None = None,
 ) -> tuple[np.ndarray | None, PseudoLabelSet | None]:
-    """The constants of the contrastive term: momentum prototypes and the
-    filtered pseudo-label set, both taken from the momentum embeddings;
-    ``(None, None)`` when ``cfg.lambda2`` is zero."""
+    """The constants of the contrastive term, from the momentum encoder's
+    pre-activation s = x @ mw1: its prototypes and the filtered pseudo-label
+    set over the teacher's argmax classes ``hard``; ``(None, None)`` when
+    ``cfg.lambda2`` is zero.  The momentum hidden layer is written into
+    ``workspace.h_mom`` when a workspace is given."""
     if cfg.lambda2 == 0:
         return None, None
-    z_mom = momentum_embed(params, x, workspace)
-    protos = compute_prototypes(z_mom, gold, labeled, params.w3.shape[1])
-    return protos, filter_pseudo_labels(soft, z_mom, protos, cfg.tau, unlabeled)
+    h = momentum_embed(params, s, None if workspace is None else workspace.h_mom)
+    protos = compute_prototypes(h, gold, labeled, params.w3.shape[1]) @ params.mw2 + params.mb2
+    return protos, filter_pseudo_labels(hard, h, (params.mw2, params.mb2), protos, cfg.tau,
+                                        unlabeled)
 
 
 def joint_objective(
@@ -535,39 +581,42 @@ def joint_objective(
     gold: np.ndarray,
     labeled: np.ndarray,
     unlabeled: np.ndarray,
-    soft: SoftLabels,
+    targets: np.ndarray,
     cfg: TrainConfig,
     protos: np.ndarray | None,
     pls: PseudoLabelSet | None,
     rng: np.random.Generator | None = None,
     workspace: EpochWorkspace | None = None,
+    xw1: np.ndarray | None = None,
 ) -> tuple[float, tuple[float, float, float], dict[str, np.ndarray]]:
     """The joint loss, its (labeled, unlabeled, contrastive) parts, and the
     gradient of every trainable parameter.
 
     joint = l_lab + lambda1 * l_unl + lambda2 * l_con, with the prototypes and
-    pseudo-label set from ``pseudo_targets`` held constant.  Dropout at
-    ``cfg.dropout`` applies only when ``rng`` is given.  The forward pass's
-    arrays live in ``workspace`` (one sized to ``x`` when absent); the
-    gradients do not.
+    pseudo-label set from ``pseudo_targets`` held constant; ``targets`` are
+    the teacher's rows of ``unlabeled``.  Dropout at ``cfg.dropout`` applies
+    only when ``rng`` is given.  ``xw1`` is the product x @ w1 when the
+    caller has taken it.  The forward pass's arrays live in ``workspace``
+    (one sized to ``x`` when absent); the gradients do not.
     """
     ws = workspace if workspace is not None else EpochWorkspace.for_rows(params, x)
-    z, p = _forward(params, x, ws, cfg.dropout, rng)
+    z, p = _forward(params, x, ws, cfg.dropout, rng, xw1)
     red = cfg.loss_reduction
     l_lab, g_lab = loss_ce_labeled(p, gold, labeled, red)
-    l_unl, g_unl = loss_ce_unlabeled(p, soft, unlabeled, red)
-    if pls is not None:
-        l_con, g_z = loss_contrastive(z, protos, pls, cfg.tau, red, out=ws.g_z)
-        g_z *= cfg.lambda2
-    else:
-        l_con, g_z = 0.0, None
-    joint = l_lab + cfg.lambda1 * l_unl + cfg.lambda2 * l_con
-
+    l_unl, g_unl = loss_ce_unlabeled(p, targets, unlabeled, red)
     d_logits = ws.d_logits
     d_logits.fill(0.0)
     d_logits[labeled] += g_lab
     d_logits[unlabeled] += cfg.lambda1 * g_unl
-    return joint, (l_lab, l_unl, l_con), _backward(params, x, ws, g_z)
+    if pls is None:
+        l_con, d_out, w_out = 0.0, d_logits, params.w3.T
+    else:
+        l_con, _ = loss_contrastive(z, protos, pls, cfg.tau, red, out=ws.g_sim)
+        # d_z = d_logits @ w3.T + lambda2 * g_sim @ protos / tau, as one product
+        d_out = ws.d_out
+        w_out = np.concatenate([params.w3.T, protos * (cfg.lambda2 / cfg.tau)])
+    joint = l_lab + cfg.lambda1 * l_unl + cfg.lambda2 * l_con
+    return joint, (l_lab, l_unl, l_con), _backward(params, x, ws, d_out, w_out)
 
 
 def train_student(
@@ -593,7 +642,8 @@ def train_student(
     or its ``student_features`` cast, from a caller that trains several rounds
     on it; ``student_features`` is built here if it is absent, and training
     reads it in ``STUDENT_DTYPE``.  Every epoch writes into one
-    ``EpochWorkspace`` built here.  The validation loss is summed in float64.
+    ``EpochWorkspace`` built here, and the validation pass into another.  The
+    validation loss is summed in float64.
     """
     if split.labeled.size == 0:
         raise ValueError("empty labeled set")
@@ -609,15 +659,21 @@ def train_student(
     gold = bundle.gold
     labeled = split.labeled
     unlabeled = np.setdiff1d(np.arange(bundle.n), labeled)
+    hard = np.argmax(soft.matrix, axis=1)    # ties go to the lowest class
+    targets = soft.matrix[unlabeled].astype(STUDENT_DTYPE)
     has_val = split.validation.size > 0
     c = bundle.num_classes
 
     params = (init.astype(STUDENT_DTYPE) if init is not None
               else init_params(bundle.num_features, c, cfg.hidden, rng))
     workspace = EpochWorkspace.for_rows(params, x)
+    contrastive = cfg.lambda2 != 0
+    if contrastive:
+        workspace.s = x @ params.mw1
     scratch = tuple(np.empty_like(a) for a in params.encoder())
     if has_val:
         x_val = x[split.validation]
+        val_workspace = EpochWorkspace.for_rows(params, x_val)
         gold_val = gold[split.validation]
         n_val = split.validation.size
         rows_val = np.arange(n_val)
@@ -631,9 +687,14 @@ def train_student(
     bad_epochs = 0
 
     for epoch in range(1, budget + 1):
-        protos, pls = pseudo_targets(params, x, gold, labeled, unlabeled, soft, cfg, workspace)
+        xw1 = _product(x, params.w1, workspace.h1)
+        if contrastive and epoch > 1:
+            # s = x @ mw1 after the last epoch's momentum_update
+            momentum_fold(workspace.s, xw1, cfg.momentum, workspace.d_z)
+        protos, pls = pseudo_targets(params, workspace.s, gold, labeled, unlabeled, hard, cfg,
+                                     workspace)
         joint, (l_lab, l_unl, l_con), grads = joint_objective(
-            params, x, gold, labeled, unlabeled, soft, cfg, protos, pls, rng, workspace)
+            params, x, gold, labeled, unlabeled, targets, cfg, protos, pls, rng, workspace, xw1)
         if not np.isfinite(joint):
             raise ValueError(f"non-finite loss at epoch {epoch}")
 
@@ -644,7 +705,7 @@ def train_student(
 
         val_acc = None
         if has_val:
-            _, p_val = forward(params, x_val)
+            _, p_val = forward(params, x_val, val_workspace)
             pred_val = np.argmax(p_val, axis=1)
             val_acc = float(np.mean(pred_val == gold_val))
             val_loss = -clamped_log(p_val[rows_val, gold_val]).sum(dtype=np.float64) / n_val

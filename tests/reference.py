@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from agst import SparseGraph, loss_ce_labeled, loss_ce_unlabeled, loss_contrastive
-from agst.mlp import PARAM_NAMES
+from agst import SparseGraph, compute_prototypes, loss_ce_labeled
+from agst.mlp import PARAM_NAMES, PseudoLabelSet, clamped_log, similarity_distribution
 
 
 def generate_candidates(
@@ -56,10 +56,13 @@ def save_dataset(bundle, path) -> None:
             fh.write(f"{node}\t{bundle.gold[node]}\n")
 
 
-# The student's epoch as it was written before the epoch workspace: every
-# array is fresh, in the dtype of the parameters and features it is given.
-# ``joint_objective`` below assembles the loss the same way
-# ``agst.mlp.joint_objective`` does.
+# The student's epoch as it was written before the epoch workspace and
+# before the momentum branch moved to class space: every array is fresh, in
+# the dtype of the parameters and features it is given.  The momentum
+# encoder runs over every row of x, the prototypes and the filter read its
+# n x hidden embeddings, and the contrastive gradient is an n x hidden
+# gradient w.r.t. z added to d_z.  ``joint_objective`` below assembles the
+# loss the same way ``agst.mlp.joint_objective`` does.
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -105,8 +108,54 @@ def _backward(params, cache, d_logits, d_z_extra=None):
 
 
 def momentum_embed(params, features):
+    """The momentum encoder's embeddings of every row of ``features``."""
     a1 = np.maximum(features @ params.mw1 + params.mb1, 0.0)
     return a1 @ params.mw2 + params.mb2
+
+
+def filter_pseudo_labels(soft, z_momentum, protos, tau, unlabeled):
+    """Keep unlabeled nodes whose similarity to their own pseudo-class
+    prototype strictly exceeds 1/c, from the momentum embeddings."""
+    c = protos.shape[0]
+    hard = np.argmax(soft.matrix, axis=1)
+    sims = similarity_distribution(z_momentum[unlabeled], protos, tau)
+    own = sims[np.arange(unlabeled.size), hard[unlabeled]]
+    return PseudoLabelSet(hard=hard, kept=unlabeled[own > 1.0 / c]), own
+
+
+def pseudo_targets(params, x, gold, labeled, unlabeled, soft, cfg):
+    """(prototypes, pseudo-label set, each unlabeled node's similarity to its
+    own class) from the momentum embeddings of every row."""
+    z_mom = momentum_embed(params, x)
+    protos = compute_prototypes(z_mom, gold, labeled, params.w3.shape[1])
+    return (protos, *filter_pseudo_labels(soft, z_mom, protos, cfg.tau, unlabeled))
+
+
+def loss_ce_unlabeled(p, soft, nodes, reduction):
+    rows = p[nodes]
+    targets = soft.matrix[nodes].astype(p.dtype, copy=False)
+    value = -(targets * clamped_log(rows)).sum()
+    return _mean(value, rows - targets, nodes.size, reduction)
+
+
+def loss_contrastive(z, protos, pls, tau, reduction):
+    """The contrastive loss and its gradient w.r.t. z, (n, hidden)."""
+    grad = np.zeros_like(z)
+    kept = pls.kept
+    if kept.size == 0:
+        return 0.0, grad
+    sims = similarity_distribution(z[kept], protos, tau)
+    own = pls.hard[kept]
+    value = -clamped_log(sims[np.arange(kept.size), own]).sum()
+    value, g = _mean(value, (sims @ protos - protos[own]) / tau, kept.size, reduction)
+    grad[kept] = g
+    return value, grad
+
+
+def _mean(value, grad, count, reduction):
+    if reduction == "mean" and count:
+        return float(value / count), grad / count
+    return float(value), grad
 
 
 def joint_objective(params, x, gold, labeled, unlabeled, soft, cfg, protos, pls, rng=None):

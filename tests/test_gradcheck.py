@@ -99,7 +99,7 @@ class TestGradCheck:
         x = bundle.features
         unlabeled = np.setdiff1d(np.arange(bundle.n), split.labeled)
         _, _, grads = joint_objective(params, x, bundle.gold, split.labeled,
-                                      unlabeled, soft, cfg, None, None)
+                                      unlabeled, soft.matrix[unlabeled], cfg, None, None)
         for g in grads.values():
             assert np.max(np.abs(g)) < 1e-8
         assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-8
@@ -119,7 +119,7 @@ class TestGradCheck:
         cfg = TrainConfig(lambda2=0.1, dropout=0.0, hidden=6)
         unlabeled = np.setdiff1d(np.arange(bundle.n), split.labeled)
         _, _, grads = joint_objective(params, bundle.features, bundle.gold, split.labeled,
-                                      unlabeled, soft, cfg, None, None)
+                                      unlabeled, soft.matrix[unlabeled], cfg, None, None)
         assert all(not np.any(g) for g in grads.values())
         assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-4
 
@@ -149,8 +149,8 @@ class TestGradCheckRejects:
         bundle, split, soft, params = tiny_problem(1)
         cfg = TrainConfig(lambda2=1.0, dropout=0.0, hidden=6)
         unlabeled = np.setdiff1d(np.arange(bundle.n), split.labeled)
-        _, pls = pseudo_targets(params, bundle.features, bundle.gold, split.labeled,
-                                unlabeled, soft, cfg)
+        _, pls = pseudo_targets(params, bundle.features @ params.mw1, bundle.gold,
+                                split.labeled, unlabeled, np.argmax(soft.matrix, axis=1), cfg)
         assert pls.kept.size > 0
         assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-4
 

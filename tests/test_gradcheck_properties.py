@@ -15,11 +15,11 @@ from agst import (  # noqa: E402
     compute_prototypes,
     grad_check,
     init_params,
-    momentum_embed,
     pseudo_targets,
 )
 from agst.mlp import similarity_distribution  # noqa: E402
 
+import reference  # noqa: E402
 from conftest import make_bundle, split_of  # noqa: E402
 
 
@@ -57,7 +57,7 @@ def problems(draw):
     if empty_kept:
         # pseudo-label every node with its least similar prototype's class:
         # that similarity is at most 1/c, so the filter keeps no node
-        z_mom = momentum_embed(params, features)
+        z_mom = reference.momentum_embed(params, features)
         protos = compute_prototypes(z_mom, gold, labeled, c)
         least = np.argmin(similarity_distribution(z_mom, protos, cfg.tau), axis=1)
         raw[np.arange(n), least] += c
@@ -71,7 +71,7 @@ def test_gradient_passes_check_on_random_shapes(problem):
     params, bundle, split, soft, cfg, empty_kept = problem
     if empty_kept and cfg.lambda2 > 0:
         unlabeled = np.setdiff1d(np.arange(bundle.n), split.labeled)
-        _, pls = pseudo_targets(params, bundle.features, bundle.gold, split.labeled,
-                             unlabeled, soft, cfg)
+        _, pls = pseudo_targets(params, bundle.features @ params.mw1, bundle.gold,
+                                split.labeled, unlabeled, np.argmax(soft.matrix, axis=1), cfg)
         assert pls.kept.size == 0
     assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-4

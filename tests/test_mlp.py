@@ -28,6 +28,7 @@ from agst.mlp import (
     EpochWorkspace,
     PseudoLabelSet,
     joint_objective,
+    pseudo_targets,
     similarity_distribution,
 )
 
@@ -96,12 +97,14 @@ class TestForward:
         gold, labeled, unlabeled = np.array([0, 1, 0, 1, 0]), np.array([0, 1]), np.arange(2, 5)
         soft = SoftLabels(np.full((5, 2), 0.5), normalized=True)
         cfg = TrainConfig(dropout=0.5, lambda2=0.0)
+        targets = soft.matrix[unlabeled]
         _, p_eval = forward(params, x)
         ws = EpochWorkspace.for_rows(params, x)
-        joint_objective(params, x, gold, labeled, unlabeled, soft, cfg, None, None, workspace=ws)
+        joint_objective(params, x, gold, labeled, unlabeled, targets, cfg, None, None,
+                        workspace=ws)
         assert ws.mask is None
         assert np.array_equal(ws.p, p_eval)
-        joint_objective(params, x, gold, labeled, unlabeled, soft, cfg, None, None,
+        joint_objective(params, x, gold, labeled, unlabeled, targets, cfg, None, None,
                         rng=np.random.default_rng(0), workspace=ws)
         assert ws.mask is not None
         assert not np.array_equal(ws.p, p_eval)
@@ -142,28 +145,30 @@ class TestLabeledCrossEntropy:
 class TestUnlabeledCrossEntropy:
     def test_uniform_against_itself(self):
         soft = SoftLabels(np.full((1, 2), 0.5), normalized=True)
-        value, _ = loss_ce_unlabeled(np.full((1, 2), 0.5), soft, np.array([0]), "sum")
+        value, _ = loss_ce_unlabeled(np.full((1, 2), 0.5), soft.matrix, np.array([0]), "sum")
         assert value == pytest.approx(math.log(2), abs=1e-12)
 
     def test_hard_target_scalar_log(self):
         soft = SoftLabels(np.array([[1.0, 0.0]]), normalized=True)
-        value, _ = loss_ce_unlabeled(np.array([[0.75, 0.25]]), soft, np.array([0]), "sum")
+        value, _ = loss_ce_unlabeled(np.array([[0.75, 0.25]]), soft.matrix, np.array([0]), "sum")
         assert value == pytest.approx(-math.log(0.75), abs=1e-12)
 
     def test_mixed_target_arithmetic(self):
         soft = SoftLabels(np.array([[0.5, 0.5]]), normalized=True)
-        value, _ = loss_ce_unlabeled(np.array([[0.75, 0.25]]), soft, np.array([0]), "sum")
+        value, _ = loss_ce_unlabeled(np.array([[0.75, 0.25]]), soft.matrix, np.array([0]), "sum")
         assert value == pytest.approx(-0.5 * (math.log(0.75) + math.log(0.25)), abs=1e-12)
 
     def test_gradient_is_softmax_minus_target(self):
         soft = SoftLabels(np.array([[0.3, 0.7]]), normalized=True)
-        _, grad = loss_ce_unlabeled(np.array([[0.6, 0.4]]), soft, np.array([0]), "sum")
+        _, grad = loss_ce_unlabeled(np.array([[0.6, 0.4]]), soft.matrix, np.array([0]), "sum")
         assert np.allclose(grad, [[0.3, -0.3]])
 
     def test_unnormalized_targets_rejected(self):
-        soft = SoftLabels(np.array([[2.0, 2.0]]), normalized=False)
+        # the loss reads rows train_student took from normalized soft labels
+        bundle, split, _ = toy_training_setup()
+        soft = SoftLabels(np.full((bundle.n, 2), 2.0), normalized=False)
         with pytest.raises(ValueError, match="normalized"):
-            loss_ce_unlabeled(np.full((1, 2), 0.5), soft, np.array([0]), "sum")
+            train_student(bundle, split, soft, TrainConfig())
 
 
 class TestPrototypes:
@@ -186,6 +191,24 @@ class TestPrototypes:
     def test_class_without_labeled_node_rejected(self):
         with pytest.raises(ValueError, match="class 1"):
             compute_prototypes(np.ones((2, 3)), np.array([0, 0]), np.array([0, 1]), 2)
+
+
+class TestRowMax:
+    def test_equals_the_numpy_reduction_bit_for_bit(self):
+        # the softmax's shift; a max is exact, so only the order of the
+        # comparisons changes, and NaN and infinities carry through the same
+        from agst.mlp import row_max
+
+        rng = np.random.default_rng(16)
+        special = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0], dtype=STUDENT_DTYPE)
+        for shape in [(5,), (1, 1), (40, 7), (3, 2, 4)]:
+            a = rng.normal(size=shape).astype(STUDENT_DTYPE)
+            spots = rng.random(shape) < 0.2
+            a[spots] = rng.choice(special, size=int(spots.sum()))
+            expected = a.max(axis=-1, keepdims=True)
+            got = row_max(a)
+            assert got.shape == expected.shape and got.dtype == expected.dtype
+            assert np.array_equal(got, expected, equal_nan=True)
 
 
 class TestSimilarityDistribution:
@@ -218,19 +241,28 @@ class TestSimilarityDistribution:
             similarity_distribution(np.ones(2), np.ones((2, 2)), tau=0.0)
 
 
+def filter_on_embeddings(soft, z, protos, tau, unlabeled):
+    """``filter_pseudo_labels`` with the teacher's argmax classes and an
+    identity head, so ``z`` are the embeddings themselves."""
+    hidden = z.shape[1]
+    return filter_pseudo_labels(np.argmax(soft.matrix, axis=1), z,
+                                (np.eye(hidden), np.zeros(hidden)), protos, tau,
+                                np.asarray(unlabeled))
+
+
 class TestFilterPseudoLabels:
     def test_self_matching_embedding_kept(self):
         protos = np.array([[4.0, 0.0], [0.0, 4.0]])
         z = np.array([[0.0, 0.0], [4.0, 0.0]])  # node 1 sits on prototype 0
         soft = SoftLabels(np.array([[0.5, 0.5], [0.9, 0.1]]), normalized=True)
-        pls = filter_pseudo_labels(soft, z, protos, tau=0.1, unlabeled=np.array([1]))
+        pls = filter_on_embeddings(soft, z, protos, tau=0.1, unlabeled=np.array([1]))
         assert np.array_equal(pls.kept, [1])
 
     def test_identical_prototypes_keep_nothing(self):
         protos = np.ones((3, 2))
         z = np.random.default_rng(7).normal(size=(4, 2))
         soft = SoftLabels(np.full((4, 3), 1 / 3), normalized=True)
-        pls = filter_pseudo_labels(soft, z, protos, tau=0.5, unlabeled=np.arange(4))
+        pls = filter_on_embeddings(soft, z, protos, tau=0.5, unlabeled=np.arange(4))
         assert pls.kept.size == 0  # exactly 1/c is not strictly above
 
     def test_sigmoid_case_kept(self):
@@ -238,45 +270,62 @@ class TestFilterPseudoLabels:
         protos = np.array([[1.0, 0.0], [0.0, 0.0]])
         z = np.array([[1.0, 1.0]])
         soft = SoftLabels(np.array([[0.8, 0.2]]), normalized=True)
-        pls = filter_pseudo_labels(soft, z, protos, tau=1.0, unlabeled=np.array([0]))
+        pls = filter_on_embeddings(soft, z, protos, tau=1.0, unlabeled=np.array([0]))
         assert np.array_equal(pls.kept, [0])
 
     def test_single_class_rejected(self):
         soft = SoftLabels(np.ones((2, 1)), normalized=True)
         with pytest.raises(ValueError, match="two classes"):
-            filter_pseudo_labels(soft, np.ones((2, 2)), np.ones((1, 2)), 0.5, np.array([0]))
+            filter_on_embeddings(soft, np.ones((2, 2)), np.ones((1, 2)), 0.5, np.array([0]))
 
-    def test_argmax_ties_break_low(self):
-        soft = SoftLabels(np.array([[0.5, 0.5]]), normalized=True)
-        protos = np.zeros((2, 2))
-        pls = filter_pseudo_labels(soft, np.ones((1, 2)), protos, 0.5, np.array([0]))
-        assert pls.hard[0] == 0
+    def test_argmax_ties_break_low(self, monkeypatch):
+        # train_student takes the teacher's classes once per call; a tied
+        # row goes to the lowest class
+        import agst.mlp as mlp
+
+        bundle, split, uniform = toy_training_setup()
+        seen = []
+
+        def spy(hard, *args):
+            seen.append(hard.copy())
+            return filter_pseudo_labels(hard, *args)
+
+        monkeypatch.setattr(mlp, "filter_pseudo_labels", spy)
+        train_student(bundle, split, uniform, TrainConfig(max_epochs=2, seed=0))
+        assert len(seen) == 2 and all(np.array_equal(h, np.zeros(bundle.n)) for h in seen)
 
     def test_rule_matches_direct_recomputation(self):
+        # the filter reads the hidden layer h and the head (w, b) and never
+        # forms z = h @ w + b; the rule recomputed on z may disagree only
+        # where the own similarity is within float64 roundoff of 1/c
         rng = np.random.default_rng(8)
         for _ in range(25):
             n, c, h = int(rng.integers(3, 12)), int(rng.integers(2, 5)), 4
-            z = rng.normal(size=(n, h))
+            hidden = rng.normal(size=(n, h))
+            w, b = rng.normal(size=(h, h)), rng.normal(size=h)
+            z = hidden @ w + b
             protos = rng.normal(size=(c, h))
             raw = rng.random((n, c)) + 0.01
             soft = SoftLabels(raw / raw.sum(1, keepdims=True), normalized=True)
             unlabeled = np.flatnonzero(rng.random(n) < 0.7)
             tau = float(rng.uniform(0.1, 2.0))
-            pls = filter_pseudo_labels(soft, z, protos, tau, unlabeled)
+            hard = np.argmax(soft.matrix, axis=1)
+            pls = filter_pseudo_labels(hard, hidden, (w, b), protos, tau, unlabeled)
+            assert pls.hard is hard
             for i in unlabeled:
-                own = np.argmax(soft.matrix[i])
                 logits = z[i] @ protos.T / tau
                 s = np.exp(logits - logits.max())
                 s /= s.sum()
-                assert (i in pls.kept) == (s[own] > 1.0 / c)
+                assert (i in pls.kept) == (s[hard[i]] > 1.0 / c) or abs(s[hard[i]] - 1.0 / c) < 1e-12
 
 
 class TestContrastiveLoss:
     def test_empty_kept_set_is_zero(self):
+        # the gradient is w.r.t. the n x c similarity logits
         pls = PseudoLabelSet(np.zeros(2, dtype=int), np.array([], dtype=int))
-        value, grad = loss_contrastive(np.ones((2, 3)), np.ones((2, 3)), pls, 0.5, "sum")
+        value, grad = loss_contrastive(np.ones((2, 3)), np.ones((4, 3)), pls, 0.5, "sum")
         assert value == 0.0
-        assert np.array_equal(grad, np.zeros((2, 3)))
+        assert np.array_equal(grad, np.zeros((2, 4)))
 
     def test_single_node_unit_gap(self):
         # logits (1, 0) toward own prototype: -ln(e/(e+1)) = ln(1 + e^-1)
@@ -299,14 +348,18 @@ class TestContrastiveLoss:
         protos = rng.normal(size=(2, 4))
         pls = PseudoLabelSet(np.array([0, 1, 0]), np.array([0, 2]))
         tau = 0.7
-        _, grad = loss_contrastive(z, protos, pls, tau, "sum")
+        value, grad = loss_contrastive(z, protos, pls, tau, "sum")
+        assert grad.shape == (3, 2)
         for i in (0, 2):
             logits = z[i] @ protos.T / tau
             s = np.exp(logits - logits.max())
             s /= s.sum()
-            expected = (s @ protos - protos[pls.hard[i]]) / tau
-            assert np.max(np.abs(grad[i] - expected)) < 1e-12
-        assert np.array_equal(grad[1], np.zeros(4))
+            assert np.max(np.abs(grad[i] - (s - np.eye(2)[pls.hard[i]]))) < 1e-15
+        assert np.array_equal(grad[1], np.zeros(2))
+        # mapped back to z it is the n x hidden gradient of the reference
+        ref_value, ref_grad = reference.loss_contrastive(z, protos, pls, tau, "sum")
+        assert value == pytest.approx(ref_value, abs=1e-12)
+        assert np.max(np.abs(grad @ protos / tau - ref_grad)) < 1e-12
 
     def test_shift_invariance_of_internal_softmax(self):
         # appending a unit coordinate to z and kappa*tau to every prototype
@@ -526,8 +579,8 @@ class TestTrainStudent:
         real_forward = mlp.forward
         seen = []
 
-        def capture(params, x):
-            z, p = real_forward(params, x)
+        def capture(params, x, workspace=None):
+            z, p = real_forward(params, x, workspace)
             seen.append(p.copy())
             return z, p
 
@@ -718,3 +771,71 @@ class TestTrainStudent:
         assert trace.records[0].loss_labeled == pytest.approx(
             6 * math.log(2), rel=0.5
         )
+
+
+class TestEpochCost:
+    """Guards on what one epoch costs with the momentum branch in class space."""
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_csr_epoch_multiplies_all_rows_twice(self, monkeypatch, epochs):
+        # the forward x @ w1 and the backward x.T @ d; the momentum encoder's
+        # pre-activation is folded from the forward product, not taken again.
+        # One x @ mw1 per call starts the running state, and the validation
+        # pass multiplies only its own rows
+        import scipy.sparse as sp
+
+        bundle, split, uniform = toy_training_setup(seed=1)
+        x = sp.csr_array(student_features(bundle.features, False))
+        shapes = []
+        for cls in (sp.csr_array, sp.csc_array):
+            real = cls.__matmul__
+
+            def counted(self, other, real=real):
+                shapes.append(self.shape)
+                return real(self, other)
+            monkeypatch.setattr(cls, "__matmul__", counted)
+        cfg = TrainConfig(max_epochs=epochs, patience=epochs, seed=1)
+        _, trace = train_student(bundle, split, uniform, cfg, features=x)
+
+        n, f = x.shape
+        assert len(trace.records) == epochs
+        full = sum(shape in ((n, f), (f, n)) for shape in shapes)
+        val = sum(shape == (split.validation.size, f) for shape in shapes)
+        assert (full, val, len(shapes)) == (1 + 2 * epochs, epochs, 1 + 3 * epochs)
+
+    def test_pseudo_targets_and_contrastive_allocate_nothing_n_by_hidden(self):
+        # at cora-csbm's shape (n=2708, hidden 64, c=7) an n x hidden float32
+        # array is 0.69 MB; the class-space momentum branch allocates only
+        # n x c arrays and the labeled rows
+        import scipy.sparse as sp
+
+        rng = np.random.default_rng(3)
+        n, f, c, hidden = 2708, 300, 7, 64
+        x = sp.csr_array((rng.random((n, f)) < 0.02).astype(STUDENT_DTYPE))
+        gold = rng.integers(0, c, size=n)
+        labeled = np.array([np.flatnonzero(gold == cls)[0] for cls in range(c)])
+        unlabeled = np.setdiff1d(np.arange(n), labeled)
+        params = init_params(f, c, hidden, rng)
+        cfg = TrainConfig(hidden=hidden)
+        ws = EpochWorkspace.for_rows(params, x)
+        ws.s = x @ params.mw1
+        z, _ = forward(params, x, ws)
+        # pseudo-labels that agree with the prototypes keep almost every node,
+        # so gathering the kept rows of z would copy nearly all of it
+        protos, _ = pseudo_targets(params, ws.s, gold, labeled, unlabeled, gold, cfg, ws)
+        hard = np.argmax(reference.momentum_embed(params, x) @ protos.T, axis=1)
+        protos, pls = pseudo_targets(params, ws.s, gold, labeled, unlabeled, hard, cfg, ws)
+        assert pls.kept.size > 0.9 * unlabeled.size
+        n_by_hidden = n * hidden * np.dtype(STUDENT_DTYPE).itemsize
+
+        tracemalloc.start()
+        try:
+            pseudo_targets(params, ws.s, gold, labeled, unlabeled, hard, cfg, ws)
+            _, after_targets = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            loss_contrastive(z, protos, pls, cfg.tau, "mean", out=ws.g_sim)
+            _, after_loss = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after_targets < n_by_hidden
+        assert after_loss < n_by_hidden

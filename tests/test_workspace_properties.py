@@ -1,5 +1,5 @@
-"""Property test: an epoch written into a shared ``EpochWorkspace`` equals the
-fresh-array epoch in ``reference`` bit for bit.
+"""Property test: an epoch written into a shared ``EpochWorkspace``, with the
+momentum branch in class space, against the n x hidden epoch in ``reference``.
 
 Two consecutive epochs with different parameters share one workspace, as
 the epochs of one ``train_student`` call do, over dense and CSR features,
@@ -7,6 +7,19 @@ dropout on and off, and the contrastive term on and off.  Parameters,
 features and workspace are in ``STUDENT_DTYPE``, as in training, and the
 reference follows their dtype.  No gradient may live in the workspace, since
 the next epoch overwrites it.
+
+The forward pass and the two cross-entropy terms equal the reference bit for
+bit, and so do the joint loss and the gradients without the contrastive
+term.  The class-space steps reassociate sums, so the prototypes, the
+filter's kept set, the contrastive part and the gradients with it are
+checked within float32 bounds.  Each compared value is a chain of sums and
+products with at most D roundings along it, D = f + 2 hidden + c + n + 8.
+Such an evaluation is within gamma_D |v| of the exact value, where
+gamma_D = D u / (1 - D u), u = eps / 2, and |v| is the same chain on
+absolute values (Higham, *Accuracy and Stability of Numerical Algorithms*,
+2nd ed., section 3.1 and lemma 3.3); two evaluations differ by at most twice
+that.  A softmax over c logits that are each within delta of the exact ones
+moves by at most 3 delta, and its own exp, sum and quotient add (c + 4) eps.
 """
 
 import numpy as np
@@ -20,13 +33,13 @@ import reference  # noqa: E402
 from agst import (  # noqa: E402
     SoftLabels,
     TrainConfig,
-    compute_prototypes,
-    filter_pseudo_labels,
     init_params,
     joint_objective,
     pseudo_targets,
 )
 from agst.mlp import STUDENT_DTYPE, EpochWorkspace  # noqa: E402
+
+EPS = float(np.finfo(STUDENT_DTYPE).eps)
 
 
 def same_bits(a, b):
@@ -36,6 +49,18 @@ def same_bits(a, b):
 
 def generator(seed):
     return None if seed is None else np.random.default_rng(seed)
+
+
+def two_evaluations(depth):
+    """How far two float32 evaluations of a chain of ``depth`` roundings may
+    differ, per unit of the chain on absolute values: 2 gamma_depth."""
+    u = EPS / 2
+    return 2 * depth * u / (1 - depth * u)
+
+
+def mag(a):
+    a = a.toarray() if sparse.issparse(a) else np.asarray(a)
+    return np.abs(a.astype(np.float64))
 
 
 @st.composite
@@ -66,40 +91,100 @@ def problems(draw):
     return x, gold, labeled, soft, cfg, epochs
 
 
+def check_pseudo_targets(params, x, protos, pls, ref, labeled, c, tau, gap):
+    """Prototypes and kept set against the n x hidden reference."""
+    ref_protos, ref_pls, ref_own = ref
+    # the chain on absolute values: |x| @ |mw1| + |mb1|, then |mw2| and |mb2|
+    h_abs = mag(x) @ mag(params.mw1) + mag(params.mb1)
+    z_abs = h_abs @ mag(params.mw2) + mag(params.mb2)
+    protos_abs = z_abs.max(axis=0)       # bounds every class's mean
+    assert np.all(np.abs(protos - ref_protos) <= gap * protos_abs)
+    # a node may change sides only where its own similarity is within the
+    # filter's bound of 1/c
+    delta = gap * (z_abs @ protos_abs) / tau
+    unlabeled = np.setdiff1d(np.arange(x.shape[0]), labeled)
+    near = 3 * delta[unlabeled] + (c + 4) * EPS
+    flipped = np.isin(unlabeled, np.setxor1d(pls.kept, ref_pls.kept))
+    assert np.all(np.abs(ref_own - 1.0 / c)[flipped] <= near[flipped])
+    assert np.array_equal(pls.hard, ref_pls.hard)
+
+
+def gradient_bounds(params, x, ws, protos, pls, cfg, gap):
+    """Per-entry bounds on |grad - reference grad| with the contrastive term,
+    both given the same prototypes and kept set."""
+    n, c = ws.p.shape
+    red_count = pls.kept.size if cfg.loss_reduction == "mean" and pls.kept.size else 1
+    coef = cfg.lambda2 / cfg.tau
+    # the similarity logits' chain and the softmax's move on the kept rows
+    delta = gap * (mag(ws.z) @ mag(protos).T / cfg.tau).max(axis=1)
+    g_err = np.zeros(n)
+    g_err[pls.kept] = (3 * delta[pls.kept] + (c + 4) * EPS) / red_count
+    d_abs = mag(ws.d_logits) @ mag(params.w3).T + coef * mag(ws.g_sim) @ mag(protos)
+    d_err = gap * d_abs + coef * g_err[:, None] * mag(protos).sum(0)
+    through = d_err + gap * d_abs          # d_z's error and the next chain's own
+    gate = (1.0 if ws.mask is None else mag(ws.mask)) * ws.relu
+    h_err = (through @ mag(params.w2).T) * gate
+    h_err += gap * (d_abs @ mag(params.w2).T) * gate
+    return {
+        "w3": gap * mag(ws.z).T @ mag(ws.d_logits),
+        "b3": gap * mag(ws.d_logits).sum(0),
+        "w2": mag(ws.h1).T @ through,
+        "b2": through.sum(0),
+        "w1": mag(x).T @ h_err,
+        "b1": h_err.sum(0),
+    }
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(problems())
 def test_shared_workspace_epochs_equal_fresh_arrays(problem):
     x, gold, labeled, soft, cfg, epochs = problem
     n, c = gold.size, soft.matrix.shape[1]
+    f = x.shape[1]
     unlabeled = np.setdiff1d(np.arange(n), labeled)
+    hard = np.argmax(soft.matrix, axis=1)
+    targets = soft.matrix[unlabeled].astype(STUDENT_DTYPE)
     ws = EpochWorkspace(n, cfg.hidden, c, STUDENT_DTYPE)
     buffers = [a for a in vars(ws).values() if isinstance(a, np.ndarray)]
+    gap = 2 * two_evaluations(f + 2 * cfg.hidden + c + n + 8)   # doubled for second-order terms
 
     for params, seed in epochs:
-        protos, pls = pseudo_targets(params, x, gold, labeled, unlabeled, soft, cfg, ws)
+        ws.s = x @ params.mw1
+        protos, pls = pseudo_targets(params, ws.s, gold, labeled, unlabeled, hard, cfg, ws)
         if cfg.lambda2 == 0:
             assert (protos, pls) == (None, None)
         else:
-            ref_z_mom = reference.momentum_embed(params, x)
-            ref_protos = compute_prototypes(ref_z_mom, gold, labeled, c)
-            ref_pls = filter_pseudo_labels(soft, ref_z_mom, ref_protos, cfg.tau, unlabeled)
-            assert same_bits(ws.z_mom, ref_z_mom)
-            assert same_bits(protos, ref_protos)
-            assert same_bits(pls.kept, ref_pls.kept)
+            ref = reference.pseudo_targets(params, x, gold, labeled, unlabeled, soft, cfg)
+            check_pseudo_targets(params, x, protos, pls, ref, labeled, c, cfg.tau, gap)
         joint, parts, grads = joint_objective(
-            params, x, gold, labeled, unlabeled, soft, cfg, protos, pls,
+            params, x, gold, labeled, unlabeled, targets, cfg, protos, pls,
             rng=generator(seed), workspace=ws)
+        # the reference gets the same prototypes and kept set
         ref_joint, ref_parts, ref_grads, ref_cache = reference.joint_objective(
             params, x, gold, labeled, unlabeled, soft, cfg, protos, pls, rng=generator(seed))
 
-        assert same_bits(joint, ref_joint)
-        assert all(same_bits(a, b) for a, b in zip(parts, ref_parts))
-        assert grads.keys() == ref_grads.keys()
-        for name, g in grads.items():
-            assert same_bits(g, ref_grads[name]), name
-            assert not any(np.shares_memory(g, b) for b in buffers), name
         assert same_bits(ws.p, ref_cache["p"])
         assert same_bits(ws.z, ref_cache["z"])
         assert (ws.mask is None) == (ref_cache["mask"] is None)
         if ws.mask is not None:
             assert same_bits(ws.mask, ref_cache["mask"])
+        assert all(same_bits(a, b) for a, b in zip(parts[:2], ref_parts[:2]))
+        assert grads.keys() == ref_grads.keys()
+        for g in grads.values():
+            assert not any(np.shares_memory(g, b) for b in buffers)
+        if pls is None:
+            assert parts[2] == 0.0
+            assert same_bits(joint, ref_joint)
+            for name, g in grads.items():
+                assert same_bits(g, ref_grads[name]), name
+            continue
+        kept = pls.kept.size
+        con_abs = (mag(ws.z[pls.kept]) @ mag(protos).T / cfg.tau).max(axis=1, initial=0.0)
+        per_node = 3 * gap * con_abs + (c + 4) * EPS
+        con_bound = (per_node.mean() if cfg.loss_reduction == "mean" and kept
+                     else per_node.sum()) + gap * ref_parts[2]
+        assert abs(parts[2] - ref_parts[2]) <= con_bound
+        bounds = gradient_bounds(params, x, ws, protos, pls, cfg, gap)
+        for name, g in grads.items():
+            assert g.dtype == STUDENT_DTYPE
+            assert np.all(np.abs(g - ref_grads[name]) <= bounds[name]), name
