@@ -15,6 +15,7 @@ from .data import (
     l2_normalize_rows,
     load_dataset,
     make_split,
+    require_gold,
     ring_clusters_bundle,
     save_dataset,
     two_cluster_bundle,
@@ -38,19 +39,20 @@ from .mlp import (
     StudentParams,
     TrainConfig,
     TrainTrace,
+    class_members,
     compute_prototypes,
     feature_matrix,
     filter_pseudo_labels,
     forward,
     init_params,
     joint_objective,
-    loss_ce_labeled,
-    loss_ce_unlabeled,
     loss_contrastive,
+    loss_cross_entropy,
     momentum_embed,
     momentum_update,
     pseudo_targets,
     student_features,
+    student_targets,
     train_student,
     write_trace_csv,
 )

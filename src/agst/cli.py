@@ -40,6 +40,7 @@ def _checked(convert, accept, expected: str):
 
 
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _unit_open_float = _checked(float, lambda v: 0.0 < v < 1.0, "a value in (0, 1)")
 _float_list = _checked(lambda raw: [float(v) for v in raw.split(",") if v.strip()],
                        lambda values: True, "comma-separated numbers")
@@ -55,7 +56,7 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--runs", type=_positive_int)
     sub.add_argument("--seed", type=int)
     sub.add_argument("--workers", type=_positive_int)
-    sub.add_argument("--val-per-class", type=_positive_int)
+    sub.add_argument("--val-per-class", type=_non_negative_int)
     # read by _parse before this parser runs
     sub.add_argument("--config", metavar="FILE",
                      help="key = value file; command-line flags override it")

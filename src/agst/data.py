@@ -95,6 +95,16 @@ class SplitSpec:
             raise ValueError("labeled/validation/test sets must be pairwise disjoint")
 
 
+def require_gold(bundle: DatasetBundle, split: SplitSpec) -> None:
+    """Refuse a split whose labeled, validation or test nodes include one
+    with gold ``UNLABELED``: training and scoring read those nodes' labels."""
+    nodes = np.concatenate([split.labeled, split.validation, split.test])
+    unknown = np.unique(nodes[bundle.gold[nodes] == UNLABELED])
+    if unknown.size:
+        shown = ", ".join(map(str, unknown[:10])) + (", ..." if unknown.size > 10 else "")
+        raise ValueError(f"{unknown.size} split node(s) have no gold label: {shown}")
+
+
 def _read_meta(path: Path) -> dict[str, int]:
     values: dict[str, int] = {}
     for lineno, line in enumerate(path.read_text().split("\n"), 1):
@@ -295,6 +305,8 @@ def make_split(
     if protocol == "balanced":
         if k is None or k < 1:
             raise ValueError("balanced protocol needs k >= 1")
+        if val_per_class < 0:
+            raise ValueError("balanced protocol needs val_per_class >= 0")
         rng = np.random.default_rng(seed)
         labeled, validation = [], []
         for cls in range(bundle.num_classes):

@@ -24,10 +24,12 @@ from .mlp import (
     PARAM_NAMES,
     StudentParams,
     TrainConfig,
+    class_members,
     feature_matrix,
     init_params,
     joint_objective,
     pseudo_targets,
+    student_targets,
 )
 
 # roundoff of one loss evaluation, in machine epsilons times |loss|; on
@@ -58,12 +60,13 @@ def grad_check(
     unlabeled = np.setdiff1d(np.arange(bundle.n), labeled)
     if not soft.normalized:
         raise ValueError("soft labels must be row-normalized distributions")
-    targets = soft.matrix[unlabeled]
-    protos, pls = pseudo_targets(params, x @ params.mw1, gold, labeled, unlabeled,
+    targets = student_targets(soft.matrix, gold, labeled, np.float64)
+    members = class_members(gold, labeled, bundle.num_classes) if cfg.lambda2 else None
+    protos, pls = pseudo_targets(params, x @ params.mw1, members, unlabeled,
                                  np.argmax(soft.matrix, axis=1), cfg)
 
     def objective():
-        return joint_objective(params, x, gold, labeled, unlabeled, targets, cfg, protos, pls)
+        return joint_objective(params, x, labeled, unlabeled, targets, cfg, protos, pls)
 
     _, _, analytic = objective()
     roundoff = ROUNDOFF_ULPS * np.finfo(np.float64).eps / eps   # per unit of |f|

@@ -56,12 +56,13 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 
-from .data import DatasetBundle, SplitSpec, l2_normalize_rows
+from .data import DatasetBundle, SplitSpec, l2_normalize_rows, require_gold
 from .propagation import SoftLabels
 
 log = logging.getLogger(__name__)
@@ -98,35 +99,62 @@ def clamped_log(p: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(p, LOG_FLOOR))
 
 
-@dataclass
-class StudentParams:
-    """Encoder weights, head weights, and the momentum encoder copy."""
+def param_shapes(num_features: int, hidden: int, num_classes: int) -> tuple[tuple[int, ...], ...]:
+    """The shapes of the arrays named in ``PARAM_NAMES``, in that order."""
+    return ((num_features, hidden), (hidden,), (hidden, hidden), (hidden,),
+            (hidden, num_classes), (num_classes,))
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
-    mw1: np.ndarray
-    mb1: np.ndarray
-    mw2: np.ndarray
-    mb2: np.ndarray
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of ``flat`` in ``shapes``, as many as it holds."""
+    views, start = [], 0
+    for shape in shapes:
+        if start == flat.size:
+            break
+        size = int(np.prod(shape))
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    return views
+
+
+class StudentParams:
+    """Encoder weights, head weights, and the momentum encoder copy, as views
+    of two flat vectors.
+
+    ``live`` holds the trainable arrays of ``PARAM_NAMES`` one after another;
+    ``momentum`` holds mw1, mb1, mw2, mb2, laid out as the encoder's arrays
+    at the head of ``live``.  ``dims`` is (features, hidden, classes).  Adam,
+    the momentum average, the finiteness check and a copy each make one pass
+    over a vector.  The named arrays are views: write into them, never
+    rebind them.
+    """
+
+    def __init__(self, live: np.ndarray, momentum: np.ndarray, dims: tuple[int, int, int]):
+        self.live, self.momentum, self.dims = live, momentum, dims
+        for name, view in zip(ARRAY_NAMES, self.views(live) + _views(momentum, self.shapes())):
+            setattr(self, name, view)
+
+    def __reduce__(self):
+        # rebuilt from the vectors, so an unpickled copy's arrays stay views
+        return StudentParams, (self.live, self.momentum, self.dims)
+
+    def shapes(self) -> tuple[tuple[int, ...], ...]:
+        return param_shapes(*self.dims)
+
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """The arrays of ``PARAM_NAMES`` as views of ``flat``, a vector laid
+        out as ``live``."""
+        return _views(flat, self.shapes())
 
     def copy(self) -> "StudentParams":
-        arrays = {name: getattr(self, name).copy() for name in ARRAY_NAMES}
-        return StudentParams(**arrays)
+        return StudentParams(self.live.copy(), self.momentum.copy(), self.dims)
 
     def astype(self, dtype) -> "StudentParams":
         """A copy with every array in ``dtype``."""
-        return StudentParams(**{name: getattr(self, name).astype(dtype) for name in ARRAY_NAMES})
+        return StudentParams(self.live.astype(dtype), self.momentum.astype(dtype), self.dims)
 
     def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(getattr(self, name))) for name in ARRAY_NAMES)
-
-    def encoder(self) -> tuple[np.ndarray, ...]:
-        """(w1, b1, w2, b2) of the live encoder."""
-        return tuple(getattr(self, live) for live, _ in ENCODER_PAIRS)
+        return bool(np.isfinite(self.live).all() and np.isfinite(self.momentum).all())
 
 
 def init_params(
@@ -138,19 +166,39 @@ def init_params(
     """Glorot-uniform weights, zero biases, in ``STUDENT_DTYPE``; momentum
     encoder starts as a copy.  The weights are drawn in float64 and cast, so
     the generator's stream does not depend on the dtype."""
+    dims = (num_features, hidden, num_classes)
+    sizes = [int(np.prod(shape)) for shape in param_shapes(*dims)]
+    params = StudentParams(np.zeros(sum(sizes), STUDENT_DTYPE),
+                           np.empty(sum(sizes[:len(ENCODER_PAIRS)]), STUDENT_DTYPE), dims)
+    for name in ("w1", "w2", "w3"):
+        w = getattr(params, name)
+        limit = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    params.momentum[:] = params.live[:params.momentum.size]
+    return params
 
-    def glorot(fan_in, fan_out):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(STUDENT_DTYPE)
 
-    def zeros(size):
-        return np.zeros(size, dtype=STUDENT_DTYPE)
+# 2**24: ``Generator.random(dtype=np.float32)`` is the top 24 bits of a
+# 32-bit word times 2**-24
+FLOAT32_GRID = 1 << 24
 
-    live = {"w1": glorot(num_features, hidden), "b1": zeros(hidden),
-            "w2": glorot(hidden, hidden), "b2": zeros(hidden),
-            "w3": glorot(hidden, num_classes), "b3": zeros(num_classes)}
-    momentum = {mom: live[name].copy() for name, mom in ENCODER_PAIRS}
-    return StudentParams(**live, **momentum)
+
+def draw_kept(rng: np.random.Generator, dropout: float, out: np.ndarray) -> np.ndarray:
+    """Bernoulli draws, True with probability 1 - ``dropout``, into the bool
+    array ``out``.
+
+    The generator's raw 64-bit words are read as 32-bit words, low half
+    first, and kept when at least ``ceil(float32(dropout) * 2**24) << 8``.
+    For PCG64, Philox and SFC64 (64 bits a raw draw) and an even
+    ``out.size`` these are the draws of ``rng.random(out.shape,
+    dtype=np.float32) >= dropout``, and the generator ends in the same
+    state; for an odd size the last word's high half is dropped, so the
+    stream that follows differs."""
+    if isinstance(rng.bit_generator, np.random.MT19937):
+        raise ValueError("dropout draws need a bit generator with 64-bit raw output")
+    words = rng.bit_generator.random_raw((out.size + 1) // 2).view(np.uint32)[:out.size]
+    threshold = math.ceil(float(np.float32(dropout)) * FLOAT32_GRID) << 8
+    return np.greater_equal(words.reshape(out.shape), threshold, out=out)
 
 
 class EpochWorkspace:
@@ -164,16 +212,19 @@ class EpochWorkspace:
     forward pass's state stays valid until the next forward pass into the
     workspace; ``h_mom`` until the backward pass.  ``s``, the momentum
     encoder's pre-activation x @ mw1, is the one array carried from epoch to
-    epoch.  No array holds momentum embeddings or an n x hidden contrastive
-    gradient.
+    epoch.  No array holds momentum embeddings, an n x hidden contrastive
+    gradient or a parameter gradient.
     """
 
     def __init__(self, n: int, hidden: int, num_classes: int, dtype):
         rows = (n, hidden)
         # the forward pass's state, read by the backward pass
-        self.h1 = np.empty(rows, dtype)          # x @ w1 (SciPy's for CSR x), + b1, ReLU, dropout
-        self.relu = np.empty(rows, dtype=bool)   # h1 > 0
-        self.mask: np.ndarray | None = None      # dropout mask, None without dropout
+        self.h1 = np.empty(rows, dtype)          # x @ w1 (SciPy's for CSR x), + b1, * keep
+        # ReLU and dropout as one factor: 0 for a unit that is off or
+        # dropped, 1 / (1 - dropout) (1 without dropout) for one kept
+        self.keep = np.empty(rows, dtype)
+        self.alive = np.empty(rows, dtype=bool)      # h1 > 0, then kept by the draw
+        self.drawn = np.empty(rows, dtype=bool)      # the dropout draw
         self.z = np.empty(rows, dtype)           # embeddings
         self.p = np.empty((n, num_classes), dtype)   # logits, then their softmax
         # [d(loss)/d(logits) | contrastive gradient w.r.t. the similarity
@@ -183,7 +234,7 @@ class EpochWorkspace:
         self.g_sim = self.d_out[:, num_classes:]
         self.d_z = np.empty(rows, dtype)
         self.d_d1 = np.empty(rows, dtype)
-        self.mask_buffer = np.empty(rows, dtype)     # where a dropout mask is drawn
+        self.ones = np.ones(n, dtype)            # column sums as ones @ a
         self.s: np.ndarray | None = None             # x @ mw1, carried across epochs
         # pseudo_targets writes the momentum hidden layer before the backward
         # pass writes d_d1
@@ -204,18 +255,18 @@ def _forward(params, x, ws, dropout=0.0, rng=None, xw1=None):
     """The live encoder ReLU(x @ w1 + b1) @ w2 + b2 and the softmax head,
     their state left on ``ws``; returns the embeddings and probabilities.
     ``xw1`` is the product x @ w1 when the caller has taken it.  Dropout
-    applies only given ``rng``, its mask drawn into ``ws.mask_buffer``."""
+    applies only given ``rng``; ReLU and dropout are one multiply by
+    ``ws.keep``."""
     h = _product(x, params.w1, ws.h1) if xw1 is None else xw1
     h += params.b1
-    np.greater(h, 0.0, out=ws.relu)
-    np.maximum(h, 0.0, out=h)
-    ws.h1, ws.mask = h, None
+    alive = np.greater(h, 0.0, out=ws.alive)
+    one = ws.keep.dtype.type(1.0)
+    scale = one
     if rng is not None and dropout > 0.0:
-        mask = ws.mask = ws.mask_buffer
-        rng.random(dtype=mask.dtype, out=mask)
-        np.greater_equal(mask, dropout, out=mask)
-        mask /= 1.0 - dropout
-        h *= mask
+        alive &= draw_kept(rng, dropout, ws.drawn)
+        scale = one / ws.keep.dtype.type(1.0 - dropout)
+    h *= np.multiply(alive, scale, out=ws.keep)
+    ws.h1 = h
     np.matmul(h, params.w2, out=ws.z)
     ws.z += params.b2
     np.matmul(ws.z, params.w3, out=ws.p)
@@ -256,25 +307,26 @@ def momentum_fold(s: np.ndarray, xw1: np.ndarray, m: float, scratch: np.ndarray)
     s += np.multiply(xw1, 1.0 - m, out=scratch)
 
 
-def _backward(params, x, ws, d_out, w_out):
+def _backward(params, x, ws, d_out, w_out, grads):
     """Gradients of the assembled loss given the forward pass's state,
     d(loss)/d(logits) in ``ws.d_logits``, and d(loss)/d(embeddings) as
-    ``d_out @ w_out``.  The gradients are fresh arrays; the n-row
-    temporaries live in ``ws``."""
-    grads = {}
+    ``d_out @ w_out``, written into ``grads``, the views of
+    ``params.views``.  The n-row temporaries live in ``ws``."""
+    g = dict(zip(PARAM_NAMES, grads))
     d_logits = ws.d_logits
-    grads["w3"] = ws.z.T @ d_logits
-    grads["b3"] = d_logits.sum(axis=0)
+    np.matmul(ws.z.T, d_logits, out=g["w3"])
+    d_logits.sum(axis=0, out=g["b3"])
     d_z = np.matmul(d_out, w_out, out=ws.d_z)
-    grads["w2"] = ws.h1.T @ d_z
-    grads["b2"] = d_z.sum(axis=0)
+    np.matmul(ws.h1.T, d_z, out=g["w2"])
+    d_z.sum(axis=0, out=g["b2"])
     d_h1 = np.matmul(d_z, params.w2.T, out=ws.d_d1)
-    if ws.mask is not None:
-        d_h1 *= ws.mask
-    d_h1 *= ws.relu
-    grads["w1"] = x.T @ d_h1
-    grads["b1"] = d_h1.sum(axis=0)
-    return grads
+    d_h1 *= ws.keep
+    if sparse.issparse(x):
+        g["w1"][...] = x.T @ d_h1
+    else:
+        np.matmul(x.T, d_h1, out=g["w1"])
+    d_h1.sum(axis=0, out=g["b1"])
+    return g
 
 
 def _reduce(value, grad: np.ndarray, count: int, reduction: str) -> tuple[float, np.ndarray]:
@@ -288,56 +340,65 @@ def _reduce(value, grad: np.ndarray, count: int, reduction: str) -> tuple[float,
     return float(value), grad
 
 
-def loss_ce_labeled(
-    p: np.ndarray,
-    gold: np.ndarray,
-    nodes: np.ndarray,
-    reduction: str,
-) -> tuple[float, np.ndarray]:
-    """Cross-entropy against gold labels; gradient w.r.t. the nodes' logits."""
-    nodes = np.asarray(nodes)
-    if nodes.size == 0:
-        raise ValueError("empty labeled set")
-    rows = p[nodes]
-    targets = gold[nodes]
-    value = -clamped_log(rows[np.arange(nodes.size), targets]).sum()
-    grad = rows.copy()
-    grad[np.arange(nodes.size), targets] -= 1.0
-    return _reduce(value, grad, nodes.size, reduction)
+def student_targets(soft: np.ndarray, gold: np.ndarray, labeled: np.ndarray,
+                    dtype=STUDENT_DTYPE) -> np.ndarray:
+    """The cross-entropy target of every row, (n, c) in ``dtype``: the
+    one-hot gold class on the labeled rows, the teacher's distribution
+    ``soft`` on the others."""
+    targets = soft.astype(dtype)
+    targets[labeled] = 0.0
+    targets[labeled, gold[labeled]] = 1.0
+    return targets
 
 
-def loss_ce_unlabeled(
+def loss_cross_entropy(
     p: np.ndarray,
     targets: np.ndarray,
-    nodes: np.ndarray,
-    reduction: str,
-) -> tuple[float, np.ndarray]:
-    """Cross-entropy against soft targets, row i of ``targets`` being the
-    teacher's distribution for ``nodes[i]``; gradient w.r.t. the nodes'
-    logits.  The targets are read in the dtype of ``p``."""
-    nodes = np.asarray(nodes)
-    rows = p[nodes]
-    targets = targets.astype(p.dtype, copy=False)
-    value = -(targets * clamped_log(rows)).sum()
-    return _reduce(value, rows - targets, nodes.size, reduction)
-
-
-def compute_prototypes(
-    h: np.ndarray,
-    gold: np.ndarray,
     labeled: np.ndarray,
-    num_classes: int,
-) -> np.ndarray:
-    """Per-class mean of the labeled rows of ``h``, (c, h.shape[1]), in its
-    dtype.  An affine map of the means is the mean of the mapped rows, so
-    ``pseudo_targets`` averages the momentum hidden layer and maps the c
-    means to embeddings."""
-    protos = np.empty((num_classes, h.shape[1]), h.dtype)
+    unlabeled: np.ndarray,
+    lambda1: float,
+    reduction: str,
+    out: np.ndarray | None = None,
+) -> tuple[float, float, np.ndarray]:
+    """Cross-entropy of the labeled rows against their gold classes and of
+    the unlabeled rows against the teacher, ``targets`` being
+    ``student_targets``; returns both values and the gradient of
+    l_lab + lambda1 * l_unl w.r.t. every row's logits, written into ``out``
+    when given.  The gradient is (p - targets) divided by its set's size
+    under the "mean" reduction, times lambda1 on the unlabeled rows: formed
+    over every row, then the few labeled rows put back."""
+    labeled = np.asarray(labeled)
+    if labeled.size == 0:
+        raise ValueError("empty labeled set")
+    per_row = (targets * clamped_log(p)).sum(axis=1)
+    grad = np.subtract(p, targets, out=out)
+    l_lab, lab = _reduce(-per_row[labeled].sum(), grad[labeled], labeled.size, reduction)
+    l_unl, grad = _reduce(-per_row[unlabeled].sum(), grad, len(unlabeled), reduction)
+    grad *= lambda1
+    grad[labeled] = lab
+    return l_lab, l_unl, grad
+
+
+def class_members(gold: np.ndarray, labeled: np.ndarray, num_classes: int) -> list[np.ndarray]:
+    """The labeled nodes of each class, in class order, for
+    ``compute_prototypes``; refuses a class with none."""
+    members = []
     for cls in range(num_classes):
-        members = labeled[gold[labeled] == cls]
-        if members.size == 0:
+        rows = labeled[gold[labeled] == cls]
+        if rows.size == 0:
             raise ValueError(f"class {cls} has no labeled node")
-        protos[cls] = h[members].mean(axis=0)
+        members.append(rows)
+    return members
+
+
+def compute_prototypes(h: np.ndarray, members: list[np.ndarray]) -> np.ndarray:
+    """Mean of the rows of ``h`` of each class's ``class_members``,
+    (c, h.shape[1]), in its dtype.  An affine map of the means is the mean of
+    the mapped rows, so ``pseudo_targets`` averages the momentum hidden layer
+    and maps the c means to embeddings."""
+    protos = np.empty((len(members), h.shape[1]), h.dtype)
+    for cls, rows in enumerate(members):
+        protos[cls] = h[rows].mean(axis=0)
     return protos
 
 
@@ -377,8 +438,9 @@ def filter_pseudo_labels(
     logits = h @ (w @ scaled)
     logits += b @ scaled
     unlabeled = np.asarray(unlabeled)
-    sims = softmax(logits[unlabeled])
-    own = sims[np.arange(unlabeled.size), hard[unlabeled]]
+    # over every row: gathering the unlabeled rows would copy most of them
+    sims = softmax(logits, out=logits)
+    own = sims[unlabeled, hard[unlabeled]]
     return PseudoLabelSet(hard=hard, kept=unlabeled[own > 1.0 / c])
 
 
@@ -417,20 +479,18 @@ def loss_contrastive(
 def momentum_update(
     params: StudentParams,
     m: float,
-    scratch: tuple[np.ndarray, ...] | None = None,
+    scratch: np.ndarray | None = None,
 ) -> None:
     """Exponential moving average of the encoder into the momentum copy.
 
-    ``scratch``, arrays shaped like ``params.encoder()``, receives each
-    ``(1 - m) * live`` product; without it each product is a fresh array.
+    ``scratch``, shaped like ``params.momentum``, receives the
+    ``(1 - m) * live`` product; without it the product is a fresh array.
     """
     if not 0.0 <= m <= 1.0:
         raise ValueError("momentum must lie in [0, 1]")
-    for k, (live, mom) in enumerate(ENCODER_PAIRS):
-        target = getattr(params, mom)
-        target *= m
-        target += np.multiply(getattr(params, live), 1.0 - m,
-                              out=None if scratch is None else scratch[k])
+    target = params.momentum
+    target *= m
+    target += np.multiply(params.live[:target.size], 1.0 - m, out=scratch)
 
 
 # Adam's moment decay rates and the denominator's guard (Kingma & Ba's defaults)
@@ -438,37 +498,37 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Plain Adam with L2 weight decay folded into the gradient; each
-    parameter's step works in two scratch arrays of its own shape."""
+    """Plain Adam with L2 weight decay folded into the gradient, over the
+    flat vector ``params.live`` and a gradient laid out like it; a step
+    works in two scratch vectors."""
 
     def __init__(self, lr=0.01, weight_decay=0.0):
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        self.state: dict[str, tuple[np.ndarray, ...]] = {}
+        self.state: tuple[np.ndarray, ...] | None = None
 
-    def step(self, params: StudentParams, grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: StudentParams, grad: np.ndarray) -> None:
         self.t += 1
-        for name in PARAM_NAMES:
-            value = getattr(params, name)
-            g = grads[name]
-            if name not in self.state:
-                self.state[name] = (np.zeros_like(value), np.zeros_like(value),
-                                    np.empty_like(value), np.empty_like(value))
-            m, v, a, b = self.state[name]
-            if self.weight_decay:
-                g = np.add(g, np.multiply(value, self.weight_decay, out=a), out=a)
-            m *= ADAM_BETA1
-            m += np.multiply(g, 1.0 - ADAM_BETA1, out=b)
-            v *= ADAM_BETA2
-            v += np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=b), g, out=b)
-            # value -= lr * m_hat / (sqrt(v_hat) + eps), each rounding in that order
-            np.sqrt(np.divide(v, 1.0 - ADAM_BETA2 ** self.t, out=b), out=b)
-            b += ADAM_EPS
-            np.divide(m, 1.0 - ADAM_BETA1 ** self.t, out=a)
-            a *= self.lr
-            a /= b
-            value -= a
+        value = params.live
+        if self.state is None:
+            self.state = (np.zeros_like(value), np.zeros_like(value),
+                          np.empty_like(value), np.empty_like(value))
+        m, v, a, b = self.state
+        g = grad
+        if self.weight_decay:
+            g = np.add(g, np.multiply(value, self.weight_decay, out=a), out=a)
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=b)
+        v *= ADAM_BETA2
+        v += np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=b), g, out=b)
+        # value -= lr * m_hat / (sqrt(v_hat) + eps), each rounding in that order
+        np.sqrt(np.divide(v, 1.0 - ADAM_BETA2 ** self.t, out=b), out=b)
+        b += ADAM_EPS
+        np.divide(m, 1.0 - ADAM_BETA1 ** self.t, out=a)
+        a *= self.lr
+        a /= b
+        value -= a
 
 
 @dataclass
@@ -555,22 +615,22 @@ def student_features(features: np.ndarray, normalize: bool) -> np.ndarray | spar
 def pseudo_targets(
     params: StudentParams,
     s: np.ndarray,
-    gold: np.ndarray,
-    labeled: np.ndarray,
+    members: list[np.ndarray],
     unlabeled: np.ndarray,
     hard: np.ndarray,
     cfg: TrainConfig,
     workspace: EpochWorkspace | None = None,
 ) -> tuple[np.ndarray | None, PseudoLabelSet | None]:
     """The constants of the contrastive term, from the momentum encoder's
-    pre-activation s = x @ mw1: its prototypes and the filtered pseudo-label
-    set over the teacher's argmax classes ``hard``; ``(None, None)`` when
+    pre-activation s = x @ mw1: its prototypes over each class's labeled
+    ``members`` (``class_members``) and the filtered pseudo-label set over
+    the teacher's argmax classes ``hard``; ``(None, None)`` when
     ``cfg.lambda2`` is zero.  The momentum hidden layer is written into
     ``workspace.h_mom`` when a workspace is given."""
     if cfg.lambda2 == 0:
         return None, None
     h = momentum_embed(params, s, None if workspace is None else workspace.h_mom)
-    protos = compute_prototypes(h, gold, labeled, params.w3.shape[1]) @ params.mw2 + params.mb2
+    protos = compute_prototypes(h, members) @ params.mw2 + params.mb2
     return protos, filter_pseudo_labels(hard, h, (params.mw2, params.mb2), protos, cfg.tau,
                                         unlabeled)
 
@@ -578,7 +638,6 @@ def pseudo_targets(
 def joint_objective(
     params: StudentParams,
     x: np.ndarray | sparse.csr_array,
-    gold: np.ndarray,
     labeled: np.ndarray,
     unlabeled: np.ndarray,
     targets: np.ndarray,
@@ -588,26 +647,26 @@ def joint_objective(
     rng: np.random.Generator | None = None,
     workspace: EpochWorkspace | None = None,
     xw1: np.ndarray | None = None,
+    grad: np.ndarray | None = None,
 ) -> tuple[float, tuple[float, float, float], dict[str, np.ndarray]]:
     """The joint loss, its (labeled, unlabeled, contrastive) parts, and the
     gradient of every trainable parameter.
 
     joint = l_lab + lambda1 * l_unl + lambda2 * l_con, with the prototypes and
     pseudo-label set from ``pseudo_targets`` held constant; ``targets`` are
-    the teacher's rows of ``unlabeled``.  Dropout at ``cfg.dropout`` applies
-    only when ``rng`` is given.  ``xw1`` is the product x @ w1 when the
-    caller has taken it.  The forward pass's arrays live in ``workspace``
-    (one sized to ``x`` when absent); the gradients do not.
+    ``student_targets`` in the dtype of ``params``.  Dropout at
+    ``cfg.dropout`` applies only when ``rng`` is given.  ``xw1`` is the
+    product x @ w1 when the caller has taken it.  The forward pass's arrays
+    live in ``workspace`` (one sized to ``x`` when absent); the gradients are
+    views of ``grad``, a vector laid out as ``params.live`` (a fresh one
+    when absent), named as in ``PARAM_NAMES``.
     """
     ws = workspace if workspace is not None else EpochWorkspace.for_rows(params, x)
+    grad = np.empty_like(params.live) if grad is None else grad
     z, p = _forward(params, x, ws, cfg.dropout, rng, xw1)
     red = cfg.loss_reduction
-    l_lab, g_lab = loss_ce_labeled(p, gold, labeled, red)
-    l_unl, g_unl = loss_ce_unlabeled(p, targets, unlabeled, red)
-    d_logits = ws.d_logits
-    d_logits.fill(0.0)
-    d_logits[labeled] += g_lab
-    d_logits[unlabeled] += cfg.lambda1 * g_unl
+    l_lab, l_unl, d_logits = loss_cross_entropy(p, targets, labeled, unlabeled, cfg.lambda1,
+                                                red, out=ws.d_logits)
     if pls is None:
         l_con, d_out, w_out = 0.0, d_logits, params.w3.T
     else:
@@ -616,7 +675,8 @@ def joint_objective(
         d_out = ws.d_out
         w_out = np.concatenate([params.w3.T, protos * (cfg.lambda2 / cfg.tau)])
     joint = l_lab + cfg.lambda1 * l_unl + cfg.lambda2 * l_con
-    return joint, (l_lab, l_unl, l_con), _backward(params, x, ws, d_out, w_out)
+    return joint, (l_lab, l_unl, l_con), _backward(params, x, ws, d_out, w_out,
+                                                   params.views(grad))
 
 
 def train_student(
@@ -649,6 +709,7 @@ def train_student(
         raise ValueError("empty labeled set")
     if not soft.normalized:
         raise ValueError("soft labels must be normalized before training")
+    require_gold(bundle, split)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
 
@@ -660,7 +721,7 @@ def train_student(
     labeled = split.labeled
     unlabeled = np.setdiff1d(np.arange(bundle.n), labeled)
     hard = np.argmax(soft.matrix, axis=1)    # ties go to the lowest class
-    targets = soft.matrix[unlabeled].astype(STUDENT_DTYPE)
+    targets = student_targets(soft.matrix, gold, labeled)
     has_val = split.validation.size > 0
     c = bundle.num_classes
 
@@ -668,9 +729,12 @@ def train_student(
               else init_params(bundle.num_features, c, cfg.hidden, rng))
     workspace = EpochWorkspace.for_rows(params, x)
     contrastive = cfg.lambda2 != 0
+    members = None
     if contrastive:
+        members = class_members(gold, labeled, c)
         workspace.s = x @ params.mw1
-    scratch = tuple(np.empty_like(a) for a in params.encoder())
+    grad = np.empty_like(params.live)
+    scratch = np.empty_like(params.momentum)
     if has_val:
         x_val = x[split.validation]
         val_workspace = EpochWorkspace.for_rows(params, x_val)
@@ -691,14 +755,14 @@ def train_student(
         if contrastive and epoch > 1:
             # s = x @ mw1 after the last epoch's momentum_update
             momentum_fold(workspace.s, xw1, cfg.momentum, workspace.d_z)
-        protos, pls = pseudo_targets(params, workspace.s, gold, labeled, unlabeled, hard, cfg,
+        protos, pls = pseudo_targets(params, workspace.s, members, unlabeled, hard, cfg,
                                      workspace)
-        joint, (l_lab, l_unl, l_con), grads = joint_objective(
-            params, x, gold, labeled, unlabeled, targets, cfg, protos, pls, rng, workspace, xw1)
+        joint, (l_lab, l_unl, l_con), _ = joint_objective(
+            params, x, labeled, unlabeled, targets, cfg, protos, pls, rng, workspace, xw1, grad)
         if not np.isfinite(joint):
             raise ValueError(f"non-finite loss at epoch {epoch}")
 
-        optimizer.step(params, grads)
+        optimizer.step(params, grad)
         momentum_update(params, cfg.momentum, scratch)
         if not params.all_finite():
             raise ValueError(f"non-finite parameter after epoch {epoch}")

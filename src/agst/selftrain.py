@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import DatasetBundle, SplitSpec
+from .data import DatasetBundle, SplitSpec, require_gold
 from .graph import normalize_adjacency
 from .mlp import StudentParams, TrainConfig, TrainTrace, feature_matrix, forward, train_student
 from .propagation import LpConfig, propagate_labels, to_distribution
@@ -95,6 +95,7 @@ def annotate(err: Exception, context: str) -> Exception:
 
 
 def run_agst(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig) -> RunResult:
+    require_gold(bundle, split)
     original = bundle.graph
     current = original
     stats: list[IterationStats] = []

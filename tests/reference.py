@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from agst import SparseGraph, compute_prototypes, loss_ce_labeled
+from agst import SparseGraph, class_members, compute_prototypes
 from agst.mlp import PARAM_NAMES, PseudoLabelSet, clamped_log, similarity_distribution
 
 
@@ -77,8 +77,11 @@ def _forward_cache(params, x, dropout=0.0, rng=None):
     mask = None
     d1 = a1
     if rng is not None and dropout > 0.0:
-        # drawn and scaled in the dtype of the hidden layer
-        mask = (rng.random(a1.shape, dtype=a1.dtype) >= dropout).astype(a1.dtype) / (1.0 - dropout)
+        # drawn and scaled in the dtype of the hidden layer, an even number
+        # of uniforms (one unused for an odd count): agst.mlp.draw_kept reads
+        # the generator's 64-bit words two 32-bit halves at a time
+        u = rng.random(a1.size + a1.size % 2, dtype=a1.dtype)[:a1.size].reshape(a1.shape)
+        mask = (u >= dropout).astype(a1.dtype) / (1.0 - dropout)
         d1 = a1 * mask
     z = d1 @ params.w2 + params.b2
     logits = z @ params.w3 + params.b3
@@ -127,8 +130,19 @@ def pseudo_targets(params, x, gold, labeled, unlabeled, soft, cfg):
     """(prototypes, pseudo-label set, each unlabeled node's similarity to its
     own class) from the momentum embeddings of every row."""
     z_mom = momentum_embed(params, x)
-    protos = compute_prototypes(z_mom, gold, labeled, params.w3.shape[1])
+    protos = compute_prototypes(z_mom, class_members(gold, labeled, params.w3.shape[1]))
     return (protos, *filter_pseudo_labels(soft, z_mom, protos, cfg.tau, unlabeled))
+
+
+def loss_ce_labeled(p, gold, nodes, reduction):
+    """Cross-entropy against gold labels on ``nodes``; gradient w.r.t. their
+    logits."""
+    rows = p[nodes]
+    targets = gold[nodes]
+    value = -clamped_log(rows[np.arange(nodes.size), targets]).sum()
+    grad = rows.copy()
+    grad[np.arange(nodes.size), targets] -= 1.0
+    return _mean(value, grad, nodes.size, reduction)
 
 
 def loss_ce_unlabeled(p, soft, nodes, reduction):

@@ -348,6 +348,7 @@ class TestGradcheckCommand:
 # malformed values for each of cli.py's own argparse types
 BAD_VALUES = {
     cli._positive_int: ["abc", "0", "-3", "2.5"],
+    cli._non_negative_int: ["abc", "-3", "2.5"],
     cli._unit_open_float: ["abc", "0", "1.5", "nan"],
     cli._float_list: ["abc", "1,two"],
 }

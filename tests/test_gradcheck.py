@@ -4,12 +4,14 @@ import pytest
 from agst import (
     SoftLabels,
     TrainConfig,
+    class_members,
     grad_check,
     init_params,
     joint_objective,
     pseudo_targets,
     feature_matrix,
     run_gradcheck_suite,
+    student_targets,
 )
 from agst import gradcheck
 from agst.mlp import ARRAY_NAMES, STUDENT_DTYPE
@@ -98,8 +100,9 @@ class TestGradCheck:
         cfg = TrainConfig(lambda2=0.1, dropout=0.0, hidden=6)
         x = bundle.features
         unlabeled = np.setdiff1d(np.arange(bundle.n), split.labeled)
-        _, _, grads = joint_objective(params, x, bundle.gold, split.labeled,
-                                      unlabeled, soft.matrix[unlabeled], cfg, None, None)
+        targets = student_targets(soft.matrix, bundle.gold, split.labeled)
+        _, _, grads = joint_objective(params, x, split.labeled, unlabeled, targets, cfg,
+                                      None, None)
         for g in grads.values():
             assert np.max(np.abs(g)) < 1e-8
         assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-8
@@ -118,8 +121,9 @@ class TestGradCheck:
         params.mb1[:] = -0.5
         cfg = TrainConfig(lambda2=0.1, dropout=0.0, hidden=6)
         unlabeled = np.setdiff1d(np.arange(bundle.n), split.labeled)
-        _, _, grads = joint_objective(params, bundle.features, bundle.gold, split.labeled,
-                                      unlabeled, soft.matrix[unlabeled], cfg, None, None)
+        targets = student_targets(soft.matrix, bundle.gold, split.labeled)
+        _, _, grads = joint_objective(params, bundle.features, split.labeled, unlabeled,
+                                      targets, cfg, None, None)
         assert all(not np.any(g) for g in grads.values())
         assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-4
 
@@ -140,7 +144,7 @@ def sign_flipped(grads, args):
 
 def without_contrastive(grads, args):
     # the gradient of the same objective with the contrastive term left out
-    return joint_objective(*args[:7], None, None)[2]
+    return joint_objective(*args[:6], None, None)[2]
 
 
 class TestGradCheckRejects:
@@ -149,8 +153,9 @@ class TestGradCheckRejects:
         bundle, split, soft, params = tiny_problem(1)
         cfg = TrainConfig(lambda2=1.0, dropout=0.0, hidden=6)
         unlabeled = np.setdiff1d(np.arange(bundle.n), split.labeled)
-        _, pls = pseudo_targets(params, bundle.features @ params.mw1, bundle.gold,
-                                split.labeled, unlabeled, np.argmax(soft.matrix, axis=1), cfg)
+        members = class_members(bundle.gold, split.labeled, bundle.num_classes)
+        _, pls = pseudo_targets(params, bundle.features @ params.mw1, members, unlabeled,
+                                np.argmax(soft.matrix, axis=1), cfg)
         assert pls.kept.size > 0
         assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-4
 

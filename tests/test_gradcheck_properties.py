@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from agst import (  # noqa: E402
     SoftLabels,
     TrainConfig,
+    class_members,
     compute_prototypes,
     grad_check,
     init_params,
@@ -58,7 +59,7 @@ def problems(draw):
         # pseudo-label every node with its least similar prototype's class:
         # that similarity is at most 1/c, so the filter keeps no node
         z_mom = reference.momentum_embed(params, features)
-        protos = compute_prototypes(z_mom, gold, labeled, c)
+        protos = compute_prototypes(z_mom, class_members(gold, labeled, c))
         least = np.argmin(similarity_distribution(z_mom, protos, cfg.tau), axis=1)
         raw[np.arange(n), least] += c
     soft = SoftLabels(raw / raw.sum(1, keepdims=True), normalized=True)
@@ -71,7 +72,8 @@ def test_gradient_passes_check_on_random_shapes(problem):
     params, bundle, split, soft, cfg, empty_kept = problem
     if empty_kept and cfg.lambda2 > 0:
         unlabeled = np.setdiff1d(np.arange(bundle.n), split.labeled)
-        _, pls = pseudo_targets(params, bundle.features @ params.mw1, bundle.gold,
-                                split.labeled, unlabeled, np.argmax(soft.matrix, axis=1), cfg)
+        members = class_members(bundle.gold, split.labeled, bundle.num_classes)
+        _, pls = pseudo_targets(params, bundle.features @ params.mw1, members, unlabeled,
+                                np.argmax(soft.matrix, axis=1), cfg)
         assert pls.kept.size == 0
     assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-4

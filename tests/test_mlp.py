@@ -7,15 +7,16 @@ import pytest
 from agst import (
     SoftLabels,
     TrainConfig,
+    class_members,
     compute_prototypes,
     filter_pseudo_labels,
     forward,
     init_params,
-    loss_ce_labeled,
-    loss_ce_unlabeled,
     loss_contrastive,
+    loss_cross_entropy,
     momentum_update,
     student_features,
+    student_targets,
     train_student,
     two_cluster_bundle,
     write_trace_csv,
@@ -97,70 +98,92 @@ class TestForward:
         gold, labeled, unlabeled = np.array([0, 1, 0, 1, 0]), np.array([0, 1]), np.arange(2, 5)
         soft = SoftLabels(np.full((5, 2), 0.5), normalized=True)
         cfg = TrainConfig(dropout=0.5, lambda2=0.0)
-        targets = soft.matrix[unlabeled]
+        targets = student_targets(soft.matrix, gold, labeled)
         _, p_eval = forward(params, x)
         ws = EpochWorkspace.for_rows(params, x)
-        joint_objective(params, x, gold, labeled, unlabeled, targets, cfg, None, None,
-                        workspace=ws)
-        assert ws.mask is None
+        joint_objective(params, x, labeled, unlabeled, targets, cfg, None, None, workspace=ws)
+        # without dropout the keep factor is the ReLU's 0 or 1
+        assert np.array_equal(ws.keep, (ws.h1 > 0).astype(ws.keep.dtype))
         assert np.array_equal(ws.p, p_eval)
-        joint_objective(params, x, gold, labeled, unlabeled, targets, cfg, None, None,
+        joint_objective(params, x, labeled, unlabeled, targets, cfg, None, None,
                         rng=np.random.default_rng(0), workspace=ws)
-        assert ws.mask is not None
+        assert set(np.unique(ws.keep)) <= {0.0, 2.0}
+        assert np.any(ws.keep == 2.0)
         assert not np.array_equal(ws.p, p_eval)
+
+
+def labeled_loss(p, gold, nodes, reduction):
+    """``loss_cross_entropy`` with ``nodes`` labeled and no unlabeled row:
+    the labeled value and the nodes' gradient rows."""
+    targets = student_targets(np.zeros_like(p), gold, nodes, p.dtype)
+    value, _, grad = loss_cross_entropy(p, targets, nodes, np.empty(0, dtype=int), 1.0,
+                                        reduction)
+    return value, grad[nodes]
+
+
+def unlabeled_loss(p, soft, nodes, reduction):
+    """``loss_cross_entropy`` with ``nodes`` unlabeled against the rows of
+    ``soft``, beside one labeled row: the unlabeled value and the nodes'
+    gradient rows."""
+    p = np.vstack([np.full((1, p.shape[1]), 0.5), p])
+    targets = student_targets(np.vstack([soft[:1], soft]), np.zeros(len(p), dtype=int),
+                              np.array([0]), p.dtype)
+    _, value, grad = loss_cross_entropy(p, targets, np.array([0]), nodes + 1, 1.0, reduction)
+    return value, grad[nodes + 1]
 
 
 class TestLabeledCrossEntropy:
     def test_uniform_prediction_costs_log_c(self):
         p = np.full((1, 4), 0.25)
-        value, _ = loss_ce_labeled(p, np.array([2]), np.array([0]), "sum")
+        value, _ = labeled_loss(p, np.array([2]), np.array([0]), "sum")
         assert value == pytest.approx(math.log(4), abs=1e-12)
 
     def test_perfect_prediction_costs_nothing(self):
         p = np.array([[1.0, 0.0]])
-        value, _ = loss_ce_labeled(p, np.array([0]), np.array([0]), "sum")
+        value, _ = labeled_loss(p, np.array([0]), np.array([0]), "sum")
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_two_uniform_nodes_sum_form(self):
         p = np.full((2, 2), 0.5)
-        value, _ = loss_ce_labeled(p, np.array([0, 1]), np.array([0, 1]), "sum")
+        value, _ = labeled_loss(p, np.array([0, 1]), np.array([0, 1]), "sum")
         assert value == pytest.approx(2 * math.log(2), abs=1e-12)
 
     def test_mean_reduction_divides(self):
         p = np.full((2, 2), 0.5)
-        value, grad = loss_ce_labeled(p, np.array([0, 1]), np.array([0, 1]), "mean")
+        value, grad = labeled_loss(p, np.array([0, 1]), np.array([0, 1]), "mean")
         assert value == pytest.approx(math.log(2), abs=1e-12)
         assert np.allclose(grad, [[-0.25, 0.25], [0.25, -0.25]])
 
     def test_gradient_is_softmax_minus_onehot(self):
         p = np.array([[0.7, 0.2, 0.1]])
-        _, grad = loss_ce_labeled(p, np.array([1]), np.array([0]), "sum")
+        _, grad = labeled_loss(p, np.array([1]), np.array([0]), "sum")
         assert np.allclose(grad, [[0.7, -0.8, 0.1]])
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            loss_ce_labeled(np.ones((1, 2)), np.array([0]), np.array([], dtype=int), "sum")
+            loss_cross_entropy(np.ones((1, 2)), np.ones((1, 2)), np.array([], dtype=int),
+                               np.array([0]), 1.0, "sum")
 
 
 class TestUnlabeledCrossEntropy:
     def test_uniform_against_itself(self):
         soft = SoftLabels(np.full((1, 2), 0.5), normalized=True)
-        value, _ = loss_ce_unlabeled(np.full((1, 2), 0.5), soft.matrix, np.array([0]), "sum")
+        value, _ = unlabeled_loss(np.full((1, 2), 0.5), soft.matrix, np.array([0]), "sum")
         assert value == pytest.approx(math.log(2), abs=1e-12)
 
     def test_hard_target_scalar_log(self):
         soft = SoftLabels(np.array([[1.0, 0.0]]), normalized=True)
-        value, _ = loss_ce_unlabeled(np.array([[0.75, 0.25]]), soft.matrix, np.array([0]), "sum")
+        value, _ = unlabeled_loss(np.array([[0.75, 0.25]]), soft.matrix, np.array([0]), "sum")
         assert value == pytest.approx(-math.log(0.75), abs=1e-12)
 
     def test_mixed_target_arithmetic(self):
         soft = SoftLabels(np.array([[0.5, 0.5]]), normalized=True)
-        value, _ = loss_ce_unlabeled(np.array([[0.75, 0.25]]), soft.matrix, np.array([0]), "sum")
+        value, _ = unlabeled_loss(np.array([[0.75, 0.25]]), soft.matrix, np.array([0]), "sum")
         assert value == pytest.approx(-0.5 * (math.log(0.75) + math.log(0.25)), abs=1e-12)
 
     def test_gradient_is_softmax_minus_target(self):
         soft = SoftLabels(np.array([[0.3, 0.7]]), normalized=True)
-        _, grad = loss_ce_unlabeled(np.array([[0.6, 0.4]]), soft.matrix, np.array([0]), "sum")
+        _, grad = unlabeled_loss(np.array([[0.6, 0.4]]), soft.matrix, np.array([0]), "sum")
         assert np.allclose(grad, [[0.3, -0.3]])
 
     def test_unnormalized_targets_rejected(self):
@@ -174,23 +197,24 @@ class TestUnlabeledCrossEntropy:
 class TestPrototypes:
     def test_single_member_class(self):
         z = np.array([[1.0, 2.0], [3.0, 4.0]])
-        protos = compute_prototypes(z, np.array([0, 1]), np.array([0, 1]), 2)
+        protos = compute_prototypes(z, class_members(np.array([0, 1]), np.array([0, 1]), 2))
         assert np.array_equal(protos, z)
 
     def test_opposite_vectors_cancel(self):
         z = np.array([[1.0, -2.0], [-1.0, 2.0], [5.0, 5.0]])
-        protos = compute_prototypes(z, np.array([0, 0, 1]), np.array([0, 1, 2]), 2)
+        protos = compute_prototypes(z, class_members(np.array([0, 0, 1]), np.array([0, 1, 2]),
+                                                     2))
         assert np.array_equal(protos[0], [0.0, 0.0])
 
     def test_mean_of_five_random_vectors(self):
         rng = np.random.default_rng(5)
         z = rng.normal(size=(5, 7))
-        protos = compute_prototypes(z, np.zeros(5, dtype=int), np.arange(5), 1)
+        protos = compute_prototypes(z, class_members(np.zeros(5, dtype=int), np.arange(5), 1))
         assert np.max(np.abs(protos[0] - z.mean(axis=0))) < 1e-12
 
     def test_class_without_labeled_node_rejected(self):
         with pytest.raises(ValueError, match="class 1"):
-            compute_prototypes(np.ones((2, 3)), np.array([0, 0]), np.array([0, 1]), 2)
+            class_members(np.array([0, 0]), np.array([0, 1]), 2)
 
 
 class TestRowMax:
@@ -440,7 +464,7 @@ class TestMomentumUpdate:
         params = init_params(1433, 7, 64, rng)
         params.w1 += rng.normal(scale=0.1, size=params.w1.shape).astype(STUDENT_DTYPE)
         fresh = params.copy()
-        scratch = tuple(np.empty_like(a) for a in params.encoder())
+        scratch = np.empty_like(params.momentum)
         momentum_update(params, 0.9, scratch)
         momentum_update(fresh, 0.9)
         tracemalloc.start()
@@ -469,21 +493,21 @@ class TestAdam:
         ours = Adam(lr=0.05, weight_decay=weight_decay)
         ref = reference.Adam(lr=0.05, weight_decay=weight_decay)
         for _ in range(50):
-            # gradients in the parameters' dtype, as joint_objective returns them
-            grads = {name: rng.normal(size=getattr(params, name).shape).astype(STUDENT_DTYPE)
-                     for name in PARAM_NAMES}
-            kept = {name: g.copy() for name, g in grads.items()}
-            ours.step(params, grads)
+            # one flat gradient in the parameters' dtype, as joint_objective
+            # writes it; the reference reads it one parameter at a time
+            grad = rng.normal(size=params.live.size).astype(STUDENT_DTYPE)
+            kept = {name: g.copy() for name, g in zip(PARAM_NAMES, params.views(grad))}
+            before = grad.copy()
+            ours.step(params, grad)
             ref.step(ref_params, kept)
-            # the caller's gradients are read, never written
-            assert all(np.array_equal(grads[name], kept[name]) for name in PARAM_NAMES)
+            # the caller's gradient is read, never written
+            assert np.array_equal(grad, before)
         for name in ARRAY_NAMES:
             assert getattr(params, name).tobytes() == getattr(ref_params, name).tobytes(), name
 
     def test_step_moves_against_the_gradient(self):
         params = zero_params()
-        grads = {name: np.ones_like(getattr(params, name)) for name in PARAM_NAMES}
-        Adam(lr=0.1).step(params, grads)
+        Adam(lr=0.1).step(params, np.ones_like(params.live))
         # the first bias-corrected step is lr * g / (|g| + eps) per entry
         assert np.allclose(params.w1, -0.1)
         assert np.array_equal(params.mw1, np.zeros_like(params.mw1))
@@ -741,8 +765,8 @@ class TestTrainStudent:
         monkeypatch.setattr(mlp, "EpochWorkspace", Workspace)
         monkeypatch.setattr(mlp, "Adam", Recorded)
         epoch_functions = ("joint_objective", "pseudo_targets", "momentum_embed",
-                           "compute_prototypes", "similarity_distribution", "loss_ce_labeled",
-                           "loss_ce_unlabeled", "loss_contrastive", "forward")
+                           "compute_prototypes", "similarity_distribution",
+                           "loss_cross_entropy", "loss_contrastive", "forward")
         for name in epoch_functions:
             monkeypatch.setattr(mlp, name, recording(name))
         features = sp.csr_array(bundle.features) if as_csr else None
@@ -757,8 +781,9 @@ class TestTrainStudent:
             arrays += [a for a in vars(ws).values()
                        if isinstance(a, np.ndarray) and a.dtype.kind == "f"]
         (optimizer,) = optimizers
-        arrays += [a for state in optimizer.state.values() for a in state]
-        assert len(workspaces) == 2 and len(optimizer.state) == len(PARAM_NAMES)
+        arrays += list(optimizer.state)
+        assert len(workspaces) == 2
+        assert [a.shape for a in optimizer.state] == [params.live.shape] * 4
         assert len(returned["joint_objective"]) == len(PARAM_NAMES)   # the gradients
         assert {a.dtype for a in arrays} == {np.dtype(STUDENT_DTYPE)}
 
@@ -814,6 +839,7 @@ class TestEpochCost:
         x = sp.csr_array((rng.random((n, f)) < 0.02).astype(STUDENT_DTYPE))
         gold = rng.integers(0, c, size=n)
         labeled = np.array([np.flatnonzero(gold == cls)[0] for cls in range(c)])
+        members = class_members(gold, labeled, c)
         unlabeled = np.setdiff1d(np.arange(n), labeled)
         params = init_params(f, c, hidden, rng)
         cfg = TrainConfig(hidden=hidden)
@@ -822,15 +848,15 @@ class TestEpochCost:
         z, _ = forward(params, x, ws)
         # pseudo-labels that agree with the prototypes keep almost every node,
         # so gathering the kept rows of z would copy nearly all of it
-        protos, _ = pseudo_targets(params, ws.s, gold, labeled, unlabeled, gold, cfg, ws)
+        protos, _ = pseudo_targets(params, ws.s, members, unlabeled, gold, cfg, ws)
         hard = np.argmax(reference.momentum_embed(params, x) @ protos.T, axis=1)
-        protos, pls = pseudo_targets(params, ws.s, gold, labeled, unlabeled, hard, cfg, ws)
+        protos, pls = pseudo_targets(params, ws.s, members, unlabeled, hard, cfg, ws)
         assert pls.kept.size > 0.9 * unlabeled.size
         n_by_hidden = n * hidden * np.dtype(STUDENT_DTYPE).itemsize
 
         tracemalloc.start()
         try:
-            pseudo_targets(params, ws.s, gold, labeled, unlabeled, hard, cfg, ws)
+            pseudo_targets(params, ws.s, members, unlabeled, hard, cfg, ws)
             _, after_targets = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             loss_contrastive(z, protos, pls, cfg.tau, "mean", out=ws.g_sim)

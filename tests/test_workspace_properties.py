@@ -33,13 +33,16 @@ import reference  # noqa: E402
 from agst import (  # noqa: E402
     SoftLabels,
     TrainConfig,
+    class_members,
     init_params,
     joint_objective,
     pseudo_targets,
+    student_targets,
 )
 from agst.mlp import STUDENT_DTYPE, EpochWorkspace  # noqa: E402
 
 EPS = float(np.finfo(STUDENT_DTYPE).eps)
+EPS64 = float(np.finfo(np.float64).eps)
 
 
 def same_bits(a, b):
@@ -122,7 +125,7 @@ def gradient_bounds(params, x, ws, protos, pls, cfg, gap):
     d_abs = mag(ws.d_logits) @ mag(params.w3).T + coef * mag(ws.g_sim) @ mag(protos)
     d_err = gap * d_abs + coef * g_err[:, None] * mag(protos).sum(0)
     through = d_err + gap * d_abs          # d_z's error and the next chain's own
-    gate = (1.0 if ws.mask is None else mag(ws.mask)) * ws.relu
+    gate = mag(ws.keep)
     h_err = (through @ mag(params.w2).T) * gate
     h_err += gap * (d_abs @ mag(params.w2).T) * gate
     return {
@@ -143,21 +146,22 @@ def test_shared_workspace_epochs_equal_fresh_arrays(problem):
     f = x.shape[1]
     unlabeled = np.setdiff1d(np.arange(n), labeled)
     hard = np.argmax(soft.matrix, axis=1)
-    targets = soft.matrix[unlabeled].astype(STUDENT_DTYPE)
+    targets = student_targets(soft.matrix, gold, labeled)
+    members = class_members(gold, labeled, c)
     ws = EpochWorkspace(n, cfg.hidden, c, STUDENT_DTYPE)
     buffers = [a for a in vars(ws).values() if isinstance(a, np.ndarray)]
     gap = 2 * two_evaluations(f + 2 * cfg.hidden + c + n + 8)   # doubled for second-order terms
 
     for params, seed in epochs:
         ws.s = x @ params.mw1
-        protos, pls = pseudo_targets(params, ws.s, gold, labeled, unlabeled, hard, cfg, ws)
+        protos, pls = pseudo_targets(params, ws.s, members, unlabeled, hard, cfg, ws)
         if cfg.lambda2 == 0:
             assert (protos, pls) == (None, None)
         else:
             ref = reference.pseudo_targets(params, x, gold, labeled, unlabeled, soft, cfg)
             check_pseudo_targets(params, x, protos, pls, ref, labeled, c, cfg.tau, gap)
         joint, parts, grads = joint_objective(
-            params, x, gold, labeled, unlabeled, targets, cfg, protos, pls,
+            params, x, labeled, unlabeled, targets, cfg, protos, pls,
             rng=generator(seed), workspace=ws)
         # the reference gets the same prototypes and kept set
         ref_joint, ref_parts, ref_grads, ref_cache = reference.joint_objective(
@@ -165,16 +169,22 @@ def test_shared_workspace_epochs_equal_fresh_arrays(problem):
 
         assert same_bits(ws.p, ref_cache["p"])
         assert same_bits(ws.z, ref_cache["z"])
-        assert (ws.mask is None) == (ref_cache["mask"] is None)
-        if ws.mask is not None:
-            assert same_bits(ws.mask, ref_cache["mask"])
-        assert all(same_bits(a, b) for a, b in zip(parts[:2], ref_parts[:2]))
+        # ReLU and dropout as one factor
+        keep = ref_cache["h1"] > 0.0
+        if ref_cache["mask"] is not None:
+            keep = keep * ref_cache["mask"]
+        assert same_bits(ws.keep, keep.astype(STUDENT_DTYPE))
+        assert same_bits(parts[0], ref_parts[0])
+        # the unlabeled term sums row by row, the reference over its whole
+        # block; every summed term is <= 0, so |value| bounds the chain
+        unl_bound = two_evaluations(n * c + 2) * abs(ref_parts[1])
+        assert abs(parts[1] - ref_parts[1]) <= unl_bound
         assert grads.keys() == ref_grads.keys()
         for g in grads.values():
             assert not any(np.shares_memory(g, b) for b in buffers)
         if pls is None:
             assert parts[2] == 0.0
-            assert same_bits(joint, ref_joint)
+            assert abs(joint - ref_joint) <= cfg.lambda1 * unl_bound + 4 * EPS64 * abs(ref_joint)
             for name, g in grads.items():
                 assert same_bits(g, ref_grads[name]), name
             continue
