@@ -22,7 +22,7 @@ matrix in ``STUDENT_DTYPE``.
 
 The student trains in ``STUDENT_DTYPE`` (float32): ``init_params``,
 ``student_features`` and ``train_student`` set it, and every other array of
-an epoch (the workspace, the dropout mask, the gradients, Adam's moments,
+an epoch (the workspace, the keep factor, the gradients, Adam's moments,
 the momentum update) follows the weights' dtype.  Epochs are memory-bound sparse products
 and n x hidden passes, so float32 halves their traffic.  What reads the
 student's output stays in float64: prediction is
@@ -30,11 +30,25 @@ student's output stays in float64: prediction is
 loss is summed in float64, and ``gradcheck`` differentiates a float64 copy of
 the parameters.  The teacher's ``SoftLabels`` are float64 throughout;
 ``train_student`` takes what its epochs read of them once per call: the hard
-pseudo-labels and the unlabeled rows, cast to the student's dtype.
+pseudo-labels and ``student_targets``, the full-height cross-entropy target
+matrix in the student's dtype (one-hot gold rows on the labeled set), so
+``loss_cross_entropy`` forms both gradients over every row at once.  Each
+class's labeled members (``class_members``) are taken once per call too.
+
+``StudentParams`` holds the six trainable arrays as views of one flat vector
+and the momentum encoder's four as views of a second; the gradients are
+views of a third, laid out like the first.  ``Adam.step``,
+``momentum_update``, the finiteness check and the best-epoch copy each make
+one pass over one vector.
 
 ``_forward`` computes ReLU(x @ w1 + b1) @ w2 + b2 (with dropout in training)
 and the softmax head, and leaves its state in an ``EpochWorkspace``, which
-holds every n x hidden and n x c array of an epoch.
+holds every n x hidden and n x c array of an epoch.  ReLU and dropout are
+one keep factor, 0 or 1 / (1 - p), applied by one multiply in the forward
+pass and one in the backward pass; the dropout draw (``draw_kept``) reads
+the generator's raw 64-bit words.  Sums along a short axis (the softmax's
+row sums, the bias gradients' column sums) are BLAS products with a ones
+vector.
 
 The momentum encoder never runs over x.  Its first layer is an average,
 mw1 <- m * mw1 + (1 - m) * w1, so s = x @ mw1 follows
@@ -47,9 +61,9 @@ through (mw2, mb2), filter logits are h @ (mw2 @ P.T / tau) + mb2 @ P.T / tau,
 and the contrastive gradient is taken w.r.t. the similarity logits
 z @ P.T / tau, which the backward pass maps to the embeddings in the same
 product as d(loss)/d(logits).  ``gradcheck`` calls the same functions on the
-direct x @ mw1.  An epoch allocates the gradients, n x c arrays, the labeled
-rows the prototypes average, and, with CSR features, SciPy's x @ w1 and
-x.T @ d products.
+direct x @ mw1.  An epoch allocates n x c arrays, the labeled rows the
+prototypes average, the dropout draw's raw words, and, with CSR features,
+SciPy's x @ w1 and x.T @ d products.
 """
 
 from __future__ import annotations
@@ -137,20 +151,17 @@ class StudentParams:
 
     def __init__(self, live: np.ndarray, momentum: np.ndarray, dims: tuple[int, int, int]):
         self.live, self.momentum, self.dims = live, momentum, dims
-        for name, view in zip(ARRAY_NAMES, self.views(live) + _views(momentum, self.shapes())):
+        views = [*self.views(live).values(), *_views(momentum, self.shapes())]
+        for name, view in zip(ARRAY_NAMES, views):
             setattr(self, name, view)
-
-    def __reduce__(self):
-        # rebuilt from the vectors, so an unpickled copy's arrays stay views
-        return StudentParams, (self.live, self.momentum, self.dims)
 
     def shapes(self) -> tuple[tuple[int, ...], ...]:
         return param_shapes(*self.dims)
 
-    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """The arrays of ``PARAM_NAMES`` as views of ``flat``, a vector laid
         out as ``live``."""
-        return _views(flat, self.shapes())
+        return dict(zip(PARAM_NAMES, _views(flat, self.shapes())))
 
     def copy(self) -> "StudentParams":
         return StudentParams(self.live.copy(), self.momentum.copy(), self.dims)
@@ -268,11 +279,11 @@ def _forward(params, x, ws, dropout=0.0, rng=None, xw1=None):
     h = _product(x, params.w1, ws.h1) if xw1 is None else xw1
     h += params.b1
     alive = np.greater(h, 0.0, out=ws.alive)
-    one = ws.keep.dtype.type(1.0)
-    scale = one
+    unit = ws.keep.dtype.type
+    scale = unit(1.0)
     if rng is not None and dropout > 0.0:
         alive &= draw_kept(rng, dropout, ws.drawn)
-        scale = one / ws.keep.dtype.type(1.0 - dropout)
+        scale = unit(1.0) / unit(1.0 - dropout)
     h *= np.multiply(alive, scale, out=ws.keep)
     ws.h1 = h
     np.matmul(h, params.w2, out=ws.z)
@@ -315,12 +326,11 @@ def momentum_fold(s: np.ndarray, xw1: np.ndarray, m: float, scratch: np.ndarray)
     s += np.multiply(xw1, 1.0 - m, out=scratch)
 
 
-def _backward(params, x, ws, d_out, w_out, grads):
+def _backward(params, x, ws, d_out, w_out, g):
     """Gradients of the assembled loss given the forward pass's state,
     d(loss)/d(logits) in ``ws.d_logits``, and d(loss)/d(embeddings) as
-    ``d_out @ w_out``, written into ``grads``, the views of
-    ``params.views``.  The n-row temporaries live in ``ws``."""
-    g = dict(zip(PARAM_NAMES, grads))
+    ``d_out @ w_out``, written into ``g``, views by name as
+    ``params.views`` gives them.  The n-row temporaries live in ``ws``."""
     d_logits = ws.d_logits
     np.matmul(ws.z.T, d_logits, out=g["w3"])
     np.matmul(ws.ones, d_logits, out=g["b3"])

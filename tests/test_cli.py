@@ -285,6 +285,13 @@ class TestSpecFromFlags:
         spec = built_spec([command, "--dataset", "d", *flags, *extra], monkeypatch, tmp_path)
         assert spec == expected
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_zero_val_per_class_is_the_no_validation_mode(self, monkeypatch, tmp_path, command):
+        extra = SWEEP if command == "sweep" else []
+        spec = built_spec([command, "--dataset", "d", "--val-per-class", "0", *extra],
+                          monkeypatch, tmp_path)
+        assert spec == replace(DEFAULT, val_per_class=0)
+
     @pytest.mark.parametrize("axis", SWEEP_AXES)
     def test_sweep_axis_sets_the_field_of_its_flag(self, monkeypatch, tmp_path, axis):
         flag = "--" + axis.replace("_", "-")

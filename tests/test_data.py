@@ -271,6 +271,14 @@ class TestMakeSplit:
         with pytest.raises(ValueError, match="rate"):
             make_split(big_bundle, "imbalanced", seed=0, rate=1.5)
 
+    def test_negative_val_per_class_rejected(self, big_bundle):
+        with pytest.raises(ValueError, match="val_per_class"):
+            make_split(big_bundle, "balanced", seed=0, k=3, val_per_class=-2)
+
+    def test_zero_val_per_class_gives_no_validation(self, big_bundle):
+        split = make_split(big_bundle, "balanced", seed=0, k=3, val_per_class=0)
+        assert split.validation.size == 0 and split.labeled.size > 0
+
     def test_unknown_protocol(self, big_bundle):
         with pytest.raises(ValueError, match="protocol"):
             make_split(big_bundle, "stratified", seed=0)

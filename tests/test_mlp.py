@@ -484,6 +484,38 @@ class TestMomentumUpdate:
             momentum_update(params, 1.5)
 
 
+class TestStudentParams:
+    def test_arrays_are_views_of_the_two_vectors(self):
+        params = init_params(5, 3, 4, np.random.default_rng(8))
+        for name in PARAM_NAMES:
+            assert np.shares_memory(getattr(params, name), params.live), name
+        for name in ARRAY_NAMES[len(PARAM_NAMES):]:
+            assert np.shares_memory(getattr(params, name), params.momentum), name
+        assert params.live.size == sum(getattr(params, n).size for n in PARAM_NAMES)
+        assert params.momentum.size == sum(getattr(params, n).size
+                                           for n in ARRAY_NAMES[len(PARAM_NAMES):])
+
+    @pytest.mark.parametrize("make", [lambda p: p.copy(),
+                                      lambda p: p.astype(STUDENT_DTYPE),
+                                      lambda p: p.astype(np.float64)],
+                             ids=["copy", "astype-same", "astype-float64"])
+    def test_copies_never_alias_the_training_vectors(self, make):
+        params = init_params(5, 3, 4, np.random.default_rng(9))
+        before = {name: getattr(params, name).copy() for name in ARRAY_NAMES}
+        other = make(params)
+        for vector in (other.live, other.momentum):
+            assert not np.shares_memory(vector, params.live)
+            assert not np.shares_memory(vector, params.momentum)
+        for name in ARRAY_NAMES:
+            assert np.array_equal(getattr(other, name), before[name]), name
+        # the copy's arrays are views of the copy's own vectors
+        other.live[:] = 7.0
+        other.momentum[:] = 7.0
+        for name in ARRAY_NAMES:
+            assert np.all(getattr(other, name) == 7.0), name
+            assert np.array_equal(getattr(params, name), before[name]), name
+
+
 class TestAdam:
     @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
     def test_steps_equal_the_allocating_reference_bit_for_bit(self, weight_decay):
@@ -496,7 +528,7 @@ class TestAdam:
             # one flat gradient in the parameters' dtype, as joint_objective
             # writes it; the reference reads it one parameter at a time
             grad = rng.normal(size=params.live.size).astype(STUDENT_DTYPE)
-            kept = {name: g.copy() for name, g in zip(PARAM_NAMES, params.views(grad))}
+            kept = {name: g.copy() for name, g in params.views(grad).items()}
             before = grad.copy()
             ours.step(params, grad)
             ref.step(ref_params, kept)

@@ -198,6 +198,23 @@ class TestRunAgst:
         assert back["config"]["iterations"] == 2
 
 
+class TestSplitWithoutGold:
+    """A split node whose gold label is UNLABELED (-1) is refused where the
+    run takes the split; its label would otherwise be read as class c - 1."""
+
+    @pytest.mark.parametrize("part", ["labeled", "validation", "test"])
+    def test_run_and_student_name_the_node(self, part):
+        bundle, split = toy_setup(seed=2)
+        node = getattr(split, part)[0]
+        bundle.gold[node] = -1
+        with pytest.raises(ValueError, match=rf"no gold label: {node}$"):
+            run_agst(bundle, split, quick_cfg(iterations=1))
+        soft = to_distribution(propagate_labels(normalize_adjacency(bundle.graph), bundle,
+                                                split, LpConfig()))
+        with pytest.raises(ValueError, match=rf"no gold label: {node}$"):
+            train_student(bundle, split, soft, TrainConfig(max_epochs=1))
+
+
 class TestPredict:
     def test_constant_logits_predict_constant_class(self):
         from agst import init_params
