@@ -55,3 +55,30 @@ def test_raw_words_draw_what_float32_uniforms_draw(rows, cols, p, seed, bit_gene
 def test_thirty_two_bit_generator_refused():
     with pytest.raises(ValueError, match="64-bit"):
         draw_kept(np.random.Generator(np.random.MT19937(0)), 0.5, np.empty(4, dtype=bool))
+
+
+class RawWords:
+    """A stand-in generator whose raw 64-bit draws are the given words."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self.words = np.asarray(words, dtype=np.uint64)
+
+    def random_raw(self, size):
+        assert size == self.words.size
+        return self.words
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p=st.floats(0.05, 0.95))
+def test_words_at_the_threshold_keep_as_their_float32_uniforms(p):
+    # a float32 uniform is (word >> 8) * 2**-24; words whose top 24 bits sit
+    # at and beside the smallest kept value, with low bytes 0 and 255
+    top = int(np.ceil(np.float64(np.float32(p)) * 2**24))
+    halves = np.array([(k << 8) | low for k in (top - 1, top, top + 1) for low in (0, 255)],
+                      dtype=np.uint64)
+    kept = draw_kept(RawWords(halves[0::2] | halves[1::2] << np.uint64(32)), p,
+                     np.empty(halves.size, dtype=bool))
+    uniforms = (halves >> np.uint64(8)).astype(np.float32) * np.float32(2**-24)
+    assert np.array_equal(kept, uniforms >= np.float32(p))
+    assert kept.tolist() == [False, False, True, True, True, True]
