@@ -151,17 +151,14 @@ class StudentParams:
 
     def __init__(self, live: np.ndarray, momentum: np.ndarray, dims: tuple[int, int, int]):
         self.live, self.momentum, self.dims = live, momentum, dims
-        views = [*self.views(live).values(), *_views(momentum, self.shapes())]
+        views = [*self.views(live).values(), *_views(momentum, param_shapes(*dims))]
         for name, view in zip(ARRAY_NAMES, views):
             setattr(self, name, view)
-
-    def shapes(self) -> tuple[tuple[int, ...], ...]:
-        return param_shapes(*self.dims)
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """The arrays of ``PARAM_NAMES`` as views of ``flat``, a vector laid
         out as ``live``."""
-        return dict(zip(PARAM_NAMES, _views(flat, self.shapes())))
+        return dict(zip(PARAM_NAMES, _views(flat, param_shapes(*self.dims))))
 
     def copy(self) -> "StudentParams":
         return StudentParams(self.live.copy(), self.momentum.copy(), self.dims)
