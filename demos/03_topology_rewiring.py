@@ -19,7 +19,6 @@ from agst import (
     plan_augmentation,
     run_agst,
     two_cluster_bundle,
-    write_plan_tsv,
 )
 from agst.mlp import forward
 
@@ -49,5 +48,8 @@ print(f"plan: +{plan.added.shape[0]} edges, -{plan.removed.shape[0]} edges "
 rewired = apply_augmentation(bundle.graph, plan)
 print(f"edge count: {bundle.graph.m} -> {rewired.m}")
 
-write_plan_tsv(plan, "rewiring_plan.tsv")
-print("decision list written to rewiring_plan.tsv")
+print("decision list (action, i, j, probability):")
+for action, pairs, probs in (("add", plan.added, plan.added_prob),
+                             ("remove", plan.removed, plan.removed_prob)):
+    for (i, j), prob in zip(pairs, probs):
+        print(f"  {action}\t{i}\t{j}\t{prob:.6f}")

@@ -7,7 +7,7 @@ on the soft targets, rewire the pristine graph from its predictions.
 
 import json
 
-from agst import AgstConfig, make_split, result_to_dict, run_agst, two_cluster_bundle
+from agst import AgstConfig, make_split, run_agst, two_cluster_bundle
 
 bundle = two_cluster_bundle(n=40, noise_fraction=0.1, seed=7)
 split = make_split(bundle, "balanced", seed=7, k=3, val_per_class=4)
@@ -20,6 +20,5 @@ for stats in result.per_iteration:
           f"test={stats.test_acc:.3f} +{stats.edges_added}/-{stats.edges_removed} edges "
           f"({len(stats.trace.records)} epochs)")
 
-with open("pipeline_report.json", "w") as fh:
-    json.dump(result_to_dict(result, cfg), fh, indent=2)
-print("per-iteration report written to pipeline_report.json")
+print("per-iteration report:")
+print(json.dumps([stats.to_dict() for stats in result.per_iteration], indent=2))

@@ -51,10 +51,8 @@ from .mlp import (
     momentum_embed,
     momentum_update,
     pseudo_targets,
-    student_features,
     student_targets,
     train_student,
-    write_trace_csv,
 )
 from .propagation import (
     LpConfig,
@@ -69,8 +67,7 @@ from .rewiring import (
     apply_augmentation,
     edge_probability,
     plan_augmentation,
-    write_plan_tsv,
 )
-from .selftrain import AgstConfig, IterationStats, RunResult, result_to_dict, run_agst
+from .selftrain import AgstConfig, IterationStats, RunResult, run_agst
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ checks each rule once over the parsed rows; a fault raises
 DatasetFormatError naming the file and its first faulty line.
 ``save_dataset`` writes the same layout with ``np.savetxt``.
 
-Bundles hold the raw features; the student trains on ``mlp.student_features``
+Bundles hold the raw features; the student trains on ``mlp.feature_matrix``
 of them, and prediction is ``forward`` on that matrix.
 
 ``convert_content_release`` maps the classic two-file citation release

@@ -220,8 +220,11 @@ def run_experiment(spec: ExperimentSpec, bundle: DatasetBundle | None = None) ->
     bundle = _dataset(spec, bundle)
     seeds = [spec.seed + r for r in range(spec.runs)]
     started = time.perf_counter()
-    if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers, initializer=_init_worker,
+    # a forked pool starts all its workers at the first submit; one run a
+    # worker at most, and no pool for one
+    workers = min(spec.workers, spec.runs)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(bundle, spec)) as pool:
             records = list(pool.map(_worker_run, seeds))
     else:

@@ -4,7 +4,8 @@ The check differentiates ``mlp.joint_objective``, the function training
 calls, as a pure function of the trainable parameters: the prototypes and
 the filtered pseudo-label set from ``mlp.pseudo_targets``, taken on the
 direct product x @ mw1, stay frozen at their current values (they are
-constants of the gradient by design), and dropout is off.  It works in
+constants of the gradient by design), and dropout is off.  The round's
+inputs come from ``mlp.round_inputs``, as in training.  It works in
 float64 whatever the student's dtype: on a float64 copy of the parameters,
 so the caller's arrays are never written,
 and on ``mlp.feature_matrix(bundle.features, cfg.normalize_features)``, the
@@ -24,12 +25,11 @@ from .mlp import (
     PARAM_NAMES,
     StudentParams,
     TrainConfig,
-    class_members,
     feature_matrix,
     init_params,
     joint_objective,
     pseudo_targets,
-    student_targets,
+    round_inputs,
 )
 
 # roundoff of one loss evaluation, in machine epsilons times |loss|; on
@@ -55,18 +55,11 @@ def grad_check(
     """
     params = params.astype(np.float64)
     x = feature_matrix(bundle.features, cfg.normalize_features)
-    gold = bundle.gold
-    labeled = split.labeled
-    unlabeled = np.setdiff1d(np.arange(bundle.n), labeled)
-    if not soft.normalized:
-        raise ValueError("soft labels must be row-normalized distributions")
-    targets = student_targets(soft.matrix, gold, labeled, np.float64)
-    members = class_members(gold, labeled, bundle.num_classes) if cfg.lambda2 else None
-    protos, pls = pseudo_targets(params, x @ params.mw1, members, unlabeled,
-                                 np.argmax(soft.matrix, axis=1), cfg)
+    unlabeled, hard, targets, members = round_inputs(bundle, split, soft, cfg, np.float64)
+    protos, pls = pseudo_targets(params, x @ params.mw1, members, unlabeled, hard, cfg)
 
     def objective():
-        return joint_objective(params, x, labeled, unlabeled, targets, cfg, protos, pls)
+        return joint_objective(params, x, split.labeled, unlabeled, targets, cfg, protos, pls)
 
     _, _, analytic = objective()
     roundoff = ROUNDOFF_ULPS * np.finfo(np.float64).eps / eps   # per unit of |f|

@@ -1,74 +1,26 @@
 """Feature-transformation student: MLP with hand-derived gradients.
 
-The network is two affine encoder layers (f -> hidden -> hidden) with a ReLU
-and optional dropout in between, then an affine softmax head (hidden -> c).
-It trains full-batch with Adam on a weighted mix of three losses:
+Two affine encoder layers (f -> hidden -> hidden) with a ReLU and optional
+dropout between them feed an affine softmax head (hidden -> c).  Training is
+full-batch Adam on l_lab + lambda1 * l_unl + lambda2 * l_con: cross-entropy
+against the gold labels and against the teacher's soft labels, and a
+prototype contrastive term whose prototypes come from a momentum copy of the
+encoder (an exponential moving average of its weights) and are constants of
+the gradient.
 
-  * cross-entropy against gold labels on the labeled set,
-  * cross-entropy against propagated soft labels on the unlabeled set,
-  * a prototype contrastive term pulling filtered pseudo-labeled nodes
-    toward the mean embedding of their predicted class.
-
-Prototypes come from a momentum copy of the encoder (an exponential moving
-average of its weights) and are treated as constants by the gradient: the
-contrastive term only backpropagates through each node's own embedding.
-
-``joint_objective`` assembles the weighted loss and its gradient, and
-``pseudo_targets`` the constants of the contrastive term; training and the
-finite-difference check in ``gradcheck`` both call these two functions.
-``feature_matrix`` prepares the float64 matrix the student reads, once per
-run, from ``TrainConfig.normalize_features``; ``student_features`` is that
-matrix in ``STUDENT_DTYPE``.
-
-The student trains in ``STUDENT_DTYPE`` (float32): ``init_params``,
-``student_features`` and ``train_student`` set it, and every other array of
-an epoch (the workspace, the keep factor, the gradients, Adam's moments,
-the momentum update) follows the weights' dtype.  Epochs are memory-bound sparse products
-and n x hidden passes, so float32 halves their traffic.  What reads the
-student's output stays in float64: prediction is
-``forward(params.astype(np.float64), feature_matrix(...))``, the validation
-loss is summed in float64, and ``gradcheck`` differentiates a float64 copy of
-the parameters.  The teacher's ``SoftLabels`` are float64 throughout;
-``train_student`` takes what its epochs read of them once per call: the hard
-pseudo-labels and ``student_targets``, the full-height cross-entropy target
-matrix in the student's dtype (one-hot gold rows on the labeled set), so
-``loss_cross_entropy`` forms both gradients over every row at once.  Each
-class's labeled members (``class_members``) are taken once per call too.
-
-``StudentParams`` holds the six trainable arrays as views of one flat vector
-and the momentum encoder's four as views of a second; the gradients are
-views of a third, laid out like the first.  ``Adam.step``,
-``momentum_update``, the finiteness check and the best-epoch copy each make
-one pass over one vector.
-
-``_forward`` computes ReLU(x @ w1 + b1) @ w2 + b2 (with dropout in training)
-and the softmax head, and leaves its state in an ``EpochWorkspace``, which
-holds every n x hidden and n x c array of an epoch.  ReLU and dropout are
-one keep factor, 0 or 1 / (1 - p), applied by one multiply in the forward
-pass and one in the backward pass; the dropout draw (``draw_kept``) reads
-the generator's raw 64-bit words.  Sums along a short axis (the softmax's
-row sums, the bias gradients' column sums) are BLAS products with a ones
-vector.
+The student trains in ``STUDENT_DTYPE`` (float32): an epoch is memory-bound
+sparse products and n x hidden passes, so float32 halves its traffic.  What
+reads the student's output stays in float64: prediction, the validation loss
+and ``gradcheck``.
 
 The momentum encoder never runs over x.  Its first layer is an average,
 mw1 <- m * mw1 + (1 - m) * w1, so s = x @ mw1 follows
 s <- m * s + (1 - m) * (x @ w1), the product the live forward pass takes
-anyway: ``train_student`` takes x @ mw1 once per call and then folds each
-epoch's x @ w1 into it (``momentum_fold``; ``EpochWorkspace`` gives the
-epoch's order).  Of the momentum branch only s and its hidden layer
-h = ReLU(s + mb1) are n x hidden: prototypes are class means of h mapped
-through (mw2, mb2), filter logits are h @ (mw2 @ P.T / tau) + mb2 @ P.T / tau,
-and the contrastive gradient is taken w.r.t. the similarity logits
-z @ P.T / tau, which the backward pass maps to the embeddings in the same
-product as d(loss)/d(logits).  ``gradcheck`` calls the same functions on the
-direct x @ mw1.  An epoch allocates n x c arrays, the labeled rows the
-prototypes average, the dropout draw's raw words, and, with CSR features,
-SciPy's x @ w1 and x.T @ d products.
+anyway (``momentum_fold``); past s, the momentum branch is c columns wide.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
@@ -82,15 +34,16 @@ from .propagation import SoftLabels
 log = logging.getLogger(__name__)
 
 LOG_FLOOR = 1e-12
-# the dtype the student trains in; read where its weights and its matrix are
-# made: init_params, student_features, and train_student's casts of the
-# matrix and warm-start weights it is given
+# the dtype the student trains in; read where its weights are made
+# (init_params) and where train_student casts the matrix and the warm-start
+# weights it is given
 STUDENT_DTYPE = np.float32
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
-# (live, momentum) names of the encoder's arrays; the head has no momentum copy
-ENCODER_PAIRS = (("w1", "mw1"), ("b1", "mb1"), ("w2", "mw2"), ("b2", "mb2"))
-ARRAY_NAMES = PARAM_NAMES + tuple(mom for _, mom in ENCODER_PAIRS)
+# the momentum copies of the encoder's arrays, the first four of PARAM_NAMES;
+# the head has none
+MOMENTUM_NAMES = ("mw1", "mb1", "mw2", "mb2")
+ARRAY_NAMES = PARAM_NAMES + MOMENTUM_NAMES
 
 
 def row_max(a: np.ndarray) -> np.ndarray:
@@ -126,11 +79,9 @@ def param_shapes(num_features: int, hidden: int, num_classes: int) -> tuple[tupl
 
 
 def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive views of ``flat`` in ``shapes``, as many as it holds."""
+    """Consecutive views of ``flat`` in ``shapes``."""
     views, start = [], 0
     for shape in shapes:
-        if start == flat.size:
-            break
         size = int(np.prod(shape))
         views.append(flat[start:start + size].reshape(shape))
         start += size
@@ -151,7 +102,8 @@ class StudentParams:
 
     def __init__(self, live: np.ndarray, momentum: np.ndarray, dims: tuple[int, int, int]):
         self.live, self.momentum, self.dims = live, momentum, dims
-        views = [*self.views(live).values(), *_views(momentum, param_shapes(*dims))]
+        encoder = param_shapes(*dims)[:len(MOMENTUM_NAMES)]
+        views = [*self.views(live).values(), *_views(momentum, encoder)]
         for name, view in zip(ARRAY_NAMES, views):
             setattr(self, name, view)
 
@@ -183,7 +135,7 @@ def init_params(
     dims = (num_features, hidden, num_classes)
     sizes = [int(np.prod(shape)) for shape in param_shapes(*dims)]
     params = StudentParams(np.zeros(sum(sizes), STUDENT_DTYPE),
-                           np.empty(sum(sizes[:len(ENCODER_PAIRS)]), STUDENT_DTYPE), dims)
+                           np.empty(sum(sizes[:len(MOMENTUM_NAMES)]), STUDENT_DTYPE), dims)
     for name in ("w1", "w2", "w3"):
         w = getattr(params, name)
         limit = np.sqrt(6.0 / sum(w.shape))
@@ -561,7 +513,6 @@ class TrainConfig:
     hidden: int = 64
     loss_reduction: str = "mean"   # "sum" recovers the strict additive form
     normalize_features: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         # each test is written so that NaN fails it
@@ -600,19 +551,10 @@ class TrainTrace:
     best_epoch: int | None = None
 
 
-def write_trace_csv(trace: TrainTrace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss_labeled", "loss_unlabeled", "loss_contrastive", "val_acc"])
-        for r in trace.records:
-            writer.writerow([r.epoch, r.loss_labeled, r.loss_unlabeled,
-                             r.loss_contrastive, "" if r.val_acc is None else r.val_acc])
-
-
 def feature_matrix(features: np.ndarray, normalize: bool) -> np.ndarray | sparse.csr_array:
     """The float64 matrix the student reads: rows L2-normalized when
     ``normalize`` is set, stored as CSR when the matrix is large and mostly
-    zeros.  Prediction reads it as it is; training reads ``student_features``."""
+    zeros.  Prediction reads it as it is, training in ``STUDENT_DTYPE``."""
     x = l2_normalize_rows(features) if normalize else features
     # binary/bag-of-words feature matrices are mostly zeros; the two x-side
     # matmuls dominate an epoch, so switch representation when it pays off
@@ -621,10 +563,21 @@ def feature_matrix(features: np.ndarray, normalize: bool) -> np.ndarray | sparse
     return x
 
 
-def student_features(features: np.ndarray, normalize: bool) -> np.ndarray | sparse.csr_array:
-    """``feature_matrix`` in ``STUDENT_DTYPE``, the matrix training reads.  The
-    cast comes after the CSR conversion, so no dense copy is made."""
-    return feature_matrix(features, normalize).astype(STUDENT_DTYPE)
+def round_inputs(bundle: DatasetBundle, split: SplitSpec, soft: SoftLabels, cfg: TrainConfig,
+                 dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray] | None]:
+    """What a round's objective reads of the split and the teacher besides
+    ``split.labeled``: the unlabeled nodes, the teacher's argmax class of
+    every node (ties go to the lowest class), ``student_targets`` in
+    ``dtype``, and ``class_members`` (None when ``cfg.lambda2`` is zero).
+    Refuses an empty labeled set and soft labels not normalized."""
+    labeled = split.labeled
+    if labeled.size == 0:
+        raise ValueError("empty labeled set")
+    if not soft.normalized:
+        raise ValueError("soft labels must be normalized distributions")
+    members = class_members(bundle.gold, labeled, bundle.num_classes) if cfg.lambda2 else None
+    return (np.setdiff1d(np.arange(bundle.n), labeled), np.argmax(soft.matrix, axis=1),
+            student_targets(soft.matrix, bundle.gold, labeled, dtype), members)
 
 
 def pseudo_targets(
@@ -699,9 +652,9 @@ def train_student(
     split: SplitSpec,
     soft: SoftLabels,
     cfg: TrainConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
+    x: np.ndarray | sparse.csr_array,
     init: StudentParams | None = None,
-    features: np.ndarray | sparse.csr_array | None = None,
 ) -> tuple[StudentParams, TrainTrace]:
     """Full-batch Adam on the joint loss with validation early stopping.
 
@@ -713,49 +666,33 @@ def train_student(
     restored (accuracy ties broken by lower validation loss).  Without a
     validation set a fixed budget of ``no_val_epochs`` epochs runs.
 
-    ``features`` is ``feature_matrix(bundle.features, cfg.normalize_features)``
-    or its ``student_features`` cast, from a caller that trains several rounds
-    on it; ``student_features`` is built here if it is absent, and training
-    reads it in ``STUDENT_DTYPE``.  Every epoch writes into one
-    ``EpochWorkspace`` built here, and the validation pass into another.  The
-    validation loss is summed in float64.
+    ``x`` is ``feature_matrix(bundle.features, cfg.normalize_features)``, dense
+    or CSR, in any float dtype; training reads it in ``STUDENT_DTYPE``.  ``rng``
+    draws the initial weights (unless ``init`` is given) and the dropout.
+    Every epoch writes into one ``EpochWorkspace`` built here, and the
+    validation pass into another.  The validation loss is summed in float64.
     """
-    if split.labeled.size == 0:
-        raise ValueError("empty labeled set")
-    if not soft.normalized:
-        raise ValueError("soft labels must be normalized before training")
+    expected = (bundle.n, bundle.num_features)
+    if x.shape != expected:
+        raise ValueError(f"feature matrix has shape {x.shape}, expected {expected}")
     require_gold(bundle, split)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-
-    x = features
-    if x is None:
-        x = student_features(bundle.features, cfg.normalize_features)
+    unlabeled, hard, targets, members = round_inputs(bundle, split, soft, cfg, STUDENT_DTYPE)
     x = x.astype(STUDENT_DTYPE, copy=False)
-    gold = bundle.gold
     labeled = split.labeled
-    unlabeled = np.setdiff1d(np.arange(bundle.n), labeled)
-    hard = np.argmax(soft.matrix, axis=1)    # ties go to the lowest class
-    targets = student_targets(soft.matrix, gold, labeled)
     has_val = split.validation.size > 0
-    c = bundle.num_classes
 
     params = (init.astype(STUDENT_DTYPE) if init is not None
-              else init_params(bundle.num_features, c, cfg.hidden, rng))
+              else init_params(bundle.num_features, bundle.num_classes, cfg.hidden, rng))
     workspace = EpochWorkspace.for_rows(params, x)
-    contrastive = cfg.lambda2 != 0
-    members = None
-    if contrastive:
-        members = class_members(gold, labeled, c)
+    if members is not None:
         workspace.s = x @ params.mw1
     grad = np.empty_like(params.live)
     scratch = np.empty_like(params.momentum)
     if has_val:
         x_val = x[split.validation]
         val_workspace = EpochWorkspace.for_rows(params, x_val)
-        gold_val = gold[split.validation]
-        n_val = split.validation.size
-        rows_val = np.arange(n_val)
+        gold_val = bundle.gold[split.validation]
+        rows_val = np.arange(gold_val.size)
     optimizer = Adam(lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
     trace = TrainTrace()
 
@@ -767,7 +704,7 @@ def train_student(
 
     for epoch in range(1, budget + 1):
         xw1 = _product(x, params.w1, workspace.h1)
-        if contrastive and epoch > 1:
+        if members is not None and epoch > 1:
             # s = x @ mw1 after the last epoch's momentum_update
             momentum_fold(workspace.s, xw1, cfg.momentum, workspace.d_z)
         protos, pls = pseudo_targets(params, workspace.s, members, unlabeled, hard, cfg,
@@ -787,7 +724,7 @@ def train_student(
             _, p_val = forward(params, x_val, val_workspace)
             pred_val = np.argmax(p_val, axis=1)
             val_acc = float(np.mean(pred_val == gold_val))
-            val_loss = -clamped_log(p_val[rows_val, gold_val]).sum(dtype=np.float64) / n_val
+            val_loss = -clamped_log(p_val[rows_val, gold_val]).sum(dtype=np.float64) / gold_val.size
         trace.records.append(EpochRecord(epoch, l_lab, l_unl, l_con, val_acc))
 
         if has_val:

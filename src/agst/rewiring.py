@@ -173,12 +173,3 @@ def apply_augmentation(graph: SparseGraph, plan: AugmentationPlan) -> SparseGrap
         keys = np.union1d(keys, plan.added[:, 0] * n + plan.added[:, 1])
     return SparseGraph(n, np.column_stack([keys // n, keys % n]))
 
-
-def write_plan_tsv(plan: AugmentationPlan, path) -> None:
-    """Dump the decision list (action, i, j, probability) for inspection."""
-    with open(path, "w") as fh:
-        fh.write("action\ti\tj\tprobability\n")
-        for (i, j), prob in zip(plan.added, plan.added_prob):
-            fh.write(f"add\t{i}\t{j}\t{prob:.12g}\n")
-        for (i, j), prob in zip(plan.removed, plan.removed_prob):
-            fh.write(f"remove\t{i}\t{j}\t{prob:.12g}\n")

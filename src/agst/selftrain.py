@@ -3,17 +3,17 @@
 Each round propagates gold labels over the current graph, trains a fresh
 student on the resulting soft targets, then uses the student's predictions
 to rewire the PRISTINE input graph for the next round, so augmentations
-never compound.  The student trains in float32; each round's probabilities
-(the predictions and the rewiring plan's scores) come from one float64
-``forward`` on the run's one ``feature_matrix``.  The run is deterministic
-given its seed.
+never compound.  The run builds one ``feature_matrix``: each round's student
+trains on it in float32, and the round's probabilities (the predictions and
+the rewiring plan's scores) come from one float64 ``forward`` on it.  The run
+is deterministic given its seed; each round draws from ``student_rng``.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -113,8 +113,7 @@ def run_agst(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig) -> RunRes
             soft = to_distribution(propagate_labels(op, bundle, split, cfg.lp))
             rng = student_rng(cfg.seed, iteration)
             init = params if (cfg.warm_start and params is not None) else None
-            params, trace = train_student(bundle, split, soft, cfg.train,
-                                          rng=rng, init=init, features=x)
+            params, trace = train_student(bundle, split, soft, cfg.train, rng, x, init)
             _, probs = forward(params.astype(np.float64), x)
             preds = np.argmax(probs, axis=1)
             plan = plan_augmentation(original, probs, cfg.augment)
@@ -150,14 +149,3 @@ def run_agst(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig) -> RunRes
         final, final_preds = best_params, best_preds
     return RunResult(final_params=final, per_iteration=stats, predictions=final_preds)
 
-
-def result_to_dict(result: RunResult, cfg: AgstConfig, wall_ms: float | None = None) -> dict:
-    """JSON-ready report: per-iteration metrics, config echo, timing."""
-    out = {
-        "config": asdict(cfg),
-        "iterations": [s.to_dict() for s in result.per_iteration],
-        "predictions": result.predictions.tolist(),
-    }
-    if wall_ms is not None:
-        out["wall_ms"] = wall_ms
-    return out

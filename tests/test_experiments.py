@@ -1,5 +1,6 @@
 import ctypes
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -114,6 +115,23 @@ class TestSeedDiscipline:
         par = run_experiment(toy_spec(runs=4, method="agst-base", workers=2), noisy_bundle)
         assert seq.accuracies.tolist() == par.accuracies.tolist()
         assert seq.mean == par.mean
+
+    @pytest.mark.parametrize("runs, workers, started", [(1, 4, 0), (2, 4, 2), (3, 2, 2)])
+    def test_pool_starts_no_idle_worker(self, noisy_bundle, monkeypatch, tmp_path,
+                                        runs, workers, started):
+        # each worker process runs the initializer once, as it starts; a
+        # forked pool starts all of its workers at the first submit
+        real = experiments._init_worker
+
+        def recording(*args):
+            (tmp_path / str(os.getpid())).touch()
+            real(*args)
+
+        monkeypatch.setattr(experiments, "_init_worker", recording)
+        spec = toy_spec(runs=runs, method="mlp-only", workers=workers)
+        report = run_experiment(spec, noisy_bundle)
+        assert len(report.records) == runs
+        assert len(list(tmp_path.iterdir())) == started
 
     def test_worker_uses_one_blas_thread(self, noisy_bundle):
         calls = _blas_thread_calls()

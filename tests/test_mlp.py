@@ -15,11 +15,9 @@ from agst import (
     loss_contrastive,
     loss_cross_entropy,
     momentum_update,
-    student_features,
     student_targets,
     train_student,
     two_cluster_bundle,
-    write_trace_csv,
 )
 from agst.mlp import (
     ARRAY_NAMES,
@@ -28,6 +26,7 @@ from agst.mlp import (
     Adam,
     EpochWorkspace,
     PseudoLabelSet,
+    feature_matrix,
     joint_objective,
     pseudo_targets,
     similarity_distribution,
@@ -191,7 +190,7 @@ class TestUnlabeledCrossEntropy:
         bundle, split, _ = toy_training_setup()
         soft = SoftLabels(np.full((bundle.n, 2), 2.0), normalized=False)
         with pytest.raises(ValueError, match="normalized"):
-            train_student(bundle, split, soft, TrainConfig())
+            fit(bundle, split, soft, TrainConfig())
 
 
 class TestPrototypes:
@@ -315,7 +314,7 @@ class TestFilterPseudoLabels:
             return filter_pseudo_labels(hard, *args)
 
         monkeypatch.setattr(mlp, "filter_pseudo_labels", spy)
-        train_student(bundle, split, uniform, TrainConfig(max_epochs=2, seed=0))
+        fit(bundle, split, uniform, TrainConfig(max_epochs=2))
         assert len(seen) == 2 and all(np.array_equal(h, np.zeros(bundle.n)) for h in seen)
 
     def test_rule_matches_direct_recomputation(self):
@@ -573,11 +572,19 @@ def toy_training_setup(seed=0, noise=0.0, val_per_class=4):
     return bundle, split, uniform
 
 
+def fit(bundle, split, soft, cfg, seed=0, x=None):
+    """``train_student`` on ``x``, by default the float64 matrix run_agst
+    passes, with a generator seeded by ``seed``."""
+    if x is None:
+        x = feature_matrix(bundle.features, cfg.normalize_features)
+    return train_student(bundle, split, soft, cfg, np.random.default_rng(seed), x)
+
+
 class TestTrainStudent:
     def test_pure_labeled_descent(self):
         bundle, split, uniform = toy_training_setup()
-        cfg = TrainConfig(lambda1=0.0, lambda2=0.0, dropout=0.0, patience=20, seed=1)
-        params, trace = train_student(bundle, split, uniform, cfg)
+        cfg = TrainConfig(lambda1=0.0, lambda2=0.0, dropout=0.0, patience=20)
+        params, trace = fit(bundle, split, uniform, cfg, seed=1)
         labeled_losses = [r.loss_labeled for r in trace.records]
         assert labeled_losses[-1] < labeled_losses[0]
         assert all(r.loss_contrastive == 0.0 for r in trace.records)
@@ -589,16 +596,15 @@ class TestTrainStudent:
         split = make_split(bundle, "balanced", seed=3, k=3, val_per_class=4)
         op = normalize_adjacency(bundle.graph)
         soft = to_distribution(propagate_labels(op, bundle, split, LpConfig()))
-        cfg = TrainConfig(seed=3)
-        params, _ = train_student(bundle, split, soft, cfg)
-        _, p = forward(params, student_features(bundle.features, cfg.normalize_features))
+        params, _ = fit(bundle, split, soft, TrainConfig(), seed=3)
+        _, p = forward(params, bundle.features.astype(STUDENT_DTYPE))
         preds = np.argmax(p, axis=1)
         assert np.mean(preds[split.test] == bundle.gold[split.test]) == 1.0
 
     def test_patience_zero_stops_at_first_non_improvement(self):
         bundle, split, uniform = toy_training_setup(seed=5)
-        cfg = TrainConfig(patience=0, dropout=0.0, seed=5)
-        _, trace = train_student(bundle, split, uniform, cfg)
+        cfg = TrainConfig(patience=0, dropout=0.0)
+        _, trace = fit(bundle, split, uniform, cfg, seed=5)
         records = trace.records
         # every epoch but the last improved accuracy or loss on validation
         assert len(records) < cfg.max_epochs
@@ -608,16 +614,15 @@ class TestTrainStudent:
         from agst import SplitSpec
 
         no_val = SplitSpec(split.labeled, np.empty(0, dtype=np.int64), split.test)
-        cfg = TrainConfig(no_val_epochs=17, dropout=0.0, seed=2)
-        _, trace = train_student(bundle, no_val, uniform, cfg)
+        cfg = TrainConfig(no_val_epochs=17, dropout=0.0)
+        _, trace = fit(bundle, no_val, uniform, cfg, seed=2)
         assert len(trace.records) == 17
         assert trace.best_epoch is None
         assert all(r.val_acc is None for r in trace.records)
 
     def test_best_epoch_has_max_val_accuracy(self):
         bundle, split, uniform = toy_training_setup(seed=7, noise=0.1)
-        cfg = TrainConfig(patience=10, seed=7)
-        _, trace = train_student(bundle, split, uniform, cfg)
+        _, trace = fit(bundle, split, uniform, TrainConfig(patience=10), seed=7)
         accs = [r.val_acc for r in trace.records]
         assert trace.best_epoch is not None
         assert accs[trace.best_epoch - 1] == max(accs)
@@ -631,7 +636,7 @@ class TestTrainStudent:
         import agst.mlp as mlp
 
         bundle, split, uniform = toy_training_setup(seed=seed, noise=noise)
-        cfg = TrainConfig(patience=patience, seed=seed)
+        cfg = TrainConfig(patience=patience)
         real_forward = mlp.forward
         seen = []
 
@@ -641,7 +646,7 @@ class TestTrainStudent:
             return z, p
 
         monkeypatch.setattr(mlp, "forward", capture)
-        params, trace = train_student(bundle, split, uniform, cfg)
+        params, trace = fit(bundle, split, uniform, cfg, seed=seed)
 
         gold = bundle.gold[split.validation]
         rows = np.arange(gold.size)
@@ -663,30 +668,28 @@ class TestTrainStudent:
         assert stopped is not None
         assert len(trace.records) == len(seen) == stopped
         assert trace.best_epoch == best_epoch
-        x_val = student_features(bundle.features, False)[split.validation]
+        x_val = bundle.features[split.validation].astype(STUDENT_DTYPE)
         assert np.array_equal(real_forward(params, x_val)[1], seen[best_epoch - 1])
 
     def test_deterministic_given_rng_seed(self):
         bundle, split, uniform = toy_training_setup(seed=9)
-        cfg = TrainConfig(patience=5, seed=9)
-        p1, t1 = train_student(bundle, split, uniform, cfg)
-        p2, t2 = train_student(bundle, split, uniform, cfg)
+        cfg = TrainConfig(patience=5)
+        p1, t1 = fit(bundle, split, uniform, cfg, seed=9)
+        p2, t2 = fit(bundle, split, uniform, cfg, seed=9)
         assert np.array_equal(p1.w1, p2.w1)
         assert [r.loss_labeled for r in t1.records] == [r.loss_labeled for r in t2.records]
 
     def test_parameters_stay_finite(self):
         bundle, split, uniform = toy_training_setup()
-        cfg = TrainConfig(patience=5, seed=0, learning_rate=0.5)
-        params, _ = train_student(bundle, split, uniform, cfg)
+        params, _ = fit(bundle, split, uniform, TrainConfig(patience=5, learning_rate=0.5))
         assert params.all_finite()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_reports_epoch(self):
         bundle, split, uniform = toy_training_setup()
         bundle.features[0, 0] = np.inf
-        cfg = TrainConfig(dropout=0.0, seed=0)
         with pytest.raises(ValueError, match="epoch 1"):
-            train_student(bundle, split, uniform, cfg)
+            fit(bundle, split, uniform, TrainConfig(dropout=0.0))
 
     def test_empty_labeled_set_rejected(self):
         bundle, split, uniform = toy_training_setup()
@@ -694,29 +697,29 @@ class TestTrainStudent:
 
         empty = SplitSpec(np.empty(0, dtype=np.int64), split.validation, split.test)
         with pytest.raises(ValueError, match="empty labeled"):
-            train_student(bundle, empty, uniform, TrainConfig())
+            fit(bundle, empty, uniform, TrainConfig())
 
-    def test_trace_csv_export(self, tmp_path):
+    @pytest.mark.parametrize("rows, cols", [(-1, 0), (1, 0), (0, -1), (0, 1)])
+    def test_wrong_shaped_features_rejected(self, rows, cols):
+        # refused where x enters, not by an index or matmul error mid-epoch
         bundle, split, uniform = toy_training_setup()
-        cfg = TrainConfig(patience=3, seed=1)
-        _, trace = train_student(bundle, split, uniform, cfg)
-        out = tmp_path / "trace.csv"
-        write_trace_csv(trace, out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "epoch,loss_labeled,loss_unlabeled,loss_contrastive,val_acc"
-        assert len(lines) == len(trace.records) + 1
+        n, f = bundle.n + rows, bundle.num_features + cols
+        expected = rf"shape \({n}, {f}\), expected \({bundle.n}, {bundle.num_features}\)"
+        with pytest.raises(ValueError, match=expected):
+            fit(bundle, split, uniform, TrainConfig(), x=np.ones((n, f)))
 
     @pytest.mark.parametrize("normalize", [False, True])
     def test_prepared_features_give_identical_parameters(self, normalize):
+        # the float64 feature_matrix and its cast to the student's dtype
         bundle, split, uniform = toy_training_setup(seed=3)
-        cfg = TrainConfig(patience=5, seed=3, normalize_features=normalize)
-        own, _ = train_student(bundle, split, uniform, cfg)
-        given, _ = train_student(bundle, split, uniform, cfg,
-                                 features=student_features(bundle.features, normalize))
+        cfg = TrainConfig(patience=5, normalize_features=normalize)
+        x = feature_matrix(bundle.features, normalize)
+        own, _ = fit(bundle, split, uniform, cfg, seed=3, x=x)
+        given, _ = fit(bundle, split, uniform, cfg, seed=3, x=x.astype(STUDENT_DTYPE))
         for name in ("w1", "b1", "w2", "b2", "w3", "b3", "mw1", "mb1", "mw2", "mb2"):
             assert np.array_equal(getattr(own, name), getattr(given, name))
 
-    def test_sparse_feature_path_matches_dense(self, monkeypatch):
+    def test_sparse_feature_path_matches_dense(self):
         # bag-of-words-scale inputs take the csr branch; numerics must agree
         # with the dense branch to rounding.  Both train in float32, where the
         # two branches sum the 900 rows of x.T @ d in different orders, and
@@ -725,8 +728,7 @@ class TestTrainStudent:
         # 27 eps.  256 eps (3.1e-5) leaves about ten times that
         import scipy.sparse as sp
 
-        import agst.mlp as mlp
-        from agst import SparseGraph, make_split
+        from agst import make_split
         from conftest import make_bundle
 
         rng = np.random.default_rng(21)
@@ -738,12 +740,12 @@ class TestTrainStudent:
         bundle = make_bundle(n, [[0, 1]], gold, 2, features=np.minimum(features, 1.0))
         split = make_split(bundle, "balanced", seed=0, k=5, val_per_class=10)
         soft = SoftLabels(np.full((n, 2), 0.5), normalized=True)
-        cfg = TrainConfig(dropout=0.0, patience=2, max_epochs=30, seed=6)
+        cfg = TrainConfig(dropout=0.0, patience=2, max_epochs=30)
 
-        assert sp.issparse(mlp.student_features(bundle.features, False))
-        p_sparse, t_sparse = train_student(bundle, split, soft, cfg)
-        monkeypatch.setattr(mlp, "student_features", lambda features, normalize: features)
-        p_dense, t_dense = train_student(bundle, split, soft, cfg)
+        x = feature_matrix(bundle.features, False)
+        assert sp.issparse(x)
+        p_sparse, t_sparse = fit(bundle, split, soft, cfg, seed=6, x=x)
+        p_dense, t_dense = fit(bundle, split, soft, cfg, seed=6, x=bundle.features)
 
         assert len(t_sparse.records) == len(t_dense.records)
         assert p_sparse.w1.dtype == p_dense.w1.dtype == STUDENT_DTYPE
@@ -801,9 +803,8 @@ class TestTrainStudent:
                            "loss_cross_entropy", "loss_contrastive", "forward")
         for name in epoch_functions:
             monkeypatch.setattr(mlp, name, recording(name))
-        features = sp.csr_array(bundle.features) if as_csr else None
-        cfg = TrainConfig(max_epochs=1, seed=2)
-        params, trace = train_student(bundle, split, soft, cfg, features=features)
+        features = sp.csr_array(bundle.features) if as_csr else bundle.features
+        params, trace = fit(bundle, split, soft, TrainConfig(max_epochs=1), seed=2, x=features)
 
         assert len(trace.records) == 1 and trace.records[0].loss_contrastive > 0.0
         assert set(returned) == set(epoch_functions)
@@ -821,8 +822,8 @@ class TestTrainStudent:
 
     def test_sum_reduction_mode(self):
         bundle, split, uniform = toy_training_setup()
-        cfg = TrainConfig(loss_reduction="sum", patience=3, dropout=0.0, seed=4)
-        params, trace = train_student(bundle, split, uniform, cfg)
+        cfg = TrainConfig(loss_reduction="sum", patience=3, dropout=0.0)
+        params, trace = fit(bundle, split, uniform, cfg, seed=4)
         assert params.all_finite()
         # sum over 6 labeled nodes of ln 2 at the uniform start
         assert trace.records[0].loss_labeled == pytest.approx(
@@ -842,7 +843,7 @@ class TestEpochCost:
         import scipy.sparse as sp
 
         bundle, split, uniform = toy_training_setup(seed=1)
-        x = sp.csr_array(student_features(bundle.features, False))
+        x = sp.csr_array(bundle.features.astype(STUDENT_DTYPE))
         shapes = []
         for cls in (sp.csr_array, sp.csc_array):
             real = cls.__matmul__
@@ -851,8 +852,8 @@ class TestEpochCost:
                 shapes.append(self.shape)
                 return real(self, other)
             monkeypatch.setattr(cls, "__matmul__", counted)
-        cfg = TrainConfig(max_epochs=epochs, patience=epochs, seed=1)
-        _, trace = train_student(bundle, split, uniform, cfg, features=x)
+        cfg = TrainConfig(max_epochs=epochs, patience=epochs)
+        _, trace = fit(bundle, split, uniform, cfg, seed=1, x=x)
 
         n, f = x.shape
         assert len(trace.records) == epochs

@@ -9,7 +9,6 @@ from agst import (
     apply_augmentation,
     edge_probability,
     plan_augmentation,
-    write_plan_tsv,
 )
 from agst.rewiring import sigmoid
 
@@ -183,17 +182,6 @@ class TestAugmentTopology:
             out = rewire(g, p, AugmentConfig(beta_add=1.0, beta_remove=0.0))
         assert out.m == 6
         assert any("quota" in r.message for r in caplog.records)
-
-    def test_plan_tsv_dump(self, tmp_path):
-        rng = np.random.default_rng(6)
-        g = SparseGraph(10, random_graph_edges(rng, 10, 0.4))
-        p = random_predictions(rng, 10, 2)
-        plan = plan_augmentation(g, p, AugmentConfig(0.4, 0.2))
-        out = tmp_path / "plan.tsv"
-        write_plan_tsv(plan, out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "action\ti\tj\tprobability"
-        assert len(lines) == 1 + plan.added.shape[0] + plan.removed.shape[0]
 
     def test_beta_range_validated(self):
         with pytest.raises(ValueError, match="beta"):

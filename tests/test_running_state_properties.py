@@ -92,12 +92,12 @@ def test_pseudo_targets_read_x_at_mw1_every_epoch(seed, as_csr, warm, m):
     bundle = make_bundle(n, [[0, 1]], gold, 2, features=features)
     split = make_split(bundle, "balanced", seed=seed % 1000, k=3, val_per_class=4)
     soft = SoftLabels(np.tile([0.7, 0.3], (n, 1)), normalized=True)
-    cfg = TrainConfig(momentum=m, max_epochs=30, patience=30, hidden=8, seed=seed % 1000)
+    cfg = TrainConfig(momentum=m, max_epochs=30, patience=30, hidden=8)
     init = None
     if warm:
         init = init_params(f, 2, cfg.hidden, rng)
         init.mw1 += rng.normal(scale=0.3, size=init.mw1.shape).astype(STUDENT_DTYPE)
-    x = mlp.student_features(features, False)
+    x = features.astype(STUDENT_DTYPE)
     x = sparse.csr_array(x) if as_csr else x
     real = mlp.pseudo_targets
     seen, largest = [], 0.0
@@ -110,6 +110,6 @@ def test_pseudo_targets_read_x_at_mw1_every_epoch(seed, as_csr, warm, m):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mlp, "pseudo_targets", spy)
-        _, trace = train_student(bundle, split, soft, cfg, rng=rng, init=init, features=x)
+        _, trace = train_student(bundle, split, soft, cfg, rng, x, init)
     assert len(seen) == len(trace.records) == 30
     assert all(seen)

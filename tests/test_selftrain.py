@@ -10,9 +10,7 @@ from agst import (
     make_split,
     normalize_adjacency,
     propagate_labels,
-    result_to_dict,
     run_agst,
-    student_features,
     to_distribution,
     train_student,
     two_cluster_bundle,
@@ -55,11 +53,10 @@ class TestRunAgst:
 
         op = normalize_adjacency(bundle.graph)
         soft = to_distribution(propagate_labels(op, bundle, split, cfg.lp))
-        params, _ = train_student(bundle, split, soft, cfg.train,
-                                  rng=student_rng(cfg.seed, 1))
+        x = feature_matrix(bundle.features, cfg.train.normalize_features)
+        params, _ = train_student(bundle, split, soft, cfg.train, student_rng(cfg.seed, 1), x)
         assert np.array_equal(result.final_params.w1, params.w1)
         assert np.array_equal(result.final_params.w3, params.w3)
-        x = feature_matrix(bundle.features, cfg.train.normalize_features)
         assert np.array_equal(result.predictions, hard_labels(params, x))
 
     def test_clean_toy_is_perfect_every_iteration(self):
@@ -116,8 +113,8 @@ class TestRunAgst:
                                 bundle.num_classes)
         op = normalize_adjacency(rewired)
         soft = to_distribution(propagate_labels(op, bundle2, split, cfg.lp))
-        params, _ = train_student(bundle2, split, soft, cfg.train,
-                                  rng=student_rng(cfg.seed, 2))
+        x = feature_matrix(bundle.features, cfg.train.normalize_features)
+        params, _ = train_student(bundle2, split, soft, cfg.train, student_rng(cfg.seed, 2), x)
         assert np.array_equal(result.final_params.w1, params.w1)
         assert np.array_equal(result.final_params.b3, params.b3)
 
@@ -185,17 +182,13 @@ class TestRunAgst:
         import json
 
         bundle, split = toy_setup(seed=9)
-        cfg = quick_cfg(iterations=2, seed=9)
-        result = run_agst(bundle, split, cfg)
-        payload = result_to_dict(result, cfg, wall_ms=12.5)
-        text = json.dumps(payload)
-        back = json.loads(text)
-        assert back["wall_ms"] == 12.5
-        assert len(back["iterations"]) == 2
+        result = run_agst(bundle, split, quick_cfg(iterations=2, seed=9))
+        payload = [s.to_dict() for s in result.per_iteration]
+        back = json.loads(json.dumps(payload))
+        assert back == payload
+        assert len(back) == 2
         assert {"iteration", "val_acc", "test_acc", "edges_added",
-                "edges_removed", "epochs", "best_epoch", "wall_ms"} \
-            <= set(back["iterations"][0])
-        assert back["config"]["iterations"] == 2
+                "edges_removed", "epochs", "best_epoch", "wall_ms"} <= set(back[0])
 
 
 class TestSplitWithoutGold:
@@ -212,7 +205,8 @@ class TestSplitWithoutGold:
         soft = to_distribution(propagate_labels(normalize_adjacency(bundle.graph), bundle,
                                                 split, LpConfig()))
         with pytest.raises(ValueError, match=rf"no gold label: {node}$"):
-            train_student(bundle, split, soft, TrainConfig(max_epochs=1))
+            train_student(bundle, split, soft, TrainConfig(max_epochs=1),
+                          np.random.default_rng(0), bundle.features)
 
 
 class TestPredict:
@@ -226,16 +220,16 @@ class TestPredict:
         for name in ("w1", "b1", "w2", "b2", "w3"):
             getattr(params, name)[:] = 0.0
         params.b3[:] = [0.0, 0.0, 5.0]
-        assert np.all(hard_labels(params, student_features(bundle.features, False)) == 2)
+        assert np.all(hard_labels(params, feature_matrix(bundle.features, False)) == 2)
 
     def test_rowwise_independence_under_permutation(self):
         from agst import init_params
 
         bundle, _ = toy_setup(seed=10)
         params = init_params(bundle.num_features, 2, 8, np.random.default_rng(1))
-        preds = hard_labels(params, student_features(bundle.features, False))
+        preds = hard_labels(params, feature_matrix(bundle.features, False))
         perm = np.random.default_rng(2).permutation(bundle.n)
-        permuted = student_features(bundle.features[perm], False)
+        permuted = feature_matrix(bundle.features[perm], False)
         assert np.array_equal(hard_labels(params, permuted), preds[perm])
 
     def test_toy_pipeline_agrees_with_gold(self):
