@@ -17,7 +17,7 @@ result = run_agst(bundle, split, cfg)
 
 for stats in result.per_iteration:
     print(f"iteration {stats.iteration}: val={stats.val_acc:.3f} "
-          f"test={stats.test_acc:.3f} +{stats.edges_added}/-{stats.edges_removed} edges "
+          f"test={stats.test_acc:.3f} +{len(stats.added_edges)}/-{len(stats.removed_edges)} edges "
           f"({len(stats.trace.records)} epochs)")
 
 print("per-iteration report:")

@@ -7,7 +7,6 @@ between self-training rounds.
 """
 
 from .data import (
-    UNLABELED,
     DatasetBundle,
     DatasetFormatError,
     SplitSpec,
@@ -15,15 +14,12 @@ from .data import (
     l2_normalize_rows,
     load_dataset,
     make_split,
-    require_gold,
-    ring_clusters_bundle,
     save_dataset,
     two_cluster_bundle,
 )
 from .experiments import (
     ExperimentSpec,
     Report,
-    SweepRow,
     confidence_halfwidth,
     method_config,
     run_experiment,
@@ -31,14 +27,10 @@ from .experiments import (
     run_sweep,
     write_sweep_csv,
 )
-from .gradcheck import GradCheckReport, grad_check, run_gradcheck_suite
+from .gradcheck import grad_check, run_gradcheck_suite
 from .graph import SparseGraph, normalize_adjacency
 from .mlp import (
-    Adam,
-    PseudoLabelSet,
-    StudentParams,
     TrainConfig,
-    TrainTrace,
     class_members,
     compute_prototypes,
     feature_matrix,
@@ -48,7 +40,6 @@ from .mlp import (
     joint_objective,
     loss_contrastive,
     loss_cross_entropy,
-    momentum_embed,
     momentum_update,
     pseudo_targets,
     student_targets,
@@ -57,17 +48,15 @@ from .mlp import (
 from .propagation import (
     LpConfig,
     SoftLabels,
-    closed_form_oracle,
     propagate_labels,
     to_distribution,
 )
 from .rewiring import (
     AugmentConfig,
-    AugmentationPlan,
     apply_augmentation,
     edge_probability,
     plan_augmentation,
 )
-from .selftrain import AgstConfig, IterationStats, RunResult, run_agst
+from .selftrain import AgstConfig, run_agst
 
 __version__ = "0.1.0"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -42,8 +43,9 @@ def _checked(convert, accept, expected: str):
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
 _non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _unit_open_float = _checked(float, lambda v: 0.0 < v < 1.0, "a value in (0, 1)")
+_positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
 _float_list = _checked(lambda raw: [float(v) for v in raw.split(",") if v.strip()],
-                       lambda values: True, "comma-separated numbers")
+                       lambda values: len(values) > 0, "comma-separated numbers")
 
 
 def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
@@ -201,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     argument_default=argparse.SUPPRESS)
     gradcheck.add_argument("--instances", type=_positive_int)
     gradcheck.add_argument("--seed", type=int)
-    gradcheck.add_argument("--epsilon", type=float, dest="eps", metavar="EPSILON")
+    gradcheck.add_argument("--epsilon", type=_positive_float, dest="eps", metavar="EPSILON")
     gradcheck.add_argument("--threshold", type=float, default=1e-4)
     gradcheck.set_defaults(func=_cmd_gradcheck)
 

@@ -369,7 +369,8 @@ def two_cluster_bundle(
 
     Features are Gaussian around +/- separation/2 per coordinate, so a
     linear classifier suffices.  ``noise_fraction`` of the intra-class edge
-    count is injected as random inter-class edges.
+    count is injected as random inter-class edges.  With ``intra_degree=0``
+    each cluster is a bare ring.
     """
     rng = np.random.default_rng(seed)
     n0 = n // 2
@@ -403,20 +404,6 @@ def two_cluster_bundle(
     features[n0:] = rng.normal(-separation / 2, 1.0, size=(n - n0, feature_dim))
     gold = np.repeat([0, 1], sizes)
     return DatasetBundle(SparseGraph(n, edges), features, gold, 2)
-
-
-def ring_clusters_bundle(
-    n: int = 40,
-    feature_dim: int = 4,
-    separation: float = 0.3,
-    seed: int = 0,
-) -> DatasetBundle:
-    """Two classes, each an n/2-node ring, with barely informative features.
-
-    Label signal here travels along the rings, so accuracy is governed by
-    the propagation radius rather than by the features.
-    """
-    return two_cluster_bundle(n, feature_dim, separation, intra_degree=0, seed=seed)
 
 
 def convert_content_release(input_dir: str | Path, output_dir: str | Path) -> dict:

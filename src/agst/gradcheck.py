@@ -22,7 +22,6 @@ from .data import DatasetBundle, SplitSpec
 from .graph import SparseGraph
 from .propagation import SoftLabels
 from .mlp import (
-    PARAM_NAMES,
     StudentParams,
     TrainConfig,
     feature_matrix,
@@ -46,13 +45,16 @@ def grad_check(
     eps: float = 1e-5,
 ) -> float:
     """Max over every parameter of max(0, |a - n| - r) / (|a| + |n|), for the
-    analytic gradient a and the central difference n at step eps.
+    analytic gradient a and the central difference n at step eps, which
+    must be finite and positive.
 
     r = ROUNDOFF_ULPS * u * |f| / eps bounds the roundoff of n, u being the
     machine epsilon and |f| the larger loss of the two evaluations (Nocedal &
     Wright, *Numerical Optimization*, section 8.1): a zero or tiny gradient
     whose difference is roundoff alone passes.
     """
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
     params = params.astype(np.float64)
     x = feature_matrix(bundle.features, cfg.normalize_features)
     unlabeled, hard, targets, members = round_inputs(bundle, split, soft, cfg, np.float64)
@@ -65,21 +67,19 @@ def grad_check(
     roundoff = ROUNDOFF_ULPS * np.finfo(np.float64).eps / eps   # per unit of |f|
 
     worst = 0.0
-    for name in PARAM_NAMES:
-        array = getattr(params, name)
-        flat = array.ravel()
-        for idx in range(flat.size):
-            original = flat[idx]
-            flat[idx] = original + eps
-            plus = objective()[0]
-            flat[idx] = original - eps
-            minus = objective()[0]
-            flat[idx] = original
-            numeric = (plus - minus) / (2.0 * eps)
-            a = analytic[name].ravel()[idx]
-            excess = abs(a - numeric) - roundoff * max(abs(plus), abs(minus))
-            if excess > 0.0:
-                worst = max(worst, excess / (abs(a) + abs(numeric)))
+    live = params.live
+    for idx in range(live.size):
+        original = live[idx]
+        live[idx] = original + eps
+        plus = objective()[0]
+        live[idx] = original - eps
+        minus = objective()[0]
+        live[idx] = original
+        numeric = (plus - minus) / (2.0 * eps)
+        a = analytic[idx]
+        excess = abs(a - numeric) - roundoff * max(abs(plus), abs(minus))
+        if excess > 0.0:
+            worst = max(worst, excess / (abs(a) + abs(numeric)))
     return worst
 
 

@@ -168,7 +168,8 @@ def draw_kept(rng: np.random.Generator, dropout: float, out: np.ndarray) -> np.n
 
 
 class EpochWorkspace:
-    """The n x hidden and n x c arrays one epoch writes into, allocated once.
+    """The n x hidden and n x c arrays one epoch of ``params`` over n rows
+    writes into, allocated once in the dtype of its weights.
 
     ``train_student`` fills the same workspace every epoch, in this order:
     the live product x @ w1 (into ``h1`` for dense x), its fold into ``s``
@@ -182,7 +183,8 @@ class EpochWorkspace:
     gradient or a parameter gradient.
     """
 
-    def __init__(self, n: int, hidden: int, num_classes: int, dtype):
+    def __init__(self, params: StudentParams, n: int):
+        (hidden, num_classes), dtype = params.w3.shape, params.w1.dtype
         rows = (n, hidden)
         # the forward pass's state, read by the backward pass
         self.h1 = np.empty(rows, dtype)          # x @ w1 (SciPy's for CSR x), + b1, * keep
@@ -207,11 +209,6 @@ class EpochWorkspace:
         # pseudo_targets writes the momentum hidden layer before the backward
         # pass writes d_d1
         self.h_mom = self.d_d1
-
-    @classmethod
-    def for_rows(cls, params: StudentParams, x) -> "EpochWorkspace":
-        """A workspace for ``params`` over the rows of ``x``, in their dtype."""
-        return cls(x.shape[0], params.w2.shape[0], params.w3.shape[1], params.w1.dtype)
 
 
 def _product(x, w, out):
@@ -249,7 +246,7 @@ def forward(params: StudentParams, x: np.ndarray,
     one sized to ``x`` otherwise."""
     if x.shape[1] != params.w1.shape[0]:
         raise ValueError(f"feature dim {x.shape[1]} != expected {params.w1.shape[0]}")
-    ws = workspace if workspace is not None else EpochWorkspace.for_rows(params, x)
+    ws = workspace if workspace is not None else EpochWorkspace(params, x.shape[0])
     return _forward(params, x, ws)
 
 
@@ -275,11 +272,12 @@ def momentum_fold(s: np.ndarray, xw1: np.ndarray, m: float, scratch: np.ndarray)
     s += np.multiply(xw1, 1.0 - m, out=scratch)
 
 
-def _backward(params, x, ws, d_out, w_out, g):
+def _backward(params, x, ws, d_out, w_out, grad):
     """Gradients of the assembled loss given the forward pass's state,
     d(loss)/d(logits) in ``ws.d_logits``, and d(loss)/d(embeddings) as
-    ``d_out @ w_out``, written into ``g``, views by name as
-    ``params.views`` gives them.  The n-row temporaries live in ``ws``."""
+    ``d_out @ w_out``, written into ``grad``, a vector laid out as
+    ``params.live``.  The n-row temporaries live in ``ws``."""
+    g = params.views(grad)
     d_logits = ws.d_logits
     np.matmul(ws.z.T, d_logits, out=g["w3"])
     np.matmul(ws.ones, d_logits, out=g["b3"])
@@ -293,7 +291,7 @@ def _backward(params, x, ws, d_out, w_out, g):
     else:
         np.matmul(x.T, d_h1, out=g["w1"])
     np.matmul(ws.ones, d_h1, out=g["b1"])
-    return g
+    return grad
 
 
 def _reduce(value, grad: np.ndarray, count: int, reduction: str) -> tuple[float, np.ndarray]:
@@ -369,13 +367,6 @@ def compute_prototypes(h: np.ndarray, members: list[np.ndarray]) -> np.ndarray:
     return protos
 
 
-def similarity_distribution(z: np.ndarray, protos: np.ndarray, tau: float) -> np.ndarray:
-    """Softmax over prototype dot products at temperature tau (shift-safe)."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    return softmax(np.asarray(z) @ protos.T / tau)
-
-
 @dataclass
 class PseudoLabelSet:
     """Hard teacher labels for every node and the ids that survived filtering."""
@@ -427,13 +418,15 @@ def loss_contrastive(
     onehot(hard_i) for a kept node i with similarity distribution s_i, and
     zero elsewhere.  The gradient w.r.t. z is that times protos / tau.
     """
+    if tau <= 0:
+        raise ValueError("tau must be positive")
     grad = np.empty((z.shape[0], protos.shape[0]), z.dtype) if out is None else out
     grad.fill(0.0)
     kept = pls.kept
     if kept.size == 0:
         return 0.0, grad
     # over every row: gathering the kept rows of z would copy most of it
-    sims = similarity_distribution(z, protos, tau)[kept]
+    sims = softmax(z @ protos.T / tau)[kept]
     rows = np.arange(kept.size)
     own = pls.hard[kept]
     value = -clamped_log(sims[rows, own]).sum()
@@ -469,7 +462,7 @@ class Adam:
     flat vector ``params.live`` and a gradient laid out like it; a step
     works in two scratch vectors."""
 
-    def __init__(self, lr=0.01, weight_decay=0.0):
+    def __init__(self, lr: float, weight_decay: float):
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
@@ -616,20 +609,20 @@ def joint_objective(
     workspace: EpochWorkspace | None = None,
     xw1: np.ndarray | None = None,
     grad: np.ndarray | None = None,
-) -> tuple[float, tuple[float, float, float], dict[str, np.ndarray]]:
-    """The joint loss, its (labeled, unlabeled, contrastive) parts, and the
-    gradient of every trainable parameter.
+) -> tuple[float, tuple[float, float, float], np.ndarray]:
+    """The joint loss, its (labeled, unlabeled, contrastive) parts, and its
+    gradient w.r.t. ``params.live``.
 
     joint = l_lab + lambda1 * l_unl + lambda2 * l_con, with the prototypes and
     pseudo-label set from ``pseudo_targets`` held constant; ``targets`` are
     ``student_targets`` in the dtype of ``params``.  Dropout at
     ``cfg.dropout`` applies only when ``rng`` is given.  ``xw1`` is the
     product x @ w1 when the caller has taken it.  The forward pass's arrays
-    live in ``workspace`` (one sized to ``x`` when absent); the gradients are
-    views of ``grad``, a vector laid out as ``params.live`` (a fresh one
-    when absent), named as in ``PARAM_NAMES``.
+    live in ``workspace`` (one sized to ``x`` when absent); the gradient is
+    written into ``grad``, a vector laid out as ``params.live`` (a fresh one
+    when absent), and returned.
     """
-    ws = workspace if workspace is not None else EpochWorkspace.for_rows(params, x)
+    ws = workspace if workspace is not None else EpochWorkspace(params, x.shape[0])
     grad = np.empty_like(params.live) if grad is None else grad
     z, p = _forward(params, x, ws, cfg.dropout, rng, xw1)
     red = cfg.loss_reduction
@@ -643,8 +636,7 @@ def joint_objective(
         d_out = ws.d_out
         w_out = np.concatenate([params.w3.T, protos * (cfg.lambda2 / cfg.tau)])
     joint = l_lab + cfg.lambda1 * l_unl + cfg.lambda2 * l_con
-    return joint, (l_lab, l_unl, l_con), _backward(params, x, ws, d_out, w_out,
-                                                   params.views(grad))
+    return joint, (l_lab, l_unl, l_con), _backward(params, x, ws, d_out, w_out, grad)
 
 
 def train_student(
@@ -668,13 +660,17 @@ def train_student(
 
     ``x`` is ``feature_matrix(bundle.features, cfg.normalize_features)``, dense
     or CSR, in any float dtype; training reads it in ``STUDENT_DTYPE``.  ``rng``
-    draws the initial weights (unless ``init`` is given) and the dropout.
+    draws the initial weights (unless ``init`` is given, which must have
+    ``dims`` (features, ``cfg.hidden``, classes)) and the dropout.
     Every epoch writes into one ``EpochWorkspace`` built here, and the
     validation pass into another.  The validation loss is summed in float64.
     """
     expected = (bundle.n, bundle.num_features)
     if x.shape != expected:
         raise ValueError(f"feature matrix has shape {x.shape}, expected {expected}")
+    dims = (bundle.num_features, cfg.hidden, bundle.num_classes)
+    if init is not None and init.dims != dims:
+        raise ValueError(f"warm-start weights have dims {init.dims}, expected {dims}")
     require_gold(bundle, split)
     unlabeled, hard, targets, members = round_inputs(bundle, split, soft, cfg, STUDENT_DTYPE)
     x = x.astype(STUDENT_DTYPE, copy=False)
@@ -683,14 +679,14 @@ def train_student(
 
     params = (init.astype(STUDENT_DTYPE) if init is not None
               else init_params(bundle.num_features, bundle.num_classes, cfg.hidden, rng))
-    workspace = EpochWorkspace.for_rows(params, x)
+    workspace = EpochWorkspace(params, x.shape[0])
     if members is not None:
         workspace.s = x @ params.mw1
     grad = np.empty_like(params.live)
     scratch = np.empty_like(params.momentum)
     if has_val:
         x_val = x[split.validation]
-        val_workspace = EpochWorkspace.for_rows(params, x_val)
+        val_workspace = EpochWorkspace(params, x_val.shape[0])
         gold_val = bundle.gold[split.validation]
         rows_val = np.arange(gold_val.size)
     optimizer = Adam(lr=cfg.learning_rate, weight_decay=cfg.weight_decay)

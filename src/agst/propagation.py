@@ -1,4 +1,4 @@
-"""Label propagation over the normalized operator, plus a dense oracle.
+"""Label propagation over the normalized operator.
 
 The iterated map is Y(t+1) = alpha * S @ Y(t) + (1 - alpha) * Y(0) with Y(0)
 the one-hot matrix of labeled nodes, converging to the fixed point
@@ -74,24 +74,6 @@ def propagate_labels(
     for _ in range(cfg.steps):
         y = cfg.alpha * (op @ y) + (1.0 - cfg.alpha) * y0
     return SoftLabels(y, normalized=False)
-
-
-def closed_form_oracle(
-    op: sparse.csr_array,
-    bundle: DatasetBundle,
-    split: SplitSpec,
-    alpha: float,
-) -> SoftLabels:
-    """Exact fixed point via a dense solve; test-only path for n <= 2000."""
-    n = op.shape[0]
-    if n > 2000:
-        raise ValueError("dense oracle is limited to n <= 2000")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly inside (0, 1)")
-    y0 = initial_label_matrix(bundle, split)
-    system = np.eye(n) - alpha * op.toarray()
-    solution = (1.0 - alpha) * np.linalg.solve(system, y0)
-    return SoftLabels(np.maximum(solution, 0.0), normalized=False)
 
 
 def to_distribution(soft: SoftLabels) -> SoftLabels:

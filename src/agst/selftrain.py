@@ -51,21 +51,13 @@ class IterationStats:
     removed_edges: np.ndarray
     wall_ms: float
 
-    @property
-    def edges_added(self) -> int:
-        return self.added_edges.shape[0]
-
-    @property
-    def edges_removed(self) -> int:
-        return self.removed_edges.shape[0]
-
     def to_dict(self) -> dict:
         return {
             "iteration": self.iteration,
             "val_acc": self.val_acc,
             "test_acc": self.test_acc,
-            "edges_added": self.edges_added,
-            "edges_removed": self.edges_removed,
+            "edges_added": len(self.added_edges),
+            "edges_removed": len(self.removed_edges),
             "epochs": len(self.trace.records),
             "best_epoch": self.trace.best_epoch,
             "wall_ms": self.wall_ms,

@@ -5,8 +5,23 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from agst import SparseGraph, class_members, compute_prototypes
-from agst.mlp import PARAM_NAMES, PseudoLabelSet, clamped_log, similarity_distribution
+from agst import SoftLabels, SparseGraph, class_members, compute_prototypes
+from agst.mlp import PARAM_NAMES, PseudoLabelSet, clamped_log
+from agst.propagation import initial_label_matrix
+
+
+def closed_form_oracle(op, bundle, split, alpha: float) -> SoftLabels:
+    """The propagation iteration's exact fixed point
+    (1 - alpha) * inv(I - alpha * S) @ Y(0), by a dense solve; n <= 2000."""
+    n = op.shape[0]
+    if n > 2000:
+        raise ValueError("dense oracle is limited to n <= 2000")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie strictly inside (0, 1)")
+    y0 = initial_label_matrix(bundle, split)
+    system = np.eye(n) - alpha * op.toarray()
+    solution = (1.0 - alpha) * np.linalg.solve(system, y0)
+    return SoftLabels(np.maximum(solution, 0.0), normalized=False)
 
 
 def generate_candidates(
@@ -69,6 +84,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
+
+
+def similarity_distribution(z, protos, tau):
+    """Softmax over the prototype dot products at temperature tau."""
+    return softmax(z @ protos.T / tau)
 
 
 def _forward_cache(params, x, dropout=0.0, rng=None):

@@ -20,7 +20,6 @@ from agst import (
     LpConfig,
     SparseGraph,
     apply_augmentation,
-    closed_form_oracle,
     edge_probability,
     init_params,
     momentum_update,
@@ -35,7 +34,7 @@ from agst import (
 from agst.cli import cli_main
 
 from conftest import make_bundle, random_graph_edges, split_of
-from reference import generate_candidates
+from reference import closed_form_oracle, generate_candidates
 
 CORA_DIR = Path(os.environ.get("AGST_CORA_DIR", Path(__file__).resolve().parents[1] / "data" / "cora"))
 cora_missing = not (CORA_DIR / "meta").exists()

@@ -357,7 +357,8 @@ BAD_VALUES = {
     cli._positive_int: ["abc", "0", "-3", "2.5"],
     cli._non_negative_int: ["abc", "-3", "2.5"],
     cli._unit_open_float: ["abc", "0", "1.5", "nan"],
-    cli._float_list: ["abc", "1,two"],
+    cli._positive_float: ["abc", "0", "-0.5", "nan", "inf"],
+    cli._float_list: ["abc", "1,two", ",", " "],
 }
 # what each command needs besides the flag under test
 REQUIRED = {"run": ["--dataset", "cora"],
@@ -381,7 +382,7 @@ class TestTypedFlagErrors:
     def test_flags_found(self):
         flags = {(command, flag) for command, flag, _ in TYPED_FLAGS}
         assert {("run", "--k"), ("run", "--rate"), ("sweep", "--values"),
-                ("gradcheck", "--instances")} <= flags
+                ("gradcheck", "--instances"), ("gradcheck", "--epsilon")} <= flags
         assert {command for command, _ in flags} == set(REQUIRED)
 
     @pytest.mark.parametrize("command, flag, kind", TYPED_FLAGS,
@@ -395,6 +396,13 @@ class TestTypedFlagErrors:
             assert f"got {value!r}" in err
             # no private helper's name (a word starting with "_")
             assert not re.search(r"(?<!\w)_[a-z]", err), err
+
+    def test_negative_epsilon_is_usage_error(self, capsys):
+        # at a negative step the roundoff allowance went negative and the
+        # check passed; "-1e-5" must be attached with "=" or argparse reads
+        # it as an option
+        assert cli_main(["gradcheck", "--epsilon=-1e-5"]) == 2
+        assert "expected a positive finite number, got '-1e-5'" in capsys.readouterr().err
 
 
 class TestEntryPoint:

@@ -14,7 +14,6 @@ from agst import (
     TrainConfig,
     confidence_halfwidth,
     method_config,
-    ring_clusters_bundle,
     run_experiment,
     run_single,
     run_sweep,
@@ -242,7 +241,8 @@ class TestSweep:
     def test_propagation_depth_sweep_monotone_on_ring(self):
         # label signal must travel along the rings, so teacher accuracy is
         # non-decreasing in the propagation depth up to full coverage
-        bundle = ring_clusters_bundle(n=40, seed=0)
+        bundle = two_cluster_bundle(n=40, feature_dim=4, separation=0.3, intra_degree=0,
+                                    seed=0)
         spec = ExperimentSpec(protocol="balanced", k=3, runs=10, method="lp-only",
                               val_per_class=4, seed=9)
         rows = run_sweep(spec, "steps", [1, 2, 5, 10], bundle)

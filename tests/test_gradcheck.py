@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -101,10 +103,10 @@ class TestGradCheck:
         x = bundle.features
         unlabeled = np.setdiff1d(np.arange(bundle.n), split.labeled)
         targets = student_targets(soft.matrix, bundle.gold, split.labeled)
-        _, _, grads = joint_objective(params, x, split.labeled, unlabeled, targets, cfg,
-                                      None, None)
-        for g in grads.values():
-            assert np.max(np.abs(g)) < 1e-8
+        _, _, grad = joint_objective(params, x, split.labeled, unlabeled, targets, cfg,
+                                     None, None)
+        assert grad.shape == params.live.shape
+        assert np.max(np.abs(grad)) < 1e-8
         assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-8
 
     def test_exactly_zero_gradient_passes(self):
@@ -122,9 +124,9 @@ class TestGradCheck:
         cfg = TrainConfig(lambda2=0.1, dropout=0.0, hidden=6)
         unlabeled = np.setdiff1d(np.arange(bundle.n), split.labeled)
         targets = student_targets(soft.matrix, bundle.gold, split.labeled)
-        _, _, grads = joint_objective(params, bundle.features, split.labeled, unlabeled,
-                                      targets, cfg, None, None)
-        assert all(not np.any(g) for g in grads.values())
+        _, _, grad = joint_objective(params, bundle.features, split.labeled, unlabeled,
+                                     targets, cfg, None, None)
+        assert not np.any(grad)
         assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-4
 
     def test_individual_losses_each_match(self):
@@ -133,22 +135,45 @@ class TestGradCheck:
             cfg = TrainConfig(lambda1=lam1, lambda2=lam2, dropout=0.0, hidden=6)
             assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-4
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-5, math.nan, math.inf, -math.inf])
+    def test_meaningless_step_rejected(self, eps):
+        # a zero step divides by zero; a non-finite one makes every
+        # difference NaN, which no comparison counts as an error; a negative
+        # one makes the roundoff allowance negative
+        bundle, split, soft, params = tiny_problem(0)
+        cfg = TrainConfig(dropout=0.0, hidden=6)
+        with pytest.raises(ValueError, match="eps must be finite and > 0"):
+            grad_check(params, bundle, split, soft, cfg, eps=eps)
+        with pytest.raises(ValueError, match="eps must be finite and > 0"):
+            run_gradcheck_suite(instances=1, eps=eps)
 
-def scaled(grads, args):
-    return {name: 1.001 * g for name, g in grads.items()}
+
+def scaled(grad, args):
+    return 1.001 * grad
 
 
-def sign_flipped(grads, args):
-    return {name: -g for name, g in grads.items()}
+def sign_flipped(grad, args):
+    return -grad
 
 
-def without_contrastive(grads, args):
+def first_entry_off(grad, args):
+    # w1[0, 0], the head of params.live
+    return np.concatenate([[grad[0] + 1.0], grad[1:]])
+
+
+def last_entry_off(grad, args):
+    # b3[-1], the tail of params.live
+    return np.concatenate([grad[:-1], [grad[-1] + 1.0]])
+
+
+def without_contrastive(grad, args):
     # the gradient of the same objective with the contrastive term left out
     return joint_objective(*args[:6], None, None)[2]
 
 
 class TestGradCheckRejects:
-    @pytest.mark.parametrize("corrupt", [sign_flipped, without_contrastive, scaled])
+    @pytest.mark.parametrize("corrupt", [sign_flipped, without_contrastive, scaled,
+                                         first_entry_off, last_entry_off])
     def test_wrong_gradient_fails(self, monkeypatch, corrupt):
         bundle, split, soft, params = tiny_problem(1)
         cfg = TrainConfig(lambda2=1.0, dropout=0.0, hidden=6)
@@ -160,8 +185,8 @@ class TestGradCheckRejects:
         assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-4
 
         def corrupted(*args, **kwargs):
-            joint, parts, grads = joint_objective(*args, **kwargs)
-            return joint, parts, corrupt(grads, args)
+            joint, parts, grad = joint_objective(*args, **kwargs)
+            return joint, parts, corrupt(grad, args)
 
         monkeypatch.setattr(gradcheck, "joint_objective", corrupted)
         assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) > 1e-4

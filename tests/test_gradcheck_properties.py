@@ -18,7 +18,6 @@ from agst import (  # noqa: E402
     init_params,
     pseudo_targets,
 )
-from agst.mlp import similarity_distribution  # noqa: E402
 
 import reference  # noqa: E402
 from conftest import make_bundle, split_of  # noqa: E402
@@ -60,7 +59,7 @@ def problems(draw):
         # that similarity is at most 1/c, so the filter keeps no node
         z_mom = reference.momentum_embed(params, features)
         protos = compute_prototypes(z_mom, class_members(gold, labeled, c))
-        least = np.argmin(similarity_distribution(z_mom, protos, cfg.tau), axis=1)
+        least = np.argmin(reference.similarity_distribution(z_mom, protos, cfg.tau), axis=1)
         raw[np.arange(n), least] += c
     soft = SoftLabels(raw / raw.sum(1, keepdims=True), normalized=True)
     return params, bundle, split, soft, cfg, empty_kept

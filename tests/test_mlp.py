@@ -29,7 +29,7 @@ from agst.mlp import (
     feature_matrix,
     joint_objective,
     pseudo_targets,
-    similarity_distribution,
+    softmax,
 )
 
 import reference
@@ -99,7 +99,7 @@ class TestForward:
         cfg = TrainConfig(dropout=0.5, lambda2=0.0)
         targets = student_targets(soft.matrix, gold, labeled)
         _, p_eval = forward(params, x)
-        ws = EpochWorkspace.for_rows(params, x)
+        ws = EpochWorkspace(params, x.shape[0])
         joint_objective(params, x, labeled, unlabeled, targets, cfg, None, None, workspace=ws)
         # without dropout the keep factor is the ReLU's 0 or 1
         assert np.array_equal(ws.keep, (ws.h1 > 0).astype(ws.keep.dtype))
@@ -235,33 +235,39 @@ class TestRowMax:
 
 
 class TestSimilarityDistribution:
+    """The similarity distribution as ``loss_contrastive`` takes it: the
+    ``softmax`` of the logits z @ protos.T / tau."""
+
     def test_identical_prototypes_give_uniform(self):
         protos = np.tile([1.0, 2.0], (3, 1))
-        s = similarity_distribution(np.array([0.5, -0.5]), protos, tau=0.7)
+        s = softmax(np.array([[0.5, -0.5]]) @ protos.T / 0.7)
         assert np.allclose(s, 1 / 3)
 
     def test_unit_logit_gap_scalar_identity(self):
         # z.c1 = 1, z.c2 = 0 at tau 1: [e/(e+1), 1/(e+1)]
         protos = np.array([[1.0, 0.0], [0.0, 0.0]])
-        s = similarity_distribution(np.array([1.0, 1.0]), protos, tau=1.0)
+        s = softmax(np.array([[1.0, 1.0]]) @ protos.T / 1.0)
         e = math.e
-        assert np.allclose(s, [e / (e + 1), 1 / (e + 1)], atol=1e-12)
+        assert np.allclose(s, [[e / (e + 1), 1 / (e + 1)]], atol=1e-12)
 
     def test_high_temperature_flattens(self):
         rng = np.random.default_rng(6)
         protos = rng.normal(size=(4, 3))
-        s = similarity_distribution(rng.normal(size=3), protos, tau=1e9)
+        s = softmax(rng.normal(size=(1, 3)) @ protos.T / 1e9)
         assert np.max(np.abs(s - 0.25)) < 1e-8
 
     def test_overflow_safe(self):
         protos = np.array([[1e4, 0.0], [0.0, 1e4]])
-        s = similarity_distribution(np.array([1.0, 0.0]), protos, tau=1e-3)
+        s = softmax(np.array([[1.0, 0.0]]) @ protos.T / 1e-3)
         assert np.all(np.isfinite(s))
         assert s.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_non_positive_tau_rejected(self):
-        with pytest.raises(ValueError, match="tau"):
-            similarity_distribution(np.ones(2), np.ones((2, 2)), tau=0.0)
+        # refused whether or not a node is kept
+        for kept in ([0], []):
+            pls = PseudoLabelSet(np.zeros(2, dtype=int), np.array(kept, dtype=int))
+            with pytest.raises(ValueError, match="tau"):
+                loss_contrastive(np.ones((2, 2)), np.ones((2, 2)), pls, 0.0, "sum")
 
 
 def filter_on_embeddings(soft, z, protos, tau, unlabeled):
@@ -538,7 +544,7 @@ class TestAdam:
 
     def test_step_moves_against_the_gradient(self):
         params = zero_params()
-        Adam(lr=0.1).step(params, np.ones_like(params.live))
+        Adam(lr=0.1, weight_decay=0.0).step(params, np.ones_like(params.live))
         # the first bias-corrected step is lr * g / (|g| + eps) per entry
         assert np.allclose(params.w1, -0.1)
         assert np.array_equal(params.mw1, np.zeros_like(params.mw1))
@@ -708,6 +714,25 @@ class TestTrainStudent:
         with pytest.raises(ValueError, match=expected):
             fit(bundle, split, uniform, TrainConfig(), x=np.ones((n, f)))
 
+    @pytest.mark.parametrize("df, dc, dh", [(-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0),
+                                            (0, 0, -1), (0, 0, 1)])
+    def test_warm_start_of_another_shape_rejected(self, df, dc, dh):
+        # refused where init enters: an f or c off failed mid-epoch with a
+        # matmul or broadcast error, a hidden off trained at the init's width
+        bundle, split, uniform = toy_training_setup()
+        cfg = TrainConfig(hidden=8, max_epochs=1)
+        f, c = bundle.num_features, bundle.num_classes
+        init = init_params(f + df, c + dc, cfg.hidden + dh, np.random.default_rng(0))
+        expected = (rf"dims \({f + df}, {cfg.hidden + dh}, {c + dc}\), "
+                    rf"expected \({f}, {cfg.hidden}, {c}\)")
+        with pytest.raises(ValueError, match=expected):
+            train_student(bundle, split, uniform, cfg, np.random.default_rng(0),
+                          feature_matrix(bundle.features, False), init)
+        fitting = init_params(f, c, cfg.hidden, np.random.default_rng(0))
+        params, _ = train_student(bundle, split, uniform, cfg, np.random.default_rng(0),
+                                  feature_matrix(bundle.features, False), fitting)
+        assert params.dims == (f, cfg.hidden, c)
+
     @pytest.mark.parametrize("normalize", [False, True])
     def test_prepared_features_give_identical_parameters(self, normalize):
         # the float64 feature_matrix and its cast to the student's dtype
@@ -799,7 +824,7 @@ class TestTrainStudent:
         monkeypatch.setattr(mlp, "EpochWorkspace", Workspace)
         monkeypatch.setattr(mlp, "Adam", Recorded)
         epoch_functions = ("joint_objective", "pseudo_targets", "momentum_embed",
-                           "compute_prototypes", "similarity_distribution",
+                           "compute_prototypes", "softmax",
                            "loss_cross_entropy", "loss_contrastive", "forward")
         for name in epoch_functions:
             monkeypatch.setattr(mlp, name, recording(name))
@@ -817,7 +842,8 @@ class TestTrainStudent:
         arrays += list(optimizer.state)
         assert len(workspaces) == 2
         assert [a.shape for a in optimizer.state] == [params.live.shape] * 4
-        assert len(returned["joint_objective"]) == len(PARAM_NAMES)   # the gradients
+        # the gradient, one vector laid out as params.live
+        assert [a.shape for a in returned["joint_objective"]] == [params.live.shape]
         assert {a.dtype for a in arrays} == {np.dtype(STUDENT_DTYPE)}
 
     def test_sum_reduction_mode(self):
@@ -876,7 +902,7 @@ class TestEpochCost:
         unlabeled = np.setdiff1d(np.arange(n), labeled)
         params = init_params(f, c, hidden, rng)
         cfg = TrainConfig(hidden=hidden)
-        ws = EpochWorkspace.for_rows(params, x)
+        ws = EpochWorkspace(params, x.shape[0])
         ws.s = x @ params.mw1
         z, _ = forward(params, x, ws)
         # pseudo-labels that agree with the prototypes keep almost every node,

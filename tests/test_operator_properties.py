@@ -8,12 +8,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from agst import LpConfig, SparseGraph, closed_form_oracle, normalize_adjacency  # noqa: E402
+from agst import LpConfig, SparseGraph, normalize_adjacency  # noqa: E402
 from agst import propagate_labels  # noqa: E402
 from agst.graph import canonical_edges  # noqa: E402
 from agst.propagation import initial_label_matrix  # noqa: E402
 
 from conftest import make_bundle, split_of  # noqa: E402
+from reference import closed_form_oracle  # noqa: E402
 
 
 @st.composite

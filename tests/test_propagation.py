@@ -4,7 +4,6 @@ import pytest
 from agst import (
     LpConfig,
     SoftLabels,
-    closed_form_oracle,
     normalize_adjacency,
     propagate_labels,
     to_distribution,
@@ -12,6 +11,7 @@ from agst import (
 from agst.propagation import initial_label_matrix
 
 from conftest import make_bundle, random_graph_edges, split_of
+from reference import closed_form_oracle
 
 
 def random_lp_problem(rng, n_max=50, c_max=4, p=0.2):

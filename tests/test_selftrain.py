@@ -77,8 +77,8 @@ class TestRunAgst:
         for sa, sb in zip(a.per_iteration, b.per_iteration):
             assert sa.val_acc == sb.val_acc
             assert sa.test_acc == sb.test_acc
-            assert sa.edges_added == sb.edges_added
             assert np.array_equal(sa.added_edges, sb.added_edges)
+            assert np.array_equal(sa.removed_edges, sb.removed_edges)
 
     def test_rebasing_never_compounds_augmentations(self):
         # adjacency entering round i+1 = original +/- round-i decisions only
@@ -130,7 +130,8 @@ class TestRunAgst:
         assert len(applied) == 1
         assert np.array_equal(applied[0].added, result.per_iteration[0].added_edges)
         last = result.per_iteration[-1]
-        assert last.edges_added == last.added_edges.shape[0] > 0
+        assert last.to_dict()["edges_added"] == last.added_edges.shape[0] > 0
+        assert last.to_dict()["edges_removed"] == last.removed_edges.shape[0]
 
     def test_iteration_count_respected(self):
         bundle, split = toy_setup(seed=5)

@@ -169,7 +169,7 @@ def test_shared_workspace_epochs_equal_fresh_arrays(problem):
     hard = np.argmax(soft.matrix, axis=1)
     targets = student_targets(soft.matrix, gold, labeled)
     members = class_members(gold, labeled, c)
-    ws = EpochWorkspace(n, cfg.hidden, c, STUDENT_DTYPE)
+    ws = EpochWorkspace(epochs[0][0], n)
     buffers = [a for a in vars(ws).values() if isinstance(a, np.ndarray)]
     gap = 2 * two_evaluations(f + 2 * cfg.hidden + c + n + 8)   # doubled for second-order terms
 
@@ -181,7 +181,7 @@ def test_shared_workspace_epochs_equal_fresh_arrays(problem):
         else:
             ref = reference.pseudo_targets(params, x, gold, labeled, unlabeled, soft, cfg)
             check_pseudo_targets(params, x, protos, pls, ref, labeled, c, cfg.tau, gap)
-        joint, parts, grads = joint_objective(
+        joint, parts, grad = joint_objective(
             params, x, labeled, unlabeled, targets, cfg, protos, pls,
             rng=generator(seed), workspace=ws)
         # the reference gets the same prototypes and kept set
@@ -208,9 +208,10 @@ def test_shared_workspace_epochs_equal_fresh_arrays(problem):
                      + (3 * EPS + two_evaluations(n * c + 2)) * abs(ref_parts[1]))
         assert abs(parts[0] - ref_parts[0]) <= lab_bound
         assert abs(parts[1] - ref_parts[1]) <= unl_bound
+        assert grad.shape == params.live.shape
+        assert not any(np.shares_memory(grad, b) for b in buffers)
+        grads = params.views(grad)
         assert grads.keys() == ref_grads.keys()
-        for g in grads.values():
-            assert not any(np.shares_memory(g, b) for b in buffers)
         bounds = gradient_bounds(params, x, ws, protos, pls, cfg, gap, labeled)
         for name, g in grads.items():
             assert g.dtype == STUDENT_DTYPE
