@@ -134,7 +134,6 @@ class _Table:
     """The non-blank lines of one dataset file as the rows of an array."""
 
     path: Path
-    text: str
     rows: np.ndarray
     fault: str | None     # why the line after the last row did not parse
 
@@ -154,8 +153,9 @@ class _Table:
         reaches ``int`` and is refused.
         """
         parse = int if np.issubdtype(dtype, np.integer) else float
-        text = path.read_text()
-        lines = list(filter(None, map(str.strip, text.split("\n"))))
+        # the text itself is not kept: ``check`` reads the file again on a fault
+        with path.open() as fh:
+            lines = list(filter(None, map(str.strip, fh)))
         if lines:
             try:
                 with warnings.catch_warnings():
@@ -163,7 +163,7 @@ class _Table:
                     rows = np.loadtxt(lines, dtype=dtype, delimiter=delimiter,
                                       comments=None, ndmin=2)
                 if rows.shape[1] == width:
-                    return cls(path, text, rows, None)
+                    return cls(path, rows, None)
             except (ValueError, DeprecationWarning):
                 pass
         parsed, fault = [], None
@@ -181,7 +181,7 @@ class _Table:
             rows = np.array(parsed, dtype=dtype)
         except OverflowError:   # an int past int64 stays a Python int for the range rules
             rows = np.array(parsed, dtype=object)
-        return cls(path, text, rows.reshape(-1, width), fault)
+        return cls(path, rows.reshape(-1, width), fault)
 
     def check(self, *rules) -> None:
         """Raise DatasetFormatError for the earliest faulty line.
@@ -203,8 +203,8 @@ class _Table:
             return
         index, k = min(faults)
         message = rules[k][1](index) if k < len(rules) else self.fault
-        linenos = [lineno for lineno, line in enumerate(self.text.split("\n"), 1)
-                   if line.strip()]
+        with self.path.open() as fh:
+            linenos = [lineno for lineno, line in enumerate(fh, 1) if line.strip()]
         raise DatasetFormatError(f"{self.path.name}:{linenos[index]}: {message}")
 
 

@@ -38,14 +38,32 @@ def reference_plan(graph, p, cfg):
 
 
 BETA = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+ARMS = ("random", "near one-hot", "equal norms", "edges on top", "small class first")
+
+
+def normalized(raw):
+    return raw / raw.sum(axis=1, keepdims=True)
 
 
 @st.composite
 def plan_cases(draw):
     """(graph, p, cfg, block rows) covering the cases blocked planning must get
     right: exact score ties at the cut-off, one class, empty and singleton
-    classes, quotas above the candidate count, m = 0, betas at 0 and 1, and
-    classes spanning several row blocks."""
+    classes, quotas above the candidate count, m = 0, betas at 0 and 1,
+    classes spanning several row blocks, and each path of the search in
+    confidence order (one arm each):
+
+    - near one-hot rows fill the quota, so the search stops at the norm
+      bound before it reaches the diffuse rows;
+    - rows that permute one dyadic row have exactly equal norms, so the
+      visit order rests on the stable sort;
+    - the most confident pairs are edges, so a seed that ignored the
+      same-label edges would cut too high;
+    - a small class with the highest norm bound but low mutual dots is
+      visited first, so the large class's first block is seeded while
+      0 < held < quota, and the held pair lies below the seed.
+    """
+    arm = draw(st.sampled_from(ARMS))
     n = draw(st.one_of(st.integers(1, 40), st.integers(rewiring.BLOCK_ROWS - 2,
                                                        rewiring.BLOCK_ROWS + 40)))
     c = draw(st.integers(1, 5))
@@ -53,20 +71,47 @@ def plan_cases(draw):
     density = draw(st.sampled_from([0.0, 0.02, 0.1, 0.5, 0.9]))
     iu, ju = np.triu_indices(n, k=1)
     keep = rng.random(iu.size) < density
-    graph = SparseGraph(n, np.column_stack([iu[keep], ju[keep]]))
-    distinct = draw(st.one_of(st.none(), st.integers(1, 3)))
-    if distinct is None:
-        raw = rng.random((n, c)) + 1e-6
+    p = normalized(rng.random((n, c)) + 1e-6)
+    if arm == "random":
+        distinct = draw(st.one_of(st.none(), st.integers(1, 3)))
+        if distinct is not None:
+            # rows from a small set: many pairs share one score exactly
+            p = normalized(rng.random((distinct, c)) + 1e-6)[rng.integers(0, distinct, n)]
+    elif arm == "near one-hot":
+        sure = rng.random(n) < 0.5
+        eps = 10.0 ** -rng.integers(3, 13, size=(n, 1))
+        one_hot = np.eye(c)[rng.integers(0, c, n)]
+        p[sure] = ((1 - eps) * one_hot + eps * p)[sure]
+    elif arm == "equal norms":
+        # entries are multiples of 1/16, so squares and their sums are exact
+        row = rng.multinomial(16, np.full(c, 1 / c)) / 16
+        p = rng.permuted(np.tile(row, (n, 1)), axis=1)
+    elif arm == "edges on top":
+        if iu.size:
+            dots = np.einsum("ij,ij->i", p[iu], p[ju])
+            keep |= dots >= np.quantile(dots, draw(st.floats(0.3, 0.95)))
     else:
-        # rows from a small set: many pairs share one score exactly
-        raw = (rng.random((distinct, c)) + 1e-6)[rng.integers(0, distinct, n)]
-    p = raw / raw.sum(axis=1, keepdims=True)
+        # class 0: rows (0.9, 0.1, 0) and (0.9, 0, 0.1), norm bound 0.82 but a
+        # mutual dot of 0.81; class 1: rows near (0.05, 0.9, 0.05), bound and
+        # dots 0.815; edges join the two classes only, so no same-label edge
+        # makes room in the seed
+        small = draw(st.integers(2, 4))
+        n = max(n, small + 2)
+        c = max(c, 3)
+        iu, ju = np.triu_indices(n, k=1)
+        keep = (rng.random(iu.size) < density) & (iu < small) & (ju >= small)
+        base = np.zeros((n, c))
+        base[:small, 0] = 0.9
+        base[np.arange(small), 1 + np.arange(small) % 2] = 0.1
+        base[small:, :3] = [0.05, 0.9, 0.05]
+        p = normalized(base + 1e-5 * rng.random((n, c)))
+    graph = SparseGraph(n, np.column_stack([iu[keep], ju[keep]]))
     cfg = AugmentConfig(beta_add=draw(BETA), beta_remove=draw(BETA))
     block_rows = draw(st.sampled_from([2, 3, 7, rewiring.BLOCK_ROWS]))
     return graph, p, cfg, block_rows
 
 
-@settings(max_examples=250, deadline=None, derandomize=True)
+@settings(max_examples=500, deadline=None, derandomize=True)
 @given(plan_cases())
 def test_blocked_plan_equals_reference(case):
     graph, p, cfg, block_rows = case

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from agst import (
     apply_augmentation,
     edge_probability,
     plan_augmentation,
+    rewiring,
 )
 from agst.rewiring import sigmoid
 
@@ -186,6 +188,45 @@ class TestAugmentTopology:
     def test_beta_range_validated(self):
         with pytest.raises(ValueError, match="beta"):
             AugmentConfig(beta_add=1.2)
+
+
+class TestPlanInput:
+    """``plan_augmentation`` refuses a ``p`` that does not fit the graph."""
+
+    graph = SparseGraph(20, [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]])
+
+    def test_more_rows_than_nodes(self):
+        p = random_predictions(np.random.default_rng(6), 25, 3)
+        with pytest.raises(ValueError, match=r"shape \(25, 3\); expected \(20, c\)"):
+            plan_augmentation(self.graph, p, AugmentConfig())
+
+    def test_fewer_rows_than_nodes(self):
+        p = random_predictions(np.random.default_rng(7), 15, 3)
+        with pytest.raises(ValueError, match=r"shape \(15, 3\); expected \(20, c\)"):
+            plan_augmentation(self.graph, p, AugmentConfig())
+
+    def test_nan_row(self):
+        p = random_predictions(np.random.default_rng(8), 20, 3)
+        p[11] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            plan_augmentation(self.graph, p, AugmentConfig())
+
+
+def test_search_stops_at_the_norm_bound():
+    """On three confident classes of 600 the search looks up under 5% of the
+    same-label pairs in the edge list; scoring every pair looks up 23%."""
+    rng = np.random.default_rng(0)
+    hard = np.repeat(np.arange(3), 600)
+    n = hard.size
+    raw = rng.random((n, 3))
+    raw[np.arange(n), hard] += 12
+    p = raw / raw.sum(axis=1, keepdims=True)
+    graph = SparseGraph(n, rng.integers(0, n, size=(3 * n, 2)))
+    with mock.patch.object(rewiring, "_is_edge", wraps=rewiring._is_edge) as is_edge:
+        plan = plan_augmentation(graph, p, AugmentConfig())
+    assert plan.added.shape[0] == int(0.4 * graph.m)
+    looked_up = sum(call.args[1].size for call in is_edge.call_args_list)
+    assert looked_up <= 0.05 * 3 * (600 * 599 // 2)
 
 
 class TestSigmoid:
