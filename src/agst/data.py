@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import SparseGraph, canonical_edges
+from .graph import SparseGraph
 
 log = logging.getLogger(__name__)
 
@@ -96,13 +96,19 @@ class SplitSpec:
 
 
 def require_gold(bundle: DatasetBundle, split: SplitSpec) -> None:
-    """Refuse a split whose labeled, validation or test nodes include one
-    with gold ``UNLABELED``: training and scoring read those nodes' labels."""
+    """Refuse a split whose labeled, validation or test nodes include an id
+    outside [0, n), or one with gold ``UNLABELED``: training and scoring read
+    those nodes' labels, and a negative id would index another node."""
     nodes = np.concatenate([split.labeled, split.validation, split.test])
-    unknown = np.unique(nodes[bundle.gold[nodes] == UNLABELED])
-    if unknown.size:
-        shown = ", ".join(map(str, unknown[:10])) + (", ..." if unknown.size > 10 else "")
-        raise ValueError(f"{unknown.size} split node(s) have no gold label: {shown}")
+
+    def refuse(bad: np.ndarray, what: str) -> None:
+        ids = np.unique(nodes[bad])
+        if ids.size:
+            shown = ", ".join(map(str, ids[:10])) + (", ..." if ids.size > 10 else "")
+            raise ValueError(f"{ids.size} split node(s) {what}: {shown}")
+
+    refuse((nodes < 0) | (nodes >= bundle.n), f"lie outside [0, {bundle.n})")
+    refuse(bundle.gold[nodes] == UNLABELED, "have no gold label")
 
 
 def _read_meta(path: Path) -> dict[str, int]:
@@ -229,7 +235,9 @@ def load_dataset(path: str | Path) -> DatasetBundle:
                         "expected src<TAB>dst", "non-integer node id")
     pairs = edges.rows
     edges.check(((pairs < 0) | (pairs >= n), lambda i: f"node id out of range [0, {n})"))
-    canonical, n_dup, n_loops = canonical_edges(pairs, n)
+    graph = SparseGraph(n, pairs)
+    n_loops = int(np.count_nonzero(pairs[:, 0] == pairs[:, 1]))
+    n_dup = len(pairs) - n_loops - graph.m
     if n_dup or n_loops:
         log.info(
             "%s: dropped %d duplicate edge rows and %d self-loops", edges.path, n_dup, n_loops
@@ -258,7 +266,7 @@ def load_dataset(path: str | Path) -> DatasetBundle:
     gold = np.full(n, UNLABELED, dtype=np.int64)
     gold[nodes] = classes
 
-    return DatasetBundle(SparseGraph(n, canonical), features, gold, c)
+    return DatasetBundle(graph, features, gold, c)
 
 
 def save_dataset(bundle: DatasetBundle, path: str | Path) -> None:
@@ -386,24 +394,22 @@ def two_cluster_bundle(
             take = min(intra_degree, others.size)
             for v in rng.choice(others, size=take, replace=False):
                 pairs.append((off + u, off + int(v)))
-    edges, _, _ = canonical_edges(np.asarray(pairs, dtype=np.int64), n)
-    if noise_fraction > 0:
-        n_noise = int(noise_fraction * edges.shape[0])
-        existing = set((edges[:, 0] * n + edges[:, 1]).tolist())
-        added = 0
-        while added < n_noise:
-            i = int(rng.integers(0, n0))
-            j = int(rng.integers(n0, n))
-            if i * n + j not in existing:
-                existing.add(i * n + j)
-                added += 1
-        keys = np.sort(np.fromiter(existing, dtype=np.int64))
-        edges = np.column_stack([keys // n, keys % n])
+    existing = {(min(u, v), max(u, v)) for u, v in pairs if u != v}
+    n_noise = int(noise_fraction * len(existing))
+    if n_noise > n0 * (n - n0):
+        raise ValueError(f"noise_fraction {noise_fraction} asks for {n_noise} inter-cluster "
+                         f"edges; only {n0 * (n - n0)} pairs exist")
+    while n_noise > 0:
+        pair = (int(rng.integers(0, n0)), int(rng.integers(n0, n)))
+        if pair not in existing:
+            existing.add(pair)
+            pairs.append(pair)
+            n_noise -= 1
     features = np.empty((n, feature_dim))
     features[:n0] = rng.normal(+separation / 2, 1.0, size=(n0, feature_dim))
     features[n0:] = rng.normal(-separation / 2, 1.0, size=(n - n0, feature_dim))
     gold = np.repeat([0, 1], sizes)
-    return DatasetBundle(SparseGraph(n, edges), features, gold, 2)
+    return DatasetBundle(SparseGraph(n, pairs), features, gold, 2)
 
 
 def convert_content_release(input_dir: str | Path, output_dir: str | Path) -> dict:
@@ -470,7 +476,7 @@ def convert_content_release(input_dir: str | Path, output_dir: str | Path) -> di
 
     n = len(ids)
     bundle = DatasetBundle(
-        SparseGraph(n, np.asarray(pairs, dtype=np.int64).reshape(-1, 2)),
+        SparseGraph(n, pairs),
         np.asarray(rows, dtype=np.float64),
         gold,
         len(classes),

@@ -1,55 +1,37 @@
-"""Undirected graphs as canonical edge lists, and the symmetric normalized
-propagation operator as a plain SciPy CSR matrix."""
+"""Undirected graphs in one canonical form, and the symmetric normalized
+propagation operator as a plain SciPy CSR matrix.
+
+``SparseGraph`` alone knows how an edge is encoded: every caller hands it
+raw pairs and asks it about edges."""
 
 from __future__ import annotations
-
-import logging
 
 import numpy as np
 from scipy import sparse
 
-log = logging.getLogger(__name__)
-
-
-def canonical_edges(pairs: np.ndarray, n: int) -> tuple[np.ndarray, int, int]:
-    """Canonicalize an edge array: undirected, deduplicated, no self-loops.
-
-    ``pairs`` is any (k, 2) integer array.  Returns (edges, n_duplicates,
-    n_self_loops) where ``edges`` is (m, 2) with i < j, sorted
-    lexicographically.
-    """
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
-        raise ValueError(f"edge endpoint out of range [0, {n})")
-    loops = pairs[:, 0] == pairs[:, 1]
-    n_loops = int(loops.sum())
-    pairs = pairs[~loops]
-    lo = np.minimum(pairs[:, 0], pairs[:, 1])
-    hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    keys = lo * n + hi
-    uniq = np.unique(keys)
-    n_dup = keys.size - uniq.size
-    edges = np.column_stack([uniq // n, uniq % n])
-    return edges, n_dup, n_loops
-
 
 class SparseGraph:
-    """Undirected unweighted graph stored as its canonical edge list.
+    """Undirected unweighted graph on nodes 0..n-1 in canonical form.
 
-    ``edges`` is (m, 2) with i < j, no duplicates, no self-loops, sorted
-    lexicographically.  Instances are immutable after construction.
+    Built from any (k, 2) integer pairs with endpoints in [0, n): each edge is
+    kept once as i < j, and self-loops and duplicates are dropped.  ``edges``
+    is the (m, 2) edge list sorted lexicographically, and ``keys`` the same
+    edges encoded as i * n + j, sorted, which ``has_edges`` searches.
+    Instances are immutable after construction.
     """
 
     def __init__(self, n: int, pairs: np.ndarray | list):
         if n < 1:
             raise ValueError("graph needs at least one node")
-        self.n = int(n)
-        edges, n_dup, n_loops = canonical_edges(
-            np.asarray(pairs, dtype=np.int64).reshape(-1, 2), self.n
-        )
-        if n_dup or n_loops:
-            log.debug("dropped %d duplicate edges, %d self-loops", n_dup, n_loops)
-        self.edges = edges
+        self.n = n = int(n)
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+            raise ValueError(f"edge endpoint out of range [0, {n})")
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        lo = np.minimum(pairs[:, 0], pairs[:, 1])
+        hi = np.maximum(pairs[:, 0], pairs[:, 1])
+        self.keys = np.unique(lo * n + hi)
+        self.edges = np.column_stack([self.keys // n, self.keys % n])
 
     @property
     def m(self) -> int:
@@ -59,9 +41,13 @@ class SparseGraph:
     def degrees(self) -> np.ndarray:
         return np.bincount(self.edges.ravel(), minlength=self.n)
 
-    def edge_keys(self) -> np.ndarray:
-        """Edges encoded as i*n + j (i < j), for fast membership tests."""
-        return self.edges[:, 0] * self.n + self.edges[:, 1]
+    def has_edges(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Whether each pair (i[k], j[k]) with i[k] < j[k] is an edge."""
+        keys = np.asarray(i, dtype=np.int64) * self.n + j
+        if self.keys.size == 0:
+            return np.zeros(keys.shape, dtype=bool)
+        pos = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
+        return self.keys[pos] == keys
 
 
 def normalize_adjacency(graph: SparseGraph) -> sparse.csr_array:

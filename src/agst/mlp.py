@@ -522,7 +522,8 @@ class TrainConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
         if self.patience < 0 or self.max_epochs < 1 or self.no_val_epochs < 1:
-            raise ValueError("invalid epoch budget")
+            raise ValueError(f"invalid epoch budget: patience={self.patience}, "
+                             f"max_epochs={self.max_epochs}, no_val_epochs={self.no_val_epochs}")
         if self.hidden < 1:
             raise ValueError("hidden width must be >= 1")
         if self.loss_reduction not in ("mean", "sum"):
@@ -562,12 +563,17 @@ def round_inputs(bundle: DatasetBundle, split: SplitSpec, soft: SoftLabels, cfg:
     ``split.labeled``: the unlabeled nodes, the teacher's argmax class of
     every node (ties go to the lowest class), ``student_targets`` in
     ``dtype``, and ``class_members`` (None when ``cfg.lambda2`` is zero).
-    Refuses an empty labeled set and soft labels not normalized."""
+    Refuses a split ``require_gold`` refuses, an empty labeled set, and soft
+    labels not normalized or not of shape (n, c)."""
+    require_gold(bundle, split)
     labeled = split.labeled
     if labeled.size == 0:
         raise ValueError("empty labeled set")
     if not soft.normalized:
         raise ValueError("soft labels must be normalized distributions")
+    if soft.matrix.shape != (bundle.n, bundle.num_classes):
+        raise ValueError(f"soft labels have shape {soft.matrix.shape}, "
+                         f"expected {(bundle.n, bundle.num_classes)}")
     members = class_members(bundle.gold, labeled, bundle.num_classes) if cfg.lambda2 else None
     return (np.setdiff1d(np.arange(bundle.n), labeled), np.argmax(soft.matrix, axis=1),
             student_targets(soft.matrix, bundle.gold, labeled, dtype), members)
@@ -671,7 +677,6 @@ def train_student(
     dims = (bundle.num_features, cfg.hidden, bundle.num_classes)
     if init is not None and init.dims != dims:
         raise ValueError(f"warm-start weights have dims {init.dims}, expected {dims}")
-    require_gold(bundle, split)
     unlabeled, hard, targets, members = round_inputs(bundle, split, soft, cfg, STUDENT_DTYPE)
     x = x.astype(STUDENT_DTYPE, copy=False)
     labeled = split.labeled

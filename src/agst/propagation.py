@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .data import DatasetBundle, SplitSpec
+from .data import DatasetBundle, SplitSpec, require_gold
 
 
 @dataclass
@@ -50,9 +50,11 @@ class LpConfig:
 def initial_label_matrix(bundle: DatasetBundle, split: SplitSpec) -> np.ndarray:
     """One-hot rows for labeled nodes, zero rows elsewhere.
 
-    Raises if some class never appears among the labeled nodes: propagation
-    can only ever emit classes it has seen.
+    Raises on a split ``require_gold`` refuses, and if some class never
+    appears among the labeled nodes: propagation can only ever emit classes
+    it has seen.
     """
+    require_gold(bundle, split)
     labels = bundle.gold[split.labeled]
     missing = np.setdiff1d(np.arange(bundle.num_classes), labels)
     if missing.size:

@@ -16,8 +16,8 @@ bound can still reach the running cut-off, and a class stops at the first
 block with none.  Until ``quota`` pairs are held, a block seeds the cut-off
 at its own (quota + same-label edges)-th largest dot, which at least
 ``quota`` of its non-edges reach.  A block's dot products come from one
-matrix product, existing edges are looked up in the sorted edge keys, and
-only pairs that can still reach the top ``quota`` are kept.  Memory is
+matrix product, its existing edges are found with ``SparseGraph.has_edges``,
+and only pairs that can still reach the top ``quota`` are kept.  Memory is
 O(BLOCK_ROWS * n_c + quota) for the largest predicted class of n_c nodes,
 not the O(sum n_c^2) of listing every same-label pair.  The enumerator that
 lists them all, ``generate_candidates`` in ``tests/reference.py``, is the
@@ -82,13 +82,6 @@ BLOCK_ROWS = 256
 PRUNE_MARGIN = 1e-9
 
 
-def _is_edge(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    if sorted_keys.size == 0:
-        return np.zeros(keys.shape, dtype=bool)
-    pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
-    return sorted_keys[pos] == keys
-
-
 def _rank(p: np.ndarray, pairs: np.ndarray, dots: np.ndarray, quota: int):
     """The first ``quota`` pairs by (-probability, i, j), with their matmul
     dots and their probabilities."""
@@ -126,11 +119,10 @@ def _top_additions(p: np.ndarray, hard: np.ndarray, graph: SparseGraph, quota: i
     so no later pair of the class can reach it.  The norms, their products
     and the matmul each round differently from the einsum dot that ranks the
     pairs, by far less than the margin, so a pair the bound cuts cannot
-    outrank a held one.  Pairs are stored as (min, max) and those held past
-    the quota (ties within the margin) are ranked exactly and cut.
+    outrank a held one.  Pairs are stored as (min, max), the order
+    ``graph.has_edges`` looks them up in, and those held past the quota
+    (ties within the margin) are ranked exactly and cut.
     """
-    n = graph.n
-    existing = graph.edge_keys()   # sorted, because the edge list is
     below = np.tri(BLOCK_ROWS, BLOCK_ROWS, -1, dtype=bool)
     norms = np.linalg.norm(p, axis=1)
     order = np.lexsort((-norms, hard))   # by class, then norm descending, then id
@@ -163,7 +155,7 @@ def _top_additions(p: np.ndarray, hard: np.ndarray, graph: SparseGraph, quota: i
             r, c = np.nonzero(block >= floor - PRUNE_MARGIN)
             i, j = members[start + r], members[start + 1 + c]
             i, j = np.minimum(i, j), np.maximum(i, j)
-            fresh = ~_is_edge(existing, i * n + j)
+            fresh = ~graph.has_edges(i, j)
             pairs = np.concatenate([pairs, np.column_stack([i[fresh], j[fresh]])])
             dots = np.concatenate([dots, block[r[fresh], c[fresh]]])
             if dots.size >= quota:
@@ -216,14 +208,11 @@ def plan_augmentation(graph: SparseGraph, p: np.ndarray, cfg: AugmentConfig) -> 
 
 
 def apply_augmentation(graph: SparseGraph, plan: AugmentationPlan) -> SparseGraph:
-    """``graph`` rewired by ``plan``; ``graph`` itself when the plan is empty."""
+    """``graph`` rewired by ``plan``: its edges less ``plan.removed``, plus
+    ``plan.added``; ``graph`` itself when the plan is empty."""
     if plan.added.size == 0 and plan.removed.size == 0:
         return graph
-    n = graph.n
-    keys = graph.edge_keys()
-    if plan.removed.size:
-        keys = np.setdiff1d(keys, plan.removed[:, 0] * n + plan.removed[:, 1])
-    if plan.added.size:
-        keys = np.union1d(keys, plan.added[:, 0] * n + plan.added[:, 1])
-    return SparseGraph(n, np.column_stack([keys // n, keys % n]))
+    removed = SparseGraph(graph.n, plan.removed).keys
+    kept = graph.edges[~np.isin(graph.keys, removed, assume_unique=True)]
+    return SparseGraph(graph.n, np.concatenate([kept, plan.added]))
 

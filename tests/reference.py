@@ -32,8 +32,6 @@ def generate_candidates(
 
     Nodes are grouped by label first, so no cross-class pair is ever touched.
     """
-    n = graph.n
-    existing = graph.edge_keys()
     blocks = []
     for cls in np.unique(hard):
         members = np.flatnonzero(hard == cls)
@@ -43,8 +41,7 @@ def generate_candidates(
         blocks.append(np.column_stack([members[iu], members[ju]]))
     if blocks:
         pairs = np.concatenate(blocks)
-        keys = pairs[:, 0] * n + pairs[:, 1]
-        additions = pairs[~np.isin(keys, existing)]
+        additions = pairs[~graph.has_edges(pairs[:, 0], pairs[:, 1])]
         order = np.lexsort((additions[:, 1], additions[:, 0]))
         additions = additions[order]
     else:

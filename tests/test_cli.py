@@ -116,6 +116,11 @@ class TestConfigFile:
         report = json.loads((dataset_dir / "report.json").read_text())
         assert len(report["runs"]) == 1  # explicit flag wins
 
+    def test_boolean_from_the_file(self, monkeypatch, tmp_path):
+        (tmp_path / "exp.cfg").write_text("warm_start = True\nnormalize_features = false\n")
+        spec = built_spec(["run", "--dataset", "d", "--config", "exp.cfg"], monkeypatch, tmp_path)
+        assert spec == config(warm_start=True)
+
     def test_missing_config_file_is_usage_error(self, dataset_dir, capsys):
         code = cli_main(["run", "--dataset", "cora", "--config", "absent.cfg"])
         assert code == 2

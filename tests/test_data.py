@@ -8,6 +8,7 @@ from agst import (
     DatasetBundle,
     DatasetFormatError,
     SparseGraph,
+    SplitSpec,
     convert_content_release,
     l2_normalize_rows,
     load_dataset,
@@ -121,6 +122,14 @@ class TestLoadDataset:
          "labels.tsv:2: negative label -1; unlabeled nodes are omitted, not marked -1"),
         ("meta", "n=2\nf=1\nc=2\n\nn=5", "", "0\n0", "",
          "meta:5: duplicate key 'n'"),
+        ("meta", "n=2\nf=1\nc=2\nd=4", "", "0\n0", "",
+         "meta:4: unknown key 'd'"),
+        ("meta", "n=2\nf=one\nc=2", "", "0\n0", "",
+         "meta:2: non-integer value 'one'"),
+        ("meta", "n=2\nc=2", "", "0\n0", "",
+         "meta: missing key 'f'"),
+        ("meta", "n=2\nf=1\nc=0", "", "0\n0", "",
+         "meta: c must be positive"),
         # two faults: the earliest faulty line wins, and on one line
         # `more than n rows` comes before a parse fault
         ("edges.tsv", "n=3\nf=1\nc=1", "0\t5\n0\tx\n", "0\n0\n0", "",
@@ -172,6 +181,17 @@ class TestLoadDataset:
         features = np.array([[0.0, np.inf], [1.0, 2.0]])
         with pytest.raises(ValueError, match="finite"):
             DatasetBundle(SparseGraph(2, [[0, 1]]), features, np.array([0, -1]), 1)
+
+    @pytest.mark.parametrize("features, gold, message", [
+        (np.zeros(2), [0, 1], r"features must be \(n, f\) with n=2, got \(2,\)"),
+        (np.zeros((3, 1)), [0, 1], r"features must be \(n, f\) with n=2, got \(3, 1\)"),
+        (np.zeros((2, 1)), [0, 1, 1], r"gold labels must have shape \(2,\)"),
+        (np.zeros((2, 1)), [0, 2], r"gold label outside \[0, num_classes\)"),
+        (np.zeros((2, 1)), [-2, 1], r"gold label outside \[0, num_classes\)"),
+    ])
+    def test_bundle_rejects_malformed_arrays(self, features, gold, message):
+        with pytest.raises(ValueError, match=message):
+            DatasetBundle(SparseGraph(2, [[0, 1]]), features, np.array(gold), 2)
 
 
 class TestRoundTrip:
@@ -243,6 +263,12 @@ class TestMakeSplit:
         joined = np.concatenate([split.labeled, split.validation, split.test])
         assert np.unique(joined).size == joined.size
 
+    @pytest.mark.parametrize("labeled, validation, test", [
+        ([0, 1], [1], [2]), ([0], [2], [3, 0]), ([0, 0], [], [])])
+    def test_overlapping_sets_rejected(self, labeled, validation, test):
+        with pytest.raises(ValueError, match="pairwise disjoint"):
+            SplitSpec(labeled, validation, test)
+
     def test_insufficient_class_rejected(self, big_bundle):
         with pytest.raises(ValueError, match="class"):
             make_split(big_bundle, "balanced", seed=0, k=80)
@@ -270,6 +296,23 @@ class TestMakeSplit:
     def test_rate_outside_unit_interval_rejected(self, big_bundle):
         with pytest.raises(ValueError, match="rate"):
             make_split(big_bundle, "imbalanced", seed=0, rate=1.5)
+
+    @pytest.mark.parametrize("k", [0, None])
+    def test_balanced_without_a_positive_k_rejected(self, big_bundle, k):
+        with pytest.raises(ValueError, match="needs k >= 1"):
+            make_split(big_bundle, "balanced", seed=0, k=k)
+
+    def test_rate_asking_for_more_than_the_gold_labeled_rejected(self):
+        gold = np.array([0, 1, -1, 0, 1, 0, 1, 0, 1, 0, 1, 0])
+        bundle = make_bundle(12, [[0, 1]], gold, 2)
+        with pytest.raises(ValueError, match="asks for 12 labeled nodes, only 11 eligible"):
+            make_split(bundle, "imbalanced", seed=0, rate=0.95)
+
+    def test_imbalanced_gives_up_when_no_draw_covers_every_class(self):
+        # two labeled nodes can never cover three classes
+        bundle = make_bundle(200, [[0, 1]], np.arange(200) % 3, 3)
+        with pytest.raises(ValueError, match="could not cover every class in 1000 resamples"):
+            make_split(bundle, "imbalanced", seed=0, rate=0.01)
 
     def test_negative_val_per_class_rejected(self, big_bundle):
         with pytest.raises(ValueError, match="val_per_class"):
@@ -311,6 +354,13 @@ class TestSynthetic:
         assert np.array_equal(a.graph.edges, b.graph.edges)
         assert np.array_equal(a.features, b.features)
 
+    def test_more_noise_than_inter_cluster_pairs_rejected(self):
+        # 19 intra-cluster edges ask for 95 noise edges; 5 * 5 pairs exist
+        with pytest.raises(ValueError, match="asks for 95 inter-cluster edges; only 25"):
+            two_cluster_bundle(n=10, noise_fraction=5.0, seed=0)
+        full = two_cluster_bundle(n=10, intra_degree=0, noise_fraction=2.5, seed=0)
+        assert full.graph.m == 10 + 25
+
 
 class TestL2Normalize:
     def test_rows_unit_norm(self):
@@ -347,6 +397,9 @@ class TestConverter:
         ("p1\t1\t0\tml\np2\t1\t0\t1\tdb\n", "toy.content:2: expected 2 features, got 3"),
         ("", "toy.content: no nodes (empty file)"),
         ("\n \n", "toy.content: no nodes (empty file)"),
+        ("p1\t1\tml\np2\tdb\n", "toy.content:2: expected id, features, label"),
+        ("p1\t1\tml\np2\tone\tdb\n", "toy.content:2: non-numeric feature"),
+        ("p1\t1\tml\np1\t0\tdb\n", "toy.content: duplicate node ids"),
     ])
     def test_malformed_content_names_the_file(self, tmp_path, content, message):
         (tmp_path / "toy.content").write_text(content)
@@ -369,4 +422,9 @@ class TestConverter:
 
     def test_missing_content_file(self, tmp_path):
         with pytest.raises(DatasetFormatError, match="content"):
+            convert_content_release(tmp_path, tmp_path / "out")
+
+    def test_missing_cites_file(self, tmp_path):
+        (tmp_path / "toy.content").write_text("p1\t1\tml\n")
+        with pytest.raises(DatasetFormatError, match=r"missing citation file .*toy\.cites$"):
             convert_content_release(tmp_path, tmp_path / "out")

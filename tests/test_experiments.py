@@ -183,6 +183,14 @@ class TestMethods:
         with pytest.raises(ValueError, match="runs"):
             toy_spec(runs=0)
 
+    def test_unknown_protocol_rejected(self):
+        with pytest.raises(ValueError, match="unknown protocol 'stratified'"):
+            toy_spec(protocol="stratified")
+
+    def test_zero_workers_rejected(self):
+        with pytest.raises(ValueError, match="workers"):
+            toy_spec(workers=0)
+
     def test_failing_run_reports_its_seed(self, noisy_bundle):
         # k larger than any class can supply fails inside the split draw
         with pytest.raises(ValueError, match=r"run seed 50"):

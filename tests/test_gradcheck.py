@@ -147,6 +147,14 @@ class TestGradCheck:
         with pytest.raises(ValueError, match="eps must be finite and > 0"):
             run_gradcheck_suite(instances=1, eps=eps)
 
+    def test_labeled_node_without_gold_rejected(self):
+        # its target would otherwise be the last class
+        bundle, split, soft, params = tiny_problem(0)
+        node = split.labeled[0]
+        bundle.gold[node] = -1
+        with pytest.raises(ValueError, match=rf"no gold label: {node}$"):
+            grad_check(params, bundle, split, soft, TrainConfig(dropout=0.0, hidden=6))
+
 
 def scaled(grad, args):
     return 1.001 * grad

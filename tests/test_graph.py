@@ -43,6 +43,21 @@ class TestSparseGraph:
         with pytest.raises(ValueError, match="out of range"):
             SparseGraph(3, [[0, 5]])
 
+    def test_no_nodes_rejected(self):
+        with pytest.raises(ValueError, match="at least one node"):
+            SparseGraph(0, [])
+
+    def test_has_edges(self):
+        g = SparseGraph(5, [[3, 1], [0, 4], [1, 2], [1, 3]])
+        i, j = np.triu_indices(5, k=1)
+        assert np.array_equal(g.has_edges(i, j), [(a, b) in {(0, 4), (1, 2), (1, 3)}
+                                                  for a, b in zip(i, j)])
+        assert np.array_equal(g.keys, np.sort(g.edges[:, 0] * 5 + g.edges[:, 1]))
+
+    def test_empty_graph_has_no_edges(self):
+        i, j = np.triu_indices(4, k=1)
+        assert not SparseGraph(4, []).has_edges(i, j).any()
+
     def test_degrees(self, path3_graph):
         assert np.array_equal(path3_graph.degrees, [1, 2, 1])
 

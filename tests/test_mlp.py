@@ -11,6 +11,7 @@ from agst import (
     compute_prototypes,
     filter_pseudo_labels,
     forward,
+    grad_check,
     init_params,
     loss_contrastive,
     loss_cross_entropy,
@@ -162,6 +163,10 @@ class TestLabeledCrossEntropy:
         with pytest.raises(ValueError, match="empty"):
             loss_cross_entropy(np.ones((1, 2)), np.ones((1, 2)), np.array([], dtype=int),
                                np.array([0]), 1.0, "sum")
+
+    def test_unknown_reduction_rejected(self):
+        with pytest.raises(ValueError, match="unknown reduction 'median'"):
+            labeled_loss(np.full((1, 2), 0.5), np.array([0]), np.array([0]), "median")
 
 
 class TestUnlabeledCrossEntropy:
@@ -558,6 +563,8 @@ class TestTrainConfig:
         ("learning_rate", math.inf),
         ("weight_decay", -1e-4), ("weight_decay", math.nan),
         ("momentum", math.nan), ("dropout", math.nan),
+        ("patience", -1), ("max_epochs", 0), ("no_val_epochs", 0), ("hidden", 0),
+        ("loss_reduction", "median"),
     ])
     def test_invalid_value_rejected(self, field, value):
         message = "loss weights" if field.startswith("lambda") else field
@@ -697,6 +704,13 @@ class TestTrainStudent:
         with pytest.raises(ValueError, match="epoch 1"):
             fit(bundle, split, uniform, TrainConfig(dropout=0.0))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_parameter_reports_epoch(self):
+        # a step past float32's range: the loss of epoch 1 was finite
+        bundle, split, uniform = toy_training_setup()
+        with pytest.raises(ValueError, match="non-finite parameter after epoch 1"):
+            fit(bundle, split, uniform, TrainConfig(learning_rate=1e39, dropout=0.0))
+
     def test_empty_labeled_set_rejected(self):
         bundle, split, uniform = toy_training_setup()
         from agst import SplitSpec
@@ -713,6 +727,23 @@ class TestTrainStudent:
         expected = rf"shape \({n}, {f}\), expected \({bundle.n}, {bundle.num_features}\)"
         with pytest.raises(ValueError, match=expected):
             fit(bundle, split, uniform, TrainConfig(), x=np.ones((n, f)))
+
+    @pytest.mark.parametrize("entry", ["train_student", "grad_check"])
+    @pytest.mark.parametrize("rows, cols", [(1, 0), (-1, 0), (0, 1), (0, -1)])
+    def test_soft_labels_of_another_shape_rejected(self, entry, rows, cols):
+        # refused where the teacher's rows enter, not by a broadcast or index
+        # error mid-computation
+        bundle, split, _ = toy_training_setup()
+        shape = (bundle.n + rows, bundle.num_classes + cols)
+        soft = SoftLabels(np.full(shape, 1.0 / shape[1]), normalized=True)
+        cfg = TrainConfig(hidden=8, max_epochs=1)
+        expected = rf"shape \({shape[0]}, {shape[1]}\), expected \({bundle.n}, 2\)"
+        with pytest.raises(ValueError, match=expected):
+            if entry == "train_student":
+                fit(bundle, split, soft, cfg)
+            else:
+                params = init_params(bundle.num_features, 2, 8, np.random.default_rng(0))
+                grad_check(params, bundle, split, soft, cfg)
 
     @pytest.mark.parametrize("df, dc, dh", [(-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0),
                                             (0, 0, -1), (0, 0, 1)])

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from agst import LpConfig, SparseGraph, normalize_adjacency  # noqa: E402
 from agst import propagate_labels  # noqa: E402
-from agst.graph import canonical_edges  # noqa: E402
 from agst.propagation import initial_label_matrix  # noqa: E402
 
 from conftest import make_bundle, split_of  # noqa: E402
@@ -31,10 +30,11 @@ def graphs(draw, max_n=30):
 @given(graphs())
 def test_canonical_edges_is_idempotent(graph):
     n, pairs = graph
-    edges, _, _ = canonical_edges(pairs, n)
-    again, n_dup, n_loops = canonical_edges(edges, n)
-    assert np.array_equal(again, edges)
-    assert n_dup == 0 and n_loops == 0
+    edges = SparseGraph(n, pairs).edges
+    again = SparseGraph(n, edges)
+    assert np.array_equal(again.edges, edges)
+    # no self-loop (i < j) and no duplicate (strictly increasing keys)
+    assert np.all(again.edges[:, 0] < again.edges[:, 1]) and np.all(np.diff(again.keys) > 0)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

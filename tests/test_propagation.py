@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,20 @@ class TestPropagateLabels:
         y0 = initial_label_matrix(bundle, split)
         out = propagate_labels(op, bundle, split, LpConfig(alpha=1e-12, steps=20))
         assert np.max(np.abs(out.matrix - y0)) < 1e-10
+
+    @pytest.mark.parametrize("alpha, steps, message", [
+        (0.0, 10, "alpha"), (1.0, 10, "alpha"), (math.nan, 10, "alpha"), (0.9, 0, "steps")])
+    def test_invalid_config_rejected(self, alpha, steps, message):
+        with pytest.raises(ValueError, match=message):
+            LpConfig(alpha=alpha, steps=steps)
+
+    def test_labeled_node_without_gold_rejected(self):
+        # its one-hot row would otherwise land in the last class
+        gold = np.array([0, 1, -1, 0])
+        bundle = make_bundle(4, [[0, 1], [1, 2], [2, 3]], gold, 2)
+        with pytest.raises(ValueError, match="1 split node.s. have no gold label: 2$"):
+            propagate_labels(normalize_adjacency(bundle.graph), bundle, split_of([0, 1, 2]),
+                             LpConfig())
 
     def test_missing_class_rejected(self):
         bundle = make_bundle(4, [[0, 1]], np.array([0, 0, 1, 1]), 2)
@@ -145,6 +161,16 @@ class TestToDistribution:
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             SoftLabels(np.array([[0.5, -0.5]]))
+
+    @pytest.mark.parametrize("matrix, normalized, message", [
+        (np.full(3, 0.5), False, "2-D matrix"),
+        (np.full((1, 2, 2), 0.5), True, "2-D matrix"),
+        (np.array([[0.5, 0.5], [0.5, 0.25]]), True, "unit row sums"),
+        (np.array([[1.0, 1e-8]]), True, "unit row sums"),
+    ])
+    def test_malformed_matrix_rejected(self, matrix, normalized, message):
+        with pytest.raises(ValueError, match=message):
+            SoftLabels(matrix, normalized=normalized)
 
     @pytest.mark.parametrize("normalized", [False, True])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

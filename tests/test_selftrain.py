@@ -5,8 +5,12 @@ from agst import (
     AgstConfig,
     AugmentConfig,
     LpConfig,
+    SoftLabels,
+    SplitSpec,
     TrainConfig,
     forward,
+    grad_check,
+    init_params,
     make_split,
     normalize_adjacency,
     propagate_labels,
@@ -16,7 +20,7 @@ from agst import (
     two_cluster_bundle,
 )
 from agst.mlp import feature_matrix
-from agst.selftrain import student_rng
+from agst.selftrain import annotate, student_rng
 
 from conftest import make_bundle
 
@@ -146,6 +150,15 @@ class TestRunAgst:
         with pytest.raises(ValueError, match="iteration 1"):
             run_agst(bad, split, quick_cfg(seed=6))
 
+    def test_error_not_built_from_one_message_is_annotated_as_runtime_error(self):
+        class Coded(Exception):
+            def __init__(self, code, detail):
+                super().__init__(f"code {code}: {detail}")
+
+        err = annotate(Coded(3, "lost"), "self-training iteration 2")
+        assert type(err) is RuntimeError
+        assert str(err) == "code 3: lost [self-training iteration 2]"
+
     @pytest.mark.parametrize("best", [False, True])
     def test_normalized_features_predictions_match_forward(self, best):
         bundle, split = toy_setup(seed=7, noise=0.2)
@@ -199,15 +212,52 @@ class TestSplitWithoutGold:
     @pytest.mark.parametrize("part", ["labeled", "validation", "test"])
     def test_run_and_student_name_the_node(self, part):
         bundle, split = toy_setup(seed=2)
+        # the teacher refuses such a split too, so it labels the intact one
+        soft = to_distribution(propagate_labels(normalize_adjacency(bundle.graph), bundle,
+                                                split, LpConfig()))
         node = getattr(split, part)[0]
         bundle.gold[node] = -1
         with pytest.raises(ValueError, match=rf"no gold label: {node}$"):
             run_agst(bundle, split, quick_cfg(iterations=1))
-        soft = to_distribution(propagate_labels(normalize_adjacency(bundle.graph), bundle,
-                                                split, LpConfig()))
         with pytest.raises(ValueError, match=rf"no gold label: {node}$"):
             train_student(bundle, split, soft, TrainConfig(max_epochs=1),
                           np.random.default_rng(0), bundle.features)
+
+
+class TestSplitNodeIds:
+    """A split node id outside [0, n) is refused wherever a split enters,
+    before any gold label is read."""
+
+    def test_negative_id_is_not_read_as_the_last_node(self):
+        # -1 would index node 19, a test node: trained on as labeled, then scored
+        bundle = two_cluster_bundle(n=20, seed=0)
+        split = SplitSpec([0, -1], [], [19, 1, 2])
+        with pytest.raises(ValueError, match=r"1 split node\(s\) lie outside \[0, 20\): -1$"):
+            run_agst(bundle, split, quick_cfg(iterations=1))
+
+    @pytest.mark.parametrize("test, shown", [
+        ([25, 1], "1 split node\\(s\\) lie outside \\[0, 20\\): 25$"),
+        ([1, *range(20, 32)], "12 split node\\(s\\) lie outside \\[0, 20\\): 20, 21, 22, 23, 24, "
+                              "25, 26, 27, 28, 29, ...$"),
+    ])
+    @pytest.mark.parametrize("entry", ["run_agst", "train_student", "grad_check",
+                                       "propagate_labels"])
+    def test_id_past_the_last_node_is_refused_at_every_entry(self, entry, test, shown):
+        bundle = two_cluster_bundle(n=20, seed=0)
+        split = SplitSpec([0, 10], [], test)
+        soft = SoftLabels(np.full((20, 2), 0.5), normalized=True)
+        cfg = TrainConfig(hidden=8, max_epochs=1)
+        params = init_params(bundle.num_features, 2, 8, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=shown):
+            if entry == "run_agst":
+                run_agst(bundle, split, quick_cfg(iterations=1))
+            elif entry == "train_student":
+                train_student(bundle, split, soft, cfg, np.random.default_rng(0),
+                              feature_matrix(bundle.features, False))
+            elif entry == "grad_check":
+                grad_check(params, bundle, split, soft, cfg)
+            else:
+                propagate_labels(normalize_adjacency(bundle.graph), bundle, split, LpConfig())
 
 
 class TestPredict:
