@@ -10,7 +10,10 @@ On-disk layout is a directory of four UTF-8 text files:
 
 Blank lines are skipped. ``load_dataset`` parses each table in one call and
 checks each rule once over the parsed rows; a fault raises
-DatasetFormatError naming the file and its first faulty line.
+DatasetFormatError naming the file and its first faulty line. A
+``features.csv`` with no ``-`` in it, such as a binary bag-of-words table,
+is parsed as int16 first, in about half the float parse's time and with the
+same float64 values; any other spelling falls back to the float parse.
 ``save_dataset`` writes the same layout with ``np.savetxt``.
 
 Bundles hold the raw features; the student trains on ``mlp.feature_matrix``
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -111,6 +115,16 @@ def require_gold(bundle: DatasetBundle, split: SplitSpec) -> None:
     refuse(bundle.gold[nodes] == UNLABELED, "have no gold label")
 
 
+def require_integers(settings, *names: str) -> None:
+    """Refuse each named field of ``settings`` whose value is not a Python or
+    numpy integer, or is a bool: a count or a seed of 2.0 would otherwise
+    fail only mid-run, in ``range`` or a generator."""
+    for name in names:
+        value = getattr(settings, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _read_meta(path: Path) -> dict[str, int]:
     values: dict[str, int] = {}
     for lineno, line in enumerate(path.read_text().split("\n"), 1):
@@ -149,27 +163,37 @@ class _Table:
         """Parse every non-blank line of ``path`` in one ``np.loadtxt`` call.
 
         Values parse exactly as ``parse`` parses them: ``int`` for an integer
-        ``dtype``, else ``float``.  Only when that call fails are the lines
-        parsed one by one with ``parse``, which accepts a few spellings
-        ``loadtxt`` refuses (``1_000``); that parse stops at the first line
-        with other than ``width`` fields (``bad_count``, formatted with
-        ``got``) or a value that does not parse (``bad_value``). Older numpy
-        reads a non-integer such as ``2.7`` as an integer with only a
-        DeprecationWarning; that warning is made an error, so the value
+        ``dtype``, else ``float``.  A float table with no ``-`` in it is
+        first parsed as int16, in about half the time, and cast.  That is
+        exact: numpy's integer parser takes only blanks, a ``+`` sign and
+        ASCII digits, which ``float`` reads to the same integer; every int16
+        is exact in float64; and ``-0``, the one value an integer cannot
+        hold, has a ``-``.  Any other spelling, or a value past 32767, fails
+        that attempt, and the ``dtype`` parse follows.  Only when that fails
+        too are the lines parsed one by one with ``parse``, which accepts a
+        few spellings ``loadtxt`` refuses (``1_000``); that parse stops at
+        the first line with other than ``width`` fields (``bad_count``,
+        formatted with ``got``) or a value that does not parse
+        (``bad_value``). Older numpy reads a non-integer such as ``2.7`` as
+        an integer with only a DeprecationWarning; that warning is made an
+        error, so the value ends the int16 attempt, or, in an integer table,
         reaches ``int`` and is refused.
         """
         parse = int if np.issubdtype(dtype, np.integer) else float
         # the text itself is not kept: ``check`` reads the file again on a fault
         with path.open() as fh:
             lines = list(filter(None, map(str.strip, fh)))
-        if lines:
+        attempts = [dtype] if lines else []
+        if parse is float and lines and not any("-" in line for line in lines):
+            attempts.insert(0, np.int16)
+        for attempt in attempts:
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", DeprecationWarning)
-                    rows = np.loadtxt(lines, dtype=dtype, delimiter=delimiter,
+                    rows = np.loadtxt(lines, dtype=attempt, delimiter=delimiter,
                                       comments=None, ndmin=2)
                 if rows.shape[1] == width:
-                    return cls(path, rows, None)
+                    return cls(path, rows.astype(dtype, copy=False), None)
             except (ValueError, DeprecationWarning):
                 pass
         parsed, fault = [], None

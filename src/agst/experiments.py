@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetBundle, load_dataset, make_split
+from .data import DatasetBundle, load_dataset, make_split, require_integers
 from .graph import normalize_adjacency
 from .propagation import propagate_labels
 from .selftrain import AgstConfig, annotate, run_agst
@@ -59,6 +59,7 @@ class ExperimentSpec:
     val_per_class: int = 30
 
     def __post_init__(self):
+        require_integers(self, "k", "runs", "seed", "workers", "val_per_class")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.method not in METHODS:
@@ -140,6 +141,8 @@ def run_single(bundle: DatasetBundle, spec: ExperimentSpec, run_seed: int) -> Ru
     try:
         split = make_split(bundle, spec.protocol, seed=run_seed, k=spec.k,
                            rate=spec.rate, val_per_class=spec.val_per_class)
+        if not split.test.size:   # the run's accuracy would be the mean of nothing
+            raise ValueError(f"the {spec.protocol} split leaves no test node")
         if spec.method == "lp-only":
             op = normalize_adjacency(bundle.graph)
             soft = propagate_labels(op, bundle, split, spec.config.lp)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .data import DatasetBundle, SplitSpec, l2_normalize_rows, require_gold
+from .data import DatasetBundle, SplitSpec, l2_normalize_rows, require_gold, require_integers
 from .propagation import SoftLabels
 
 log = logging.getLogger(__name__)
@@ -508,6 +508,7 @@ class TrainConfig:
     normalize_features: bool = False
 
     def __post_init__(self):
+        require_integers(self, "patience", "max_epochs", "no_val_epochs", "hidden")
         # each test is written so that NaN fails it
         if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")

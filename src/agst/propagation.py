@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .data import DatasetBundle, SplitSpec, require_gold
+from .data import DatasetBundle, SplitSpec, require_gold, require_integers
 
 
 @dataclass
@@ -25,8 +25,9 @@ class SoftLabels:
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        if self.matrix.ndim != 2:
-            raise ValueError("soft labels must be a 2-D matrix")
+        if self.matrix.ndim != 2 or not self.matrix.shape[0]:
+            raise ValueError(f"soft labels must be a 2-D matrix with at least one row, "
+                             f"got shape {self.matrix.shape}")
         if not np.all(np.isfinite(self.matrix)):
             raise ValueError("soft label entries must be finite")
         if np.any(self.matrix < 0):
@@ -41,6 +42,7 @@ class LpConfig:
     steps: int = 10
 
     def __post_init__(self):
+        require_integers(self, "steps")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie strictly inside (0, 1), got {self.alpha}")
         if self.steps < 1:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DatasetBundle, SplitSpec, require_gold
+from .data import DatasetBundle, SplitSpec, require_gold, require_integers
 from .graph import normalize_adjacency
 from .mlp import StudentParams, TrainConfig, TrainTrace, feature_matrix, forward, train_student
 from .propagation import LpConfig, propagate_labels, to_distribution
@@ -37,6 +37,7 @@ class AgstConfig:
     report_best_iteration: bool = False
 
     def __post_init__(self):
+        require_integers(self, "iterations", "seed")
         if self.iterations < 1:
             raise ValueError("need at least one self-training iteration")
 

@@ -33,6 +33,21 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert "accuracy" in out
 
+    @pytest.mark.parametrize("flags, protocol", [
+        (["--k", "2", "--val-per-class", "2"], "balanced"),
+        (["--protocol", "imbalanced", "--rate", "0.99"], "imbalanced"),
+    ])
+    def test_split_without_test_nodes_is_runtime_error(self, tmp_path, monkeypatch, capsys,
+                                                       flags, protocol):
+        # 8 nodes, all held as labeled or validation: no accuracy to report
+        save_dataset(two_cluster_bundle(n=8, seed=0), tmp_path / "tiny")
+        monkeypatch.chdir(tmp_path)
+        code = cli_main(["run", "--dataset", "tiny", "--runs", "2", *flags])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: the {protocol} split leaves no test node "
+                                           f"[run seed 0]\n")
+        assert not (tmp_path / "report.json").exists()
+
     def test_k_zero_is_usage_error(self, dataset_dir, capsys):
         code = cli_main(["run", "--dataset", "cora", "--k", "0"])
         assert code == 2

@@ -1,8 +1,11 @@
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agst import (
     DatasetBundle,
@@ -28,6 +31,16 @@ def write_dataset_dir(root, meta, edges, features, labels):
     (root / "features.csv").write_text(features)
     (root / "labels.tsv").write_text(labels)
     return root
+
+
+# digit strings in the spellings float() and numpy's integer parser share,
+# signed values, and ones only the float parse (or the line scan) reads
+FEATURE_TOKENS = st.one_of(
+    st.sampled_from(["0", "1", "007", "+7", " 7 ", "32767", "-0", "-3", "0.5", "1e3",
+                     "40000", "1_0", "x"]),
+    st.integers(0, 99_999).map(str),
+    st.integers(0, 999).map("{:05d}".format),
+)
 
 
 @pytest.fixture
@@ -152,8 +165,10 @@ class TestLoadDataset:
         # numpy before 2.0 reads "2.7" as the integer 2 with only a
         # DeprecationWarning; such a parse must still end in the line scan
         real_loadtxt = np.loadtxt
+        dtypes = []
 
         def lenient_loadtxt(lines, dtype, **kwargs):
+            dtypes.append(np.dtype(dtype))
             if np.issubdtype(dtype, np.integer):
                 warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
                               DeprecationWarning, stacklevel=2)
@@ -165,6 +180,14 @@ class TestLoadDataset:
                                  "0\n0\n0", "0\t1\n1\t2.7\n")
         with pytest.raises(DatasetFormatError, match=r"^labels\.tsv:2: non-integer entry$"):
             load_dataset(root)
+        # a features table with no '-' is tried as integers first; the
+        # warning ends that attempt, and the float parse, not the line scan,
+        # reads 2.7
+        root = write_dataset_dir(tmp_path / "float", "n=3\nf=1\nc=3", "0\t1\n",
+                                 "0\n2.7\n1", "0\t1\n")
+        dtypes.clear()
+        assert load_dataset(root).features.ravel().tolist() == [0.0, 2.7, 1.0]
+        assert np.dtype(np.float64) in dtypes
 
     def test_spellings_only_the_line_scan_accepts(self, tmp_path):
         # int() and float() accept digit underscores; the one-call parse does
@@ -176,6 +199,27 @@ class TestLoadDataset:
         assert bundle.graph.edges.tolist() == [[0, 11], [3, 4]]
         assert bundle.features[0].tolist() == [10.5, 2.0]
         assert bundle.gold[11] == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda f: st.lists(
+        st.lists(FEATURE_TOKENS, min_size=f, max_size=f), min_size=1, max_size=4)))
+    def test_features_load_as_float_reads_each_token(self, table):
+        # a table with no '-' takes numpy's integer parser first; each value
+        # must still be float(token), signed zero included, and a bad token
+        # the same fault the line-by-line parse names
+        with tempfile.TemporaryDirectory() as tmp:
+            root = write_dataset_dir(Path(tmp) / "d", f"n={len(table)}\nf={len(table[0])}\nc=1",
+                                     "", "".join(",".join(row) + "\n" for row in table), "")
+            bad = [i for i, row in enumerate(table, 1) if "x" in row]
+            if bad:
+                with pytest.raises(DatasetFormatError) as err:
+                    load_dataset(root)
+                assert str(err.value) == f"features.csv:{bad[0]}: non-numeric feature"
+                return
+            features = load_dataset(root).features
+        expected = np.array([[float(token) for token in row] for row in table])
+        assert features.tobytes() == expected.tobytes()
+        assert np.array_equal(np.signbit(features), np.signbit(expected))
 
     def test_bundle_rejects_non_finite_features(self):
         features = np.array([[0.0, np.inf], [1.0, 2.0]])

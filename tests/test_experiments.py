@@ -1,6 +1,7 @@
 import ctypes
 import math
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -11,6 +12,7 @@ from agst import (
     AgstConfig,
     AugmentConfig,
     ExperimentSpec,
+    LpConfig,
     TrainConfig,
     confidence_halfwidth,
     method_config,
@@ -32,6 +34,30 @@ def toy_spec(**overrides):
                     val_per_class=4, seed=50)
     defaults.update(overrides)
     return ExperimentSpec(**defaults)
+
+
+@pytest.mark.parametrize("settings, name, value", [
+    (TrainConfig, "hidden", 2.5),
+    (TrainConfig, "max_epochs", 2.5),
+    (TrainConfig, "no_val_epochs", 30.0),
+    (TrainConfig, "patience", 10.0),
+    (TrainConfig, "hidden", True),
+    (LpConfig, "steps", 2.5),
+    (AgstConfig, "iterations", 2.0),
+    (AgstConfig, "seed", 1.0),
+    (ExperimentSpec, "runs", 2.0),
+    (ExperimentSpec, "k", 2.0),
+    (ExperimentSpec, "k", "2"),
+    (ExperimentSpec, "val_per_class", 4.0),
+    (ExperimentSpec, "workers", 1.0),
+    (ExperimentSpec, "seed", 0.5),
+])
+def test_integer_setting_refuses_other_values(settings, name, value):
+    # a value such as 2.0 would pass the range checks and fail mid-run
+    message = rf"^{name} must be an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        settings(**{name: value})
+    assert getattr(settings(**{name: np.int64(2)}), name) == 2
 
 
 class TestMethodConfig:
@@ -195,6 +221,17 @@ class TestMethods:
         # k larger than any class can supply fails inside the split draw
         with pytest.raises(ValueError, match=r"run seed 50"):
             run_experiment(toy_spec(runs=2, k=19), noisy_bundle)
+
+    @pytest.mark.parametrize("method", ["agst", "lp-only"])
+    @pytest.mark.parametrize("protocol, sizes", [("balanced", dict(k=2, val_per_class=2)),
+                                                 ("imbalanced", dict(rate=0.99))])
+    def test_split_without_test_nodes_rejected(self, method, protocol, sizes):
+        # every gold-labeled node of the 8 is labeled or validation, so the
+        # accuracy would be a mean over no node
+        spec = ExperimentSpec(protocol=protocol, method=method, runs=2, seed=3, **sizes)
+        with pytest.raises(ValueError,
+                           match=rf"^the {protocol} split leaves no test node \[run seed 3\]$"):
+            run_experiment(spec, two_cluster_bundle(n=8, seed=0))
 
     def test_full_method_not_worse_than_backbone(self, noisy_bundle):
         agst = run_experiment(toy_spec(runs=10, method="agst"), noisy_bundle)

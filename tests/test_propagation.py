@@ -167,6 +167,8 @@ class TestToDistribution:
         (np.full((1, 2, 2), 0.5), True, "2-D matrix"),
         (np.array([[0.5, 0.5], [0.5, 0.25]]), True, "unit row sums"),
         (np.array([[1.0, 1e-8]]), True, "unit row sums"),
+        (np.zeros((0, 3)), True, r"at least one row, got shape \(0, 3\)$"),
+        (np.zeros((0, 3)), False, r"at least one row, got shape \(0, 3\)$"),
     ])
     def test_malformed_matrix_rejected(self, matrix, normalized, message):
         with pytest.raises(ValueError, match=message):

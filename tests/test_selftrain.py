@@ -188,6 +188,13 @@ class TestRunAgst:
         result = run_agst(bundle, split, cfg)
         assert result.per_iteration[-1].test_acc >= 0.9
 
+    def test_split_without_test_nodes_has_no_test_accuracy(self):
+        bundle, split = toy_setup(seed=8)
+        held = SplitSpec(split.labeled, split.validation, [])
+        result = run_agst(bundle, held, quick_cfg(iterations=2, seed=8))
+        assert [s.test_acc for s in result.per_iteration] == [None, None]
+        assert all(s.val_acc is not None for s in result.per_iteration)
+
     def test_invalid_iteration_count(self):
         with pytest.raises(ValueError, match="iteration"):
             AgstConfig(iterations=0)
