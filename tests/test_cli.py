@@ -339,6 +339,17 @@ class TestConvertCommand:
         monkeypatch.chdir(tmp_path)
         assert cli_main(["convert", "--input", "nope", "--output", "out"]) == 1
 
+    def test_convert_names_the_line_of_a_non_finite_feature(self, tmp_path, monkeypatch,
+                                                             capsys):
+        monkeypatch.chdir(tmp_path)
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "d.content").write_text("a 1 0 x\nb nan 0 y\n")
+        (raw / "d.cites").write_text("a b\n")
+        assert cli_main(["convert", "--input", "raw", "--output", "out"]) == 1
+        assert capsys.readouterr().err == "error: d.content:2: non-finite feature\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestGradcheckCommand:
     def test_prints_error_and_passes(self, capsys):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from agst import (
     DatasetBundle,
@@ -41,6 +41,60 @@ FEATURE_TOKENS = st.one_of(
     st.integers(0, 99_999).map(str),
     st.integers(0, 999).map("{:05d}".format),
 )
+
+
+ONE_DIGIT_PERTURBATIONS = (None, "crlf", "blank line", "no final newline", "trailing comma",
+                           "two digits", "shifted token", "sign or space", "row past n")
+
+
+@st.composite
+def one_digit_tables(draw):
+    """(n, f, text): an n x f table of one-digit tokens, as ``save_dataset``
+    writes a binary one, with at most one perturbation; shifted tokens leave
+    the total token count unchanged."""
+    n, f = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    digit = st.sampled_from("0123456789")
+    rows = draw(st.lists(st.lists(digit, min_size=f, max_size=f), min_size=n, max_size=n))
+    perturbation = draw(st.sampled_from(ONE_DIGIT_PERTURBATIONS))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, f - 1))
+    end = "\n"
+    if perturbation == "crlf":
+        end = "\r\n"
+    elif perturbation == "two digits":
+        rows[i][j] += draw(digit)
+    elif perturbation == "shifted token":
+        assume(n > 1)
+        other = draw(st.integers(0, n - 1).filter(lambda k: k != i))
+        rows[i].append(rows[other].pop())
+    elif perturbation == "sign or space":
+        rows[i][j] = draw(st.sampled_from(["+", " "])) + rows[i][j]
+    elif perturbation == "row past n":
+        rows.append(draw(st.lists(digit, min_size=f, max_size=f)))
+    lines = [",".join(row) for row in rows]
+    if perturbation == "blank line":
+        lines.insert(i, "")
+    elif perturbation == "trailing comma":
+        lines[i] += ","
+    text = "".join(line + end for line in lines)
+    return n, f, text[:-1] if perturbation == "no final newline" else text
+
+
+def line_rules_features(text: str, n: int, f: int):
+    """The rows of a ``features.csv`` as the format's rules read it line by
+    line, or the message of its first fault (every token here parses)."""
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        if len(rows) == n:
+            return f"features.csv:{lineno}: more than n={n} rows"
+        tokens = line.strip().split(",")
+        if len(tokens) != f:
+            return f"features.csv:{lineno}: expected {f} values, got {len(tokens)}"
+        rows.append([float(token) for token in tokens])
+    if len(rows) != n:
+        return f"features.csv: expected {n} rows, got {len(rows)}"
+    return rows
 
 
 @pytest.fixture
@@ -220,6 +274,25 @@ class TestLoadDataset:
         expected = np.array([[float(token) for token in row] for row in table])
         assert features.tobytes() == expected.tobytes()
         assert np.array_equal(np.signbit(features), np.signbit(expected))
+
+    @settings(max_examples=300, deadline=None)
+    @given(one_digit_tables())
+    def test_one_digit_tables_load_as_the_line_rules_read_them(self, drawn):
+        # a one-digit table is read from its bytes; one perturbation of it
+        # must still give float(token) for every token, or the fault the
+        # line-by-line rules name
+        n, f, text = drawn
+        expected = line_rules_features(text, n, f)
+        with tempfile.TemporaryDirectory() as tmp:
+            root = write_dataset_dir(Path(tmp) / "d", f"n={n}\nf={f}\nc=1", "", "", "")
+            (root / "features.csv").write_bytes(text.encode())
+            if isinstance(expected, str):
+                with pytest.raises(DatasetFormatError) as err:
+                    load_dataset(root)
+                assert str(err.value) == expected
+                return
+            features = load_dataset(root).features
+        assert features.tobytes() == np.array(expected, dtype=np.float64).tobytes()
 
     def test_bundle_rejects_non_finite_features(self):
         features = np.array([[0.0, np.inf], [1.0, 2.0]])
@@ -443,6 +516,9 @@ class TestConverter:
         ("\n \n", "toy.content: no nodes (empty file)"),
         ("p1\t1\tml\np2\tdb\n", "toy.content:2: expected id, features, label"),
         ("p1\t1\tml\np2\tone\tdb\n", "toy.content:2: non-numeric feature"),
+        ("p1\t1\tml\np2\tnan\tdb\n", "toy.content:2: non-finite feature"),
+        ("p1\t1\tml\n\np2\t-inf\tdb\n", "toy.content:3: non-finite feature"),
+        ("p1\tinf\t0\tml\n", "toy.content:1: non-finite feature"),
         ("p1\t1\tml\np1\t0\tdb\n", "toy.content: duplicate node ids"),
     ])
     def test_malformed_content_names_the_file(self, tmp_path, content, message):

@@ -4,6 +4,7 @@ import pytest
 from agst import (
     AgstConfig,
     AugmentConfig,
+    DatasetBundle,
     LpConfig,
     SoftLabels,
     SplitSpec,
@@ -19,6 +20,7 @@ from agst import (
     train_student,
     two_cluster_bundle,
 )
+from agst.experiments import METHODS, method_config
 from agst.mlp import feature_matrix
 from agst.selftrain import annotate, student_rng
 
@@ -294,3 +296,49 @@ class TestPredict:
         bundle, split = toy_setup(seed=11)
         result = run_agst(bundle, split, quick_cfg(iterations=2, seed=11))
         assert np.mean(result.predictions == bundle.gold) == 1.0
+
+
+class TestTestLabelBlindness:
+    """No test label feeds a decision: with ``gold`` permuted on the test
+    nodes, a run reports the same predictions, weights and rounds, test
+    accuracy aside."""
+
+    SPLITS = {"balanced": {"k": 5}, "imbalanced": {"rate": 0.05}, "standard20": {}}
+
+    @staticmethod
+    def permuted(protocol):
+        # a hard toy, so that rounds disagree and the best round is a choice
+        bundle = two_cluster_bundle(n=200, separation=1.0, noise_fraction=0.2, seed=3)
+        split = make_split(bundle, protocol, seed=4, **TestTestLabelBlindness.SPLITS[protocol])
+        gold = bundle.gold.copy()
+        gold[split.test] = np.random.default_rng(5).permutation(gold[split.test])
+        assert (gold != bundle.gold).any()
+        return bundle, DatasetBundle(bundle.graph, bundle.features, gold, 2), split
+
+    @pytest.mark.parametrize("best", [False, True])
+    @pytest.mark.parametrize("method", [m for m in METHODS if m != "lp-only"])
+    @pytest.mark.parametrize("protocol", sorted(SPLITS))
+    def test_student_runs_ignore_test_gold(self, protocol, method, best):
+        bundle, shuffled, split = self.permuted(protocol)
+        base = AgstConfig(train=TrainConfig(max_epochs=60, no_val_epochs=20), seed=6,
+                          report_best_iteration=best)
+        cfg = method_config(method, base)
+        a, b = run_agst(bundle, split, cfg), run_agst(shuffled, split, cfg)
+        assert np.array_equal(a.predictions, b.predictions)
+        assert a.final_params.live.tobytes() == b.final_params.live.tobytes()
+        assert a.final_params.momentum.tobytes() == b.final_params.momentum.tobytes()
+
+        def rounds(result):
+            return [{key: value for key, value in stats.to_dict().items()
+                     if key not in ("test_acc", "wall_ms")} for stats in result.per_iteration]
+
+        assert rounds(a) == rounds(b)
+
+    @pytest.mark.parametrize("protocol", sorted(SPLITS))
+    def test_label_propagation_ignores_test_gold(self, protocol):
+        bundle, shuffled, split = self.permuted(protocol)
+        op = normalize_adjacency(bundle.graph)
+        a = propagate_labels(op, bundle, split, LpConfig()).matrix
+        b = propagate_labels(op, shuffled, split, LpConfig()).matrix
+        # equal matrices, so equal lp-only predictions (their argmax)
+        assert a.tobytes() == b.tobytes()
