@@ -13,11 +13,9 @@ checks each rule once over the parsed rows; a fault raises
 DatasetFormatError naming the file and its first faulty line. A table whose
 every token is one ASCII digit, as ``save_dataset`` writes a binary
 bag-of-words table (lines such as ``0,1,0``), is read straight from its
-bytes. Any other ``features.csv`` made only of digits, ``+``, blanks and
-commas is parsed as int16 first, in about half the float parse's time; any
-other table takes the float parse. Every path gives the values the
-line-by-line parse gives. ``save_dataset`` writes the same layout with
-``np.savetxt``.
+bytes; any other table takes numpy's parse, then the line-by-line parse.
+Every path gives the values the line-by-line parse gives. ``save_dataset``
+writes the same layout with ``np.savetxt``.
 
 Bundles hold the raw features; the student trains on ``mlp.feature_matrix``
 of them, and prediction is ``forward`` on that matrix.
@@ -28,6 +26,7 @@ of them, and prediction is ``forward`` on that matrix.
 
 from __future__ import annotations
 
+import io
 import logging
 import math
 import numbers
@@ -44,9 +43,6 @@ log = logging.getLogger(__name__)
 UNLABELED = -1
 # the imbalanced protocol's test-set size, and its tries at covering every class
 IMBALANCED_TEST_SIZE, MAX_RESAMPLE = 1000, 1000
-# the bytes a table may hold, beside its delimiter, for numpy's integer parse
-# to be worth trying: it refuses anything else
-_INTEGER_TABLE_BYTES = b"0123456789+ \t\r\n"
 
 
 class DatasetFormatError(ValueError):
@@ -155,28 +151,28 @@ def _read_meta(path: Path) -> dict[str, int]:
     return values
 
 
-def _one_digit_table(raw: bytes, delimiter: str, width: int) -> np.ndarray | None:
-    r"""The (lines, width) uint8 digits of ``raw`` if every token in it is one
-    ASCII digit, each line holding ``width`` of them, else None.
+def _one_digit_table(fh, delimiter: str, width: int) -> np.ndarray | None:
+    r"""The (lines, width) uint8 digits of the binary file ``fh`` if every
+    token in it is one ASCII digit, each line holding ``width`` of them, else
+    None.
 
     Such a table is a whole number of lines of 2 * ``width`` bytes: a digit
     at every even offset, the delimiter at every odd one but the last of a
-    line, which is ``\n`` (the file's last ``\n`` may be missing). The first
-    line is tested on its own first, so other tables cost no pass over the
-    file; CRLF, a BOM, blanks, blank lines, signs and multi-digit tokens all
-    break the layout.
+    line, which is ``\n`` (the file's last ``\n`` may be missing). The whole
+    file is read only if every even byte of its first 4 KiB is a digit, so
+    other tables are refused there; CRLF, a BOM, blanks, blank lines, signs
+    and multi-digit tokens all break the layout.
     """
-    step = 2 * width
-    sep = delimiter.encode()
-    if not (raw[:1].isdigit() and raw[1:2] in (sep, b"\n")
-            and (raw[step - 1:step] == b"\n" or len(raw) == step - 1)):
+    if not fh.peek(4096)[:4096:2].isdigit():   # nor is an empty file such a table
         return None
+    raw = fh.read()
+    step = 2 * width
     lines = -(-len(raw) // step)
     if len(raw) < lines * step - 1:
         return None
     grid = np.frombuffer(raw.ljust(lines * step, b"\n"), dtype=np.uint8).reshape(lines, step)
     digits = grid[:, 0::2] - ord("0")     # a byte below "0" wraps past 9
-    if (digits.max() > 9 or not (grid[:, 1:-1:2] == sep[0]).all()
+    if (digits.max() > 9 or not (grid[:, 1:-1:2] == ord(delimiter)).all()
             or not (grid[:, -1] == ord("\n")).all()):
         return None
     return digits
@@ -203,54 +199,37 @@ class _Table:
            read a one-digit token to that digit, no token has a sign (so no
            ``-0``), and each line has ``width`` tokens with no blank line
            between, so the rows are those the line parse gives.
-        2. One ``np.loadtxt`` call over the non-blank lines: for a float
-           ``dtype``, and a file made only of digits, ``+``, blanks and the
-           delimiter, first as int16, in about half the time, then cast.
-           That is exact too: numpy's integer parser takes only blanks, a
-           ``+`` sign and ASCII digits, which ``float`` reads to the same
-           integer, and every int16 is exact in float64. A value past 32767
-           fails that attempt, and the ``dtype`` parse follows. Older numpy
+        2. One ``np.loadtxt`` call over the non-blank lines. Older numpy
            reads a non-integer such as ``2.7`` as an integer with only a
            DeprecationWarning; that warning is made an error, so the value
-           ends the int16 attempt, or, in an integer table, reaches ``int``
-           and is refused.
+           reaches ``int`` and is refused.
         3. Only when that fails too are the lines parsed one by one with
            ``parse``, which accepts a few spellings ``loadtxt`` refuses
            (``1_000``); that parse stops at the first line with other than
            ``width`` fields (``bad_count``, formatted with ``got``) or a
            value that does not parse (``bad_value``).
 
-        The first path reads the file's bytes once. A table it refuses is
-        read again as text by ``open``, as before, so it gives the same
-        values or the same fault as it would without the first path; the
-        bytes only decide whether the int16 attempt is made. (A text wrapper
-        over the bytes would save that read, but costs about 30 ns more a
-        line than ``open``: 10% of a 9000-line edges table.)
+        The first path reads the whole file only if its first 4 KiB could
+        begin such a table. A table it refuses is read from its start as
+        text, decoded as ``open`` decodes it, so it gives the same values or
+        the same fault as it would without the first path.
         """
-        raw = path.read_bytes()
-        digits = _one_digit_table(raw, delimiter, width)
-        if digits is not None:
-            return cls(path, digits.astype(dtype), None)
+        with path.open("rb") as fh:
+            digits = _one_digit_table(fh, delimiter, width)
+            if digits is not None:
+                return cls(path, digits.astype(dtype), None)
+            fh.seek(0)      # the test may have read the whole file
+            # the text itself is not kept: ``check`` reads the file again on a fault
+            lines = list(filter(None, map(str.strip, io.TextIOWrapper(fh))))
         parse = int if np.issubdtype(dtype, np.integer) else float
-        allowed = _INTEGER_TABLE_BYTES + delimiter.encode()
-        # the first 4 KiB refuse a float table before the pass over the file
-        integers_only = (parse is float and not raw[:4096].translate(None, allowed)
-                         and not raw.translate(None, allowed))
-        del raw     # the lines below hold the text; a second copy would raise the peak
-        # the text itself is not kept: ``check`` reads the file again on a fault
-        with path.open() as fh:
-            lines = list(filter(None, map(str.strip, fh)))
-        attempts = [dtype] if lines else []
-        if integers_only and lines:
-            attempts.insert(0, np.int16)
-        for attempt in attempts:
+        if lines:
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", DeprecationWarning)
-                    rows = np.loadtxt(lines, dtype=attempt, delimiter=delimiter,
+                    rows = np.loadtxt(lines, dtype=dtype, delimiter=delimiter,
                                       comments=None, ndmin=2)
                 if rows.shape[1] == width:
-                    return cls(path, rows.astype(dtype, copy=False), None)
+                    return cls(path, rows, None)
             except (ValueError, DeprecationWarning):
                 pass
         parsed, fault = [], None
