@@ -29,7 +29,7 @@ soft = to_distribution(propagate_labels(op, bundle, split, LpConfig()))
 
 cfg = TrainConfig(patience=50)
 # the float64 matrix prediction reads; training reads it in float32
-x = feature_matrix(bundle.features, cfg.normalize_features)
+x = feature_matrix(bundle.features)
 params, trace = train_student(bundle, split, soft, cfg, np.random.default_rng(1), x)
 
 print(f"epochs run: {len(trace.records)}, best epoch: {trace.best_epoch}")

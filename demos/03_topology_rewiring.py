@@ -30,7 +30,7 @@ agst_cfg = AgstConfig(train=TrainConfig(patience=30), iterations=1, seed=2)
 result = run_agst(bundle, split, agst_cfg)
 # probabilities as run_agst computes them: the weights and the feature matrix
 # in float64
-x = feature_matrix(bundle.features, agst_cfg.train.normalize_features)
+x = feature_matrix(bundle.features)
 _, p = forward(result.final_params.astype(np.float64), x)
 
 edges = bundle.graph.edges

@@ -11,7 +11,6 @@ from .data import (
     DatasetFormatError,
     SplitSpec,
     convert_content_release,
-    l2_normalize_rows,
     load_dataset,
     make_split,
     save_dataset,

@@ -56,7 +56,7 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
                      help="label rate for the imbalanced protocol")
     sub.add_argument("--method", choices=METHODS)
     sub.add_argument("--runs", type=_positive_int)
-    sub.add_argument("--seed", type=int)
+    sub.add_argument("--seed", type=_non_negative_int)
     sub.add_argument("--workers", type=_positive_int)
     sub.add_argument("--val-per-class", type=_non_negative_int)
     # read by _parse before this parser runs
@@ -75,13 +75,10 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--lr", type=float)
     sub.add_argument("--weight-decay", type=float)
     sub.add_argument("--dropout", type=float)
-    sub.add_argument("--patience", type=int)
+    sub.add_argument("--patience", type=_non_negative_int)
     sub.add_argument("--max-epochs", type=_positive_int)
     sub.add_argument("--no-val-epochs", type=_positive_int)
     sub.add_argument("--hidden", type=_positive_int)
-    sub.add_argument("--loss-reduction", choices=("mean", "sum"))
-    sub.add_argument("--normalize-features", action="store_true")
-    sub.add_argument("--warm-start", action="store_true")
     sub.add_argument("--best-iteration", action="store_true",
                      help="report the best-validation iteration instead of the last")
 
@@ -202,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     gradcheck = commands.add_parser("gradcheck", help="finite-difference gradient check",
                                     argument_default=argparse.SUPPRESS)
     gradcheck.add_argument("--instances", type=_positive_int)
-    gradcheck.add_argument("--seed", type=int)
+    gradcheck.add_argument("--seed", type=_non_negative_int)
     gradcheck.add_argument("--epsilon", type=_positive_float, dest="eps", metavar="EPSILON")
     gradcheck.add_argument("--threshold", type=float, default=1e-4)
     gradcheck.set_defaults(func=_cmd_gradcheck)

@@ -343,12 +343,6 @@ def save_dataset(bundle: DatasetBundle, path: str | Path) -> None:
                fmt="%d", delimiter="\t")
 
 
-def l2_normalize_rows(features: np.ndarray) -> np.ndarray:
-    """Row-wise L2 normalization; all-zero rows pass through unchanged."""
-    norms = np.linalg.norm(features, axis=1, keepdims=True)
-    return features / np.where(norms > 0, norms, 1.0)
-
-
 def make_split(
     bundle: DatasetBundle,
     protocol: str,

@@ -37,10 +37,10 @@ PARAMETERS = {
     **{name: f"config.lp.{name}" for name in ("alpha", "steps")},
     **{name: f"config.train.{name}" for name in (
         "tau", "momentum", "lambda1", "lambda2", "weight_decay", "dropout", "patience",
-        "max_epochs", "no_val_epochs", "hidden", "loss_reduction", "normalize_features")},
+        "max_epochs", "no_val_epochs", "hidden")},
     "lr": "config.train.learning_rate",
     **{name: f"config.augment.{name}" for name in ("beta_add", "beta_remove")},
-    **{name: f"config.{name}" for name in ("iterations", "warm_start")},
+    "iterations": "config.iterations",
     "best_iteration": "config.report_best_iteration",
 }
 
@@ -62,6 +62,8 @@ class ExperimentSpec:
         require_integers(self, "k", "runs", "seed", "workers", "val_per_class")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.protocol not in PROTOCOLS:

@@ -28,15 +28,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .data import DatasetBundle, SplitSpec, l2_normalize_rows, require_gold, require_integers
+from .data import DatasetBundle, SplitSpec, require_gold, require_integers
 from .propagation import SoftLabels
 
 log = logging.getLogger(__name__)
 
 LOG_FLOOR = 1e-12
 # the dtype the student trains in; read where its weights are made
-# (init_params) and where train_student casts the matrix and the warm-start
-# weights it is given
+# (init_params) and where train_student casts the matrix it is given
 STUDENT_DTYPE = np.float32
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
@@ -294,14 +293,12 @@ def _backward(params, x, ws, d_out, w_out, grad):
     return grad
 
 
-def _reduce(value, grad: np.ndarray, count: int, reduction: str) -> tuple[float, np.ndarray]:
+def _mean(value, grad: np.ndarray, count: int) -> tuple[float, np.ndarray]:
     """A loss summed over ``count`` nodes and its gradient rows, both divided
-    by ``count`` under the "mean" reduction (left as sums when it is zero)."""
-    if reduction == "mean" and count:
+    by ``count`` (left as sums when it is zero)."""
+    if count:
         value /= count
         grad /= count
-    elif reduction not in ("mean", "sum"):
-        raise ValueError(f"unknown reduction {reduction!r}")
     return float(value), grad
 
 
@@ -322,23 +319,22 @@ def loss_cross_entropy(
     labeled: np.ndarray,
     unlabeled: np.ndarray,
     lambda1: float,
-    reduction: str,
     out: np.ndarray | None = None,
 ) -> tuple[float, float, np.ndarray]:
     """Cross-entropy of the labeled rows against their gold classes and of
     the unlabeled rows against the teacher, ``targets`` being
     ``student_targets``; returns both values and the gradient of
     l_lab + lambda1 * l_unl w.r.t. every row's logits, written into ``out``
-    when given.  The gradient is (p - targets) divided by its set's size
-    under the "mean" reduction, times lambda1 on the unlabeled rows: formed
-    over every row, then the few labeled rows put back."""
+    when given.  Each loss is averaged over its set; the gradient is
+    (p - targets) divided by its set's size, times lambda1 on the unlabeled
+    rows: formed over every row, then the few labeled rows put back."""
     labeled = np.asarray(labeled)
     if labeled.size == 0:
         raise ValueError("empty labeled set")
     per_row = row_sums(targets * clamped_log(p))
     grad = np.subtract(p, targets, out=out)
-    l_lab, lab = _reduce(-per_row[labeled].sum(), grad[labeled], labeled.size, reduction)
-    l_unl, grad = _reduce(-per_row[unlabeled].sum(), grad, len(unlabeled), reduction)
+    l_lab, lab = _mean(-per_row[labeled].sum(), grad[labeled], labeled.size)
+    l_unl, grad = _mean(-per_row[unlabeled].sum(), grad, len(unlabeled))
     grad *= lambda1
     grad[labeled] = lab
     return l_lab, l_unl, grad
@@ -407,10 +403,9 @@ def loss_contrastive(
     protos: np.ndarray,
     pls: PseudoLabelSet,
     tau: float,
-    reduction: str,
     out: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Prototype contrastive loss over the kept set, and its gradient
+    """Prototype contrastive loss averaged over the kept set, and its gradient
     w.r.t. the similarity logits z @ protos.T / tau, (n, c), written into
     ``out`` when given.
 
@@ -431,7 +426,7 @@ def loss_contrastive(
     own = pls.hard[kept]
     value = -clamped_log(sims[rows, own]).sum()
     sims[rows, own] -= 1.0
-    value, g = _reduce(value, sims, kept.size, reduction)
+    value, g = _mean(value, sims, kept.size)
     grad[kept] = g
     return value, grad
 
@@ -504,8 +499,6 @@ class TrainConfig:
     max_epochs: int = 10_000
     no_val_epochs: int = 300
     hidden: int = 64
-    loss_reduction: str = "mean"   # "sum" recovers the strict additive form
-    normalize_features: bool = False
 
     def __post_init__(self):
         require_integers(self, "patience", "max_epochs", "no_val_epochs", "hidden")
@@ -527,8 +520,6 @@ class TrainConfig:
                              f"max_epochs={self.max_epochs}, no_val_epochs={self.no_val_epochs}")
         if self.hidden < 1:
             raise ValueError("hidden width must be >= 1")
-        if self.loss_reduction not in ("mean", "sum"):
-            raise ValueError("loss_reduction must be 'mean' or 'sum'")
 
 
 @dataclass
@@ -546,16 +537,15 @@ class TrainTrace:
     best_epoch: int | None = None
 
 
-def feature_matrix(features: np.ndarray, normalize: bool) -> np.ndarray | sparse.csr_array:
-    """The float64 matrix the student reads: rows L2-normalized when
-    ``normalize`` is set, stored as CSR when the matrix is large and mostly
-    zeros.  Prediction reads it as it is, training in ``STUDENT_DTYPE``."""
-    x = l2_normalize_rows(features) if normalize else features
+def feature_matrix(features: np.ndarray) -> np.ndarray | sparse.csr_array:
+    """The float64 matrix the student reads: ``features``, stored as CSR when
+    the matrix is large and mostly zeros.  Prediction reads it as it is,
+    training in ``STUDENT_DTYPE``."""
     # binary/bag-of-words feature matrices are mostly zeros; the two x-side
     # matmuls dominate an epoch, so switch representation when it pays off
-    if x.size > 500_000 and np.count_nonzero(x) < 0.25 * x.size:
-        return sparse.csr_array(x)
-    return x
+    if features.size > 500_000 and np.count_nonzero(features) < 0.25 * features.size:
+        return sparse.csr_array(features)
+    return features
 
 
 def round_inputs(bundle: DatasetBundle, split: SplitSpec, soft: SoftLabels, cfg: TrainConfig,
@@ -632,13 +622,12 @@ def joint_objective(
     ws = workspace if workspace is not None else EpochWorkspace(params, x.shape[0])
     grad = np.empty_like(params.live) if grad is None else grad
     z, p = _forward(params, x, ws, cfg.dropout, rng, xw1)
-    red = cfg.loss_reduction
     l_lab, l_unl, d_logits = loss_cross_entropy(p, targets, labeled, unlabeled, cfg.lambda1,
-                                                red, out=ws.d_logits)
+                                                out=ws.d_logits)
     if pls is None:
         l_con, d_out, w_out = 0.0, d_logits, params.w3.T
     else:
-        l_con, _ = loss_contrastive(z, protos, pls, cfg.tau, red, out=ws.g_sim)
+        l_con, _ = loss_contrastive(z, protos, pls, cfg.tau, out=ws.g_sim)
         # d_z = d_logits @ w3.T + lambda2 * g_sim @ protos / tau, as one product
         d_out = ws.d_out
         w_out = np.concatenate([params.w3.T, protos * (cfg.lambda2 / cfg.tau)])
@@ -653,7 +642,6 @@ def train_student(
     cfg: TrainConfig,
     rng: np.random.Generator,
     x: np.ndarray | sparse.csr_array,
-    init: StudentParams | None = None,
 ) -> tuple[StudentParams, TrainTrace]:
     """Full-batch Adam on the joint loss with validation early stopping.
 
@@ -665,26 +653,21 @@ def train_student(
     restored (accuracy ties broken by lower validation loss).  Without a
     validation set a fixed budget of ``no_val_epochs`` epochs runs.
 
-    ``x`` is ``feature_matrix(bundle.features, cfg.normalize_features)``, dense
-    or CSR, in any float dtype; training reads it in ``STUDENT_DTYPE``.  ``rng``
-    draws the initial weights (unless ``init`` is given, which must have
-    ``dims`` (features, ``cfg.hidden``, classes)) and the dropout.
+    ``x`` is ``feature_matrix(bundle.features)``, dense or CSR, in any float
+    dtype; training reads it in ``STUDENT_DTYPE``.  ``rng`` draws the initial
+    weights and the dropout.
     Every epoch writes into one ``EpochWorkspace`` built here, and the
     validation pass into another.  The validation loss is summed in float64.
     """
     expected = (bundle.n, bundle.num_features)
     if x.shape != expected:
         raise ValueError(f"feature matrix has shape {x.shape}, expected {expected}")
-    dims = (bundle.num_features, cfg.hidden, bundle.num_classes)
-    if init is not None and init.dims != dims:
-        raise ValueError(f"warm-start weights have dims {init.dims}, expected {dims}")
     unlabeled, hard, targets, members = round_inputs(bundle, split, soft, cfg, STUDENT_DTYPE)
     x = x.astype(STUDENT_DTYPE, copy=False)
     labeled = split.labeled
     has_val = split.validation.size > 0
 
-    params = (init.astype(STUDENT_DTYPE) if init is not None
-              else init_params(bundle.num_features, bundle.num_classes, cfg.hidden, rng))
+    params = init_params(bundle.num_features, bundle.num_classes, cfg.hidden, rng)
     workspace = EpochWorkspace(params, x.shape[0])
     if members is not None:
         workspace.s = x @ params.mw1

@@ -33,13 +33,14 @@ class AgstConfig:
     augment: AugmentConfig = field(default_factory=AugmentConfig)
     iterations: int = 3
     seed: int = 0
-    warm_start: bool = False          # reuse the previous round's weights
     report_best_iteration: bool = False
 
     def __post_init__(self):
         require_integers(self, "iterations", "seed")
         if self.iterations < 1:
             raise ValueError("need at least one self-training iteration")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -92,12 +93,11 @@ def run_agst(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig) -> RunRes
     original = bundle.graph
     current = original
     stats: list[IterationStats] = []
-    params: StudentParams | None = None
     best_params: StudentParams | None = None
     best_preds: np.ndarray | None = None
     best_val = -np.inf
     test_gold = bundle.gold[split.test] if split.test.size else None
-    x = feature_matrix(bundle.features, cfg.train.normalize_features)
+    x = feature_matrix(bundle.features)
 
     for iteration in range(1, cfg.iterations + 1):
         started = time.perf_counter()
@@ -105,8 +105,7 @@ def run_agst(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig) -> RunRes
             op = normalize_adjacency(current)
             soft = to_distribution(propagate_labels(op, bundle, split, cfg.lp))
             rng = student_rng(cfg.seed, iteration)
-            init = params if (cfg.warm_start and params is not None) else None
-            params, trace = train_student(bundle, split, soft, cfg.train, rng, x, init)
+            params, trace = train_student(bundle, split, soft, cfg.train, rng, x)
             _, probs = forward(params.astype(np.float64), x)
             preds = np.argmax(probs, axis=1)
             plan = plan_augmentation(original, probs, cfg.augment)

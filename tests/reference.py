@@ -151,7 +151,7 @@ def pseudo_targets(params, x, gold, labeled, unlabeled, soft, cfg):
     return (protos, *filter_pseudo_labels(soft, z_mom, protos, cfg.tau, unlabeled))
 
 
-def loss_ce_labeled(p, gold, nodes, reduction):
+def loss_ce_labeled(p, gold, nodes):
     """Cross-entropy against gold labels on ``nodes``; gradient w.r.t. their
     logits."""
     rows = p[nodes]
@@ -159,17 +159,17 @@ def loss_ce_labeled(p, gold, nodes, reduction):
     value = -clamped_log(rows[np.arange(nodes.size), targets]).sum()
     grad = rows.copy()
     grad[np.arange(nodes.size), targets] -= 1.0
-    return _mean(value, grad, nodes.size, reduction)
+    return _mean(value, grad, nodes.size)
 
 
-def loss_ce_unlabeled(p, soft, nodes, reduction):
+def loss_ce_unlabeled(p, soft, nodes):
     rows = p[nodes]
     targets = soft.matrix[nodes].astype(p.dtype, copy=False)
     value = -(targets * clamped_log(rows)).sum()
-    return _mean(value, rows - targets, nodes.size, reduction)
+    return _mean(value, rows - targets, nodes.size)
 
 
-def loss_contrastive(z, protos, pls, tau, reduction):
+def loss_contrastive(z, protos, pls, tau):
     """The contrastive loss and its gradient w.r.t. z, (n, hidden)."""
     grad = np.zeros_like(z)
     kept = pls.kept
@@ -178,13 +178,13 @@ def loss_contrastive(z, protos, pls, tau, reduction):
     sims = similarity_distribution(z[kept], protos, tau)
     own = pls.hard[kept]
     value = -clamped_log(sims[np.arange(kept.size), own]).sum()
-    value, g = _mean(value, (sims @ protos - protos[own]) / tau, kept.size, reduction)
+    value, g = _mean(value, (sims @ protos - protos[own]) / tau, kept.size)
     grad[kept] = g
     return value, grad
 
 
-def _mean(value, grad, count, reduction):
-    if reduction == "mean" and count:
+def _mean(value, grad, count):
+    if count:
         return float(value / count), grad / count
     return float(value), grad
 
@@ -193,11 +193,10 @@ def joint_objective(params, x, gold, labeled, unlabeled, soft, cfg, protos, pls,
     """(joint loss, its three parts, gradients, forward cache)."""
     cache = _forward_cache(params, x, cfg.dropout, rng)
     p, z = cache["p"], cache["z"]
-    red = cfg.loss_reduction
-    l_lab, g_lab = loss_ce_labeled(p, gold, labeled, red)
-    l_unl, g_unl = loss_ce_unlabeled(p, soft, unlabeled, red)
+    l_lab, g_lab = loss_ce_labeled(p, gold, labeled)
+    l_unl, g_unl = loss_ce_unlabeled(p, soft, unlabeled)
     if pls is not None:
-        l_con, g_z = loss_contrastive(z, protos, pls, cfg.tau, red)
+        l_con, g_z = loss_contrastive(z, protos, pls, cfg.tau)
     else:
         l_con, g_z = 0.0, None
     joint = l_lab + cfg.lambda1 * l_unl + cfg.lambda2 * l_con

@@ -62,8 +62,18 @@ class TestRunCommand:
         assert err.startswith("error: ")
         assert not (dataset_dir / "report.json").exists()
 
-    def test_unknown_flag_is_usage_error(self, dataset_dir, capsys):
-        assert cli_main(["run", "--dataset", "cora", "--frobnicate"]) == 2
+    # besides a flag that never existed: the options removed from the run
+    # configuration, as flags and as config-file keys
+    @pytest.mark.parametrize("argv", [["--frobnicate"], ["--warm-start"],
+                                      ["--normalize-features"], ["--loss-reduction", "sum"],
+                                      ["--config", "exp.cfg"]],
+                             ids=["frobnicate", "warm-start", "normalize-features",
+                                  "loss-reduction", "file"])
+    def test_unknown_flag_is_usage_error(self, dataset_dir, capsys, argv):
+        (dataset_dir / "exp.cfg").write_text(
+            "warm_start = true\nnormalize_features = true\nloss_reduction = sum\n")
+        assert cli_main(["run", "--dataset", "cora", *argv]) == 2
+        assert "unrecognized arguments: " in capsys.readouterr().err
 
     def test_missing_dataset_is_runtime_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -132,9 +142,11 @@ class TestConfigFile:
         assert len(report["runs"]) == 1  # explicit flag wins
 
     def test_boolean_from_the_file(self, monkeypatch, tmp_path):
-        (tmp_path / "exp.cfg").write_text("warm_start = True\nnormalize_features = false\n")
-        spec = built_spec(["run", "--dataset", "d", "--config", "exp.cfg"], monkeypatch, tmp_path)
-        assert spec == config(warm_start=True)
+        argv = ["run", "--dataset", "d", "--config", "exp.cfg"]
+        (tmp_path / "exp.cfg").write_text("best_iteration = True\n")
+        assert built_spec(argv, monkeypatch, tmp_path) == config(report_best_iteration=True)
+        (tmp_path / "exp.cfg").write_text("best_iteration = false\n")
+        assert built_spec(argv, monkeypatch, tmp_path) == DEFAULT
 
     def test_missing_config_file_is_usage_error(self, dataset_dir, capsys):
         code = cli_main(["run", "--dataset", "cora", "--config", "absent.cfg"])
@@ -275,9 +287,6 @@ FLAG_ALONE = [
     (["--max-epochs", "40"], train(max_epochs=40)),
     (["--no-val-epochs", "30"], train(no_val_epochs=30)),
     (["--hidden", "16"], train(hidden=16)),
-    (["--loss-reduction", "sum"], train(loss_reduction="sum")),
-    (["--normalize-features"], train(normalize_features=True)),
-    (["--warm-start"], config(warm_start=True)),
     (["--best-iteration"], config(report_best_iteration=True)),
 ]
 SWEEP = ["--axis", "k", "--values", "1"]
@@ -413,7 +422,9 @@ class TestTypedFlagErrors:
     def test_flags_found(self):
         flags = {(command, flag) for command, flag, _ in TYPED_FLAGS}
         assert {("run", "--k"), ("run", "--rate"), ("sweep", "--values"),
-                ("gradcheck", "--instances"), ("gradcheck", "--epsilon")} <= flags
+                ("gradcheck", "--instances"), ("gradcheck", "--epsilon"),
+                ("run", "--seed"), ("sweep", "--seed"), ("gradcheck", "--seed"),
+                ("run", "--patience"), ("sweep", "--patience")} <= flags
         assert {command for command, _ in flags} == set(REQUIRED)
 
     @pytest.mark.parametrize("command, flag, kind", TYPED_FLAGS,

@@ -13,7 +13,6 @@ from agst import (
     SparseGraph,
     SplitSpec,
     convert_content_release,
-    l2_normalize_rows,
     load_dataset,
     make_split,
     save_dataset,
@@ -481,15 +480,6 @@ class TestSynthetic:
             two_cluster_bundle(n=10, noise_fraction=5.0, seed=0)
         full = two_cluster_bundle(n=10, intra_degree=0, noise_fraction=2.5, seed=0)
         assert full.graph.m == 10 + 25
-
-
-class TestL2Normalize:
-    def test_rows_unit_norm(self):
-        x = np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 0.0]])
-        out = l2_normalize_rows(x)
-        assert np.allclose(out[0], [0.6, 0.8])
-        assert np.array_equal(out[1], [0.0, 0.0])  # zero rows pass through
-        assert np.allclose(np.linalg.norm(out[2]), 1.0)
 
 
 class TestConverter:

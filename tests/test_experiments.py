@@ -60,6 +60,15 @@ def test_integer_setting_refuses_other_values(settings, name, value):
     assert getattr(settings(**{name: np.int64(2)}), name) == 2
 
 
+@pytest.mark.parametrize("settings", [AgstConfig, ExperimentSpec])
+def test_negative_seed_refused_when_built(settings):
+    # numpy's SeedSequence refuses it too, but only once a run draws a split
+    # or a student
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        settings(seed=-1)
+    assert settings(seed=0).seed == 0
+
+
 class TestMethodConfig:
     def test_agst_unchanged(self):
         base = AgstConfig()

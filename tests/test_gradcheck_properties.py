@@ -35,7 +35,6 @@ def problems(draw):
     cfg = TrainConfig(lambda1=draw(st.sampled_from([0.0, 1.0])),
                       lambda2=draw(st.sampled_from([0.0, 0.1, 1.0])),
                       tau=draw(st.sampled_from([0.1, 0.5, 2.0])),
-                      loss_reduction=draw(st.sampled_from(["mean", "sum"])),
                       dropout=0.0, hidden=hidden)
 
     features = rng.normal(size=(n, f))

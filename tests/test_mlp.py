@@ -112,82 +112,77 @@ class TestForward:
         assert not np.array_equal(ws.p, p_eval)
 
 
-def labeled_loss(p, gold, nodes, reduction):
+def labeled_loss(p, gold, nodes):
     """``loss_cross_entropy`` with ``nodes`` labeled and no unlabeled row:
     the labeled value and the nodes' gradient rows."""
     targets = student_targets(np.zeros_like(p), gold, nodes, p.dtype)
-    value, _, grad = loss_cross_entropy(p, targets, nodes, np.empty(0, dtype=int), 1.0,
-                                        reduction)
+    value, _, grad = loss_cross_entropy(p, targets, nodes, np.empty(0, dtype=int), 1.0)
     return value, grad[nodes]
 
 
-def unlabeled_loss(p, soft, nodes, reduction):
+def unlabeled_loss(p, soft, nodes):
     """``loss_cross_entropy`` with ``nodes`` unlabeled against the rows of
     ``soft``, beside one labeled row: the unlabeled value and the nodes'
     gradient rows."""
     p = np.vstack([np.full((1, p.shape[1]), 0.5), p])
     targets = student_targets(np.vstack([soft[:1], soft]), np.zeros(len(p), dtype=int),
                               np.array([0]), p.dtype)
-    _, value, grad = loss_cross_entropy(p, targets, np.array([0]), nodes + 1, 1.0, reduction)
+    _, value, grad = loss_cross_entropy(p, targets, np.array([0]), nodes + 1, 1.0)
     return value, grad[nodes + 1]
 
 
 class TestLabeledCrossEntropy:
     def test_uniform_prediction_costs_log_c(self):
         p = np.full((1, 4), 0.25)
-        value, _ = labeled_loss(p, np.array([2]), np.array([0]), "sum")
+        value, _ = labeled_loss(p, np.array([2]), np.array([0]))
         assert value == pytest.approx(math.log(4), abs=1e-12)
 
     def test_perfect_prediction_costs_nothing(self):
         p = np.array([[1.0, 0.0]])
-        value, _ = labeled_loss(p, np.array([0]), np.array([0]), "sum")
+        value, _ = labeled_loss(p, np.array([0]), np.array([0]))
         assert value == pytest.approx(0.0, abs=1e-12)
 
-    def test_two_uniform_nodes_sum_form(self):
-        p = np.full((2, 2), 0.5)
-        value, _ = labeled_loss(p, np.array([0, 1]), np.array([0, 1]), "sum")
-        assert value == pytest.approx(2 * math.log(2), abs=1e-12)
+    def test_two_nodes_average(self):
+        p = np.array([[0.5, 0.5], [0.25, 0.75]])
+        value, _ = labeled_loss(p, np.array([0, 1]), np.array([0, 1]))
+        assert value == pytest.approx((math.log(2) - math.log(0.75)) / 2, abs=1e-12)
 
     def test_mean_reduction_divides(self):
         p = np.full((2, 2), 0.5)
-        value, grad = labeled_loss(p, np.array([0, 1]), np.array([0, 1]), "mean")
+        value, grad = labeled_loss(p, np.array([0, 1]), np.array([0, 1]))
         assert value == pytest.approx(math.log(2), abs=1e-12)
         assert np.allclose(grad, [[-0.25, 0.25], [0.25, -0.25]])
 
     def test_gradient_is_softmax_minus_onehot(self):
         p = np.array([[0.7, 0.2, 0.1]])
-        _, grad = labeled_loss(p, np.array([1]), np.array([0]), "sum")
+        _, grad = labeled_loss(p, np.array([1]), np.array([0]))
         assert np.allclose(grad, [[0.7, -0.8, 0.1]])
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             loss_cross_entropy(np.ones((1, 2)), np.ones((1, 2)), np.array([], dtype=int),
-                               np.array([0]), 1.0, "sum")
-
-    def test_unknown_reduction_rejected(self):
-        with pytest.raises(ValueError, match="unknown reduction 'median'"):
-            labeled_loss(np.full((1, 2), 0.5), np.array([0]), np.array([0]), "median")
+                               np.array([0]), 1.0)
 
 
 class TestUnlabeledCrossEntropy:
     def test_uniform_against_itself(self):
         soft = SoftLabels(np.full((1, 2), 0.5), normalized=True)
-        value, _ = unlabeled_loss(np.full((1, 2), 0.5), soft.matrix, np.array([0]), "sum")
+        value, _ = unlabeled_loss(np.full((1, 2), 0.5), soft.matrix, np.array([0]))
         assert value == pytest.approx(math.log(2), abs=1e-12)
 
     def test_hard_target_scalar_log(self):
         soft = SoftLabels(np.array([[1.0, 0.0]]), normalized=True)
-        value, _ = unlabeled_loss(np.array([[0.75, 0.25]]), soft.matrix, np.array([0]), "sum")
+        value, _ = unlabeled_loss(np.array([[0.75, 0.25]]), soft.matrix, np.array([0]))
         assert value == pytest.approx(-math.log(0.75), abs=1e-12)
 
     def test_mixed_target_arithmetic(self):
         soft = SoftLabels(np.array([[0.5, 0.5]]), normalized=True)
-        value, _ = unlabeled_loss(np.array([[0.75, 0.25]]), soft.matrix, np.array([0]), "sum")
+        value, _ = unlabeled_loss(np.array([[0.75, 0.25]]), soft.matrix, np.array([0]))
         assert value == pytest.approx(-0.5 * (math.log(0.75) + math.log(0.25)), abs=1e-12)
 
     def test_gradient_is_softmax_minus_target(self):
         soft = SoftLabels(np.array([[0.3, 0.7]]), normalized=True)
-        _, grad = unlabeled_loss(np.array([[0.6, 0.4]]), soft.matrix, np.array([0]), "sum")
+        _, grad = unlabeled_loss(np.array([[0.6, 0.4]]), soft.matrix, np.array([0]))
         assert np.allclose(grad, [[0.3, -0.3]])
 
     def test_unnormalized_targets_rejected(self):
@@ -272,7 +267,7 @@ class TestSimilarityDistribution:
         for kept in ([0], []):
             pls = PseudoLabelSet(np.zeros(2, dtype=int), np.array(kept, dtype=int))
             with pytest.raises(ValueError, match="tau"):
-                loss_contrastive(np.ones((2, 2)), np.ones((2, 2)), pls, 0.0, "sum")
+                loss_contrastive(np.ones((2, 2)), np.ones((2, 2)), pls, 0.0)
 
 
 def filter_on_embeddings(soft, z, protos, tau, unlabeled):
@@ -357,7 +352,7 @@ class TestContrastiveLoss:
     def test_empty_kept_set_is_zero(self):
         # the gradient is w.r.t. the n x c similarity logits
         pls = PseudoLabelSet(np.zeros(2, dtype=int), np.array([], dtype=int))
-        value, grad = loss_contrastive(np.ones((2, 3)), np.ones((4, 3)), pls, 0.5, "sum")
+        value, grad = loss_contrastive(np.ones((2, 3)), np.ones((4, 3)), pls, 0.5)
         assert value == 0.0
         assert np.array_equal(grad, np.zeros((2, 4)))
 
@@ -366,14 +361,14 @@ class TestContrastiveLoss:
         protos = np.array([[1.0, 0.0], [0.0, 0.0]])
         z = np.array([[1.0, 1.0]])
         pls = PseudoLabelSet(np.array([0]), np.array([0]))
-        value, _ = loss_contrastive(z, protos, pls, 1.0, "sum")
+        value, _ = loss_contrastive(z, protos, pls, 1.0)
         assert value == pytest.approx(math.log(1 + math.exp(-1.0)), abs=1e-12)
 
     def test_equidistant_node_costs_log_c(self):
         protos = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         z = np.zeros((1, 3))
         pls = PseudoLabelSet(np.array([1]), np.array([0]))
-        value, _ = loss_contrastive(z, protos, pls, 0.5, "sum")
+        value, _ = loss_contrastive(z, protos, pls, 0.5)
         assert value == pytest.approx(math.log(3), abs=1e-12)
 
     def test_gradient_formula(self):
@@ -382,16 +377,17 @@ class TestContrastiveLoss:
         protos = rng.normal(size=(2, 4))
         pls = PseudoLabelSet(np.array([0, 1, 0]), np.array([0, 2]))
         tau = 0.7
-        value, grad = loss_contrastive(z, protos, pls, tau, "sum")
+        value, grad = loss_contrastive(z, protos, pls, tau)
         assert grad.shape == (3, 2)
+        # averaged over the two kept nodes
         for i in (0, 2):
             logits = z[i] @ protos.T / tau
             s = np.exp(logits - logits.max())
             s /= s.sum()
-            assert np.max(np.abs(grad[i] - (s - np.eye(2)[pls.hard[i]]))) < 1e-15
+            assert np.max(np.abs(grad[i] - (s - np.eye(2)[pls.hard[i]]) / 2)) < 1e-15
         assert np.array_equal(grad[1], np.zeros(2))
         # mapped back to z it is the n x hidden gradient of the reference
-        ref_value, ref_grad = reference.loss_contrastive(z, protos, pls, tau, "sum")
+        ref_value, ref_grad = reference.loss_contrastive(z, protos, pls, tau)
         assert value == pytest.approx(ref_value, abs=1e-12)
         assert np.max(np.abs(grad @ protos / tau - ref_grad)) < 1e-12
 
@@ -403,10 +399,10 @@ class TestContrastiveLoss:
         protos = rng.normal(size=(3, 3))
         pls = PseudoLabelSet(rng.integers(0, 3, size=4), np.arange(4))
         tau, kappa = 0.5, 37.0
-        base, _ = loss_contrastive(z, protos, pls, tau, "sum")
+        base, _ = loss_contrastive(z, protos, pls, tau)
         z_aug = np.column_stack([z, np.ones(4)])
         protos_aug = np.column_stack([protos, np.full(3, kappa * tau)])
-        shifted, _ = loss_contrastive(z_aug, protos_aug, pls, tau, "sum")
+        shifted, _ = loss_contrastive(z_aug, protos_aug, pls, tau)
         assert shifted == pytest.approx(base, abs=1e-9)
 
 
@@ -564,7 +560,6 @@ class TestTrainConfig:
         ("weight_decay", -1e-4), ("weight_decay", math.nan),
         ("momentum", math.nan), ("dropout", math.nan),
         ("patience", -1), ("max_epochs", 0), ("no_val_epochs", 0), ("hidden", 0),
-        ("loss_reduction", "median"),
     ])
     def test_invalid_value_rejected(self, field, value):
         message = "loss weights" if field.startswith("lambda") else field
@@ -589,7 +584,7 @@ def fit(bundle, split, soft, cfg, seed=0, x=None):
     """``train_student`` on ``x``, by default the float64 matrix run_agst
     passes, with a generator seeded by ``seed``."""
     if x is None:
-        x = feature_matrix(bundle.features, cfg.normalize_features)
+        x = feature_matrix(bundle.features)
     return train_student(bundle, split, soft, cfg, np.random.default_rng(seed), x)
 
 
@@ -745,31 +740,11 @@ class TestTrainStudent:
                 params = init_params(bundle.num_features, 2, 8, np.random.default_rng(0))
                 grad_check(params, bundle, split, soft, cfg)
 
-    @pytest.mark.parametrize("df, dc, dh", [(-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0),
-                                            (0, 0, -1), (0, 0, 1)])
-    def test_warm_start_of_another_shape_rejected(self, df, dc, dh):
-        # refused where init enters: an f or c off failed mid-epoch with a
-        # matmul or broadcast error, a hidden off trained at the init's width
-        bundle, split, uniform = toy_training_setup()
-        cfg = TrainConfig(hidden=8, max_epochs=1)
-        f, c = bundle.num_features, bundle.num_classes
-        init = init_params(f + df, c + dc, cfg.hidden + dh, np.random.default_rng(0))
-        expected = (rf"dims \({f + df}, {cfg.hidden + dh}, {c + dc}\), "
-                    rf"expected \({f}, {cfg.hidden}, {c}\)")
-        with pytest.raises(ValueError, match=expected):
-            train_student(bundle, split, uniform, cfg, np.random.default_rng(0),
-                          feature_matrix(bundle.features, False), init)
-        fitting = init_params(f, c, cfg.hidden, np.random.default_rng(0))
-        params, _ = train_student(bundle, split, uniform, cfg, np.random.default_rng(0),
-                                  feature_matrix(bundle.features, False), fitting)
-        assert params.dims == (f, cfg.hidden, c)
-
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_prepared_features_give_identical_parameters(self, normalize):
+    def test_prepared_features_give_identical_parameters(self):
         # the float64 feature_matrix and its cast to the student's dtype
         bundle, split, uniform = toy_training_setup(seed=3)
-        cfg = TrainConfig(patience=5, normalize_features=normalize)
-        x = feature_matrix(bundle.features, normalize)
+        cfg = TrainConfig(patience=5)
+        x = feature_matrix(bundle.features)
         own, _ = fit(bundle, split, uniform, cfg, seed=3, x=x)
         given, _ = fit(bundle, split, uniform, cfg, seed=3, x=x.astype(STUDENT_DTYPE))
         for name in ("w1", "b1", "w2", "b2", "w3", "b3", "mw1", "mb1", "mw2", "mb2"):
@@ -798,7 +773,7 @@ class TestTrainStudent:
         soft = SoftLabels(np.full((n, 2), 0.5), normalized=True)
         cfg = TrainConfig(dropout=0.0, patience=2, max_epochs=30)
 
-        x = feature_matrix(bundle.features, False)
+        x = feature_matrix(bundle.features)
         assert sp.issparse(x)
         p_sparse, t_sparse = fit(bundle, split, soft, cfg, seed=6, x=x)
         p_dense, t_dense = fit(bundle, split, soft, cfg, seed=6, x=bundle.features)
@@ -877,15 +852,13 @@ class TestTrainStudent:
         assert [a.shape for a in returned["joint_objective"]] == [params.live.shape]
         assert {a.dtype for a in arrays} == {np.dtype(STUDENT_DTYPE)}
 
-    def test_sum_reduction_mode(self):
+    def test_labeled_loss_starts_near_log_c(self):
         bundle, split, uniform = toy_training_setup()
-        cfg = TrainConfig(loss_reduction="sum", patience=3, dropout=0.0)
+        cfg = TrainConfig(patience=3, dropout=0.0)
         params, trace = fit(bundle, split, uniform, cfg, seed=4)
         assert params.all_finite()
-        # sum over 6 labeled nodes of ln 2 at the uniform start
-        assert trace.records[0].loss_labeled == pytest.approx(
-            6 * math.log(2), rel=0.5
-        )
+        # the mean over the 6 labeled nodes of about ln 2 at the uniform start
+        assert trace.records[0].loss_labeled == pytest.approx(math.log(2), rel=0.5)
 
 
 class TestEpochCost:
@@ -949,7 +922,7 @@ class TestEpochCost:
             pseudo_targets(params, ws.s, members, unlabeled, hard, cfg, ws)
             _, after_targets = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            loss_contrastive(z, protos, pls, cfg.tau, "mean", out=ws.g_sim)
+            loss_contrastive(z, protos, pls, cfg.tau, out=ws.g_sim)
             _, after_loss = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

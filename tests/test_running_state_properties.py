@@ -81,8 +81,8 @@ def test_folded_state_tracks_the_direct_product(trail):
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
-@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.sampled_from([0.0, 0.5, 0.999]))
-def test_pseudo_targets_read_x_at_mw1_every_epoch(seed, as_csr, warm, m):
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([0.0, 0.5, 0.999]))
+def test_pseudo_targets_read_x_at_mw1_every_epoch(seed, as_csr, m):
     # inside train_student: every epoch's pseudo_targets call gets the
     # running s, which must be x @ mw1 of the parameters it is called with
     rng = np.random.default_rng(seed)
@@ -93,10 +93,6 @@ def test_pseudo_targets_read_x_at_mw1_every_epoch(seed, as_csr, warm, m):
     split = make_split(bundle, "balanced", seed=seed % 1000, k=3, val_per_class=4)
     soft = SoftLabels(np.tile([0.7, 0.3], (n, 1)), normalized=True)
     cfg = TrainConfig(momentum=m, max_epochs=30, patience=30, hidden=8)
-    init = None
-    if warm:
-        init = init_params(f, 2, cfg.hidden, rng)
-        init.mw1 += rng.normal(scale=0.3, size=init.mw1.shape).astype(STUDENT_DTYPE)
     x = features.astype(STUDENT_DTYPE)
     x = sparse.csr_array(x) if as_csr else x
     real = mlp.pseudo_targets
@@ -110,6 +106,6 @@ def test_pseudo_targets_read_x_at_mw1_every_epoch(seed, as_csr, warm, m):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mlp, "pseudo_targets", spy)
-        _, trace = train_student(bundle, split, soft, cfg, rng, x, init)
+        _, trace = train_student(bundle, split, soft, cfg, rng, x)
     assert len(seen) == len(trace.records) == 30
     assert all(seen)

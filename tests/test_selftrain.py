@@ -59,7 +59,7 @@ class TestRunAgst:
 
         op = normalize_adjacency(bundle.graph)
         soft = to_distribution(propagate_labels(op, bundle, split, cfg.lp))
-        x = feature_matrix(bundle.features, cfg.train.normalize_features)
+        x = feature_matrix(bundle.features)
         params, _ = train_student(bundle, split, soft, cfg.train, student_rng(cfg.seed, 1), x)
         assert np.array_equal(result.final_params.w1, params.w1)
         assert np.array_equal(result.final_params.w3, params.w3)
@@ -119,7 +119,7 @@ class TestRunAgst:
                                 bundle.num_classes)
         op = normalize_adjacency(rewired)
         soft = to_distribution(propagate_labels(op, bundle2, split, cfg.lp))
-        x = feature_matrix(bundle.features, cfg.train.normalize_features)
+        x = feature_matrix(bundle.features)
         params, _ = train_student(bundle2, split, soft, cfg.train, student_rng(cfg.seed, 2), x)
         assert np.array_equal(result.final_params.w1, params.w1)
         assert np.array_equal(result.final_params.b3, params.b3)
@@ -162,17 +162,11 @@ class TestRunAgst:
         assert str(err) == "code 3: lost [self-training iteration 2]"
 
     @pytest.mark.parametrize("best", [False, True])
-    def test_normalized_features_predictions_match_forward(self, best):
+    def test_predictions_match_forward_of_final_params(self, best):
         bundle, split = toy_setup(seed=7, noise=0.2)
-        # rows scaled by 1e-6..1: normalization undoes it, while forward on
-        # the raw rows predicts the bias's class for the smallest ones
-        scale = 10.0 ** np.random.default_rng(7).uniform(-6, 0, size=(bundle.n, 1))
-        bundle = make_bundle(bundle.n, bundle.graph.edges, bundle.gold, 2,
-                             features=bundle.features * scale)
-        cfg = quick_cfg(iterations=2, seed=7, report_best_iteration=best,
-                        train={"normalize_features": True})
+        cfg = quick_cfg(iterations=2, seed=7, report_best_iteration=best)
         result = run_agst(bundle, split, cfg)
-        x = feature_matrix(bundle.features, True)
+        x = feature_matrix(bundle.features)
         assert np.array_equal(result.predictions, hard_labels(result.final_params, x))
 
     def test_best_iteration_selection(self):
@@ -183,12 +177,6 @@ class TestRunAgst:
         acc = np.mean(result.predictions[split.validation]
                       == bundle.gold[split.validation])
         assert acc == pytest.approx(best)
-
-    def test_warm_start_runs(self):
-        bundle, split = toy_setup(seed=8)
-        cfg = quick_cfg(iterations=2, seed=8, warm_start=True)
-        result = run_agst(bundle, split, cfg)
-        assert result.per_iteration[-1].test_acc >= 0.9
 
     def test_split_without_test_nodes_has_no_test_accuracy(self):
         bundle, split = toy_setup(seed=8)
@@ -262,7 +250,7 @@ class TestSplitNodeIds:
                 run_agst(bundle, split, quick_cfg(iterations=1))
             elif entry == "train_student":
                 train_student(bundle, split, soft, cfg, np.random.default_rng(0),
-                              feature_matrix(bundle.features, False))
+                              feature_matrix(bundle.features))
             elif entry == "grad_check":
                 grad_check(params, bundle, split, soft, cfg)
             else:
@@ -280,16 +268,16 @@ class TestPredict:
         for name in ("w1", "b1", "w2", "b2", "w3"):
             getattr(params, name)[:] = 0.0
         params.b3[:] = [0.0, 0.0, 5.0]
-        assert np.all(hard_labels(params, feature_matrix(bundle.features, False)) == 2)
+        assert np.all(hard_labels(params, feature_matrix(bundle.features)) == 2)
 
     def test_rowwise_independence_under_permutation(self):
         from agst import init_params
 
         bundle, _ = toy_setup(seed=10)
         params = init_params(bundle.num_features, 2, 8, np.random.default_rng(1))
-        preds = hard_labels(params, feature_matrix(bundle.features, False))
+        preds = hard_labels(params, feature_matrix(bundle.features))
         perm = np.random.default_rng(2).permutation(bundle.n)
-        permuted = feature_matrix(bundle.features[perm], False)
+        permuted = feature_matrix(bundle.features[perm])
         assert np.array_equal(hard_labels(params, permuted), preds[perm])
 
     def test_toy_pipeline_agrees_with_gold(self):
@@ -301,38 +289,75 @@ class TestPredict:
 class TestTestLabelBlindness:
     """No test label feeds a decision: with ``gold`` permuted on the test
     nodes, a run reports the same predictions, weights and rounds, test
-    accuracy aside."""
+    accuracy aside; with ``gold`` permuted on nodes in no part of the split,
+    it reports the same test accuracy as well."""
 
     SPLITS = {"balanced": {"k": 5}, "imbalanced": {"rate": 0.05}, "standard20": {}}
+    STUDENT_METHODS = [m for m in METHODS if m != "lp-only"]
 
     @staticmethod
-    def permuted(protocol):
-        # a hard toy, so that rounds disagree and the best round is a choice
-        bundle = two_cluster_bundle(n=200, separation=1.0, noise_fraction=0.2, seed=3)
-        split = make_split(bundle, protocol, seed=4, **TestTestLabelBlindness.SPLITS[protocol])
+    def shuffled(bundle, nodes):
+        """``bundle`` with ``gold`` permuted on ``nodes``."""
         gold = bundle.gold.copy()
-        gold[split.test] = np.random.default_rng(5).permutation(gold[split.test])
+        gold[nodes] = np.random.default_rng(5).permutation(gold[nodes])
         assert (gold != bundle.gold).any()
-        return bundle, DatasetBundle(bundle.graph, bundle.features, gold, 2), split
+        return DatasetBundle(bundle.graph, bundle.features, gold, 2)
 
-    @pytest.mark.parametrize("best", [False, True])
-    @pytest.mark.parametrize("method", [m for m in METHODS if m != "lp-only"])
-    @pytest.mark.parametrize("protocol", sorted(SPLITS))
-    def test_student_runs_ignore_test_gold(self, protocol, method, best):
-        bundle, shuffled, split = self.permuted(protocol)
-        base = AgstConfig(train=TrainConfig(max_epochs=60, no_val_epochs=20), seed=6,
-                          report_best_iteration=best)
-        cfg = method_config(method, base)
-        a, b = run_agst(bundle, split, cfg), run_agst(shuffled, split, cfg)
+    @staticmethod
+    def toy():
+        # a hard toy, so that rounds disagree and the best round is a choice
+        return two_cluster_bundle(n=200, separation=1.0, noise_fraction=0.2, seed=3)
+
+    @classmethod
+    def permuted(cls, protocol):
+        bundle = cls.toy()
+        split = make_split(bundle, protocol, seed=4, **cls.SPLITS[protocol])
+        return bundle, cls.shuffled(bundle, split.test), split
+
+    @classmethod
+    def permuted_outside(cls, val_per_class):
+        """A split that leaves every other node the balanced protocol would
+        test in no part, with ``gold`` permuted on those nodes."""
+        bundle = cls.toy()
+        drawn = make_split(bundle, "balanced", seed=4, k=5, val_per_class=val_per_class)
+        split = SplitSpec(drawn.labeled, drawn.validation, drawn.test[::2])
+        return bundle, cls.shuffled(bundle, drawn.test[1::2]), split
+
+    @staticmethod
+    def assert_same_runs(a, b, ignored):
         assert np.array_equal(a.predictions, b.predictions)
         assert a.final_params.live.tobytes() == b.final_params.live.tobytes()
         assert a.final_params.momentum.tobytes() == b.final_params.momentum.tobytes()
 
         def rounds(result):
-            return [{key: value for key, value in stats.to_dict().items()
-                     if key not in ("test_acc", "wall_ms")} for stats in result.per_iteration]
+            return [{key: value for key, value in stats.to_dict().items() if key not in ignored}
+                    for stats in result.per_iteration]
 
         assert rounds(a) == rounds(b)
+
+    @staticmethod
+    def config(method, best=False):
+        base = AgstConfig(train=TrainConfig(max_epochs=60, no_val_epochs=20), seed=6,
+                          report_best_iteration=best)
+        return method_config(method, base)
+
+    @pytest.mark.parametrize("best", [False, True])
+    @pytest.mark.parametrize("method", STUDENT_METHODS)
+    @pytest.mark.parametrize("protocol", sorted(SPLITS))
+    def test_student_runs_ignore_test_gold(self, protocol, method, best):
+        bundle, shuffled, split = self.permuted(protocol)
+        cfg = self.config(method, best)
+        a, b = run_agst(bundle, split, cfg), run_agst(shuffled, split, cfg)
+        self.assert_same_runs(a, b, ("test_acc", "wall_ms"))
+
+    @pytest.mark.parametrize("val_per_class", [0, 10])
+    @pytest.mark.parametrize("method", STUDENT_METHODS)
+    def test_student_runs_ignore_gold_outside_the_split(self, method, val_per_class):
+        bundle, shuffled, split = self.permuted_outside(val_per_class)
+        cfg = self.config(method)
+        a, b = run_agst(bundle, split, cfg), run_agst(shuffled, split, cfg)
+        self.assert_same_runs(a, b, ("wall_ms",))
+        assert all(stats.test_acc is not None for stats in a.per_iteration)
 
     @pytest.mark.parametrize("protocol", sorted(SPLITS))
     def test_label_propagation_ignores_test_gold(self, protocol):
@@ -341,4 +366,11 @@ class TestTestLabelBlindness:
         a = propagate_labels(op, bundle, split, LpConfig()).matrix
         b = propagate_labels(op, shuffled, split, LpConfig()).matrix
         # equal matrices, so equal lp-only predictions (their argmax)
+        assert a.tobytes() == b.tobytes()
+
+    def test_label_propagation_ignores_gold_outside_the_split(self):
+        bundle, shuffled, split = self.permuted_outside(10)
+        op = normalize_adjacency(bundle.graph)
+        a = propagate_labels(op, bundle, split, LpConfig()).matrix
+        b = propagate_labels(op, shuffled, split, LpConfig()).matrix
         assert a.tobytes() == b.tobytes()

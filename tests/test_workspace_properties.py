@@ -82,8 +82,7 @@ def problems(draw):
     raw = rng.random((n, c)) + 0.1
     soft = SoftLabels(raw / raw.sum(1, keepdims=True), normalized=True)
     cfg = TrainConfig(dropout=draw(st.sampled_from([0.0, 0.5])),
-                      lambda2=draw(st.sampled_from([0.0, 0.1])),
-                      loss_reduction=draw(st.sampled_from(["mean", "sum"])), hidden=hidden)
+                      lambda2=draw(st.sampled_from([0.0, 0.1])), hidden=hidden)
     epochs = []
     for _ in range(2):
         params = init_params(f, c, hidden, rng)
@@ -120,10 +119,9 @@ def logit_gradient_error(ws, labeled, cfg):
     reductions), and each row's p - target, its division by the set's size
     and its lambda1 factor round once more on either side."""
     n, c = ws.p.shape
-    mean = cfg.loss_reduction == "mean"
     unlabeled_rows = n - labeled.size
-    scale = np.full(n, cfg.lambda1 / (unlabeled_rows if mean and unlabeled_rows else 1))
-    scale[labeled] = 1.0 / (labeled.size if mean else 1)
+    scale = np.full(n, cfg.lambda1 / max(unlabeled_rows, 1))
+    scale[labeled] = 1.0 / labeled.size
     p_err = two_evaluations(c + 2) * mag(ws.p)
     return scale[:, None] * p_err * (1 + 4 * EPS) + 4 * EPS * mag(ws.d_logits)
 
@@ -136,7 +134,7 @@ def gradient_bounds(params, x, ws, protos, pls, cfg, gap, labeled):
     d_abs = mag(ws.d_logits) @ mag(params.w3).T
     d_err = gap * d_abs + dl_err @ mag(params.w3).T
     if pls is not None:
-        red_count = pls.kept.size if cfg.loss_reduction == "mean" and pls.kept.size else 1
+        red_count = pls.kept.size if pls.kept.size else 1
         coef = cfg.lambda2 / cfg.tau
         # the similarity logits' chain and the softmax's move on the kept rows
         delta = gap * (mag(ws.z) @ mag(protos).T / cfg.tau).max(axis=1)
@@ -200,11 +198,9 @@ def test_shared_workspace_epochs_equal_fresh_arrays(problem):
         # the unlabeled term also sums row by row where the reference sums
         # its whole block, and every summed term is <= 0, so |value| bounds
         # the chain
-        mean = cfg.loss_reduction == "mean"
         n_unl = unlabeled.size
-        lab_bound = (2 * p_gap * labeled.size / (labeled.size if mean else 1)
-                     + (2 * EPS + two_evaluations(labeled.size + 2)) * abs(ref_parts[0]))
-        unl_bound = (2 * p_gap * (1 + EPS) * n_unl / (n_unl if mean and n_unl else 1)
+        lab_bound = 2 * p_gap + (2 * EPS + two_evaluations(labeled.size + 2)) * abs(ref_parts[0])
+        unl_bound = (2 * p_gap * (1 + EPS) * n_unl / max(n_unl, 1)
                      + (3 * EPS + two_evaluations(n * c + 2)) * abs(ref_parts[1]))
         assert abs(parts[0] - ref_parts[0]) <= lab_bound
         assert abs(parts[1] - ref_parts[1]) <= unl_bound
@@ -224,6 +220,5 @@ def test_shared_workspace_epochs_equal_fresh_arrays(problem):
         kept = pls.kept.size
         con_abs = (mag(ws.z[pls.kept]) @ mag(protos).T / cfg.tau).max(axis=1, initial=0.0)
         per_node = 3 * gap * con_abs + (c + 4) * EPS
-        con_bound = (per_node.mean() if cfg.loss_reduction == "mean" and kept
-                     else per_node.sum()) + gap * ref_parts[2]
+        con_bound = (per_node.mean() if kept else per_node.sum()) + gap * ref_parts[2]
         assert abs(parts[2] - ref_parts[2]) <= con_bound
