@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import sys
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from .experiments import (
     with_parameters,
     write_sweep_csv,
 )
-from .gradcheck import run_gradcheck_suite
+from .gradcheck import PASS_BAR, run_gradcheck_suite
 
 log = logging.getLogger(__name__)
 
@@ -43,7 +42,6 @@ def _checked(convert, accept, expected: str):
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
 _non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _unit_open_float = _checked(float, lambda v: 0.0 < v < 1.0, "a value in (0, 1)")
-_positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
 _float_list = _checked(lambda raw: [float(v) for v in raw.split(",") if v.strip()],
                        lambda values: len(values) > 0, "comma-separated numbers")
 
@@ -59,9 +57,6 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=_non_negative_int)
     sub.add_argument("--workers", type=_positive_int)
     sub.add_argument("--val-per-class", type=_non_negative_int)
-    # read by _parse before this parser runs
-    sub.add_argument("--config", metavar="FILE",
-                     help="key = value file; command-line flags override it")
     # hyperparameters; experiments.PARAMETERS says where each one lives
     sub.add_argument("--alpha", type=float)
     sub.add_argument("--steps", type=_positive_int)
@@ -84,52 +79,14 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
 
 
 # flags a command reads itself rather than passing on
-_COMMAND_FLAGS = ("command", "func", "config", "output", "axis", "values", "threshold")
+_COMMAND_FLAGS = ("command", "func", "output", "axis", "values")
 
 
 def _given(args: argparse.Namespace) -> dict:
-    """The parameters set on the command line or in the config file.  The
-    parsers suppress absent flags, so every other parameter keeps the default
-    its dataclass or function declares."""
+    """The parameters set on the command line.  The parsers suppress absent
+    flags, so every other parameter keeps the default its dataclass or
+    function declares."""
     return {name: value for name, value in vars(args).items() if name not in _COMMAND_FLAGS}
-
-
-def _load_config_file(path: str) -> list[str]:
-    """Turn ``key = value`` lines into flag tokens; booleans are true/false."""
-    extra: list[str] = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"{path}:{lineno}: expected key = value")
-        name = key.strip().replace("_", "-")
-        if name and "config".startswith(name):   # argparse would take it for --config
-            raise ValueError(f"{path}:{lineno}: a config file cannot name another config file")
-        flag = "--" + name
-        value = value.strip()
-        if value.lower() in ("true", "false"):
-            if value.lower() == "true":
-                extra.append(flag)
-        else:
-            extra.extend([flag, value])
-    return extra
-
-
-def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv`` with a config file's flags spliced in right after the
-    subcommand, so explicit command-line flags, which come later, win.
-
-    A pre-parser that knows only ``--config`` finds the file in any spelling
-    argparse accepts (``--config=FILE``, ``--conf FILE``)."""
-    finder = argparse.ArgumentParser(prog=parser.prog, add_help=False)
-    finder.add_argument("--config", action="append", default=[])
-    paths = list(dict.fromkeys(finder.parse_known_args(argv)[0].config))
-    if len(paths) > 1:
-        raise ValueError(f"{paths[1]}: only one config file can be given")
-    extra = _load_config_file(paths[0]) if paths else []
-    return parser.parse_args(argv[:1] + extra + argv[1:])
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -163,7 +120,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
     report = run_gradcheck_suite(**_given(args))
     print(f"max relative error over {report.instances} instances: {report.max_rel_error:.3e}")
-    if report.max_rel_error < args.threshold:
+    if report.max_rel_error < PASS_BAR:
         print("gradcheck: PASS")
         return 0
     print("gradcheck: FAIL")
@@ -200,8 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
                                     argument_default=argparse.SUPPRESS)
     gradcheck.add_argument("--instances", type=_positive_int)
     gradcheck.add_argument("--seed", type=_non_negative_int)
-    gradcheck.add_argument("--epsilon", type=_positive_float, dest="eps", metavar="EPSILON")
-    gradcheck.add_argument("--threshold", type=float, default=1e-4)
     gradcheck.set_defaults(func=_cmd_gradcheck)
 
     return parser
@@ -209,14 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cli_main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    raw = list(argv) if argv is not None else sys.argv[1:]
     try:
-        args = _parse(parser, raw)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ValueError, OSError) as exc:   # a malformed or unreadable config file
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (DatasetFormatError, ValueError, OSError, RuntimeError) as exc:

@@ -281,7 +281,9 @@ def load_dataset(path: str | Path) -> DatasetBundle:
     anything else malformed raises DatasetFormatError naming the file and
     its first faulty line. Each file is parsed in one call and every rule is
     checked once, as a mask over the parsed rows; line numbers are worked out
-    only when a rule fails.
+    only when a rule fails. The features' finiteness is the bundle's check,
+    made last, so a non-finite feature in an otherwise valid features.csv is
+    named after any fault of labels.tsv.
     """
     root = Path(path)
     for name in ("meta", "edges.tsv", "features.csv", "labels.tsv"):
@@ -306,10 +308,15 @@ def load_dataset(path: str | Path) -> DatasetBundle:
     feats = _Table.read(root / "features.csv", np.float64, ",", f,
                         f"expected {f} values, got {{got}}", "non-numeric feature")
     features = feats.rows
-    lines_read = len(features) + (feats.fault is not None)
-    feats.check((np.arange(lines_read) >= n, lambda i: f"more than n={n} rows"),
-                (~np.isfinite(features), lambda i: "non-finite feature"))
-    if len(features) != n:
+
+    def non_finite():
+        return ~np.isfinite(features), lambda i: "non-finite feature"
+
+    if feats.fault is not None or len(features) != n:
+        # a non-finite value before the table's fault is named first
+        lines_read = len(features) + (feats.fault is not None)
+        feats.check((np.arange(lines_read) >= n, lambda i: f"more than n={n} rows"),
+                    non_finite())
         raise DatasetFormatError(f"{feats.path.name}: expected {n} rows, got {len(features)}")
 
     labels = _Table.read(root / "labels.tsv", np.int64, "\t", 2,
@@ -326,7 +333,13 @@ def load_dataset(path: str | Path) -> DatasetBundle:
     gold = np.full(n, UNLABELED, dtype=np.int64)
     gold[nodes] = classes
 
-    return DatasetBundle(graph, features, gold, c)
+    # the bundle's one pass over the features is the load's finiteness check;
+    # every other rule it applies holds by now
+    try:
+        return DatasetBundle(graph, features, gold, c)
+    except ValueError:
+        feats.check(non_finite())
+        raise
 
 
 def save_dataset(bundle: DatasetBundle, path: str | Path) -> None:

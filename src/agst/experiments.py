@@ -31,8 +31,8 @@ PROTOCOLS = ("balanced", "imbalanced", "standard20")
 SWEEP_AXES = ("lambda1", "lambda2", "beta_add", "beta_remove", "steps", "k")
 
 # Where each hyperparameter lives in an ExperimentSpec.  One name serves as
-# the command-line flag (with - for _), the config-file key and the sweep
-# axis; any other such name is an ExperimentSpec field of that name.
+# the command-line flag (with - for _) and the sweep axis; any other such
+# name is an ExperimentSpec field of that name.
 PARAMETERS = {
     **{name: f"config.lp.{name}" for name in ("alpha", "steps")},
     **{name: f"config.train.{name}" for name in (
@@ -222,6 +222,19 @@ def _dataset(spec: ExperimentSpec, bundle: DatasetBundle | None) -> DatasetBundl
 
 
 def run_experiment(spec: ExperimentSpec, bundle: DatasetBundle | None = None) -> Report:
+    """Evaluate ``spec.method`` on ``spec.runs`` independent repetitions.
+
+    Repetition r draws its split and its model from the seed ``spec.seed +
+    r``. ``bundle``, when given, is used in place of loading
+    ``spec.dataset``. When ``min(workers, runs)`` is above 1 the repetitions
+    run in a pool of that many processes, each at one BLAS thread; otherwise
+    they run in this process, at its own thread count, and a replay is
+    byte-exact only at a fixed one.
+
+    Returns a Report with one RunRecord per repetition in seed order, their
+    mean test accuracy and 95% half-width, the wall time of the
+    repetitions, and the configuration as a dict.
+    """
     bundle = _dataset(spec, bundle)
     seeds = [spec.seed + r for r in range(spec.runs)]
     started = time.perf_counter()

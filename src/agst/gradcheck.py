@@ -34,6 +34,8 @@ from .mlp import (
 # roundoff of one loss evaluation, in machine epsilons times |loss|; on
 # exactly-zero gradients of 1500 random tiny instances it was below 1
 ROUNDOFF_ULPS = 16
+# the largest relative error ``agst gradcheck`` passes, exclusive
+PASS_BAR = 1e-4
 
 
 def grad_check(

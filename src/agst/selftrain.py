@@ -89,6 +89,19 @@ def annotate(err: Exception, context: str) -> Exception:
 
 
 def run_agst(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig) -> RunResult:
+    """Run ``cfg.iterations`` teacher/student rounds on ``split``.
+
+    Round r trains a fresh student with ``student_rng(cfg.seed, r)`` on the
+    teacher's propagation over the graph rewired by round r - 1's plan (the
+    input graph in round 1). Every round plans a rewiring of the input graph,
+    but the last round's plan is only reported, in its ``IterationStats``
+    edge counts; no round trains on it.
+
+    Returns the per-round stats and the last round's parameters and
+    predictions, or, with ``cfg.report_best_iteration`` and a validation
+    set, those of the first round with the best validation accuracy. A
+    replay of the same inputs is byte-exact only at a fixed BLAS thread count.
+    """
     require_gold(bundle, split)
     original = bundle.graph
     current = original

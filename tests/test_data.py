@@ -210,6 +210,15 @@ class TestLoadDataset:
          "labels.tsv:2: duplicate label for node 1"),
         ("labels.tsv", "n=2\nf=1\nc=2", "", "0\n0", "0\t5\n1\tx\n",
          "labels.tsv:1: label 5 >= declared class count 2"),
+        ("features.csv", "n=2\nf=1\nc=1", "", "nan\n0\n0\n", "",
+         "features.csv:1: non-finite feature"),
+        ("features.csv", "n=3\nf=1\nc=1", "", "0\ninf\n", "",
+         "features.csv:2: non-finite feature"),
+        ("features.csv", "n=2\nf=2\nc=1", "", "0,-inf\n3\n", "",
+         "features.csv:1: non-finite feature"),
+        # the features' finiteness is checked last, after every other file
+        ("labels.tsv", "n=2\nf=1\nc=2", "", "nan\n0", "0\t5\n",
+         "labels.tsv:1: label 5 >= declared class count 2"),
     ])
     def test_error_names_file_and_line(self, tmp_path, name, meta, edges, features,
                                        labels, message):
