@@ -3,13 +3,14 @@ import json
 import re
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from agst import ExperimentSpec, Report, save_dataset, two_cluster_bundle
 from agst import cli
 from agst.cli import cli_main
 from agst.experiments import PARAMETERS, SWEEP_AXES, apply_axis
-from agst.gradcheck import GradCheckReport
+from agst.gradcheck import PASS_BAR, GradCheckReport
 
 
 @pytest.fixture
@@ -124,6 +125,15 @@ class TestSweepCommand:
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: sweep axis k takes integer values, got {float(value):g}\n")
+        assert not (dataset_dir / "sweep.csv").exists()
+
+    # run's test above holds the other removed options; sweep lost the file too
+    @pytest.mark.parametrize("argv", [["--config", "x.cfg"], ["--conf=x.cfg"]],
+                             ids=["config", "conf"])
+    def test_config_file_is_usage_error(self, dataset_dir, capsys, argv):
+        code = cli_main(["sweep", "--dataset", "cora", "--axis", "k", "--values", "1", *argv])
+        assert code == 2
+        assert "unrecognized arguments: " in capsys.readouterr().err
         assert not (dataset_dir / "sweep.csv").exists()
 
     def test_axis_required(self, dataset_dir):
@@ -328,6 +338,19 @@ class TestGradcheckCommand:
         assert calls == [expected]
         assert code == 1   # 1e-3 is above the pass bar
         assert "FAIL" in capsys.readouterr().out
+
+    # the bar is exclusive: an error just under it passes, the bar itself fails
+    @pytest.mark.parametrize("error, code, verdict", [
+        (0.0, 0, "PASS"),
+        (float(np.nextafter(PASS_BAR, 0.0)), 0, "PASS"),
+        (PASS_BAR, 1, "FAIL"),
+    ], ids=["zero", "under", "at"])
+    def test_pass_bar(self, monkeypatch, capsys, error, code, verdict):
+        monkeypatch.setattr(cli, "run_gradcheck_suite",
+                            lambda **kwargs: GradCheckReport(max_rel_error=error, instances=2))
+        assert cli_main(["gradcheck"]) == code
+        assert capsys.readouterr().out == (
+            f"max relative error over 2 instances: {error:.3e}\ngradcheck: {verdict}\n")
 
     @pytest.mark.parametrize("flag, value", [("--epsilon", "1e-6"), ("--threshold", "0.5")])
     def test_step_and_bar_are_not_flags(self, capsys, flag, value):

@@ -183,6 +183,19 @@ class TestGradCheckSuite:
         assert report.max_rel_error < 1e-4
         assert report.instances == 5
 
+    def test_step_reaches_every_instance(self, monkeypatch):
+        steps = []
+        check = gradcheck.grad_check
+
+        def recording_check(*args):
+            steps.append(args[-1])
+            return check(*args)
+
+        monkeypatch.setattr(gradcheck, "grad_check", recording_check)
+        report = run_gradcheck_suite(instances=2, seed=0, eps=1e-6)
+        assert steps == [1e-6, 1e-6]
+        assert report.max_rel_error < gradcheck.PASS_BAR
+
     def test_suite_is_deterministic(self):
         a = run_gradcheck_suite(instances=3, seed=7)
         b = run_gradcheck_suite(instances=3, seed=7)
