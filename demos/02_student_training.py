@@ -11,7 +11,6 @@ import numpy as np
 from agst import (
     LpConfig,
     TrainConfig,
-    feature_matrix,
     forward,
     make_split,
     normalize_adjacency,
@@ -28,8 +27,9 @@ op = normalize_adjacency(bundle.graph)
 soft = to_distribution(propagate_labels(op, bundle, split, LpConfig()))
 
 cfg = TrainConfig(patience=50)
-# the float64 matrix prediction reads; training reads it in float32
-x = feature_matrix(bundle.features)
+# the bundle's float64 features, which prediction reads; training reads them
+# in float32
+x = bundle.features
 params, trace = train_student(bundle, split, soft, cfg, np.random.default_rng(1), x)
 
 print(f"epochs run: {len(trace.records)}, best epoch: {trace.best_epoch}")

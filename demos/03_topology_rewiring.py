@@ -14,7 +14,6 @@ from agst import (
     TrainConfig,
     apply_augmentation,
     edge_probability,
-    feature_matrix,
     make_split,
     plan_augmentation,
     run_agst,
@@ -28,10 +27,9 @@ split = make_split(bundle, "balanced", seed=2, k=3, val_per_class=4)
 # one self-training round gives us a student to score pairs with
 agst_cfg = AgstConfig(train=TrainConfig(patience=30), iterations=1, seed=2)
 result = run_agst(bundle, split, agst_cfg)
-# probabilities as run_agst computes them: the weights and the feature matrix
-# in float64
-x = feature_matrix(bundle.features)
-_, p = forward(result.final_params.astype(np.float64), x)
+# probabilities as run_agst computes them: the weights and the bundle's
+# features in float64
+_, p = forward(result.final_params.astype(np.float64), bundle.features)
 
 edges = bundle.graph.edges
 probs = edge_probability(p, edges)

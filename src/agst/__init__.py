@@ -32,7 +32,6 @@ from .mlp import (
     TrainConfig,
     class_members,
     compute_prototypes,
-    feature_matrix,
     filter_pseudo_labels,
     forward,
     init_params,

@@ -12,13 +12,14 @@ Blank lines are skipped. ``load_dataset`` parses each table in one call and
 checks each rule once over the parsed rows; a fault raises
 DatasetFormatError naming the file and its first faulty line. A table whose
 every token is one ASCII digit, as ``save_dataset`` writes a binary
-bag-of-words table (lines such as ``0,1,0``), is read straight from its
-bytes; any other table takes numpy's parse, then the line-by-line parse.
+bag-of-words table (lines such as ``0,1,0``), is read from its bytes, a block
+of lines at a time, into the columns and digits of its nonzeros, with no
+dense copy; any other table takes numpy's parse, then the line-by-line parse.
 Every path gives the values the line-by-line parse gives. ``save_dataset``
 writes the same layout with ``np.savetxt``.
 
-Bundles hold the raw features; the student trains on ``mlp.feature_matrix``
-of them, and prediction is ``forward`` on that matrix.
+A bundle chooses dense or CSR storage for its features; the student trains
+on ``bundle.features``, and prediction is ``forward`` on it.
 
 ``convert_content_release`` maps the classic two-file citation release
 (``<stem>.content`` + ``<stem>.cites``) into this layout.
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from .graph import SparseGraph
 
@@ -43,6 +45,9 @@ log = logging.getLogger(__name__)
 UNLABELED = -1
 # the imbalanced protocol's test-set size, and its tries at covering every class
 IMBALANCED_TEST_SIZE, MAX_RESAMPLE = 1000, 1000
+# lines of a one-digit table read at a time into one buffer (733 KB at f = 1433):
+# reading a whole file at once maps a fresh buffer its size on every load
+BLOCK_LINES = 256
 
 
 class DatasetFormatError(ValueError):
@@ -54,18 +59,33 @@ class DatasetBundle:
     """A graph with node features and (possibly partial) gold labels."""
 
     graph: SparseGraph
-    features: np.ndarray          # (n, f) float64
+    # (n, f) float64 from a dense or scipy sparse input: canonical CSR (sorted,
+    # no duplicate or zero entry) at over 500k entries under 1/4 nonzero, else dense
+    features: np.ndarray | sparse.csr_array
     gold: np.ndarray              # (n,) int64, UNLABELED where unknown
     num_classes: int
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        x, is_csr = self.features, sparse.issparse(self.features)
+        if is_csr:
+            x = sparse.csr_array(x, dtype=np.float64, copy=True)
+            x.sum_duplicates()
+            x.eliminate_zeros()
+        else:
+            x = np.asarray(x, dtype=np.float64)
         self.gold = np.asarray(self.gold, dtype=np.int64)
         n = self.graph.n
-        if self.features.ndim != 2 or self.features.shape[0] != n:
-            raise ValueError(f"features must be (n, f) with n={n}, got {self.features.shape}")
-        if not np.isfinite(self.features).all():
+        if x.ndim != 2 or x.shape[0] != n:
+            raise ValueError(f"features must be (n, f) with n={n}, got {x.shape}")
+        if not np.isfinite(x.data if is_csr else x).all():
             raise ValueError("features must be finite (found nan or inf)")
+        # bag-of-words tables are mostly zeros, and the two x-side products
+        # dominate a student epoch, so CSR pays off there
+        entries = x.shape[0] * x.shape[1]
+        wants_csr = entries > 500_000 and (x.nnz if is_csr else np.count_nonzero(x)) < entries / 4
+        if wants_csr != is_csr:
+            x = sparse.csr_array(x) if wants_csr else x.toarray()
+        self.features = x
         if self.gold.shape != (n,):
             raise ValueError(f"gold labels must have shape ({n},)")
         known = self.gold[self.gold != UNLABELED]
@@ -151,31 +171,47 @@ def _read_meta(path: Path) -> dict[str, int]:
     return values
 
 
-def _one_digit_table(fh, delimiter: str, width: int) -> np.ndarray | None:
-    r"""The (lines, width) uint8 digits of the binary file ``fh`` if every
-    token in it is one ASCII digit, each line holding ``width`` of them, else
-    None.
+def _one_digit_csr(fh, delimiter: str, width: int) -> sparse.csr_array | None:
+    r"""The (lines, width) float64 CSR array of the binary file ``fh`` if
+    every token in it is one ASCII digit, each line holding ``width`` of
+    them, else None.
 
     Such a table is a whole number of lines of 2 * ``width`` bytes: a digit
     at every even offset, the delimiter at every odd one but the last of a
-    line, which is ``\n`` (the file's last ``\n`` may be missing). The whole
-    file is read only if every even byte of its first 4 KiB is a digit, so
-    other tables are refused there; CRLF, a BOM, blanks, blank lines, signs
-    and multi-digit tokens all break the layout.
+    line, which is ``\n`` (the file's last ``\n`` may be missing). The file
+    is read only if every even byte of its first 4 KiB is a digit, so other
+    tables are refused there; CRLF, a BOM, blanks, blank lines, signs and
+    multi-digit tokens all break the layout. It is read ``BLOCK_LINES`` lines
+    at a time. Each token and the byte after it make one little-endian
+    uint16; those other than "0" and its delimiter are checked and kept as the
+    nonzeros, in the row-major order of canonical CSR.
     """
     if not fh.peek(4096)[:4096:2].isdigit():   # nor is an empty file such a table
         return None
-    raw = fh.read()
     step = 2 * width
-    lines = -(-len(raw) // step)
-    if len(raw) < lines * step - 1:
-        return None
-    grid = np.frombuffer(raw.ljust(lines * step, b"\n"), dtype=np.uint8).reshape(lines, step)
-    digits = grid[:, 0::2] - ord("0")     # a byte below "0" wraps past 9
-    if (digits.max() > 9 or not (grid[:, 1:-1:2] == ord(delimiter)).all()
-            or not (grid[:, -1] == ord("\n")).all()):
-        return None
-    return digits
+    ends = np.full(width, ord(delimiter), dtype=np.uint16)
+    ends[-1] = ord("\n")
+    zero = ord("0") | ends << 8
+    buf = np.empty(BLOCK_LINES * step, dtype=np.uint8)
+    blocks = []
+    while got := fh.readinto(buf):
+        lines = -(-got // step)
+        if got < lines * step - 1:
+            return None
+        if got % step:
+            buf[got] = ord("\n")             # the file's last "\n" may be missing
+        pairs = buf[:lines * step].view("<u2").reshape(lines, width)
+        hits = np.flatnonzero(pairs != zero)
+        pair, column = pairs.ravel()[hits], hits % width
+        digit = (pair & 0xFF) - ord("0")      # a byte below "0" wraps past 9
+        if digit.max(initial=0) > 9 or not ((pair >> 8) == ends[column]).all():
+            return None
+        blocks.append((digit, column, np.bincount(hits // width, minlength=lines)))
+    digits, columns, counts = map(np.concatenate, zip(*blocks))
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    index = sparse.get_index_dtype(maxval=max(indptr[-1], width))
+    return sparse.csr_array((digits.astype(np.float64), columns.astype(index),
+                             indptr.astype(index)), shape=(len(indptr) - 1, width))
 
 
 @dataclass
@@ -183,7 +219,7 @@ class _Table:
     """The non-blank lines of one dataset file as the rows of an array."""
 
     path: Path
-    rows: np.ndarray
+    rows: np.ndarray | sparse.csr_array     # CSR only for a one-digit float table
     fault: str | None     # why the line after the last row did not parse
 
     @classmethod
@@ -194,11 +230,12 @@ class _Table:
         Values parse exactly as ``parse`` parses them: ``int`` for an integer
         ``dtype``, else ``float``.  Three paths are tried in turn:
 
-        1. A one-digit table (``_one_digit_table``) is its bytes minus
-           ``"0"``, cast to ``dtype``. That is exact: ``int`` and ``float``
-           read a one-digit token to that digit, no token has a sign (so no
-           ``-0``), and each line has ``width`` tokens with no blank line
-           between, so the rows are those the line parse gives.
+        1. A one-digit table (``_one_digit_csr``) is its bytes minus
+           ``"0"``: float64 CSR for a float ``dtype``, else dense in
+           ``dtype``. That is exact: ``int`` and ``float`` read a one-digit
+           token to that digit, no token has a sign (so no ``-0``), and each
+           line has ``width`` tokens with no blank line between, so the rows
+           are those the line parse gives.
         2. One ``np.loadtxt`` call over the non-blank lines. Older numpy
            reads a non-integer such as ``2.7`` as an integer with only a
            DeprecationWarning; that warning is made an error, so the value
@@ -214,14 +251,15 @@ class _Table:
         text, decoded as ``open`` decodes it, so it gives the same values or
         the same fault as it would without the first path.
         """
+        integer = np.issubdtype(dtype, np.integer)
         with path.open("rb") as fh:
-            digits = _one_digit_table(fh, delimiter, width)
-            if digits is not None:
-                return cls(path, digits.astype(dtype), None)
+            table = _one_digit_csr(fh, delimiter, width)
+            if table is not None:
+                return cls(path, table.toarray().astype(dtype) if integer else table, None)
             fh.seek(0)      # the test may have read the whole file
             # the text itself is not kept: ``check`` reads the file again on a fault
             lines = list(filter(None, map(str.strip, io.TextIOWrapper(fh))))
-        parse = int if np.issubdtype(dtype, np.integer) else float
+        parse = int if integer else float
         if lines:
             try:
                 with warnings.catch_warnings():
@@ -307,17 +345,18 @@ def load_dataset(path: str | Path) -> DatasetBundle:
 
     feats = _Table.read(root / "features.csv", np.float64, ",", f,
                         f"expected {f} values, got {{got}}", "non-numeric feature")
-    features = feats.rows
+    features, rows = feats.rows, feats.rows.shape[0]
 
-    def non_finite():
-        return ~np.isfinite(features), lambda i: "non-finite feature"
+    def non_finite():   # a CSR table holds digits only
+        mask = np.zeros(rows, bool) if sparse.issparse(features) else ~np.isfinite(features)
+        return mask, lambda i: "non-finite feature"
 
-    if feats.fault is not None or len(features) != n:
+    if feats.fault is not None or rows != n:
         # a non-finite value before the table's fault is named first
-        lines_read = len(features) + (feats.fault is not None)
+        lines_read = rows + (feats.fault is not None)
         feats.check((np.arange(lines_read) >= n, lambda i: f"more than n={n} rows"),
                     non_finite())
-        raise DatasetFormatError(f"{feats.path.name}: expected {n} rows, got {len(features)}")
+        raise DatasetFormatError(f"{feats.path.name}: expected {n} rows, got {rows}")
 
     labels = _Table.read(root / "labels.tsv", np.int64, "\t", 2,
                          "expected node<TAB>class", "non-integer entry")
@@ -350,7 +389,8 @@ def save_dataset(bundle: DatasetBundle, path: str | Path) -> None:
         f"n={bundle.n}\nf={bundle.num_features}\nc={bundle.num_classes}\n"
     )
     np.savetxt(root / "edges.tsv", bundle.graph.edges, fmt="%d", delimiter="\t")
-    np.savetxt(root / "features.csv", bundle.features, fmt="%.17g", delimiter=",")
+    dense = bundle.features.toarray() if sparse.issparse(bundle.features) else bundle.features
+    np.savetxt(root / "features.csv", dense, fmt="%.17g", delimiter=",")
     labeled = bundle.labeled_nodes()
     np.savetxt(root / "labels.tsv", np.column_stack([labeled, bundle.gold[labeled]]),
                fmt="%d", delimiter="\t")

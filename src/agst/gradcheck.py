@@ -7,9 +7,8 @@ direct product x @ mw1, stay frozen at their current values (they are
 constants of the gradient by design), and dropout is off.  The round's
 inputs come from ``mlp.round_inputs``, as in training.  It works in
 float64 whatever the student's dtype: on a float64 copy of the parameters,
-so the caller's arrays are never written,
-and on ``mlp.feature_matrix(bundle.features)``, the float64 matrix that
-prediction reads and that training reads cast to float32.
+so the caller's arrays are never written, and on ``bundle.features``, the
+float64 matrix that prediction reads and training reads cast to float32.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .propagation import SoftLabels
 from .mlp import (
     StudentParams,
     TrainConfig,
-    feature_matrix,
     init_params,
     joint_objective,
     pseudo_targets,
@@ -58,7 +56,7 @@ def grad_check(
     if not 0.0 < eps < np.inf:
         raise ValueError(f"eps must be finite and > 0, got {eps}")
     params = params.astype(np.float64)
-    x = feature_matrix(bundle.features)
+    x = bundle.features
     unlabeled, hard, targets, members = round_inputs(bundle, split, soft, cfg, np.float64)
     protos, pls = pseudo_targets(params, x @ params.mw1, members, unlabeled, hard, cfg)
 

@@ -81,7 +81,7 @@ def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     """Consecutive views of ``flat`` in ``shapes``."""
     views, start = [], 0
     for shape in shapes:
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         views.append(flat[start:start + size].reshape(shape))
         start += size
     return views
@@ -132,7 +132,7 @@ def init_params(
     encoder starts as a copy.  The weights are drawn in float64 and cast, so
     the generator's stream does not depend on the dtype."""
     dims = (num_features, hidden, num_classes)
-    sizes = [int(np.prod(shape)) for shape in param_shapes(*dims)]
+    sizes = [math.prod(shape) for shape in param_shapes(*dims)]
     params = StudentParams(np.zeros(sum(sizes), STUDENT_DTYPE),
                            np.empty(sum(sizes[:len(MOMENTUM_NAMES)]), STUDENT_DTYPE), dims)
     for name in ("w1", "w2", "w3"):
@@ -537,17 +537,6 @@ class TrainTrace:
     best_epoch: int | None = None
 
 
-def feature_matrix(features: np.ndarray) -> np.ndarray | sparse.csr_array:
-    """The float64 matrix the student reads: ``features``, stored as CSR when
-    the matrix is large and mostly zeros.  Prediction reads it as it is,
-    training in ``STUDENT_DTYPE``."""
-    # binary/bag-of-words feature matrices are mostly zeros; the two x-side
-    # matmuls dominate an epoch, so switch representation when it pays off
-    if features.size > 500_000 and np.count_nonzero(features) < 0.25 * features.size:
-        return sparse.csr_array(features)
-    return features
-
-
 def round_inputs(bundle: DatasetBundle, split: SplitSpec, soft: SoftLabels, cfg: TrainConfig,
                  dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray] | None]:
     """What a round's objective reads of the split and the teacher besides
@@ -653,8 +642,8 @@ def train_student(
     restored (accuracy ties broken by lower validation loss).  Without a
     validation set a fixed budget of ``no_val_epochs`` epochs runs.
 
-    ``x`` is ``feature_matrix(bundle.features)``, dense or CSR, in any float
-    dtype; training reads it in ``STUDENT_DTYPE``.  ``rng`` draws the initial
+    ``x`` is ``bundle.features``, dense or CSR, or the same matrix in another
+    float dtype; training reads it in ``STUDENT_DTYPE``.  ``rng`` draws the initial
     weights and the dropout.
     Every epoch writes into one ``EpochWorkspace`` built here, and the
     validation pass into another.  The validation loss is summed in float64.

@@ -3,9 +3,9 @@
 Each round propagates gold labels over the current graph, trains a fresh
 student on the resulting soft targets, then uses the student's predictions
 to rewire the PRISTINE input graph for the next round, so augmentations
-never compound.  The run builds one ``feature_matrix``: each round's student
-trains on it in float32, and the round's probabilities (the predictions and
-the rewiring plan's scores) come from one float64 ``forward`` on it.  The run
+never compound.  Each round's student trains on ``bundle.features`` in
+float32, and the round's probabilities (the predictions and the rewiring
+plan's scores) come from one float64 ``forward`` on it.  The run
 is deterministic given its seed; each round draws from ``student_rng``.
 """
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import DatasetBundle, SplitSpec, require_gold, require_integers
 from .graph import normalize_adjacency
-from .mlp import StudentParams, TrainConfig, TrainTrace, feature_matrix, forward, train_student
+from .mlp import StudentParams, TrainConfig, TrainTrace, forward, train_student
 from .propagation import LpConfig, propagate_labels, to_distribution
 from .rewiring import AugmentConfig, apply_augmentation, plan_augmentation
 
@@ -110,7 +110,6 @@ def run_agst(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig) -> RunRes
     best_preds: np.ndarray | None = None
     best_val = -np.inf
     test_gold = bundle.gold[split.test] if split.test.size else None
-    x = feature_matrix(bundle.features)
 
     for iteration in range(1, cfg.iterations + 1):
         started = time.perf_counter()
@@ -118,8 +117,8 @@ def run_agst(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig) -> RunRes
             op = normalize_adjacency(current)
             soft = to_distribution(propagate_labels(op, bundle, split, cfg.lp))
             rng = student_rng(cfg.seed, iteration)
-            params, trace = train_student(bundle, split, soft, cfg.train, rng, x)
-            _, probs = forward(params.astype(np.float64), x)
+            params, trace = train_student(bundle, split, soft, cfg.train, rng, bundle.features)
+            _, probs = forward(params.astype(np.float64), bundle.features)
             preds = np.argmax(probs, axis=1)
             plan = plan_augmentation(original, probs, cfg.augment)
             # the last round's plan is only reported; no round trains on it

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from agst import SoftLabels, TrainConfig, feature_matrix, make_split, mlp, two_cluster_bundle
+from agst import SoftLabels, TrainConfig, make_split, mlp, two_cluster_bundle
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 ABSENT = {"agst.rewiring.generate_candidates"}
@@ -47,9 +47,9 @@ def test_each_student_epoch_reaches_the_per_epoch_targets(tmp_path):
     split = make_split(bundle, "balanced", seed=3, k=3, val_per_class=4)
     soft = SoftLabels(np.eye(2)[bundle.gold] * 0.8 + 0.1, normalized=True)
     cfg = TrainConfig(max_epochs=6, patience=10)
-    x = feature_matrix(bundle.features)
     with spans.Tracer(tmp_path) as tracer:
-        _, trace = mlp.train_student(bundle, split, soft, cfg, np.random.default_rng(3), x)
+        _, trace = mlp.train_student(bundle, split, soft, cfg, np.random.default_rng(3),
+                                     bundle.features)
     recorded = tracer.collect()
     epochs = len(trace.records)
     assert epochs == 6

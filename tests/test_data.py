@@ -1,11 +1,13 @@
 import math
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from scipy import sparse
 
 from agst import (
     DatasetBundle,
@@ -18,6 +20,7 @@ from agst import (
     save_dataset,
     two_cluster_bundle,
 )
+from agst.data import BLOCK_LINES
 
 import reference
 from conftest import make_bundle, random_graph_edges
@@ -306,14 +309,22 @@ class TestLoadDataset:
             features = load_dataset(root).features
         assert features.tobytes() == np.array(expected, dtype=np.float64).tobytes()
 
-    def test_bundle_rejects_non_finite_features(self):
-        features = np.array([[0.0, np.inf], [1.0, 2.0]])
-        with pytest.raises(ValueError, match="finite"):
+    @pytest.mark.parametrize("features", [
+        np.array([[0.0, np.inf], [1.0, 2.0]]),
+        sparse.csr_array(np.array([[0.0, np.inf], [1.0, 2.0]])),
+        sparse.coo_array((np.array([np.nan, 1.0]), ([1, 0], [0, 1])), shape=(2, 2)),
+        # stored duplicates that sum to nan
+        sparse.coo_array((np.array([np.inf, -np.inf]), ([0, 0], [1, 1])), shape=(2, 2)),
+    ], ids=["dense", "csr", "coo", "duplicates"])
+    def test_bundle_rejects_non_finite_features(self, features):
+        with pytest.raises(ValueError, match=r"^features must be finite \(found nan or inf\)$"):
             DatasetBundle(SparseGraph(2, [[0, 1]]), features, np.array([0, -1]), 1)
 
     @pytest.mark.parametrize("features, gold, message", [
         (np.zeros(2), [0, 1], r"features must be \(n, f\) with n=2, got \(2,\)"),
         (np.zeros((3, 1)), [0, 1], r"features must be \(n, f\) with n=2, got \(3, 1\)"),
+        (sparse.csr_array((3, 5)), [0, 1], r"features must be \(n, f\) with n=2, got \(3, 5\)"),
+        (sparse.coo_array((1, 4)), [0, 1], r"features must be \(n, f\) with n=2, got \(1, 4\)"),
         (np.zeros((2, 1)), [0, 1, 1], r"gold labels must have shape \(2,\)"),
         (np.zeros((2, 1)), [0, 2], r"gold label outside \[0, num_classes\)"),
         (np.zeros((2, 1)), [-2, 1], r"gold label outside \[0, num_classes\)"),
@@ -355,6 +366,163 @@ class TestRoundTrip:
         for name in ("meta", "edges.tsv", "features.csv", "labels.tsv"):
             assert ((tmp_path / "ours" / name).read_bytes()
                     == (tmp_path / "reference" / name).read_bytes()), name
+
+
+def digit_table_bytes(grid: np.ndarray, newline: bytes = b"\n") -> bytes:
+    """The table of one-digit ``grid`` as ``save_dataset`` writes it, each
+    line ending in ``newline``."""
+    text = np.full((grid.shape[0], 2 * grid.shape[1]), ord(","), dtype=np.uint8)
+    text[:, 0::2] = grid + ord("0")
+    text[:, -1] = ord("\n")
+    return text.tobytes().replace(b"\n", newline)
+
+
+def digit_dataset(root: Path, grid: np.ndarray, newline: bytes = b"\n") -> Path:
+    """A dataset directory with ``grid`` as its features, one edge, no labels."""
+    n, f = grid.shape
+    write_dataset_dir(root, f"n={n}\nf={f}\nc=1", "0\t1\n" if n > 1 else "", "", "")
+    (root / "features.csv").write_bytes(digit_table_bytes(grid, newline))
+    return root
+
+
+def digit_grid(seed: int, n: int, f: int, density: float) -> np.ndarray:
+    """An n x f grid of digits, about ``density`` of them nonzero, led by the
+    digits 1-9 in row-major order."""
+    rng = np.random.default_rng(seed)
+    grid = np.where(rng.random((n, f)) < density, rng.integers(1, 10, (n, f)), 0)
+    lead = min(9, grid.size)
+    grid.flat[:lead] = np.arange(1, lead + 1)
+    return grid.astype(np.uint8)
+
+
+def as_dense(features) -> np.ndarray:
+    return features.toarray() if sparse.issparse(features) else features
+
+
+class TestSparseFeatures:
+    """A large, mostly-zero feature table is a canonical float64 CSR array,
+    from the file and from memory."""
+
+    # 400 x 1433 = 573k entries, past the bundle's 500k
+    N, F = 400, 1433
+
+    def test_one_digit_table_loads_as_the_text_path_reads_it(self, tmp_path, monkeypatch):
+        grid = digit_grid(1, self.N, self.F, 0.05)
+        parsed = []
+        real_loadtxt = np.loadtxt
+
+        def recording_loadtxt(lines, dtype, **kwargs):
+            parsed.append(np.dtype(dtype))
+            return real_loadtxt(lines, dtype=dtype, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", recording_loadtxt)
+        lf = load_dataset(digit_dataset(tmp_path / "lf", grid)).features
+        assert np.dtype(np.float64) not in parsed     # read from its bytes
+        crlf = load_dataset(digit_dataset(tmp_path / "crlf", grid, b"\r\n")).features
+        assert np.dtype(np.float64) in parsed         # CRLF takes the float parse
+        assert isinstance(lf, sparse.csr_array) and lf.dtype == np.float64
+        assert lf.has_canonical_format and np.all(lf.data != 0)
+        assert np.array_equal(lf.toarray(), crlf.toarray())
+        assert np.array_equal(lf.toarray(), grid.astype(np.float64))
+        # the arrays the bundle makes from the text path's dense table
+        for name in ("data", "indices", "indptr"):
+            ours, theirs = getattr(lf, name), getattr(crlf, name)
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda row, j: row[:2 * j] + b"x" + row[2 * j + 1:], "non-numeric feature"),
+        (lambda row, j: row[:2 * j] + row[2 * j + 2:], "expected 1433 values, got 1432"),
+        (lambda row, j: row[:2 * j] + b"1,1" + row[2 * j + 1:], "expected 1433 values, got 1434"),
+        (lambda row, j: row[:2 * j] + b"12" + row[2 * j + 1:], None),
+    ], ids=["letter", "missing token", "extra token", "two digits"])
+    def test_a_fault_in_a_later_block_reads_as_the_line_rules(self, tmp_path, edit, message):
+        # row 700 lies in the third block of lines and 2 MB past the first 4 KiB
+        grid = digit_grid(2, self.N + 400, self.F, 0.02)
+        root = digit_dataset(tmp_path / "d", grid)
+        lines = (root / "features.csv").read_bytes().split(b"\n")
+        lines[699] = edit(lines[699], 5)
+        (root / "features.csv").write_bytes(b"\n".join(lines))
+        if message is not None:
+            with pytest.raises(DatasetFormatError, match=rf"^features\.csv:700: {message}$"):
+                load_dataset(root)
+            return
+        expected = grid.astype(np.float64)
+        expected[699, 5] = 12.0
+        assert np.array_equal(as_dense(load_dataset(root).features), expected)
+
+    @pytest.mark.parametrize("rows", [1, BLOCK_LINES - 1, BLOCK_LINES, BLOCK_LINES + 1,
+                                      2 * BLOCK_LINES])
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_a_table_ending_at_or_near_a_block_boundary(self, tmp_path, rows, final_newline):
+        grid = digit_grid(5, rows, 3, 0.5)
+        root = digit_dataset(tmp_path / "d", grid)
+        if not final_newline:
+            (root / "features.csv").write_bytes((root / "features.csv").read_bytes()[:-1])
+        assert np.array_equal(as_dense(load_dataset(root).features), grid)
+
+    def test_a_table_over_a_quarter_nonzero_stays_dense(self, tmp_path):
+        grid = digit_grid(3, self.N, self.F, 0.3)
+        features = load_dataset(digit_dataset(tmp_path / "d", grid)).features
+        assert isinstance(features, np.ndarray) and features.dtype == np.float64
+        assert np.array_equal(features, grid.astype(np.float64))
+
+    def test_loading_makes_no_dense_float_copy(self, tmp_path):
+        # Cora's shape at 1.2% nonzero: a dense float64 copy alone is n f 8 bytes
+        n, f = 2708, 1433
+        root = digit_dataset(tmp_path / "d", digit_grid(4, n, f, 0.012))
+        tracemalloc.start()
+        try:
+            features = load_dataset(root).features
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sparse.issparse(features)
+        assert peak < n * f * 8 / 4, f"peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("layout", ["coo", "csc", "csr", "csr_matrix"])
+    def test_any_sparse_input_becomes_canonical_float64_csr(self, layout):
+        # duplicate entries sum, explicit and summed-away zeros go
+        rows = np.array([5, 0, 5, 3, 3, 9, 7, 7])
+        cols = np.array([2, 7, 2, 1, 4, 0, 3, 3])
+        vals = np.array([1, 2, 3, 0, 4, 5, 6, -6], dtype=np.int64)
+        coo = sparse.coo_array((vals, (rows, cols)), shape=(self.N, self.F))
+        given = {"coo": coo, "csc": coo.tocsc(), "csr": sparse.csr_array(coo),
+                 "csr_matrix": sparse.csr_matrix(coo)}[layout]
+        expected = np.zeros((self.N, self.F))
+        np.add.at(expected, (rows, cols), vals)
+        bundle = DatasetBundle(SparseGraph(self.N, [[0, 1]]), given,
+                               np.zeros(self.N, dtype=np.int64), 1)
+        x = bundle.features
+        assert isinstance(x, sparse.csr_array) and x.dtype == np.float64
+        assert x.has_canonical_format and x.nnz == 4 and np.all(x.data != 0)
+        assert np.array_equal(x.toarray(), expected)
+        assert np.array_equal(coo.data, vals)    # the caller's arrays are left as given
+
+    def test_small_or_dense_input_is_stored_dense(self):
+        small = sparse.coo_array((np.array([2.0]), ([1], [0])), shape=(3, 2))
+        bundle = DatasetBundle(SparseGraph(3, [[0, 1]]), small, np.zeros(3, dtype=np.int64), 1)
+        assert isinstance(bundle.features, np.ndarray)
+        assert bundle.features.tolist() == [[0.0, 0.0], [2.0, 0.0], [0.0, 0.0]]
+        dense = sparse.csr_array(np.ones((self.N, self.F)))
+        bundle = DatasetBundle(SparseGraph(self.N, [[0, 1]]), dense,
+                               np.zeros(self.N, dtype=np.int64), 1)
+        assert isinstance(bundle.features, np.ndarray) and bundle.features.sum() == self.N * self.F
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 420), f=st.integers(1, 1500), density=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=400, f=1433, density=0.05, seed=0)       # stored as CSR
+    @example(n=400, f=1433, density=0.3, seed=0)        # as many entries, stored dense
+    def test_saved_digit_grids_load_back_equal(self, n, f, density, seed):
+        grid = np.where(np.random.default_rng(seed).random((n, f)) < density,
+                        np.random.default_rng(seed + 1).integers(1, 10, (n, f)), 0)
+        bundle = DatasetBundle(SparseGraph(n, []), grid, np.zeros(n, dtype=np.int64), 1)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_dataset(bundle, Path(tmp) / "d")
+            back = load_dataset(Path(tmp) / "d").features
+        assert sparse.issparse(back) == sparse.issparse(bundle.features)
+        assert np.array_equal(as_dense(back), as_dense(bundle.features))
+        assert np.array_equal(as_dense(back), grid)
 
 
 class TestMakeSplit:

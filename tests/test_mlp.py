@@ -27,7 +27,6 @@ from agst.mlp import (
     Adam,
     EpochWorkspace,
     PseudoLabelSet,
-    feature_matrix,
     joint_objective,
     pseudo_targets,
     softmax,
@@ -581,10 +580,9 @@ def toy_training_setup(seed=0, noise=0.0, val_per_class=4):
 
 
 def fit(bundle, split, soft, cfg, seed=0, x=None):
-    """``train_student`` on ``x``, by default the float64 matrix run_agst
-    passes, with a generator seeded by ``seed``."""
-    if x is None:
-        x = feature_matrix(bundle.features)
+    """``train_student`` on ``x``, by default ``bundle.features`` as run_agst
+    passes it, with a generator seeded by ``seed``."""
+    x = bundle.features if x is None else x
     return train_student(bundle, split, soft, cfg, np.random.default_rng(seed), x)
 
 
@@ -741,10 +739,10 @@ class TestTrainStudent:
                 grad_check(params, bundle, split, soft, cfg)
 
     def test_prepared_features_give_identical_parameters(self):
-        # the float64 feature_matrix and its cast to the student's dtype
+        # the bundle's float64 features and their cast to the student's dtype
         bundle, split, uniform = toy_training_setup(seed=3)
         cfg = TrainConfig(patience=5)
-        x = feature_matrix(bundle.features)
+        x = bundle.features
         own, _ = fit(bundle, split, uniform, cfg, seed=3, x=x)
         given, _ = fit(bundle, split, uniform, cfg, seed=3, x=x.astype(STUDENT_DTYPE))
         for name in ("w1", "b1", "w2", "b2", "w3", "b3", "mw1", "mb1", "mw2", "mb2"):
@@ -773,10 +771,9 @@ class TestTrainStudent:
         soft = SoftLabels(np.full((n, 2), 0.5), normalized=True)
         cfg = TrainConfig(dropout=0.0, patience=2, max_epochs=30)
 
-        x = feature_matrix(bundle.features)
-        assert sp.issparse(x)
-        p_sparse, t_sparse = fit(bundle, split, soft, cfg, seed=6, x=x)
-        p_dense, t_dense = fit(bundle, split, soft, cfg, seed=6, x=bundle.features)
+        assert sp.issparse(bundle.features)
+        p_sparse, t_sparse = fit(bundle, split, soft, cfg, seed=6)
+        p_dense, t_dense = fit(bundle, split, soft, cfg, seed=6, x=bundle.features.toarray())
 
         assert len(t_sparse.records) == len(t_dense.records)
         assert p_sparse.w1.dtype == p_dense.w1.dtype == STUDENT_DTYPE

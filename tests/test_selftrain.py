@@ -21,7 +21,6 @@ from agst import (
     two_cluster_bundle,
 )
 from agst.experiments import METHODS, method_config
-from agst.mlp import feature_matrix
 from agst.selftrain import annotate, student_rng
 
 from conftest import make_bundle
@@ -35,7 +34,7 @@ def toy_setup(seed=0, noise=0.0):
 
 def hard_labels(params, x):
     """Prediction as run_agst makes it: argmax of a float64 forward, on
-    ``feature_matrix`` when it is to equal run_agst's."""
+    ``bundle.features`` when it is to equal run_agst's."""
     return np.argmax(forward(params.astype(np.float64), x)[1], axis=1)
 
 
@@ -59,7 +58,7 @@ class TestRunAgst:
 
         op = normalize_adjacency(bundle.graph)
         soft = to_distribution(propagate_labels(op, bundle, split, cfg.lp))
-        x = feature_matrix(bundle.features)
+        x = bundle.features
         params, _ = train_student(bundle, split, soft, cfg.train, student_rng(cfg.seed, 1), x)
         assert np.array_equal(result.final_params.w1, params.w1)
         assert np.array_equal(result.final_params.w3, params.w3)
@@ -119,7 +118,7 @@ class TestRunAgst:
                                 bundle.num_classes)
         op = normalize_adjacency(rewired)
         soft = to_distribution(propagate_labels(op, bundle2, split, cfg.lp))
-        x = feature_matrix(bundle.features)
+        x = bundle.features
         params, _ = train_student(bundle2, split, soft, cfg.train, student_rng(cfg.seed, 2), x)
         assert np.array_equal(result.final_params.w1, params.w1)
         assert np.array_equal(result.final_params.b3, params.b3)
@@ -166,7 +165,7 @@ class TestRunAgst:
         bundle, split = toy_setup(seed=7, noise=0.2)
         cfg = quick_cfg(iterations=2, seed=7, report_best_iteration=best)
         result = run_agst(bundle, split, cfg)
-        x = feature_matrix(bundle.features)
+        x = bundle.features
         assert np.array_equal(result.predictions, hard_labels(result.final_params, x))
 
     def test_best_iteration_selection(self):
@@ -250,7 +249,7 @@ class TestSplitNodeIds:
                 run_agst(bundle, split, quick_cfg(iterations=1))
             elif entry == "train_student":
                 train_student(bundle, split, soft, cfg, np.random.default_rng(0),
-                              feature_matrix(bundle.features))
+                              bundle.features)
             elif entry == "grad_check":
                 grad_check(params, bundle, split, soft, cfg)
             else:
@@ -268,16 +267,16 @@ class TestPredict:
         for name in ("w1", "b1", "w2", "b2", "w3"):
             getattr(params, name)[:] = 0.0
         params.b3[:] = [0.0, 0.0, 5.0]
-        assert np.all(hard_labels(params, feature_matrix(bundle.features)) == 2)
+        assert np.all(hard_labels(params, bundle.features) == 2)
 
     def test_rowwise_independence_under_permutation(self):
         from agst import init_params
 
         bundle, _ = toy_setup(seed=10)
         params = init_params(bundle.num_features, 2, 8, np.random.default_rng(1))
-        preds = hard_labels(params, feature_matrix(bundle.features))
+        preds = hard_labels(params, bundle.features)
         perm = np.random.default_rng(2).permutation(bundle.n)
-        permuted = feature_matrix(bundle.features[perm])
+        permuted = bundle.features[perm]
         assert np.array_equal(hard_labels(params, permuted), preds[perm])
 
     def test_toy_pipeline_agrees_with_gold(self):
