@@ -16,11 +16,11 @@ from .experiments import (
     ExperimentSpec,
     run_experiment,
     run_sweep,
-    single_blas_thread,
     with_parameters,
     write_sweep_csv,
 )
 from .gradcheck import PASS_BAR, run_gradcheck_suite
+from .selftrain import single_blas_thread
 
 log = logging.getLogger(__name__)
 

@@ -46,7 +46,8 @@ UNLABELED = -1
 # the imbalanced protocol's test-set size, and its tries at covering every class
 IMBALANCED_TEST_SIZE, MAX_RESAMPLE = 1000, 1000
 # lines of a one-digit table read at a time into one buffer (733 KB at f = 1433):
-# reading a whole file at once maps a fresh buffer its size on every load
+# reading a whole file at once maps a fresh buffer its size on every load; also
+# the rows save_dataset makes dense at a time
 BLOCK_LINES = 256
 
 
@@ -389,8 +390,13 @@ def save_dataset(bundle: DatasetBundle, path: str | Path) -> None:
         f"n={bundle.n}\nf={bundle.num_features}\nc={bundle.num_classes}\n"
     )
     np.savetxt(root / "edges.tsv", bundle.graph.edges, fmt="%d", delimiter="\t")
-    dense = bundle.features.toarray() if sparse.issparse(bundle.features) else bundle.features
-    np.savetxt(root / "features.csv", dense, fmt="%.17g", delimiter=",")
+    features = bundle.features
+    with open(root / "features.csv", "wb") as fh:
+        # BLOCK_LINES rows at a time: a CSR table is never made dense whole
+        for start in range(0, bundle.n, BLOCK_LINES):
+            rows = features[start:start + BLOCK_LINES]
+            np.savetxt(fh, rows.toarray() if sparse.issparse(rows) else rows,
+                       fmt="%.17g", delimiter=",")
     labeled = bundle.labeled_nodes()
     np.savetxt(root / "labels.tsv", np.column_stack([labeled, bundle.gold[labeled]]),
                fmt="%d", delimiter="\t")

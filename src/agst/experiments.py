@@ -9,20 +9,18 @@ pool; aggregation does not depend on completion order.
 from __future__ import annotations
 
 import csv
-import ctypes
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import reduce
-from pathlib import Path
 
 import numpy as np
 
 from .data import DatasetBundle, load_dataset, make_split, require_integers
 from .graph import normalize_adjacency
 from .propagation import propagate_labels
-from .selftrain import AgstConfig, annotate, run_agst
+from .selftrain import AgstConfig, annotate, run_agst, single_blas_thread
 
 log = logging.getLogger(__name__)
 
@@ -164,43 +162,6 @@ def run_single(bundle: DatasetBundle, spec: ExperimentSpec, run_seed: int) -> Ru
 
 
 _WORKER: dict = {}
-
-# thread-count setters of OpenBLAS builds: numpy's and scipy's wheels prefix
-# them with scipy_, 64-bit-integer builds add a 64_ suffix
-_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                     "openblas_set_num_threads64_", "openblas_set_num_threads")
-
-
-def _openblas_libraries() -> dict[str, ctypes.CDLL]:
-    """Every OpenBLAS mapped into this process, by library path; empty where
-    the process's memory map cannot be read (outside Linux)."""
-    try:
-        maps = Path("/proc/self/maps").read_text()
-    except OSError:
-        return {}
-    # fields: address perms offset dev inode pathname (which may hold spaces)
-    paths = {fields[5] for fields in (line.split(maxsplit=5) for line in maps.splitlines())
-             if len(fields) == 6 and "openblas" in fields[5].lower()}
-    libraries = {}
-    for path in sorted(paths):
-        try:
-            libraries[path] = ctypes.CDLL(path)
-        except OSError:
-            continue
-    return libraries
-
-
-def single_blas_thread() -> None:
-    """Set every loaded OpenBLAS that exports a thread-count setter to one
-    thread: on this program's small matrices a second thread only spins."""
-    for handle in _openblas_libraries().values():
-        for name in _OPENBLAS_SETTERS:
-            setter = getattr(handle, name, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                break
-
 
 def _init_worker(bundle: DatasetBundle, spec: ExperimentSpec) -> None:
     # a forked worker keeps OpenBLAS's pool of one thread per core, so

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,6 +111,10 @@ class StudentParams:
         """The arrays of ``PARAM_NAMES`` as views of ``flat``, a vector laid
         out as ``live``."""
         return dict(zip(PARAM_NAMES, _views(flat, param_shapes(*self.dims))))
+
+    def __reduce__(self):
+        # the two vectors alone: unpickling rebuilds the named arrays as views
+        return StudentParams, (self.live, self.momentum, self.dims)
 
     def copy(self) -> "StudentParams":
         return StudentParams(self.live.copy(), self.momentum.copy(), self.dims)
@@ -631,6 +636,7 @@ def train_student(
     cfg: TrainConfig,
     rng: np.random.Generator,
     x: np.ndarray | sparse.csr_array,
+    on_epoch: Callable[[int, int | None, StudentParams | None], bool] | None = None,
 ) -> tuple[StudentParams, TrainTrace]:
     """Full-batch Adam on the joint loss with validation early stopping.
 
@@ -644,7 +650,11 @@ def train_student(
 
     ``x`` is ``bundle.features``, dense or CSR, or the same matrix in another
     float dtype; training reads it in ``STUDENT_DTYPE``.  ``rng`` draws the initial
-    weights and the dropout.
+    weights and the dropout.  ``on_epoch``, when given, is called after every
+    epoch that does not end training, with the epoch, the best epoch so far
+    and that epoch's parameters (both None without a validation set), which
+    it must not write; a true return ends training there, with the best
+    parameters so far.
     Every epoch writes into one ``EpochWorkspace`` built here, and the
     validation pass into another.  The validation loss is summed in float64.
     """
@@ -715,6 +725,8 @@ def train_student(
                 best_epoch = epoch
             if bad_epochs > cfg.patience:
                 break
+        if on_epoch is not None and on_epoch(epoch, best_epoch, best_params):
+            break
 
     if has_val:
         trace.best_epoch = best_epoch

@@ -479,6 +479,35 @@ class TestSparseFeatures:
         assert sparse.issparse(features)
         assert peak < n * f * 8 / 4, f"peak {peak / 1e6:.1f} MB"
 
+    def test_saving_makes_no_dense_float_copy(self, tmp_path):
+        # the load's bound, n f 8 / 4 bytes, at Cora's row count and a width
+        # that keeps the traced writes quick; a block of rows is 1/10.6 of it
+        n, f = 2708, 200
+        grid = digit_grid(4, n, f, 0.012)
+        bundle = DatasetBundle(SparseGraph(n, []), grid, np.zeros(n, dtype=np.int64), 1)
+        assert sparse.issparse(bundle.features)
+        tracemalloc.start()
+        try:
+            save_dataset(bundle, tmp_path / "d")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * f * 8 / 4, f"peak {peak / 1e6:.1f} MB"
+        assert (tmp_path / "d" / "features.csv").read_bytes() == digit_table_bytes(grid)
+
+    @pytest.mark.parametrize("n, f, density", [
+        (1, 3, 1.0), (BLOCK_LINES, 3, 1.0), (BLOCK_LINES + 1, 3, 1.0),
+        (2 * BLOCK_LINES + 3, 1000, 0.01)])       # the last one is stored as CSR
+    def test_saved_table_is_the_whole_table_written_at_once(self, tmp_path, n, f, density):
+        rng = np.random.default_rng(n)
+        table = np.where(rng.random((n, f)) < density, rng.normal(size=(n, f)), 0.0)
+        bundle = DatasetBundle(SparseGraph(n, []), table, np.zeros(n, dtype=np.int64), 1)
+        assert sparse.issparse(bundle.features) == (density < 0.25)
+        save_dataset(bundle, tmp_path / "d")
+        np.savetxt(tmp_path / "whole.csv", table, fmt="%.17g", delimiter=",")
+        assert ((tmp_path / "d" / "features.csv").read_bytes()
+                == (tmp_path / "whole.csv").read_bytes())
+
     @pytest.mark.parametrize("layout", ["coo", "csc", "csr", "csr_matrix"])
     def test_any_sparse_input_becomes_canonical_float64_csr(self, layout):
         # duplicate entries sum, explicit and summed-away zeros go

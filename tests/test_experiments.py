@@ -7,7 +7,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from agst import experiments
+from agst import experiments, selftrain
 from agst import (
     AgstConfig,
     AugmentConfig,
@@ -187,8 +187,8 @@ class TestSeedDiscipline:
 def _blas_thread_calls():
     """(get, set) thread-count calls of every loaded OpenBLAS, by library path."""
     calls = {}
-    for lib, handle in experiments._openblas_libraries().items():
-        for name in experiments._OPENBLAS_SETTERS:
+    for lib, handle in selftrain._openblas_libraries().items():
+        for name in selftrain._OPENBLAS_SETTERS:
             set_threads = getattr(handle, name, None)
             get_threads = getattr(handle, name.replace("_set_", "_get_"), None)
             if set_threads is not None and get_threads is not None:

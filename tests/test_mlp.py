@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from agst import (
 )
 from agst.mlp import (
     ARRAY_NAMES,
+    MOMENTUM_NAMES,
     PARAM_NAMES,
     STUDENT_DTYPE,
     Adam,
@@ -519,6 +521,23 @@ class TestStudentParams:
         for name in ARRAY_NAMES:
             assert np.all(getattr(other, name) == 7.0), name
             assert np.array_equal(getattr(params, name), before[name]), name
+
+    def test_pickle_holds_the_two_vectors_once(self):
+        params = init_params(1433, 7, 64, np.random.default_rng(10))
+        payload = pickle.dumps(params)
+        data = params.live.nbytes + params.momentum.nbytes
+        assert data < len(payload) < data + 4096
+        back = pickle.loads(payload)
+        assert back.dims == params.dims
+        assert back.live.tobytes() == params.live.tobytes()
+        assert back.momentum.tobytes() == params.momentum.tobytes()
+        for name in PARAM_NAMES:
+            assert np.shares_memory(getattr(back, name), back.live), name
+        for name in MOMENTUM_NAMES:
+            assert np.shares_memory(getattr(back, name), back.momentum), name
+        back.live[:] = 3.0
+        back.momentum[:] = 4.0
+        assert np.all(back.w1 == 3.0) and np.all(back.b3 == 3.0) and np.all(back.mb2 == 4.0)
 
 
 class TestAdam:

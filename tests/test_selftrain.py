@@ -1,3 +1,15 @@
+import logging
+import multiprocessing
+import os
+import re
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +17,7 @@ from agst import (
     AgstConfig,
     AugmentConfig,
     DatasetBundle,
+    ExperimentSpec,
     LpConfig,
     SoftLabels,
     SplitSpec,
@@ -16,12 +29,14 @@ from agst import (
     normalize_adjacency,
     propagate_labels,
     run_agst,
+    run_experiment,
     to_distribution,
     train_student,
     two_cluster_bundle,
 )
 from agst.experiments import METHODS, method_config
-from agst.selftrain import annotate, student_rng
+from agst import selftrain
+from agst.selftrain import annotate, single_blas_thread, student_rng
 
 from conftest import make_bundle
 
@@ -39,7 +54,7 @@ def hard_labels(params, x):
 
 
 def quick_cfg(**overrides):
-    train = TrainConfig(patience=20, **overrides.pop("train", {}))
+    train = TrainConfig(**{"patience": 20, **overrides.pop("train", {})})
     return AgstConfig(train=train, **overrides)
 
 
@@ -124,8 +139,8 @@ class TestRunAgst:
         assert np.array_equal(result.final_params.b3, params.b3)
 
     def test_last_plan_reported_not_applied(self, monkeypatch):
-        from agst import selftrain
-
+        # the sequential loop, where every round's apply runs in this process
+        monkeypatch.setattr(selftrain, "_can_pipeline", lambda split, cfg: False)
         applied = []
         original = selftrain.apply_augmentation
         monkeypatch.setattr(selftrain, "apply_augmentation",
@@ -373,3 +388,299 @@ class TestTestLabelBlindness:
         a = propagate_labels(op, bundle, split, LpConfig()).matrix
         b = propagate_labels(op, shuffled, split, LpConfig()).matrix
         assert a.tobytes() == b.tobytes()
+
+
+def final_bytes(result):
+    params = result.final_params
+    return params.live.tobytes() + params.momentum.tobytes()
+
+
+def rounds_without_wall(result):
+    return [{k: v for k, v in stats.to_dict().items() if k != "wall_ms"}
+            for stats in result.per_iteration]
+
+
+class TestPipelinedRounds:
+    """Rounds 2..R in forked helpers give the sequential loop's outputs, and
+    leave no process behind."""
+
+    @staticmethod
+    def run(monkeypatch, pipelined, bundle, split, cfg):
+        monkeypatch.setattr(selftrain, "_can_pipeline", lambda split, cfg: pipelined)
+        return run_agst(bundle, split, cfg)
+
+    @staticmethod
+    def helper_pids(monkeypatch, tmp_path):
+        """Record the pid of every helper the next pipelined run forks."""
+        real = selftrain._helper
+
+        def recording(*args):
+            (tmp_path / str(os.getpid())).touch()
+            real(*args)
+
+        monkeypatch.setattr(selftrain, "_helper", recording)
+        return lambda: [int(path.name) for path in tmp_path.iterdir()]
+
+    @staticmethod
+    def assert_reaped(pids):
+        assert multiprocessing.active_children() == []
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):   # no zombie either
+                os.kill(pid, 0)
+
+    @pytest.mark.parametrize("best, train", [
+        (False, {}), (True, {}),
+        # rounds that end before their best epoch has held SETTLE_EPOCHS
+        (False, {"patience": 0}), (False, {"max_epochs": 2})])
+    def test_same_bytes_as_the_sequential_loop(self, monkeypatch, tmp_path, best, train):
+        bundle, split = toy_setup(seed=4, noise=0.15)
+        cfg = quick_cfg(iterations=3, seed=4, report_best_iteration=best, train=train)
+        pids = self.helper_pids(monkeypatch, tmp_path)
+        a = self.run(monkeypatch, True, bundle, split, cfg)
+        assert len(pids()) == 2
+        self.assert_reaped(pids())
+        b = self.run(monkeypatch, False, bundle, split, cfg)
+        assert np.array_equal(a.predictions, b.predictions)
+        assert final_bytes(a) == final_bytes(b)
+        assert rounds_without_wall(a) == rounds_without_wall(b)
+
+    def test_a_later_best_restarts_the_next_round(self, monkeypatch, caplog, tmp_path):
+        # every new best goes downstream at once, and round 1 waits after its
+        # first epoch until round 2 has started on that first job
+        monkeypatch.setattr(selftrain, "SETTLE_EPOCHS", 0)
+        bundle, split = toy_setup(seed=7, noise=0.2)
+        cfg = quick_cfg(iterations=3, seed=7)
+        b = self.run(monkeypatch, False, bundle, split, cfg)
+        assert b.per_iteration[0].trace.best_epoch > 1
+        started = tmp_path / "round-2-started"
+        real = selftrain.train_student
+
+        def in_step(bundle, split, soft, tcfg, rng, x, on_epoch=None):
+            state = rng.bit_generator.state
+            if state == student_rng(cfg.seed, 2).bit_generator.state:
+                started.touch()
+            elif state == student_rng(cfg.seed, 1).bit_generator.state:
+                hook = on_epoch
+
+                def on_epoch(epoch, best_epoch, best):
+                    stop = hook(epoch, best_epoch, best)
+                    deadline = time.monotonic() + 60
+                    while epoch == 1 and not started.exists():
+                        assert time.monotonic() < deadline
+                        time.sleep(0.005)
+                    return stop
+            return real(bundle, split, soft, tcfg, rng, x, on_epoch)
+
+        monkeypatch.setattr(selftrain, "train_student", in_step)
+        with caplog.at_level(logging.DEBUG, logger="agst.selftrain"):
+            a = self.run(monkeypatch, True, bundle, split, cfg)
+        restarts = [int(m.group(1)) for r in caplog.records
+                    if (m := re.fullmatch(r"iteration \d restarted (\d+) times", r.getMessage()))]
+        assert len(restarts) == 2 and restarts[0] > 0
+        assert np.array_equal(a.predictions, b.predictions)
+        assert final_bytes(a) == final_bytes(b)
+        assert rounds_without_wall(a) == rounds_without_wall(b)
+
+    def test_helpers_reaped_after_an_error_in_round_one(self, monkeypatch, tmp_path):
+        bundle, split = toy_setup(seed=6)
+        bad = make_bundle(bundle.n, bundle.graph.edges, bundle.gold, 3,
+                          features=bundle.features)  # class 2 never labeled
+        pids = self.helper_pids(monkeypatch, tmp_path)
+        with pytest.raises(ValueError, match=r"\[self-training iteration 1\]"):
+            self.run(monkeypatch, True, bad, split, quick_cfg(iterations=3, seed=6))
+        self.assert_reaped(pids())
+
+    @pytest.mark.parametrize("failing", [2, 3])
+    def test_an_error_in_a_helper_round_is_raised_as_in_the_loop(self, monkeypatch, tmp_path,
+                                                                 failing):
+        bundle, split = toy_setup(seed=6)
+        cfg = quick_cfg(iterations=3, seed=6)
+        real = selftrain.train_student
+
+        def failing_round(bundle, split, soft, tcfg, rng, *args):
+            if rng.bit_generator.state == student_rng(cfg.seed, failing).bit_generator.state:
+                raise FloatingPointError("diverged")
+            return real(bundle, split, soft, tcfg, rng, *args)
+
+        monkeypatch.setattr(selftrain, "train_student", failing_round)
+        pids = self.helper_pids(monkeypatch, tmp_path)
+        raised = []
+        for pipelined in (True, False):
+            with pytest.raises(FloatingPointError) as err:
+                self.run(monkeypatch, pipelined, bundle, split, cfg)
+            raised.append(str(err.value))
+        assert raised == [f"diverged [self-training iteration {failing}]"] * 2
+        self.assert_reaped(pids())
+
+    def test_bad_exception_types_come_back_as_runtime_errors(self, monkeypatch):
+        class Coded(Exception):
+            def __init__(self, code, detail):
+                super().__init__(f"code {code}: {detail}")
+
+        bundle, split = toy_setup(seed=6)
+        cfg = quick_cfg(iterations=2, seed=6)
+        real = selftrain.train_student
+
+        def failing_round(bundle, split, soft, tcfg, rng, *args):
+            if rng.bit_generator.state == student_rng(cfg.seed, 2).bit_generator.state:
+                raise Coded(3, "lost")
+            return real(bundle, split, soft, tcfg, rng, *args)
+
+        monkeypatch.setattr(selftrain, "train_student", failing_round)
+        with pytest.raises(RuntimeError, match=r"^code 3: lost \[self-training iteration 2\]$"):
+            self.run(monkeypatch, True, bundle, split, cfg)
+        assert multiprocessing.active_children() == []
+
+
+ORPHANED = """
+import os, sys
+from pathlib import Path
+from agst import AgstConfig, make_split, run_agst, selftrain, two_cluster_bundle
+selftrain._can_pipeline = lambda split, cfg: True
+real = selftrain._helper
+def recording(*args):
+    (Path(sys.argv[1]) / str(os.getpid())).touch()
+    real(*args)
+selftrain._helper = recording
+bundle = two_cluster_bundle(n=2000, feature_dim=64, noise_fraction=0.2, seed=5)
+split = make_split(bundle, "balanced", seed=5, k=3, val_per_class=20)
+run_agst(bundle, split, AgstConfig(seed=5, iterations=4))
+"""
+
+
+def test_helpers_end_when_the_caller_is_killed(tmp_path):
+    # each helper keeps only its own pipe ends, so the caller's death closes
+    # the first round's pipe and the helpers end one after another
+    def running(pid):
+        try:
+            return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+        except FileNotFoundError:
+            return False
+
+    src = str(Path(selftrain.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    caller = subprocess.Popen([sys.executable, "-c", ORPHANED, str(tmp_path)], env=env)
+    try:
+        deadline = time.monotonic() + 60
+        while len(list(tmp_path.iterdir())) < 3 and caller.poll() is None:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        assert caller.poll() is None, "the run ended before it could be killed"
+    finally:
+        caller.kill()
+        caller.wait()
+    pids = [int(path.name) for path in tmp_path.iterdir()]
+    deadline = time.monotonic() + 20
+    while any(running(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(running(pid) for pid in pids)
+
+
+@pytest.fixture
+def pipeline_ready():
+    """One OpenBLAS thread and two CPUs: the state in which ``_can_pipeline``
+    says yes to a split with validation and more than one round."""
+    from test_experiments import _blas_thread_calls
+
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one CPU: the rounds never overlap")
+    calls = _blas_thread_calls()
+    if not calls:
+        pytest.skip("no OpenBLAS thread-count calls in this process")
+    before = {lib: get() for lib, (get, _) in calls.items()}
+    for _, set_threads in calls.values():
+        set_threads(1)
+    yield
+    for lib, (_, set_threads) in calls.items():
+        set_threads(before[lib])
+
+
+class TestPipelineEligibility:
+    @staticmethod
+    def inputs(val_per_class=4, iterations=3):
+        bundle = two_cluster_bundle(n=40, seed=1)
+        split = make_split(bundle, "balanced", seed=1, k=3, val_per_class=val_per_class)
+        return split, quick_cfg(iterations=iterations, seed=1)
+
+    def test_validation_and_rounds_on_one_blas_thread_pipeline(self, pipeline_ready):
+        assert selftrain._can_pipeline(*self.inputs())
+
+    @pytest.mark.parametrize("val_per_class, iterations", [(0, 3), (4, 1)],
+                             ids=["no-validation", "one-round"])
+    def test_nothing_to_overlap(self, pipeline_ready, val_per_class, iterations):
+        assert not selftrain._can_pipeline(*self.inputs(val_per_class, iterations))
+
+    def test_one_cpu(self, pipeline_ready, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert not selftrain._can_pipeline(*self.inputs())
+
+    def test_unpinned_blas(self, pipeline_ready):
+        from test_experiments import _blas_thread_calls
+
+        for _, set_threads in _blas_thread_calls().values():
+            set_threads(2)
+        assert not selftrain._can_pipeline(*self.inputs())
+
+    def test_another_thread_running(self, pipeline_ready):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert not selftrain._can_pipeline(*self.inputs())
+        finally:
+            release.set()
+            other.join()
+
+    def test_pool_worker(self, pipeline_ready):
+        with ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=single_blas_thread) as pool:
+            assert pool.submit(selftrain._can_pipeline, *self.inputs()).result(timeout=60) is False
+
+    def test_pool_of_two_equals_one_worker_with_validation(self, pipeline_ready):
+        bundle = two_cluster_bundle(n=40, noise_fraction=0.1, seed=7)
+        spec = ExperimentSpec(protocol="balanced", k=3, runs=2, val_per_class=4, seed=50,
+                              config=quick_cfg())
+        assert selftrain._can_pipeline(make_split(bundle, "balanced", seed=50, k=3,
+                                                  val_per_class=4), spec.config)
+        one, two = (run_experiment(replace(spec, workers=w), bundle).to_dict()
+                    for w in (1, 2))
+        for report in (one, two):
+            report.pop("wall_ms")
+            for run in report["runs"]:
+                run.pop("wall_ms")
+                for stats in run["iterations"]:
+                    stats.pop("wall_ms")
+        assert one == two
+
+
+REPLAY = """
+import hashlib, sys
+from agst import AgstConfig, TrainConfig, make_split, run_agst, two_cluster_bundle
+from agst import selftrain
+bundle = two_cluster_bundle(n=2000, feature_dim=64, noise_fraction=0.2, seed=5)
+split = make_split(bundle, "balanced", seed=5, k=3, val_per_class=20)
+cfg = AgstConfig(train=TrainConfig(patience=15), seed=5)
+pipelined = selftrain._can_pipeline(split, cfg)
+params = run_agst(bundle, split, cfg).final_params
+print(int(pipelined), hashlib.sha256(params.live.tobytes() + params.momentum.tobytes()).hexdigest())
+"""
+
+
+def test_replay_is_exact_at_each_blas_thread_count(pipeline_ready, monkeypatch):
+    """ROADMAP item 9's replay, in fresh interpreters: one OpenBLAS thread
+    takes the pipelined rounds, two the sequential loop; each count replays
+    its own bytes, and one thread's are the in-process sequential loop's."""
+    src = str(Path(selftrain.__file__).resolve().parents[1])
+    digests = {}
+    for threads in ("1", "1", "2", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", REPLAY], env=env, capture_output=True,
+                              text=True, timeout=300, check=True)
+        digests.setdefault(threads, []).append(done.stdout.split())
+    assert digests["1"][0] == digests["1"][1] and digests["1"][0][0] == "1"
+    assert digests["2"][0] == digests["2"][1] and digests["2"][0][0] == "0"
+    namespace = {}
+    monkeypatch.setattr(selftrain, "_can_pipeline", lambda split, cfg: False)
+    exec(REPLAY.replace("print(", "out = ("), namespace)
+    assert namespace["out"][1] == digests["1"][0][1]
