@@ -14,9 +14,10 @@ DatasetFormatError naming the file and its first faulty line. A table whose
 every token is one ASCII digit, as ``save_dataset`` writes a binary
 bag-of-words table (lines such as ``0,1,0``), is read from its bytes, a block
 of lines at a time, into the columns and digits of its nonzeros, with no
-dense copy; any other table takes numpy's parse, then the line-by-line parse.
-Every path gives the values the line-by-line parse gives. ``save_dataset``
-writes the same layout with ``np.savetxt``.
+dense copy; any other table takes numpy's parse of the whole file, then of
+its stripped non-blank lines, then the line-by-line parse. Every path gives
+the values the line-by-line parse gives. ``save_dataset`` writes the same
+layout with ``np.savetxt``, and a CSR table of digits from its nonzeros.
 
 A bundle chooses dense or CSR storage for its features; the student trains
 on ``bundle.features``, and prediction is ``forward`` on it.
@@ -27,7 +28,6 @@ on ``bundle.features``, and prediction is ``forward`` on it.
 
 from __future__ import annotations
 
-import io
 import logging
 import math
 import numbers
@@ -55,6 +55,14 @@ class DatasetFormatError(ValueError):
     """Malformed dataset file; message carries file name and line number."""
 
 
+def _stores_csr(shape: tuple[int, int], nonzeros: int) -> bool:
+    """Whether a bundle stores an (n, f) feature table with ``nonzeros``
+    nonzero entries as CSR: bag-of-words tables are mostly zeros, and the two
+    x-side products dominate a student epoch, so CSR pays off there."""
+    entries = shape[0] * shape[1]
+    return entries > 500_000 and nonzeros < entries / 4
+
+
 @dataclass
 class DatasetBundle:
     """A graph with node features and (possibly partial) gold labels."""
@@ -80,10 +88,7 @@ class DatasetBundle:
             raise ValueError(f"features must be (n, f) with n={n}, got {x.shape}")
         if not np.isfinite(x.data if is_csr else x).all():
             raise ValueError("features must be finite (found nan or inf)")
-        # bag-of-words tables are mostly zeros, and the two x-side products
-        # dominate a student epoch, so CSR pays off there
-        entries = x.shape[0] * x.shape[1]
-        wants_csr = entries > 500_000 and (x.nnz if is_csr else np.count_nonzero(x)) < entries / 4
+        wants_csr = _stores_csr(x.shape, x.nnz if is_csr else np.count_nonzero(x))
         if wants_csr != is_csr:
             x = sparse.csr_array(x) if wants_csr else x.toarray()
         self.features = x
@@ -117,8 +122,8 @@ class SplitSpec:
         self.labeled = np.sort(np.asarray(self.labeled, dtype=np.int64))
         self.validation = np.sort(np.asarray(self.validation, dtype=np.int64))
         self.test = np.sort(np.asarray(self.test, dtype=np.int64))
-        joined = np.concatenate([self.labeled, self.validation, self.test])
-        if np.unique(joined).size != joined.size:
+        joined = np.sort(np.concatenate([self.labeled, self.validation, self.test]))
+        if np.any(joined[1:] == joined[:-1]):
             raise ValueError("labeled/validation/test sets must be pairwise disjoint")
 
 
@@ -215,6 +220,21 @@ def _one_digit_csr(fh, delimiter: str, width: int) -> sparse.csr_array | None:
                              indptr.astype(index)), shape=(len(indptr) - 1, width))
 
 
+def _loadtxt(source, dtype, delimiter: str, width: int) -> np.ndarray | None:
+    """``np.loadtxt``'s (k, ``width``) rows of ``source``, k > 0, or None if
+    the parse raises, warns (each warning is made an error) or gives rows of
+    another width or no rows.  Older numpy reads a non-integer such as ``2.7``
+    as an integer with only a DeprecationWarning, so that value is refused
+    here too."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(source, dtype=dtype, delimiter=delimiter, comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    return rows if rows.shape[1] == width and len(rows) else None
+
+
 @dataclass
 class _Table:
     """The non-blank lines of one dataset file as the rows of an array."""
@@ -229,7 +249,8 @@ class _Table:
         """Parse every non-blank line of ``path``.
 
         Values parse exactly as ``parse`` parses them: ``int`` for an integer
-        ``dtype``, else ``float``.  Three paths are tried in turn:
+        ``dtype``, else ``float``.  Four paths are tried in turn, each
+        reading the file from its start:
 
         1. A one-digit table (``_one_digit_csr``) is its bytes minus
            ``"0"``: float64 CSR for a float ``dtype``, else dense in
@@ -237,40 +258,40 @@ class _Table:
            token to that digit, no token has a sign (so no ``-0``), and each
            line has ``width`` tokens with no blank line between, so the rows
            are those the line parse gives.
-        2. One ``np.loadtxt`` call over the non-blank lines. Older numpy
-           reads a non-integer such as ``2.7`` as an integer with only a
-           DeprecationWarning; that warning is made an error, so the value
-           reaches ``int`` and is refused.
-        3. Only when that fails too are the lines parsed one by one with
+        2. One ``np.loadtxt`` call (``_loadtxt``) given the path, so numpy
+           opens the file as ``open`` does and its C parser reads it in large
+           blocks. It skips empty lines and strips the blanks around each
+           value, so any rows it gives are those of the stripped non-blank
+           lines; a line of blanks, a line that begins or ends with a tab
+           delimiter, a file with no rows and a spelling numpy refuses make
+           it fail instead.
+        3. The non-blank lines, stripped, as a list of strings, and one
+           ``np.loadtxt`` call over that list.
+        4. Only when that fails too are the lines parsed one by one with
            ``parse``, which accepts a few spellings ``loadtxt`` refuses
            (``1_000``); that parse stops at the first line with other than
            ``width`` fields (``bad_count``, formatted with ``got``) or a
            value that does not parse (``bad_value``).
 
         The first path reads the whole file only if its first 4 KiB could
-        begin such a table. A table it refuses is read from its start as
-        text, decoded as ``open`` decodes it, so it gives the same values or
-        the same fault as it would without the first path.
+        begin such a table. Whichever path gives the rows, they and any
+        fault are those the line-by-line parse gives; a well-formed table
+        other than a one-digit one is parsed once, by the second path.
         """
         integer = np.issubdtype(dtype, np.integer)
         with path.open("rb") as fh:
             table = _one_digit_csr(fh, delimiter, width)
-            if table is not None:
-                return cls(path, table.toarray().astype(dtype) if integer else table, None)
-            fh.seek(0)      # the test may have read the whole file
+        if table is not None:
+            return cls(path, table.toarray().astype(dtype) if integer else table, None)
+        rows = _loadtxt(path, dtype, delimiter, width)
+        if rows is None:
             # the text itself is not kept: ``check`` reads the file again on a fault
-            lines = list(filter(None, map(str.strip, io.TextIOWrapper(fh))))
+            with path.open() as fh:
+                lines = list(filter(None, map(str.strip, fh)))
+            rows = _loadtxt(lines, dtype, delimiter, width)
+        if rows is not None:
+            return cls(path, rows, None)
         parse = int if integer else float
-        if lines:
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error", DeprecationWarning)
-                    rows = np.loadtxt(lines, dtype=dtype, delimiter=delimiter,
-                                      comments=None, ndmin=2)
-                if rows.shape[1] == width:
-                    return cls(path, rows, None)
-            except (ValueError, DeprecationWarning):
-                pass
         parsed, fault = [], None
         for line in lines:
             values = line.split(delimiter)
@@ -382,6 +403,27 @@ def load_dataset(path: str | Path) -> DatasetBundle:
         raise
 
 
+def _write_one_digit(fh, table: sparse.csr_array) -> None:
+    r"""Write the canonical CSR ``table``, whose every nonzero is one of the
+    digits 1-9, to the binary file ``fh`` as ``np.savetxt`` with ``%.17g``
+    writes it: the bytes ``_one_digit_csr`` reads, each line
+    ``"0,0,...,0\n"`` with each nonzero's digit at twice its column. It is
+    written ``BLOCK_LINES`` lines at a time from the nonzeros alone, so no
+    zero is formatted."""
+    n, width = table.shape
+    line = np.full(2 * width, ord(","), dtype=np.uint8)
+    line[::2] = ord("0")
+    line[-1] = ord("\n")
+    digits = table.data.astype(np.uint8) + ord("0")
+    for start in range(0, n, BLOCK_LINES):
+        bounds = table.indptr[start:start + BLOCK_LINES + 1]
+        text = np.tile(line, (len(bounds) - 1, 1))
+        rows = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        nonzeros = slice(bounds[0], bounds[-1])
+        text[rows, 2 * table.indices[nonzeros]] = digits[nonzeros]
+        fh.write(text.tobytes())
+
+
 def save_dataset(bundle: DatasetBundle, path: str | Path) -> None:
     """Write a bundle in the directory format; round-trips exactly."""
     root = Path(path)
@@ -392,11 +434,14 @@ def save_dataset(bundle: DatasetBundle, path: str | Path) -> None:
     np.savetxt(root / "edges.tsv", bundle.graph.edges, fmt="%d", delimiter="\t")
     features = bundle.features
     with open(root / "features.csv", "wb") as fh:
-        # BLOCK_LINES rows at a time: a CSR table is never made dense whole
-        for start in range(0, bundle.n, BLOCK_LINES):
-            rows = features[start:start + BLOCK_LINES]
-            np.savetxt(fh, rows.toarray() if sparse.issparse(rows) else rows,
-                       fmt="%.17g", delimiter=",")
+        if sparse.issparse(features) and np.isin(features.data, np.arange(1.0, 10.0)).all():
+            _write_one_digit(fh, features)
+        else:
+            # BLOCK_LINES rows at a time: a CSR table is never made dense whole
+            for start in range(0, bundle.n, BLOCK_LINES):
+                rows = features[start:start + BLOCK_LINES]
+                np.savetxt(fh, rows.toarray() if sparse.issparse(rows) else rows,
+                           fmt="%.17g", delimiter=",")
     labeled = bundle.labeled_nodes()
     np.savetxt(root / "labels.tsv", np.column_stack([labeled, bundle.gold[labeled]]),
                fmt="%d", delimiter="\t")
@@ -442,9 +487,9 @@ def make_split(
             validation.append(perm[k : k + val_per_class])
         labeled = np.concatenate(labeled)
         validation = np.concatenate(validation)
-        held = np.concatenate([labeled, validation])
-        test = np.setdiff1d(bundle.labeled_nodes(), held)
-        return SplitSpec(labeled, validation, test)
+        free = bundle.gold != UNLABELED
+        free[labeled] = free[validation] = False
+        return SplitSpec(labeled, validation, np.flatnonzero(free))
 
     if protocol == "imbalanced":
         if rate is None or not 0.0 < rate < 1.0:
@@ -454,12 +499,16 @@ def make_split(
         if n_labeled > eligible.size:
             raise ValueError(f"rate {rate} asks for {n_labeled} labeled nodes, "
                              f"only {eligible.size} eligible")
-        present = np.unique(bundle.gold[eligible])
+
+        def classes_in(nodes: np.ndarray) -> int:
+            return np.count_nonzero(np.bincount(bundle.gold[nodes], minlength=bundle.num_classes))
+
+        present = classes_in(eligible)
         for attempt in range(MAX_RESAMPLE):
             draw_seed = seed + attempt
             rng = np.random.default_rng(draw_seed)
             labeled = rng.choice(eligible, size=n_labeled, replace=False)
-            if np.unique(bundle.gold[labeled]).size == present.size:
+            if classes_in(labeled) == present:
                 if attempt:
                     log.info("imbalanced split resampled %d time(s), final seed %d",
                              attempt, draw_seed)
@@ -467,7 +516,9 @@ def make_split(
             log.debug("seed %d missed a class, resampling", draw_seed)
         else:
             raise ValueError(f"could not cover every class in {MAX_RESAMPLE} resamples")
-        remaining = np.setdiff1d(eligible, labeled)
+        free = bundle.gold != UNLABELED
+        free[labeled] = False
+        remaining = np.flatnonzero(free)
         n_test = min(IMBALANCED_TEST_SIZE, remaining.size)
         if n_test < IMBALANCED_TEST_SIZE:
             log.info("only %d nodes left for the test set (wanted %d)",
@@ -543,8 +594,13 @@ def convert_content_release(input_dir: str | Path, output_dir: str | Path) -> di
         raise DatasetFormatError(f"missing citation file {cites}")
 
     ids: list[str] = []
-    rows: list[list[float]] = []
     label_names: list[str] = []
+    # each row's entries other than +0.0, as its values and their columns; a
+    # "0" token is +0.0 and is skipped unparsed, and a -0.0 is kept for a
+    # table stored dense
+    values: list[np.ndarray] = []
+    columns: list[np.ndarray] = []
+    width = None
     with content.open() as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.split()
@@ -552,17 +608,22 @@ def convert_content_release(input_dir: str | Path, output_dir: str | Path) -> di
                 continue
             if len(parts) < 3:
                 raise DatasetFormatError(f"{content.name}:{lineno}: expected id, features, label")
-            if rows and len(parts) - 2 != len(rows[0]):
+            if width is not None and len(parts) - 2 != width:
                 raise DatasetFormatError(f"{content.name}:{lineno}: expected "
-                                         f"{len(rows[0])} features, got {len(parts) - 2}")
+                                         f"{width} features, got {len(parts) - 2}")
+            width = len(parts) - 2
             ids.append(parts[0])
+            tokens = parts[1:-1]
+            read = [j for j, token in enumerate(tokens) if token != "0"]
             try:
-                row = [float(v) for v in parts[1:-1]]
+                row = np.array([float(tokens[j]) for j in read])
             except ValueError:
                 raise DatasetFormatError(f"{content.name}:{lineno}: non-numeric feature") from None
-            if not all(map(math.isfinite, row)):
+            if not np.isfinite(row).all():
                 raise DatasetFormatError(f"{content.name}:{lineno}: non-finite feature")
-            rows.append(row)
+            kept = (row != 0) | np.signbit(row)
+            values.append(row[kept])
+            columns.append(np.array(read, dtype=np.int64)[kept])
             label_names.append(parts[-1])
     if not ids:
         raise DatasetFormatError(f"{content.name}: no nodes (empty file)")
@@ -592,12 +653,16 @@ def convert_content_release(input_dir: str | Path, output_dir: str | Path) -> di
         log.info("%s: skipped %d citation rows with unknown ids", cites, skipped)
 
     n = len(ids)
-    bundle = DatasetBundle(
-        SparseGraph(n, pairs),
-        np.asarray(rows, dtype=np.float64),
-        gold,
-        len(classes),
-    )
+    counts = np.fromiter(map(len, values), dtype=np.int64, count=n)
+    values, columns = np.concatenate(values), np.concatenate(columns)
+    if _stores_csr((n, width), np.count_nonzero(values)):
+        # the bundle drops a stored -0.0 as it would drop a dense one
+        features = sparse.csr_array((values, columns, np.concatenate([[0], np.cumsum(counts)])),
+                                    shape=(n, width))
+    else:
+        features = np.zeros((n, width))
+        features[np.repeat(np.arange(n), counts), columns] = values
+    bundle = DatasetBundle(SparseGraph(n, pairs), features, gold, len(classes))
     save_dataset(bundle, output_dir)
     return {
         "n": bundle.n,

@@ -30,7 +30,12 @@ class SparseGraph:
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
         lo = np.minimum(pairs[:, 0], pairs[:, 1])
         hi = np.maximum(pairs[:, 0], pairs[:, 1])
-        self.keys = np.unique(lo * n + hi)
+        # a sort and a neighbour compare: numpy's unique hashes integer
+        # input, which is several times slower at these sizes
+        keys = np.sort(lo * n + hi)
+        fresh = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        self.keys = keys[fresh]
         self.edges = np.column_stack([self.keys // n, self.keys % n])
 
     @property

@@ -560,7 +560,9 @@ def round_inputs(bundle: DatasetBundle, split: SplitSpec, soft: SoftLabels, cfg:
         raise ValueError(f"soft labels have shape {soft.matrix.shape}, "
                          f"expected {(bundle.n, bundle.num_classes)}")
     members = class_members(bundle.gold, labeled, bundle.num_classes) if cfg.lambda2 else None
-    return (np.setdiff1d(np.arange(bundle.n), labeled), np.argmax(soft.matrix, axis=1),
+    unlabeled = np.ones(bundle.n, dtype=bool)
+    unlabeled[labeled] = False
+    return (np.flatnonzero(unlabeled), np.argmax(soft.matrix, axis=1),
             student_targets(soft.matrix, bundle.gold, labeled, dtype), members)
 
 

@@ -58,7 +58,7 @@ def initial_label_matrix(bundle: DatasetBundle, split: SplitSpec) -> np.ndarray:
     """
     require_gold(bundle, split)
     labels = bundle.gold[split.labeled]
-    missing = np.setdiff1d(np.arange(bundle.num_classes), labels)
+    missing = np.flatnonzero(np.bincount(labels, minlength=bundle.num_classes) == 0)
     if missing.size:
         raise ValueError(f"classes {missing.tolist()} absent from the labeled set")
     y0 = np.zeros((bundle.n, bundle.num_classes))

@@ -1,11 +1,14 @@
 """Reference implementations the program's faster code is tested against."""
 
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
-from agst import SoftLabels, SparseGraph, class_members, compute_prototypes
+from agst import SoftLabels, SparseGraph, SplitSpec, class_members, compute_prototypes
+from agst.data import IMBALANCED_TEST_SIZE, MAX_RESAMPLE
 from agst.mlp import PARAM_NAMES, PseudoLabelSet, clamped_log
 from agst.propagation import initial_label_matrix
 
@@ -47,6 +50,93 @@ def generate_candidates(
     else:
         additions = np.empty((0, 2), dtype=np.int64)
     return additions, graph.edges.copy()
+
+
+def graph_keys(n: int, pairs) -> np.ndarray:
+    """``SparseGraph``'s canonical edge keys as ``np.unique`` defines them:
+    each pair other than a self-loop once, as min * n + max, sorted."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    return np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
+
+
+def make_split(bundle, protocol: str, seed: int, k=None, rate=None,
+               val_per_class: int = 30) -> SplitSpec:
+    """``make_split`` for valid arguments as written with ``setdiff1d`` and
+    ``unique``."""
+    if protocol == "balanced":
+        rng = np.random.default_rng(seed)
+        labeled, validation = [], []
+        for cls in range(bundle.num_classes):
+            members = np.flatnonzero(bundle.gold == cls)
+            if members.size < k + val_per_class:
+                raise ValueError(f"class {cls} has {members.size} labeled-eligible nodes")
+            perm = rng.permutation(members)
+            labeled.append(perm[:k])
+            validation.append(perm[k : k + val_per_class])
+        labeled = np.concatenate(labeled)
+        validation = np.concatenate(validation)
+        test = np.setdiff1d(bundle.labeled_nodes(), np.concatenate([labeled, validation]))
+        return SplitSpec(labeled, validation, test)
+    n_labeled = math.ceil(rate * bundle.n)
+    eligible = bundle.labeled_nodes()
+    if n_labeled > eligible.size:
+        raise ValueError(f"rate {rate} asks for {n_labeled} labeled nodes")
+    present = np.unique(bundle.gold[eligible])
+    for attempt in range(MAX_RESAMPLE):
+        rng = np.random.default_rng(seed + attempt)
+        labeled = rng.choice(eligible, size=n_labeled, replace=False)
+        if np.unique(bundle.gold[labeled]).size == present.size:
+            break
+    else:
+        raise ValueError("could not cover every class")
+    remaining = np.setdiff1d(eligible, labeled)
+    test = rng.choice(remaining, size=min(IMBALANCED_TEST_SIZE, remaining.size), replace=False)
+    return SplitSpec(labeled, np.empty(0, dtype=np.int64), test)
+
+
+def unlabeled_nodes(n: int, labeled: np.ndarray) -> np.ndarray:
+    """The nodes of 0..n-1 not in ``labeled``, by ``setdiff1d``."""
+    return np.setdiff1d(np.arange(n), labeled)
+
+
+def missing_classes(c: int, labels: np.ndarray) -> np.ndarray:
+    """The classes of 0..c-1 not in ``labels``, by ``setdiff1d``."""
+    return np.setdiff1d(np.arange(c), labels)
+
+
+def read_table(path: Path, dtype, delimiter: str, width: int, bad_count: str, bad_value: str):
+    """(rows, fault) of a dataset table as the text path read it before its
+    one parse of the whole file: the stripped non-blank lines as a list,
+    one ``np.loadtxt`` call over that list, then the line-by-line parse."""
+    with path.open() as fh:
+        lines = list(filter(None, map(str.strip, fh)))
+    if lines:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                rows = np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None, ndmin=2)
+            if rows.shape[1] == width:
+                return rows, None
+        except (ValueError, DeprecationWarning):
+            pass
+    parse = int if np.issubdtype(dtype, np.integer) else float
+    parsed, fault = [], None
+    for line in lines:
+        values = line.split(delimiter)
+        if len(values) != width:
+            fault = bad_count.format(got=len(values))
+            break
+        try:
+            parsed.append([parse(v) for v in values])
+        except ValueError:
+            fault = bad_value
+            break
+    try:
+        rows = np.array(parsed, dtype=dtype)
+    except OverflowError:
+        rows = np.array(parsed, dtype=object)
+    return rows.reshape(-1, width), fault
 
 
 def save_dataset(bundle, path) -> None:

@@ -480,9 +480,9 @@ class TestSparseFeatures:
         assert peak < n * f * 8 / 4, f"peak {peak / 1e6:.1f} MB"
 
     def test_saving_makes_no_dense_float_copy(self, tmp_path):
-        # the load's bound, n f 8 / 4 bytes, at Cora's row count and a width
-        # that keeps the traced writes quick; a block of rows is 1/10.6 of it
-        n, f = 2708, 200
+        # the load's bound, n f 8 / 4 bytes, at Cora's shape; a block of rows
+        # is 1/10.6 of it
+        n, f = 2708, 1433
         grid = digit_grid(4, n, f, 0.012)
         bundle = DatasetBundle(SparseGraph(n, []), grid, np.zeros(n, dtype=np.int64), 1)
         assert sparse.issparse(bundle.features)
@@ -739,6 +739,38 @@ class TestConverter:
             convert_content_release(tmp_path, tmp_path / "out")
         assert str(err.value) == message
         assert not (tmp_path / "out").exists()
+
+    def test_converting_a_cora_shaped_release_makes_no_dense_float_copy(self, tmp_path):
+        # Cora's shape at 1.2% nonzero; a dense float64 table is n f 8 bytes
+        n, f = 2708, 1433
+        grid = (digit_grid(6, n, f, 0.012) > 0).astype(np.uint8)
+        names = ["theory", "genetics", "rule_learning"]
+        rows = digit_table_bytes(grid).replace(b",", b"\t").split(b"\n")
+        (tmp_path / "cora.content").write_bytes(b"".join(
+            b"p%d\t%s\t%s\n" % (i, row, names[i % 3].encode()) for i, row in enumerate(rows[:n])))
+        (tmp_path / "cora.cites").write_text("".join(f"p{i}\tp{(7 * i + 1) % n}\n"
+                                                     for i in range(n)))
+        tracemalloc.start()
+        try:
+            summary = convert_content_release(tmp_path, tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * f * 8 / 4, f"peak {peak / 1e6:.1f} MB"
+        assert (summary["n"], summary["f"], summary["c"]) == (n, f, 3)
+        bundle = load_dataset(tmp_path / "out")
+        assert sparse.issparse(bundle.features)
+        assert np.array_equal(bundle.features.toarray(), grid.astype(np.float64))
+        assert (tmp_path / "out" / "features.csv").read_bytes() == digit_table_bytes(grid)
+        assert bundle.gold.tolist() == [sorted(names).index(names[i % 3]) for i in range(n)]
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_a_small_release_keeps_a_signed_zero(self, tmp_path, sign):
+        # a table small enough to be stored dense keeps -0 as written
+        (tmp_path / "toy.content").write_text(f"p1\t{sign}0\t2.5\tml\np2\t0\t-0.0\tdb\n")
+        (tmp_path / "toy.cites").write_text("p1\tp2\n")
+        convert_content_release(tmp_path, tmp_path / "out")
+        assert (tmp_path / "out" / "features.csv").read_text() == f"{sign}0,2.5\n0,-0\n"
 
     def test_missing_content_file(self, tmp_path):
         with pytest.raises(DatasetFormatError, match="content"):
