@@ -14,10 +14,11 @@ DatasetFormatError naming the file and its first faulty line. A table whose
 every token is one ASCII digit, as ``save_dataset`` writes a binary
 bag-of-words table (lines such as ``0,1,0``), is read from its bytes, a block
 of lines at a time, into the columns and digits of its nonzeros, with no
-dense copy; any other table takes numpy's parse of the whole file, then of
-its stripped non-blank lines, then the line-by-line parse. Every path gives
-the values the line-by-line parse gives. ``save_dataset`` writes the same
-layout with ``np.savetxt``, and a CSR table of digits from its nonzeros.
+dense copy; any other table takes numpy's parse of the whole file, and only
+if that fails the line-by-line parse of its stripped non-blank lines. Every
+path gives the values the line-by-line parse gives. ``save_dataset`` writes
+the same layout with ``np.savetxt``, and a CSR table of digits from its
+nonzeros.
 
 A bundle chooses dense or CSR storage for its features; the student trains
 on ``bundle.features``, and prediction is ``forward`` on it.
@@ -249,7 +250,7 @@ class _Table:
         """Parse every non-blank line of ``path``.
 
         Values parse exactly as ``parse`` parses them: ``int`` for an integer
-        ``dtype``, else ``float``.  Four paths are tried in turn, each
+        ``dtype``, else ``float``.  Three paths are tried in turn, each
         reading the file from its start:
 
         1. A one-digit table (``_one_digit_csr``) is its bytes minus
@@ -265,13 +266,12 @@ class _Table:
            lines; a line of blanks, a line that begins or ends with a tab
            delimiter, a file with no rows and a spelling numpy refuses make
            it fail instead.
-        3. The non-blank lines, stripped, as a list of strings, and one
-           ``np.loadtxt`` call over that list.
-        4. Only when that fails too are the lines parsed one by one with
-           ``parse``, which accepts a few spellings ``loadtxt`` refuses
-           (``1_000``); that parse stops at the first line with other than
-           ``width`` fields (``bad_count``, formatted with ``got``) or a
-           value that does not parse (``bad_value``).
+        3. Only when that fails too are the non-blank lines, stripped,
+           parsed one by one with ``parse``, which takes the lines of blanks,
+           the edge tabs and a few spellings (``1_000``) ``loadtxt`` refuses;
+           that parse stops at the first line with other than ``width``
+           fields (``bad_count``, formatted with ``got``) or a value that
+           does not parse (``bad_value``).
 
         The first path reads the whole file only if its first 4 KiB could
         begin such a table. Whichever path gives the rows, they and any
@@ -284,13 +284,11 @@ class _Table:
         if table is not None:
             return cls(path, table.toarray().astype(dtype) if integer else table, None)
         rows = _loadtxt(path, dtype, delimiter, width)
-        if rows is None:
-            # the text itself is not kept: ``check`` reads the file again on a fault
-            with path.open() as fh:
-                lines = list(filter(None, map(str.strip, fh)))
-            rows = _loadtxt(lines, dtype, delimiter, width)
         if rows is not None:
             return cls(path, rows, None)
+        # the text itself is not kept: ``check`` reads the file again on a fault
+        with path.open() as fh:
+            lines = list(filter(None, map(str.strip, fh)))
         parse = int if integer else float
         parsed, fault = [], None
         for line in lines:

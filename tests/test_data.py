@@ -479,11 +479,14 @@ class TestSparseFeatures:
         assert sparse.issparse(features)
         assert peak < n * f * 8 / 4, f"peak {peak / 1e6:.1f} MB"
 
-    def test_saving_makes_no_dense_float_copy(self, tmp_path):
-        # the load's bound, n f 8 / 4 bytes, at Cora's shape; a block of rows
-        # is 1/10.6 of it
-        n, f = 2708, 1433
-        grid = digit_grid(4, n, f, 0.012)
+    @pytest.mark.parametrize("f, scale", [(1433, 1.0), (200, 0.5)])
+    def test_saving_makes_no_dense_float_copy(self, tmp_path, f, scale):
+        # the load's bound, n f 8 / 4 bytes, at Cora's row count, for a
+        # one-digit table at Cora's width and, at a width that keeps the
+        # traced per-row writes quick, one that is not; a block of rows is
+        # 1/10.6 of the bound
+        n = 2708
+        grid = digit_grid(4, n, f, 0.012) * scale
         bundle = DatasetBundle(SparseGraph(n, []), grid, np.zeros(n, dtype=np.int64), 1)
         assert sparse.issparse(bundle.features)
         tracemalloc.start()
@@ -493,7 +496,9 @@ class TestSparseFeatures:
         finally:
             tracemalloc.stop()
         assert peak < n * f * 8 / 4, f"peak {peak / 1e6:.1f} MB"
-        assert (tmp_path / "d" / "features.csv").read_bytes() == digit_table_bytes(grid)
+        np.savetxt(tmp_path / "whole.csv", grid, fmt="%.17g", delimiter=",")
+        assert ((tmp_path / "d" / "features.csv").read_bytes()
+                == (tmp_path / "whole.csv").read_bytes())
 
     @pytest.mark.parametrize("n, f, density", [
         (1, 3, 1.0), (BLOCK_LINES, 3, 1.0), (BLOCK_LINES + 1, 3, 1.0),
