@@ -10,14 +10,15 @@ is deterministic given its seed; each round draws from ``student_rng``.
 
 Round r + 1 reads round r only through the parameters of round r's best
 validation epoch, which early stopping settles long before its patience
-runs out.  Where ``_can_pipeline`` allows, rounds 2..R run in R - 1 helper
-processes forked at ``run_agst``'s entry: a round sends its best
-parameters downstream once their epoch has held ``SETTLE_EPOCHS`` epochs,
-and again whenever a later epoch beats them; the next round starts on each
-job it receives, dropping the one before (and cancelling its own
-downstream), and its result counts once its input is final.  Each round
-does the same arithmetic on the same input as in the sequential loop, so
-the outputs are the same bytes.
+runs out.  Where ``_can_pipeline`` allows, every round but the last forks
+its patience tail (``_Tail``): once the best epoch has held
+``SETTLE_EPOCHS`` epochs, the round ends in the caller on that best and the
+next round starts on it, while a child process trains on through the
+patience and sends the whole round back.  ``_settle`` puts each child's
+round in place of the one cut short; where a child's best epoch moved, the
+rounds after it run again on its plan.  Each round does the same arithmetic
+on the same input as in the sequential loop, so the outputs are the same
+bytes.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait
 from pathlib import Path
 
 import numpy as np
@@ -45,9 +45,10 @@ from .rewiring import AugmentationPlan, AugmentConfig, apply_augmentation, plan_
 
 log = logging.getLogger(__name__)
 
-# epochs a round's best epoch must hold before its parameters go downstream:
-# on cora-csbm (seeds 201-205) 1, 3 and 6 never restarted a round and ran
-# alike, 0 restarted 10 times a run; 3 leaves room for a best that creeps up
+# epochs a round's best epoch must hold before the round forks its tail: on
+# cora-csbm seeds 201-210 (best epochs 5-10) no best moved after the fork
+# at 3, one round of 20 at 1, and every forked round at 0; 3 leaves room
+# for a best that creeps up
 SETTLE_EPOCHS = 3
 
 
@@ -121,9 +122,10 @@ def run_agst(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig) -> RunRes
     input graph in round 1). Every round plans a rewiring of the input graph,
     but the last round's plan is only reported, in its ``IterationStats``
     edge counts; no round trains on it.  With a validation set, more than
-    one round, two CPUs and one OpenBLAS thread, the rounds overlap in
-    helper processes (see the module docstring) with the same outputs; each
-    round's ``wall_ms`` then overlaps the others.
+    one round, two CPUs and one OpenBLAS thread, each round's patience tail
+    runs in a forked child (see the module docstring) with the same
+    outputs; a round's ``wall_ms`` then runs to the end of its tail and
+    overlaps the later rounds.
 
     Returns the per-round stats and the last round's parameters and
     predictions, or, with ``cfg.report_best_iteration`` and a validation
@@ -131,8 +133,7 @@ def run_agst(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig) -> RunRes
     replay of the same inputs is byte-exact only at a fixed BLAS thread count.
     """
     require_gold(bundle, split)
-    run = _pipelined if _can_pipeline(split, cfg) else _sequential
-    rounds = run(bundle, split, cfg)
+    rounds = _rounds(bundle, split, cfg, _can_pipeline(split, cfg))
     best = max(rounds, key=lambda out: out[2].val_acc) if split.validation.size else None
     for _, _, stats in rounds:
         log.debug("iteration %d: val=%s test=%s +%d/-%d edges", stats.iteration, stats.val_acc,
@@ -142,28 +143,19 @@ def run_agst(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig) -> RunRes
                      predictions=final_preds)
 
 
-def _outputs(params: StudentParams, bundle: DatasetBundle,
-             cfg: AgstConfig) -> tuple[np.ndarray, AugmentationPlan]:
-    """The predictions and the rewiring plan of ``params``, both from one
-    float64 forward pass."""
-    _, probs = forward(params.astype(np.float64), bundle.features)
-    return np.argmax(probs, axis=1), plan_augmentation(bundle.graph, probs, cfg.augment)
-
-
 def _round(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig, iteration: int,
-           previous: AugmentationPlan | None, relay: _Relay | None = None):
+           previous: AugmentationPlan | None, tail: _Tail | None):
     """Round ``iteration`` on the input graph rewired by ``previous``, the
-    last round's plan (None in round 1): (params, predictions, stats, plan),
-    or None when ``relay`` stopped the student."""
+    last round's plan (None in round 1): (params, predictions, stats, plan).
+    ``tail``, if any, is the student's epoch hook."""
     started = time.perf_counter()
     try:
         graph = bundle.graph if previous is None else apply_augmentation(bundle.graph, previous)
         soft = to_distribution(propagate_labels(normalize_adjacency(graph), bundle, split, cfg.lp))
         params, trace = train_student(bundle, split, soft, cfg.train,
-                                      student_rng(cfg.seed, iteration), bundle.features, relay)
-        if relay is not None and relay.stopped:
-            return None
-        preds, plan = _outputs(params, bundle, cfg)
+                                      student_rng(cfg.seed, iteration), bundle.features, tail)
+        _, probs = forward(params.astype(np.float64), bundle.features)
+        preds, plan = np.argmax(probs, axis=1), plan_augmentation(bundle.graph, probs, cfg.augment)
     except Exception as err:
         raise annotate(err, f"self-training iteration {iteration}") from err
 
@@ -175,15 +167,6 @@ def _round(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig, iteration: 
                            removed_edges=plan.removed,
                            wall_ms=(time.perf_counter() - started) * 1000.0)
     return params, preds, stats, plan
-
-
-def _sequential(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig) -> list:
-    """The rounds one after another: (params, predictions, stats) each."""
-    rounds, plan = [], None
-    for iteration in range(1, cfg.iterations + 1):
-        *out, plan = _round(bundle, split, cfg, iteration, plan)
-        rounds.append(out)
-    return rounds
 
 
 # thread-count setters of OpenBLAS builds: numpy's and scipy's wheels prefix
@@ -231,10 +214,10 @@ def single_blas_thread() -> None:
 
 
 def _can_pipeline(split: SplitSpec, cfg: AgstConfig) -> bool:
-    """Whether the rounds may overlap in forked helpers: there is a
+    """Whether the rounds may fork their patience tails: there is a
     validation set to settle a best epoch, more than one round, at least two
     CPUs, no other thread (a fork copies none), every OpenBLAS at one thread
-    (more would already use the cores and spin against the helpers), and
+    (more would already use the cores and spin against the tails), and
     this process is not a multiprocessing child such as a pool worker."""
     if not (split.validation.size and cfg.iterations > 1
             and multiprocessing.parent_process() is None and threading.active_count() == 1
@@ -244,109 +227,119 @@ def _can_pipeline(split: SplitSpec, cfg: AgstConfig) -> bool:
     return bool(getters) and all(get is not None and get() == 1 for get in getters)
 
 
-class _Link:
-    """The sending end of the pipe from one round to the next, and the
-    parameters it last sent as a job, so that a job goes out once; a job of
-    None cancels the one before."""
-
-    def __init__(self, conn):
-        self.conn, self.sent = conn, None
-
-    def offer(self, params: StudentParams) -> None:
-        if self.conn is not None and params is not self.sent:
-            self.conn.send(("job", params))
-            self.sent = params
-
-    def cancel(self) -> None:
-        if self.sent is not None:
-            self.conn.send(("job", None))
-            self.sent = None
-
-    def final(self) -> None:
-        if self.conn is not None:
-            self.conn.send(("final", None))
-
-
-class _Inbox:
-    """What the previous round sent: its newest job (None once cancelled),
-    whether that changed since ``take``, and whether it is final."""
-
-    def __init__(self, conn):
-        self.conn, self.job, self.changed, self.final = conn, None, False, False
-
-    def read(self, block: bool) -> None:
-        """Apply every waiting message, after waiting for one if ``block``;
-        nothing follows a final mark, and the sender may have closed its end."""
-        while not self.final and (block or self.conn.poll()):
-            kind, params = self.conn.recv()
-            if kind == "final":
-                self.final = True
-            else:
-                self.job, self.changed, self.final = params, True, False
-            block = False
-
-    def take(self) -> StudentParams | None:
-        self.changed = False
-        return self.job
+def _rounds(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig, fork: bool) -> list:
+    """The rounds in order, (params, predictions, stats) each.  With
+    ``fork``, every round but the last forks its patience tail; every child
+    is reaped before this returns or raises."""
+    rounds, tails = [], []      # rounds: (params, predictions, stats, plan) or an error
+    try:
+        while True:
+            for iteration in range(len(rounds) + 1, cfg.iterations + 1):
+                tail, out = _Tail(tails), None
+                tails.append(tail)
+                try:
+                    out = _round(bundle, split, cfg, iteration, rounds[-1][3] if rounds else None,
+                                 tail if fork and iteration < cfg.iterations else None)
+                except Exception as err:
+                    out = err
+                finally:
+                    if tail.pid == 0:
+                        tail.leave(out)
+                rounds.append(out)
+                if isinstance(out, Exception):
+                    break
+            if not _settle(rounds, tails):
+                break
+    finally:
+        for tail in tails:
+            tail.reap()
+    if isinstance(rounds[-1], Exception):
+        raise rounds[-1]
+    return [out[:3] for out in rounds]
 
 
-class _Relay:
-    """``train_student``'s epoch hook in a pipelined round: offers the best
-    parameters downstream once their epoch has held ``SETTLE_EPOCHS``
-    epochs, and stops the student when the round's own job changed."""
+class _Tail:
+    """``train_student``'s epoch hook that forks a round's patience tail.
 
-    def __init__(self, inbox: _Inbox | None, link: _Link):
-        self.inbox, self.link, self.stopped = inbox, link, False
+    Once the best epoch has held ``SETTLE_EPOCHS`` epochs, the caller forks
+    and returns True, so that its round ends there, on that best.  The child
+    (``pid`` 0) returns False on every epoch, so that it trains on, until
+    the process it was forked from is gone; ``leave`` then sends its round
+    through the pipe to ``reader``.  ``tails`` are the run's tails, one a
+    round, whose pipe ends a child closes."""
+
+    def __init__(self, tails: list):
+        self.tails, self.parent, self.pid, self.reader = tails, os.getpid(), None, None
 
     def __call__(self, epoch: int, best_epoch: int | None, best: StudentParams | None) -> bool:
-        if self.inbox is not None:
-            self.inbox.read(block=False)
-            self.stopped = self.inbox.changed
-        if not self.stopped and best is not None and epoch - best_epoch >= SETTLE_EPOCHS:
-            self.link.offer(best)
-        return self.stopped
+        if self.pid == 0:
+            if os.getppid() != self.parent:
+                os._exit(0)
+            return False
+        if best is None or epoch - best_epoch < SETTLE_EPOCHS:
+            return False
+        self.reader, self.writer = multiprocessing.Pipe(duplex=False)
+        self.pid = os.fork()
+        if self.pid:
+            self.writer.close()
+            return True
+        # an interrupt is the caller's to handle; it reaps its children itself
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        for tail in self.tails:
+            if tail.reader is not None:
+                tail.reader.close()
+        return False
+
+    def leave(self, out) -> None:
+        """In the child: send ``out``, the round or its error (None when
+        something else ended it), with its traceback, and exit without
+        unwinding into the caller's frames."""
+        try:
+            if isinstance(out, Exception):
+                self.writer.send((_portable(out), "".join(traceback.format_exception(out))))
+            elif out is not None:
+                self.writer.send((out, ""))
+        finally:
+            os._exit(0)
+
+    def reap(self) -> None:
+        """End and wait for the child, if it has not been reaped yet."""
+        if self.pid:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.reader.close()
+            self.pid = None
 
 
-def _helper(iteration: int, upstream, downstream, results, others: list,
-            bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig) -> None:
-    """Round ``iteration`` of a pipelined run, in a helper process: a new
-    attempt on each job from round ``iteration - 1``; once the job of a
-    finished attempt is final, its outcome goes to ``results``, and the round's
-    parameters, marked final, downstream.  Exits quietly once the caller or
-    the previous round is gone: closing ``others``, the pipe ends it does not
-    use, lets it see that as the end of its pipes."""
-    # an interrupt is the caller's to handle; it ends the helpers itself
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for end in others:
-        end.close()
-    inbox, link, attempts, outcome = _Inbox(upstream), _Link(downstream), 0, None
-    try:
-        while not (outcome is not None and inbox.final and not inbox.changed):
-            if not inbox.changed:
-                if inbox.final:     # final with no job: nothing more will come
-                    return
-                inbox.read(block=True)
-                continue
-            link.cancel()
-            job, outcome = inbox.take(), None
-            if job is None:
-                continue
-            attempts += 1
-            relay = _Relay(inbox, link)
-            try:
-                out = _round(bundle, split, cfg, iteration, _outputs(job, bundle, cfg)[1], relay)
-            except Exception as err:
-                link.cancel()
-                outcome = ("error", _portable(err), traceback.format_exc())
-            else:
-                if out is not None:
-                    link.offer(out[0])
-                    outcome = ("done", out[:3], attempts - 1)
-        results.send(outcome)
-        if outcome[0] == "done":
-            link.final()
-    except (EOFError, BrokenPipeError):
-        return
+def _settle(rounds: list, tails: list) -> bool:
+    """Put each child's round, in round order, in place of the round its
+    caller cut short.  A child's error ends ``rounds`` there.  Where the
+    child's best epoch moved, the later rounds are dropped, with their
+    tails, and True asks for them to run again on the child's plan."""
+    for index, tail in enumerate(tails):
+        if not tail.pid:
+            continue
+        try:
+            out, trace = tail.reader.recv()
+        except EOFError:
+            out, trace = RuntimeError(f"the forked tail of self-training iteration {index + 1} "
+                                      "ended before reporting"), ""
+        tail.reap()
+        if trace:
+            out.__cause__ = RuntimeError(f"in the forked tail:\n{trace}")
+        cut, rounds[index] = rounds[index], out
+        failed = isinstance(out, Exception)
+        if not (failed or isinstance(cut, Exception)
+                or out[2].trace.best_epoch != cut[2].trace.best_epoch):
+            continue
+        for later in tails[index + 1:]:
+            later.reap()
+        del rounds[index + 1:], tails[index + 1:]
+        if not failed:
+            log.debug("iteration %d's best moved to epoch %d in its tail: rerunning the "
+                      "later rounds", index + 1, out[2].trace.best_epoch)
+        return not failed
+    return False
 
 
 def _portable(err: Exception) -> Exception:
@@ -357,60 +350,3 @@ def _portable(err: Exception) -> Exception:
         return err
     except Exception:
         return RuntimeError(str(err))
-
-
-def _receive(reader, pending: list):
-    """The next message on ``reader``, or a RuntimeError once a helper in
-    ``pending``, all yet to report, has exited instead."""
-    while not reader.poll():
-        for proc in pending:
-            if proc.exitcode is not None:
-                raise RuntimeError(f"self-training helper {proc.name} exited with "
-                                   f"code {proc.exitcode} before reporting")
-        wait([reader, *(proc.sentinel for proc in pending)])
-    return reader.recv()
-
-
-def _pipelined(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig) -> list:
-    """Round 1 here and rounds 2..R in helpers forked before any round
-    allocates; every helper is joined before this returns or raises."""
-    context = multiprocessing.get_context("fork")
-    # links[i]: round i + 1 -> round i + 2; replies[i]: round i + 2 -> here
-    links = [context.Pipe(duplex=False) for _ in range(cfg.iterations - 1)]
-    replies = [context.Pipe(duplex=False) for _ in range(cfg.iterations - 1)]
-    ends = [end for pair in links + replies for end in pair]
-    helpers = []
-    try:
-        for index in range(cfg.iterations - 1):
-            own = (links[index][0], links[index + 1][1] if index + 2 < cfg.iterations else None,
-                   replies[index][1])
-            helpers.append(context.Process(
-                target=_helper, name=f"agst-round-{index + 2}", daemon=True,
-                args=(index + 2, *own, [end for end in ends if end not in own],
-                      bundle, split, cfg)))
-            helpers[-1].start()
-        mine = [links[0][1], *(reader for reader, _ in replies)]
-        for end in ends:
-            if end not in mine:
-                end.close()
-        first = _Link(links[0][1])
-        params, preds, stats, _ = _round(bundle, split, cfg, 1, None, _Relay(None, first))
-        first.offer(params)
-        first.final()
-        done = [(params, preds, stats)]
-        for index, (reader, _) in enumerate(replies):
-            kind, payload, extra = _receive(reader, helpers[index:])
-            if kind == "error":
-                raise payload from RuntimeError(f"in helper {helpers[index].name}:\n{extra}")
-            log.debug("iteration %d restarted %d times", index + 2, extra)
-            done.append(payload)
-        for proc in helpers:
-            proc.join()
-        return done
-    finally:
-        for proc in helpers:
-            if proc.exitcode is None:
-                proc.terminate()
-            proc.join()
-        for end in ends:
-            end.close()

@@ -1,7 +1,9 @@
+import ctypes
+
 import numpy as np
 import pytest
 
-from agst import DatasetBundle, SparseGraph, SplitSpec
+from agst import DatasetBundle, SparseGraph, SplitSpec, selftrain
 
 
 def make_bundle(n, edges, gold, c, features=None, f=2, rng=None):
@@ -33,3 +35,18 @@ def two_node_bundle():
 @pytest.fixture
 def path3_graph():
     return SparseGraph(3, [[0, 1], [1, 2]])
+
+
+def _blas_thread_calls():
+    """(get, set) thread-count calls of every loaded OpenBLAS, by library path."""
+    calls = {}
+    for lib, handle in selftrain._openblas_libraries().items():
+        for name in selftrain._OPENBLAS_SETTERS:
+            set_threads = getattr(handle, name, None)
+            get_threads = getattr(handle, name.replace("_set_", "_get_"), None)
+            if set_threads is not None and get_threads is not None:
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                calls[lib] = (get_threads, set_threads)
+                break
+    return calls

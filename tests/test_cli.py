@@ -12,6 +12,8 @@ from agst.cli import cli_main
 from agst.experiments import PARAMETERS, SWEEP_AXES, apply_axis
 from agst.gradcheck import PASS_BAR, GradCheckReport
 
+from conftest import _blas_thread_calls
+
 
 @pytest.fixture
 def dataset_dir(tmp_path, monkeypatch):
@@ -412,7 +414,6 @@ class TestEntryPoint:
 
     def test_console_entry_runs_on_one_blas_thread(self, monkeypatch):
         from agst import cli
-        from test_experiments import _blas_thread_calls
 
         calls = _blas_thread_calls()
         if not calls:

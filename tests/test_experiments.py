@@ -1,4 +1,3 @@
-import ctypes
 import math
 import os
 import re
@@ -7,7 +6,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from agst import experiments, selftrain
+from agst import experiments
 from agst import (
     AgstConfig,
     AugmentConfig,
@@ -22,6 +21,8 @@ from agst import (
     two_cluster_bundle,
     write_sweep_csv,
 )
+
+from conftest import _blas_thread_calls
 
 
 @pytest.fixture(scope="module")
@@ -182,21 +183,6 @@ class TestSeedDiscipline:
             for lib, (_, set_threads) in calls.items():
                 set_threads(before[lib])
         assert counts == {lib: 1 for lib in calls}
-
-
-def _blas_thread_calls():
-    """(get, set) thread-count calls of every loaded OpenBLAS, by library path."""
-    calls = {}
-    for lib, handle in selftrain._openblas_libraries().items():
-        for name in selftrain._OPENBLAS_SETTERS:
-            set_threads = getattr(handle, name, None)
-            get_threads = getattr(handle, name.replace("_set_", "_get_"), None)
-            if set_threads is not None and get_threads is not None:
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-                calls[lib] = (get_threads, set_threads)
-                break
-    return calls
 
 
 def _blas_threads():

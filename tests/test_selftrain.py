@@ -2,6 +2,7 @@ import logging
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -38,7 +39,7 @@ from agst.experiments import METHODS, method_config
 from agst import selftrain
 from agst.selftrain import annotate, single_blas_thread, student_rng
 
-from conftest import make_bundle
+from conftest import _blas_thread_calls, make_bundle
 
 
 def toy_setup(seed=0, noise=0.0):
@@ -401,8 +402,8 @@ def rounds_without_wall(result):
 
 
 class TestPipelinedRounds:
-    """Rounds 2..R in forked helpers give the sequential loop's outputs, and
-    leave no process behind."""
+    """Rounds that fork their patience tails give the sequential loop's
+    outputs, and leave no process behind."""
 
     @staticmethod
     def run(monkeypatch, pipelined, bundle, split, cfg):
@@ -410,89 +411,151 @@ class TestPipelinedRounds:
         return run_agst(bundle, split, cfg)
 
     @staticmethod
-    def helper_pids(monkeypatch, tmp_path):
-        """Record the pid of every helper the next pipelined run forks."""
-        real = selftrain._helper
+    def tail_pids(monkeypatch, tmp_path):
+        """Record the pid of every tail the next pipelined run forks."""
+        real = selftrain._Tail.__call__
 
-        def recording(*args):
-            (tmp_path / str(os.getpid())).touch()
-            real(*args)
+        def recording(tail, *args):
+            forked = real(tail, *args)
+            if forked:
+                (tmp_path / str(tail.pid)).touch()
+            return forked
 
-        monkeypatch.setattr(selftrain, "_helper", recording)
+        monkeypatch.setattr(selftrain._Tail, "__call__", recording)
         return lambda: [int(path.name) for path in tmp_path.iterdir()]
 
     @staticmethod
     def assert_reaped(pids):
-        assert multiprocessing.active_children() == []
         for pid in pids:
             with pytest.raises(ProcessLookupError):   # no zombie either
                 os.kill(pid, 0)
 
-    @pytest.mark.parametrize("best, train", [
-        (False, {}), (True, {}),
-        # rounds that end before their best epoch has held SETTLE_EPOCHS
-        (False, {"patience": 0}), (False, {"max_epochs": 2})])
-    def test_same_bytes_as_the_sequential_loop(self, monkeypatch, tmp_path, best, train):
-        bundle, split = toy_setup(seed=4, noise=0.15)
-        cfg = quick_cfg(iterations=3, seed=4, report_best_iteration=best, train=train)
-        pids = self.helper_pids(monkeypatch, tmp_path)
-        a = self.run(monkeypatch, True, bundle, split, cfg)
-        assert len(pids()) == 2
-        self.assert_reaped(pids())
-        b = self.run(monkeypatch, False, bundle, split, cfg)
+    @staticmethod
+    def reruns(caplog):
+        return [int(m.group(1)) for r in caplog.records
+                if (m := re.match(r"iteration (\d)'s best moved", r.getMessage()))]
+
+    @staticmethod
+    def assert_same(a, b):
         assert np.array_equal(a.predictions, b.predictions)
         assert final_bytes(a) == final_bytes(b)
         assert rounds_without_wall(a) == rounds_without_wall(b)
 
-    def test_a_later_best_restarts_the_next_round(self, monkeypatch, caplog, tmp_path):
-        # every new best goes downstream at once, and round 1 waits after its
-        # first epoch until round 2 has started on that first job
+    @pytest.mark.parametrize("best, train, forks", [
+        (False, {}, 2), (True, {}, 2),
+        # rounds that end before their best epoch has held SETTLE_EPOCHS
+        (False, {"patience": 0}, 0), (False, {"max_epochs": 2}, 0)])
+    def test_same_bytes_as_the_sequential_loop(self, monkeypatch, tmp_path, best, train, forks):
+        bundle, split = toy_setup(seed=4, noise=0.15)
+        cfg = quick_cfg(iterations=3, seed=4, report_best_iteration=best, train=train)
+        pids = self.tail_pids(monkeypatch, tmp_path)
+        a = self.run(monkeypatch, True, bundle, split, cfg)
+        assert len(pids()) == forks
+        self.assert_reaped(pids())
+        self.assert_same(a, self.run(monkeypatch, False, bundle, split, cfg))
+
+    def test_a_moved_best_reruns_the_later_rounds(self, monkeypatch, caplog, tmp_path):
+        # every round forks after its first epoch, before its best settles
         monkeypatch.setattr(selftrain, "SETTLE_EPOCHS", 0)
         bundle, split = toy_setup(seed=7, noise=0.2)
         cfg = quick_cfg(iterations=3, seed=7)
         b = self.run(monkeypatch, False, bundle, split, cfg)
         assert b.per_iteration[0].trace.best_epoch > 1
-        started = tmp_path / "round-2-started"
-        real = selftrain.train_student
-
-        def in_step(bundle, split, soft, tcfg, rng, x, on_epoch=None):
-            state = rng.bit_generator.state
-            if state == student_rng(cfg.seed, 2).bit_generator.state:
-                started.touch()
-            elif state == student_rng(cfg.seed, 1).bit_generator.state:
-                hook = on_epoch
-
-                def on_epoch(epoch, best_epoch, best):
-                    stop = hook(epoch, best_epoch, best)
-                    deadline = time.monotonic() + 60
-                    while epoch == 1 and not started.exists():
-                        assert time.monotonic() < deadline
-                        time.sleep(0.005)
-                    return stop
-            return real(bundle, split, soft, tcfg, rng, x, on_epoch)
-
-        monkeypatch.setattr(selftrain, "train_student", in_step)
+        pids = self.tail_pids(monkeypatch, tmp_path)
         with caplog.at_level(logging.DEBUG, logger="agst.selftrain"):
             a = self.run(monkeypatch, True, bundle, split, cfg)
-        restarts = [int(m.group(1)) for r in caplog.records
-                    if (m := re.fullmatch(r"iteration \d restarted (\d+) times", r.getMessage()))]
-        assert len(restarts) == 2 and restarts[0] > 0
-        assert np.array_equal(a.predictions, b.predictions)
-        assert final_bytes(a) == final_bytes(b)
-        assert rounds_without_wall(a) == rounds_without_wall(b)
+        assert self.reruns(caplog)[0] == 1
+        self.assert_reaped(pids())
+        self.assert_same(a, b)
 
-    def test_helpers_reaped_after_an_error_in_round_one(self, monkeypatch, tmp_path):
+    def test_an_error_on_a_stale_input_is_dropped_with_the_rerun(self, monkeypatch, caplog):
+        # round 2 starts on round 1's first epoch and fails on it; round 1's
+        # tail then moves its best, and round 2 runs again on the settled one
+        monkeypatch.setattr(selftrain, "SETTLE_EPOCHS", 0)
+        bundle, split = toy_setup(seed=7, noise=0.2)
+        cfg = quick_cfg(iterations=3, seed=7)
+        real = selftrain.train_student
+        settled, stale = [], []
+
+        def recording(bundle, split, soft, tcfg, rng, *args):
+            if rng.bit_generator.state == student_rng(cfg.seed, 2).bit_generator.state:
+                settled.append(soft.matrix.copy())
+            return real(bundle, split, soft, tcfg, rng, *args)
+
+        monkeypatch.setattr(selftrain, "train_student", recording)
+        b = self.run(monkeypatch, False, bundle, split, cfg)
+
+        def fails_when_stale(bundle, split, soft, tcfg, rng, *args):
+            if (rng.bit_generator.state == student_rng(cfg.seed, 2).bit_generator.state
+                    and not np.array_equal(soft.matrix, settled[0])):
+                stale.append(soft)
+                raise FloatingPointError("stale input")
+            return real(bundle, split, soft, tcfg, rng, *args)
+
+        monkeypatch.setattr(selftrain, "train_student", fails_when_stale)
+        with caplog.at_level(logging.DEBUG, logger="agst.selftrain"):
+            a = self.run(monkeypatch, True, bundle, split, cfg)
+        assert len(stale) == 1 and self.reruns(caplog)[0] == 1
+        self.assert_same(a, b)
+
+    def test_tails_reaped_after_an_interrupt(self, monkeypatch, tmp_path):
+        bundle, split = toy_setup(seed=4, noise=0.15)
+        cfg = quick_cfg(iterations=3, seed=4)
+        real = selftrain.train_student
+
+        def interrupted(bundle, split, soft, tcfg, rng, *args):
+            if rng.bit_generator.state == student_rng(cfg.seed, 2).bit_generator.state:
+                raise KeyboardInterrupt
+            return real(bundle, split, soft, tcfg, rng, *args)
+
+        monkeypatch.setattr(selftrain, "train_student", interrupted)
+        pids = self.tail_pids(monkeypatch, tmp_path)
+        with pytest.raises(KeyboardInterrupt):
+            self.run(monkeypatch, True, bundle, split, cfg)
+        assert len(pids()) == 1
+        self.assert_reaped(pids())
+
+    def test_a_tail_ignores_an_interrupt(self, monkeypatch, tmp_path):
+        # round 2 interrupts round 1's tail, which trains on and reports
+        def ignores_interrupts(pid):
+            status = Path(f"/proc/{pid}/status").read_text()
+            return int(re.search(r"^SigIgn:\s*(\w+)", status, re.M).group(1), 16) \
+                >> (signal.SIGINT - 1) & 1
+
+        bundle, split = toy_setup(seed=4, noise=0.15)
+        cfg = quick_cfg(iterations=3, seed=4)
+        b = self.run(monkeypatch, False, bundle, split, cfg)
+        real, sent = selftrain.train_student, []
+
+        def interrupting(bundle, split, soft, tcfg, rng, *args):
+            if not sent and rng.bit_generator.state == student_rng(cfg.seed, 2).bit_generator.state:
+                tail, = pids()
+                deadline = time.monotonic() + 10
+                while not ignores_interrupts(tail):
+                    assert time.monotonic() < deadline, "the tail does not ignore SIGINT"
+                    time.sleep(0.005)
+                os.kill(tail, signal.SIGINT)
+                sent.append(tail)
+            return real(bundle, split, soft, tcfg, rng, *args)
+
+        monkeypatch.setattr(selftrain, "train_student", interrupting)
+        pids = self.tail_pids(monkeypatch, tmp_path)
+        self.assert_same(self.run(monkeypatch, True, bundle, split, cfg), b)
+        assert len(sent) == 1
+        self.assert_reaped(pids())
+
+    def test_tails_reaped_after_an_error_in_round_one(self, monkeypatch, tmp_path):
         bundle, split = toy_setup(seed=6)
         bad = make_bundle(bundle.n, bundle.graph.edges, bundle.gold, 3,
                           features=bundle.features)  # class 2 never labeled
-        pids = self.helper_pids(monkeypatch, tmp_path)
+        pids = self.tail_pids(monkeypatch, tmp_path)
         with pytest.raises(ValueError, match=r"\[self-training iteration 1\]"):
             self.run(monkeypatch, True, bad, split, quick_cfg(iterations=3, seed=6))
         self.assert_reaped(pids())
 
     @pytest.mark.parametrize("failing", [2, 3])
-    def test_an_error_in_a_helper_round_is_raised_as_in_the_loop(self, monkeypatch, tmp_path,
-                                                                 failing):
+    def test_an_error_in_a_later_round_is_raised_as_in_the_loop(self, monkeypatch, tmp_path,
+                                                                failing):
         bundle, split = toy_setup(seed=6)
         cfg = quick_cfg(iterations=3, seed=6)
         real = selftrain.train_student
@@ -503,54 +566,73 @@ class TestPipelinedRounds:
             return real(bundle, split, soft, tcfg, rng, *args)
 
         monkeypatch.setattr(selftrain, "train_student", failing_round)
-        pids = self.helper_pids(monkeypatch, tmp_path)
+        pids = self.tail_pids(monkeypatch, tmp_path)
         raised = []
         for pipelined in (True, False):
             with pytest.raises(FloatingPointError) as err:
                 self.run(monkeypatch, pipelined, bundle, split, cfg)
             raised.append(str(err.value))
         assert raised == [f"diverged [self-training iteration {failing}]"] * 2
+        assert len(pids()) >= failing - 1
         self.assert_reaped(pids())
 
-    def test_bad_exception_types_come_back_as_runtime_errors(self, monkeypatch):
-        class Coded(Exception):
-            def __init__(self, code, detail):
-                super().__init__(f"code {code}: {detail}")
+    def test_an_error_in_a_tail_comes_first_as_a_runtime_error(self, monkeypatch, tmp_path):
+        # round 1 fails after its best has settled, which in a pipelined run
+        # is in its tail, and round 2 fails too; a type that does not
+        # survive a pickle round trip comes back as a RuntimeError
+        class Local(Exception):
+            pass
 
         bundle, split = toy_setup(seed=6)
-        cfg = quick_cfg(iterations=2, seed=6)
+        cfg = quick_cfg(iterations=3, seed=6)
         real = selftrain.train_student
 
-        def failing_round(bundle, split, soft, tcfg, rng, *args):
-            if rng.bit_generator.state == student_rng(cfg.seed, 2).bit_generator.state:
-                raise Coded(3, "lost")
-            return real(bundle, split, soft, tcfg, rng, *args)
+        def failing_round(bundle, split, soft, tcfg, rng, x, on_epoch=None):
+            state = rng.bit_generator.state
+            if state == student_rng(cfg.seed, 2).bit_generator.state:
+                raise FloatingPointError("diverged")
+            if state == student_rng(cfg.seed, 1).bit_generator.state:
+                hook = on_epoch
+
+                def on_epoch(epoch, best_epoch, best):
+                    if best is not None and epoch - best_epoch > selftrain.SETTLE_EPOCHS:
+                        raise Local("lost")
+                    return hook is not None and hook(epoch, best_epoch, best)
+            return real(bundle, split, soft, tcfg, rng, x, on_epoch)
 
         monkeypatch.setattr(selftrain, "train_student", failing_round)
-        with pytest.raises(RuntimeError, match=r"^code 3: lost \[self-training iteration 2\]$"):
+        pids = self.tail_pids(monkeypatch, tmp_path)
+        with pytest.raises(RuntimeError, match=r"^lost \[self-training iteration 1\]$"):
             self.run(monkeypatch, True, bundle, split, cfg)
-        assert multiprocessing.active_children() == []
+        assert len(pids()) == 1
+        self.assert_reaped(pids())
+        with pytest.raises(Local, match=r"^lost \[self-training iteration 1\]$"):
+            self.run(monkeypatch, False, bundle, split, cfg)
 
 
 ORPHANED = """
 import os, sys
 from pathlib import Path
-from agst import AgstConfig, make_split, run_agst, selftrain, two_cluster_bundle
+from agst import AgstConfig, TrainConfig, make_split, run_agst, selftrain, two_cluster_bundle
 selftrain._can_pipeline = lambda split, cfg: True
-real = selftrain._helper
-def recording(*args):
-    (Path(sys.argv[1]) / str(os.getpid())).touch()
-    real(*args)
-selftrain._helper = recording
+real = selftrain._Tail.__call__
+def recording(tail, *args):
+    forked = real(tail, *args)
+    if forked:
+        (Path(sys.argv[1]) / str(tail.pid)).touch()
+    return forked
+selftrain._Tail.__call__ = recording
 bundle = two_cluster_bundle(n=2000, feature_dim=64, noise_fraction=0.2, seed=5)
 split = make_split(bundle, "balanced", seed=5, k=3, val_per_class=20)
-run_agst(bundle, split, AgstConfig(seed=5, iterations=4))
+# every round trains its whole epoch budget: tails of 10k epochs
+run_agst(bundle, split, AgstConfig(seed=5, iterations=4, train=TrainConfig(patience=10_000)))
 """
 
 
-def test_helpers_end_when_the_caller_is_killed(tmp_path):
-    # each helper keeps only its own pipe ends, so the caller's death closes
-    # the first round's pipe and the helpers end one after another
+def test_tails_end_when_the_caller_is_killed(tmp_path):
+    # a tail checks its parent every epoch, so it ends long before its 10k
+    # epochs would; a finished tail's send fails once the caller, the only
+    # holder of its pipe's other end, is gone
     def running(pid):
         try:
             return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
@@ -570,18 +652,20 @@ def test_helpers_end_when_the_caller_is_killed(tmp_path):
         caller.kill()
         caller.wait()
     pids = [int(path.name) for path in tmp_path.iterdir()]
-    deadline = time.monotonic() + 20
+    assert len(pids) == 3
+    deadline = time.monotonic() + 10
     while any(running(pid) for pid in pids) and time.monotonic() < deadline:
         time.sleep(0.05)
-    assert not any(running(pid) for pid in pids)
+    left = [pid for pid in pids if running(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert not left
 
 
 @pytest.fixture
 def pipeline_ready():
     """One OpenBLAS thread and two CPUs: the state in which ``_can_pipeline``
     says yes to a split with validation and more than one round."""
-    from test_experiments import _blas_thread_calls
-
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("one CPU: the rounds never overlap")
     calls = _blas_thread_calls()
@@ -615,8 +699,6 @@ class TestPipelineEligibility:
         assert not selftrain._can_pipeline(*self.inputs())
 
     def test_unpinned_blas(self, pipeline_ready):
-        from test_experiments import _blas_thread_calls
-
         for _, set_threads in _blas_thread_calls().values():
             set_threads(2)
         assert not selftrain._can_pipeline(*self.inputs())
