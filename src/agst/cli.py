@@ -20,7 +20,6 @@ from .experiments import (
     write_sweep_csv,
 )
 from .gradcheck import PASS_BAR, run_gradcheck_suite
-from .selftrain import single_blas_thread
 
 log = logging.getLogger(__name__)
 
@@ -178,8 +177,6 @@ def cli_main(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    # in-process runs (--workers 1) would otherwise keep one BLAS thread per core
-    single_blas_thread()
     raise SystemExit(cli_main())
 
 

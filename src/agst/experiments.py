@@ -20,7 +20,7 @@ import numpy as np
 from .data import DatasetBundle, load_dataset, make_split, require_integers
 from .graph import normalize_adjacency
 from .propagation import propagate_labels
-from .selftrain import AgstConfig, annotate, run_agst, single_blas_thread
+from .selftrain import AgstConfig, annotate, run_agst
 
 log = logging.getLogger(__name__)
 
@@ -164,9 +164,6 @@ def run_single(bundle: DatasetBundle, spec: ExperimentSpec, run_seed: int) -> Ru
 _WORKER: dict = {}
 
 def _init_worker(bundle: DatasetBundle, spec: ExperimentSpec) -> None:
-    # a forked worker keeps OpenBLAS's pool of one thread per core, so
-    # ``workers`` processes would spin workers x cores threads
-    single_blas_thread()
     _WORKER["bundle"] = bundle
     _WORKER["spec"] = spec
 
@@ -188,9 +185,9 @@ def run_experiment(spec: ExperimentSpec, bundle: DatasetBundle | None = None) ->
     Repetition r draws its split and its model from the seed ``spec.seed +
     r``. ``bundle``, when given, is used in place of loading
     ``spec.dataset``. When ``min(workers, runs)`` is above 1 the repetitions
-    run in a pool of that many processes, each at one BLAS thread; otherwise
-    they run in this process, at its own thread count, and a replay is
-    byte-exact only at a fixed one.
+    run in a pool of that many processes, otherwise in this one; either way
+    each ``run_agst`` runs at one BLAS thread (see there), so the report is
+    the same, ``wall_ms`` aside, at any thread count and any ``workers``.
 
     Returns a Report with one RunRecord per repetition in seed order, their
     mean test accuracy and 95% half-width, the wall time of the

@@ -32,6 +32,7 @@ import signal
 import threading
 import time
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -121,19 +122,21 @@ def run_agst(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig) -> RunRes
     teacher's propagation over the graph rewired by round r - 1's plan (the
     input graph in round 1). Every round plans a rewiring of the input graph,
     but the last round's plan is only reported, in its ``IterationStats``
-    edge counts; no round trains on it.  With a validation set, more than
-    one round, two CPUs and one OpenBLAS thread, each round's patience tail
-    runs in a forked child (see the module docstring) with the same
+    edge counts; no round trains on it.  The rounds run with every loaded
+    OpenBLAS at one thread, a setting of the whole process that is undone on
+    return, so a replay is byte-exact at any caller's thread count.  With a
+    validation set, more than one round and two CPUs, each round's patience
+    tail runs in a forked child (see the module docstring) with the same
     outputs; a round's ``wall_ms`` then runs to the end of its tail and
     overlaps the later rounds.
 
     Returns the per-round stats and the last round's parameters and
     predictions, or, with ``cfg.report_best_iteration`` and a validation
-    set, those of the first round with the best validation accuracy. A
-    replay of the same inputs is byte-exact only at a fixed BLAS thread count.
+    set, those of the first round with the best validation accuracy.
     """
     require_gold(bundle, split)
-    rounds = _rounds(bundle, split, cfg, _can_pipeline(split, cfg))
+    with _one_blas_thread() as pinned:
+        rounds = _rounds(bundle, split, cfg, pinned and _can_pipeline(split, cfg))
     best = max(rounds, key=lambda out: out[2].val_acc) if split.validation.size else None
     for _, _, stats in rounds:
         log.debug("iteration %d: val=%s test=%s +%d/-%d edges", stats.iteration, stats.val_acc,
@@ -169,8 +172,8 @@ def _round(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig, iteration: 
     return params, preds, stats, plan
 
 
-# thread-count setters of OpenBLAS builds: numpy's and scipy's wheels prefix
-# them with scipy_, 64-bit-integer builds add a 64_ suffix
+# thread-count setters of OpenBLAS builds, each with a _get_ twin: numpy's
+# and scipy's wheels prefix them with scipy_, 64-bit-integer builds add 64_
 _OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
                      "openblas_set_num_threads64_", "openblas_set_num_threads")
 
@@ -194,37 +197,39 @@ def _openblas_libraries() -> dict[str, ctypes.CDLL]:
     return libraries
 
 
-def _openblas_call(handle: ctypes.CDLL, verb: str):
-    """The library's ``set`` or ``get`` thread-count call, or None."""
-    for name in _OPENBLAS_SETTERS:
-        call = getattr(handle, name.replace("_set_", f"_{verb}_"), None)
-        if call is not None:
-            return call
-    return None
-
-
-def single_blas_thread() -> None:
-    """Set every loaded OpenBLAS that exports a thread-count setter to one
-    thread: on this program's small matrices a second thread only spins."""
-    for handle in _openblas_libraries().values():
-        setter = _openblas_call(handle, "set")
-        if setter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
+@contextmanager
+def _one_blas_thread():
+    """Every loaded OpenBLAS at one thread for the block (on these small
+    matrices a second only spins), each put back at its own count on exit,
+    an error or interrupt included; yields whether one library at least was
+    found and all were set.  The count is process-wide: another thread that
+    uses BLAS meanwhile runs on one too."""
+    handles, restore = list(_openblas_libraries().values()), []
+    try:
+        for handle in handles:
+            for name in _OPENBLAS_SETTERS:
+                get = getattr(handle, name.replace("_set_", "_get_"), None)
+                setter = getattr(handle, name, None)
+                if get is not None and setter is not None:
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    restore.append((setter, get()))
+                    setter(1)
+                    break
+        yield bool(handles) and len(restore) == len(handles)
+    finally:
+        for setter, count in reversed(restore):
+            setter(count)
 
 
 def _can_pipeline(split: SplitSpec, cfg: AgstConfig) -> bool:
     """Whether the rounds may fork their patience tails: there is a
     validation set to settle a best epoch, more than one round, at least two
-    CPUs, no other thread (a fork copies none), every OpenBLAS at one thread
-    (more would already use the cores and spin against the tails), and
-    this process is not a multiprocessing child such as a pool worker."""
-    if not (split.validation.size and cfg.iterations > 1
-            and multiprocessing.parent_process() is None and threading.active_count() == 1
-            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2):
-        return False
-    getters = [_openblas_call(handle, "get") for handle in _openblas_libraries().values()]
-    return bool(getters) and all(get is not None and get() == 1 for get in getters)
+    CPUs, no other thread (a fork copies none), and this process is not a
+    multiprocessing child such as a pool worker.  ``run_agst`` asks only
+    under ``_one_blas_thread``, so no OpenBLAS thread spins against a tail."""
+    return bool(split.validation.size and cfg.iterations > 1
+                and multiprocessing.parent_process() is None and threading.active_count() == 1
+                and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
 
 
 def _rounds(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig, fork: bool) -> list:

@@ -12,8 +12,6 @@ from agst.cli import cli_main
 from agst.experiments import PARAMETERS, SWEEP_AXES, apply_axis
 from agst.gradcheck import PASS_BAR, GradCheckReport
 
-from conftest import _blas_thread_calls
-
 
 @pytest.fixture
 def dataset_dir(tmp_path, monkeypatch):
@@ -411,29 +409,3 @@ class TestEntryPoint:
 
     def test_help_exits_zero(self):
         assert cli_main(["--help"]) == 0
-
-    def test_console_entry_runs_on_one_blas_thread(self, monkeypatch):
-        from agst import cli
-
-        calls = _blas_thread_calls()
-        if not calls:
-            pytest.skip("no OpenBLAS thread-count calls in this process")
-        before = {lib: get() for lib, (get, _) in calls.items()}
-        seen = {}
-
-        def fake_cli_main():
-            seen.update({lib: get() for lib, (get, _) in calls.items()})
-            return 0
-
-        monkeypatch.setattr(cli, "cli_main", fake_cli_main)
-        monkeypatch.setattr(cli.logging, "basicConfig", lambda **kwargs: None)
-        try:
-            for _, set_threads in calls.values():
-                set_threads(2)
-            with pytest.raises(SystemExit) as exited:
-                cli.main()
-        finally:
-            for lib, (_, set_threads) in calls.items():
-                set_threads(before[lib])
-        assert exited.value.code == 0
-        assert seen == {lib: 1 for lib in calls}

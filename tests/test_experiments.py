@@ -1,7 +1,7 @@
 import math
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from agst import experiments
 from agst import (
     AgstConfig,
     AugmentConfig,
+    DatasetBundle,
     ExperimentSpec,
     LpConfig,
     TrainConfig,
@@ -21,8 +22,6 @@ from agst import (
     two_cluster_bundle,
     write_sweep_csv,
 )
-
-from conftest import _blas_thread_calls
 
 
 @pytest.fixture(scope="module")
@@ -168,25 +167,38 @@ class TestSeedDiscipline:
         assert len(report.records) == runs
         assert len(list(tmp_path.iterdir())) == started
 
-    def test_worker_uses_one_blas_thread(self, noisy_bundle):
-        calls = _blas_thread_calls()
-        if not calls:
-            pytest.skip("no OpenBLAS thread-count calls in this process")
-        before = {lib: get() for lib, (get, _) in calls.items()}
-        try:
-            for _, set_threads in calls.values():   # what a worker would inherit
-                set_threads(2)
-            with ProcessPoolExecutor(max_workers=1, initializer=experiments._init_worker,
-                                     initargs=(noisy_bundle, toy_spec(workers=2))) as pool:
-                counts = pool.submit(_blas_threads).result(timeout=60)
-        finally:
-            for lib, (_, set_threads) in calls.items():
-                set_threads(before[lib])
-        assert counts == {lib: 1 for lib in calls}
 
+class TestTestLabelBlindness:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reports_ignore_test_gold(self, monkeypatch, workers):
+        """With each run's split fixed, as drawn from the true gold, and gold
+        permuted on the nodes every run tests, the report is the same apart
+        from the test accuracy (with its mean and ci95) and ``wall_ms``, in
+        this process and in a pool."""
+        bundle = two_cluster_bundle(n=200, separation=1.0, noise_fraction=0.2, seed=3)
+        spec = toy_spec(k=5, runs=2, val_per_class=5, seed=6, workers=workers,
+                        config=AgstConfig(train=TrainConfig(max_epochs=60, no_val_epochs=20)))
+        real = experiments.make_split
+        monkeypatch.setattr(experiments, "make_split",
+                            lambda _, *args, **kwargs: real(bundle, *args, **kwargs))
+        tested = reduce(np.intersect1d, [
+            real(bundle, spec.protocol, seed=spec.seed + r, k=spec.k,
+                 val_per_class=spec.val_per_class).test for r in range(spec.runs)])
+        gold = bundle.gold.copy()
+        gold[tested] = np.random.default_rng(5).permutation(gold[tested])
+        assert (gold != bundle.gold).any()
+        shuffled = DatasetBundle(bundle.graph, bundle.features, gold, bundle.num_classes)
 
-def _blas_threads():
-    return {lib: get() for lib, (get, _) in _blas_thread_calls().items()}
+        def blind(report):
+            out = {key: value for key, value in report.to_dict().items()
+                   if key not in ("mean", "ci95", "wall_ms")}
+            for run in out["runs"]:
+                del run["accuracy"], run["wall_ms"]
+                for stats in run["iterations"]:
+                    del stats["test_acc"], stats["wall_ms"]
+            return out
+
+        assert blind(run_experiment(spec, bundle)) == blind(run_experiment(spec, shuffled))
 
 
 class TestMethods:

@@ -1,3 +1,5 @@
+import itertools
+import json
 import logging
 import multiprocessing
 import os
@@ -35,9 +37,10 @@ from agst import (
     train_student,
     two_cluster_bundle,
 )
+from agst import experiments
 from agst.experiments import METHODS, method_config
 from agst import selftrain
-from agst.selftrain import annotate, single_blas_thread, student_rng
+from agst.selftrain import annotate, student_rng
 
 from conftest import _blas_thread_calls, make_bundle
 
@@ -664,19 +667,10 @@ def test_tails_end_when_the_caller_is_killed(tmp_path):
 
 @pytest.fixture
 def pipeline_ready():
-    """One OpenBLAS thread and two CPUs: the state in which ``_can_pipeline``
-    says yes to a split with validation and more than one round."""
+    """Two CPUs: the state in which ``_can_pipeline`` says yes to a split
+    with validation and more than one round."""
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("one CPU: the rounds never overlap")
-    calls = _blas_thread_calls()
-    if not calls:
-        pytest.skip("no OpenBLAS thread-count calls in this process")
-    before = {lib: get() for lib, (get, _) in calls.items()}
-    for _, set_threads in calls.values():
-        set_threads(1)
-    yield
-    for lib, (_, set_threads) in calls.items():
-        set_threads(before[lib])
 
 
 class TestPipelineEligibility:
@@ -686,7 +680,7 @@ class TestPipelineEligibility:
         split = make_split(bundle, "balanced", seed=1, k=3, val_per_class=val_per_class)
         return split, quick_cfg(iterations=iterations, seed=1)
 
-    def test_validation_and_rounds_on_one_blas_thread_pipeline(self, pipeline_ready):
+    def test_validation_and_rounds_pipeline(self, pipeline_ready):
         assert selftrain._can_pipeline(*self.inputs())
 
     @pytest.mark.parametrize("val_per_class, iterations", [(0, 3), (4, 1)],
@@ -696,11 +690,6 @@ class TestPipelineEligibility:
 
     def test_one_cpu(self, pipeline_ready, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert not selftrain._can_pipeline(*self.inputs())
-
-    def test_unpinned_blas(self, pipeline_ready):
-        for _, set_threads in _blas_thread_calls().values():
-            set_threads(2)
         assert not selftrain._can_pipeline(*self.inputs())
 
     def test_another_thread_running(self, pipeline_ready):
@@ -714,8 +703,8 @@ class TestPipelineEligibility:
             other.join()
 
     def test_pool_worker(self, pipeline_ready):
-        with ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=single_blas_thread) as pool:
+        with ProcessPoolExecutor(max_workers=1,
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
             assert pool.submit(selftrain._can_pipeline, *self.inputs()).result(timeout=60) is False
 
     def test_pool_of_two_equals_one_worker_with_validation(self, pipeline_ready):
@@ -735,34 +724,138 @@ class TestPipelineEligibility:
         assert one == two
 
 
+@pytest.fixture
+def two_blas_threads():
+    """Every loaded OpenBLAS at two threads, as a caller may leave it, and
+    back at its own count after the test."""
+    calls = _blas_thread_calls()
+    if not calls:
+        pytest.skip("no OpenBLAS thread-count calls in this process")
+    before = {lib: get() for lib, (get, _) in calls.items()}
+    for _, set_threads in calls.values():
+        set_threads(2)
+    yield calls
+    for lib, (_, set_threads) in calls.items():
+        set_threads(before[lib])
+
+
+def _experiment(workers):
+    def run(bundle, split, cfg):
+        spec = ExperimentSpec(protocol="balanced", k=3, runs=2, val_per_class=4, seed=cfg.seed,
+                              config=cfg, workers=workers)
+        return run_experiment(spec, bundle)
+    return run
+
+
+class TestOneBlasThread:
+    """``run_agst`` runs every round at one OpenBLAS thread, whoever calls
+    it and in whichever process, and puts the caller's count back after a
+    return, an error or an interrupt."""
+
+    CALLERS = {"run_agst": run_agst, "workers=1": _experiment(1), "workers=2": _experiment(2)}
+
+    @pytest.mark.parametrize("caller, raised", [
+        *((caller, raised) for caller in sorted(CALLERS) for raised in (None, FloatingPointError)),
+        ("run_agst", KeyboardInterrupt),
+    ])
+    def test_rounds_run_on_one_thread(self, two_blas_threads, monkeypatch, tmp_path, caller,
+                                      raised):
+        calls = two_blas_threads
+        bundle, split = toy_setup(seed=2)
+        cfg = quick_cfg(iterations=3, seed=2)
+        real, calls_made = selftrain.train_student, itertools.count()
+        # round 2 of either run: run_experiment's run r has seed cfg.seed + r
+        second = [student_rng(seed, 2).bit_generator.state for seed in (cfg.seed, cfg.seed + 1)]
+
+        def recording(*args):
+            # a file a call, so that pool workers report too
+            counts = {lib: get() for lib, (get, _) in _blas_thread_calls().items()}
+            (tmp_path / f"{os.getpid()}-{next(calls_made)}").write_text(json.dumps(counts))
+            if raised is not None and args[4].bit_generator.state in second:
+                raise raised("diverged")
+            return real(*args)
+
+        monkeypatch.setattr(selftrain, "train_student", recording)
+        if raised is None:
+            self.CALLERS[caller](bundle, split, cfg)
+        else:
+            with pytest.raises(raised):
+                self.CALLERS[caller](bundle, split, cfg)
+        seen = [json.loads(path.read_text()) for path in tmp_path.iterdir()]
+        assert len(seen) >= (2 if raised else 3)
+        assert all(counts == {lib: 1 for lib in calls} for counts in seen)
+        assert {lib: get() for lib, (get, _) in calls.items()} == {lib: 2 for lib in calls}
+
+    @pytest.mark.parametrize("found", [True, False], ids=["openblas", "no-openblas"])
+    def test_tails_fork_only_where_the_count_is_set(self, pipeline_ready, monkeypatch, tmp_path,
+                                                    found):
+        # a run that cannot set the count leaves the tails in the caller,
+        # where OpenBLAS threads would spin against them
+        if found and not _blas_thread_calls():
+            pytest.skip("no OpenBLAS thread-count calls in this process")
+        if not found:
+            monkeypatch.setattr(selftrain, "_openblas_libraries", lambda: {})
+        pids = TestPipelinedRounds.tail_pids(monkeypatch, tmp_path)
+        bundle, split = toy_setup(seed=2)
+        run_agst(bundle, split, quick_cfg(iterations=3, seed=2))
+        assert bool(pids()) == found
+
+
 REPLAY = """
-import hashlib, sys
-from agst import AgstConfig, TrainConfig, make_split, run_agst, two_cluster_bundle
-from agst import selftrain
+import hashlib, json
+from agst import (AgstConfig, ExperimentSpec, TrainConfig, experiments, make_split, run_agst,
+                  run_experiment, selftrain, two_cluster_bundle)
+forks, params = [], []
+real_rounds, real_run = selftrain._rounds, selftrain.run_agst
+def rounds(bundle, split, cfg, fork):
+    forks.append(fork)
+    return real_rounds(bundle, split, cfg, fork)
+def run(bundle, split, cfg):
+    result = real_run(bundle, split, cfg)
+    final = result.final_params
+    params.append(hashlib.sha256(final.live.tobytes() + final.momentum.tobytes()).hexdigest())
+    return result
+selftrain._rounds = rounds
+experiments.run_agst = run
 bundle = two_cluster_bundle(n=2000, feature_dim=64, noise_fraction=0.2, seed=5)
 split = make_split(bundle, "balanced", seed=5, k=3, val_per_class=20)
 cfg = AgstConfig(train=TrainConfig(patience=15), seed=5)
-pipelined = selftrain._can_pipeline(split, cfg)
-params = run_agst(bundle, split, cfg).final_params
-print(int(pipelined), hashlib.sha256(params.live.tobytes() + params.momentum.tobytes()).hexdigest())
+run(bundle, split, cfg)
+report = run_experiment(ExperimentSpec(protocol="balanced", k=3, val_per_class=20, runs=2,
+                                       seed=5, config=cfg), bundle).to_dict()
+del report["wall_ms"]
+for record in report["runs"]:
+    del record["wall_ms"]
+    for stats in record["iterations"]:
+        del stats["wall_ms"]
+print(json.dumps({"forks": forks, "params": params, "report": report}))
 """
 
 
 def test_replay_is_exact_at_each_blas_thread_count(pipeline_ready, monkeypatch):
-    """ROADMAP item 9's replay, in fresh interpreters: one OpenBLAS thread
-    takes the pipelined rounds, two the sequential loop; each count replays
-    its own bytes, and one thread's are the in-process sequential loop's."""
+    """ROADMAP item 9's replay, in fresh interpreters at one and two
+    OpenBLAS threads, of a ``run_agst`` and a ``run_experiment(workers=1)``:
+    both counts fork the patience tails and give the same ``final_params``
+    bytes and report, ``wall_ms`` aside, as the in-process sequential loop
+    at this process's count."""
+    if not _blas_thread_calls():
+        pytest.skip("no OpenBLAS thread-count calls in this process")
     src = str(Path(selftrain.__file__).resolve().parents[1])
-    digests = {}
-    for threads in ("1", "1", "2", "2"):
+    replays = []
+    for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         done = subprocess.run([sys.executable, "-c", REPLAY], env=env, capture_output=True,
                               text=True, timeout=300, check=True)
-        digests.setdefault(threads, []).append(done.stdout.split())
-    assert digests["1"][0] == digests["1"][1] and digests["1"][0][0] == "1"
-    assert digests["2"][0] == digests["2"][1] and digests["2"][0][0] == "0"
-    namespace = {}
+        replays.append(json.loads(done.stdout))
+    assert replays[0] == replays[1]
+    assert replays[0]["forks"] == [True] * 3
+    # the script replaces these two; monkeypatch puts them back afterwards
+    monkeypatch.setattr(selftrain, "_rounds", selftrain._rounds)
+    monkeypatch.setattr(experiments, "run_agst", experiments.run_agst)
     monkeypatch.setattr(selftrain, "_can_pipeline", lambda split, cfg: False)
+    namespace = {}
     exec(REPLAY.replace("print(", "out = ("), namespace)
-    assert namespace["out"][1] == digests["1"][0][1]
+    sequential = json.loads(namespace["out"])
+    assert sequential.pop("forks") == [False] * 3
+    assert sequential == {key: replays[0][key] for key in ("params", "report")}
