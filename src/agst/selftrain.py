@@ -14,11 +14,12 @@ runs out.  Where ``_can_pipeline`` allows, every round but the last forks
 its patience tail (``_Tail``): once the best epoch has held
 ``SETTLE_EPOCHS`` epochs, the round ends in the caller on that best and the
 next round starts on it, while a child process trains on through the
-patience and sends the whole round back.  ``_settle`` puts each child's
-round in place of the one cut short; where a child's best epoch moved, the
-rounds after it run again on its plan.  Each round does the same arithmetic
-on the same input as in the sequential loop, so the outputs are the same
-bytes.
+patience and, if its round finishes, sends it back.  The fork only
+speculates: ``_standing`` puts each child's round in place of the one cut
+short, and where a child sent nothing, or its best epoch moved, the rounds
+it covered (or the ones after it) run again in the plain loop.  Each round
+does the same arithmetic on the same input as in the sequential loop, so
+the outputs are the same bytes, and an error is raised as in the loop.
 """
 
 from __future__ import annotations
@@ -27,11 +28,9 @@ import ctypes
 import logging
 import multiprocessing
 import os
-import pickle
 import signal
 import threading
 import time
-import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -235,31 +234,32 @@ def _can_pipeline(split: SplitSpec, cfg: AgstConfig) -> bool:
 def _rounds(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig, fork: bool) -> list:
     """The rounds in order, (params, predictions, stats) each.  With
     ``fork``, every round but the last forks its patience tail; every child
-    is reaped before this returns or raises."""
+    is reaped before the rounds that do not stand run again unforked."""
     rounds, tails = [], []      # rounds: (params, predictions, stats, plan) or an error
     try:
-        while True:
-            for iteration in range(len(rounds) + 1, cfg.iterations + 1):
-                tail, out = _Tail(tails), None
-                tails.append(tail)
-                try:
-                    out = _round(bundle, split, cfg, iteration, rounds[-1][3] if rounds else None,
-                                 tail if fork and iteration < cfg.iterations else None)
-                except Exception as err:
-                    out = err
-                finally:
-                    if tail.pid == 0:
-                        tail.leave(out)
-                rounds.append(out)
-                if isinstance(out, Exception):
-                    break
-            if not _settle(rounds, tails):
+        for iteration in range(1, cfg.iterations + 1):
+            tail, out = _Tail(tails), None
+            tails.append(tail)
+            try:
+                out = _round(bundle, split, cfg, iteration, rounds[-1][3] if rounds else None,
+                             tail if fork and iteration < cfg.iterations else None)
+            except Exception as err:
+                out = err
+            finally:
+                if tail.pid == 0:
+                    tail.leave(out)
+            rounds.append(out)
+            if isinstance(out, Exception):
                 break
+        del rounds[_standing(rounds, tails):]
     finally:
         for tail in tails:
             tail.reap()
-    if isinstance(rounds[-1], Exception):
+    if rounds and isinstance(rounds[-1], Exception):
         raise rounds[-1]
+    for iteration in range(len(rounds) + 1, cfg.iterations + 1):
+        rounds.append(_round(bundle, split, cfg, iteration, rounds[-1][3] if rounds else None,
+                             None))
     return [out[:3] for out in rounds]
 
 
@@ -268,10 +268,12 @@ class _Tail:
 
     Once the best epoch has held ``SETTLE_EPOCHS`` epochs, the caller forks
     and returns True, so that its round ends there, on that best.  The child
-    (``pid`` 0) returns False on every epoch, so that it trains on, until
-    the process it was forked from is gone; ``leave`` then sends its round
-    through the pipe to ``reader``.  ``tails`` are the run's tails, one a
-    round, whose pipe ends a child closes."""
+    (``pid`` 0) returns False on every epoch, so that it trains on, and exits
+    once the process it was forked from is gone; ``leave`` sends its round,
+    if the round finished, through the pipe to ``reader``.  A child that
+    sends nothing, having failed or been killed, costs only a rerun of its
+    round in the caller.  ``tails`` are the run's tails, one a round, whose
+    pipe ends a child closes."""
 
     def __init__(self, tails: list):
         self.tails, self.parent, self.pid, self.reader = tails, os.getpid(), None, None
@@ -296,14 +298,12 @@ class _Tail:
         return False
 
     def leave(self, out) -> None:
-        """In the child: send ``out``, the round or its error (None when
-        something else ended it), with its traceback, and exit without
-        unwinding into the caller's frames."""
+        """In the child: send ``out`` if it is a finished round, nothing if
+        an error or anything else ended it, and exit without unwinding into
+        the caller's frames."""
         try:
-            if isinstance(out, Exception):
-                self.writer.send((_portable(out), "".join(traceback.format_exception(out))))
-            elif out is not None:
-                self.writer.send((out, ""))
+            if isinstance(out, tuple):
+                self.writer.send(out)
         finally:
             os._exit(0)
 
@@ -316,42 +316,22 @@ class _Tail:
             self.pid = None
 
 
-def _settle(rounds: list, tails: list) -> bool:
+def _standing(rounds: list, tails: list) -> int:
     """Put each child's round, in round order, in place of the round its
-    caller cut short.  A child's error ends ``rounds`` there.  Where the
-    child's best epoch moved, the later rounds are dropped, with their
-    tails, and True asks for them to run again on the child's plan."""
+    caller cut short, and return how many rounds stand: none from the first
+    child that sent nothing, and none after the first whose best epoch moved,
+    since those rounds started on a best that did not hold."""
     for index, tail in enumerate(tails):
         if not tail.pid:
             continue
         try:
-            out, trace = tail.reader.recv()
+            out = tail.reader.recv()
         except EOFError:
-            out, trace = RuntimeError(f"the forked tail of self-training iteration {index + 1} "
-                                      "ended before reporting"), ""
-        tail.reap()
-        if trace:
-            out.__cause__ = RuntimeError(f"in the forked tail:\n{trace}")
+            log.debug("iteration %d's tail sent nothing: running it again", index + 1)
+            return index
         cut, rounds[index] = rounds[index], out
-        failed = isinstance(out, Exception)
-        if not (failed or isinstance(cut, Exception)
-                or out[2].trace.best_epoch != cut[2].trace.best_epoch):
-            continue
-        for later in tails[index + 1:]:
-            later.reap()
-        del rounds[index + 1:], tails[index + 1:]
-        if not failed:
+        if not isinstance(cut, Exception) and out[2].trace.best_epoch != cut[2].trace.best_epoch:
             log.debug("iteration %d's best moved to epoch %d in its tail: rerunning the "
                       "later rounds", index + 1, out[2].trace.best_epoch)
-        return not failed
-    return False
-
-
-def _portable(err: Exception) -> Exception:
-    """``err`` if it survives a pickle round trip, else a RuntimeError with
-    its message."""
-    try:
-        pickle.loads(pickle.dumps(err))
-        return err
-    except Exception:
-        return RuntimeError(str(err))
+            return index + 1
+    return len(rounds)

@@ -439,6 +439,12 @@ class TestPipelinedRounds:
                 if (m := re.match(r"iteration (\d)'s best moved", r.getMessage()))]
 
     @staticmethod
+    def silent(caplog):
+        """The rounds whose tails sent nothing, by the run's debug lines."""
+        return [int(m.group(1)) for r in caplog.records
+                if (m := re.match(r"iteration (\d)'s tail sent nothing", r.getMessage()))]
+
+    @staticmethod
     def assert_same(a, b):
         assert np.array_equal(a.predictions, b.predictions)
         assert final_bytes(a) == final_bytes(b)
@@ -579,10 +585,11 @@ class TestPipelinedRounds:
         assert len(pids()) >= failing - 1
         self.assert_reaped(pids())
 
-    def test_an_error_in_a_tail_comes_first_as_a_runtime_error(self, monkeypatch, tmp_path):
+    def test_an_error_in_a_tail_is_raised_as_in_the_loop(self, monkeypatch, caplog, tmp_path):
         # round 1 fails after its best has settled, which in a pipelined run
-        # is in its tail, and round 2 fails too; a type that does not
-        # survive a pickle round trip comes back as a RuntimeError
+        # is in its tail, and round 2 fails too; the tail sends nothing, and
+        # round 1 runs again in the caller, raising a type that would not
+        # survive a pickle round trip
         class Local(Exception):
             pass
 
@@ -605,12 +612,65 @@ class TestPipelinedRounds:
 
         monkeypatch.setattr(selftrain, "train_student", failing_round)
         pids = self.tail_pids(monkeypatch, tmp_path)
-        with pytest.raises(RuntimeError, match=r"^lost \[self-training iteration 1\]$"):
-            self.run(monkeypatch, True, bundle, split, cfg)
-        assert len(pids()) == 1
+        for pipelined in (True, False):
+            with caplog.at_level(logging.DEBUG, logger="agst.selftrain"):
+                with pytest.raises(Local, match=r"^lost \[self-training iteration 1\]$"):
+                    self.run(monkeypatch, pipelined, bundle, split, cfg)
+        assert len(pids()) == 1 and self.silent(caplog) == [1]
         self.assert_reaped(pids())
-        with pytest.raises(Local, match=r"^lost \[self-training iteration 1\]$"):
-            self.run(monkeypatch, False, bundle, split, cfg)
+
+    def test_a_killed_tail_runs_again_in_the_caller(self, monkeypatch, caplog, tmp_path):
+        bundle, split = toy_setup(seed=4, noise=0.15)
+        cfg = quick_cfg(iterations=3, seed=4)
+        b = self.run(monkeypatch, False, bundle, split, cfg)
+        pids = self.tail_pids(monkeypatch, tmp_path)
+        recording, killed = selftrain._Tail.__call__, []
+
+        def killing(tail, *args):
+            forked = recording(tail, *args)
+            if forked and not killed:
+                os.kill(tail.pid, signal.SIGKILL)
+                killed.append(tail.pid)
+            return forked
+
+        monkeypatch.setattr(selftrain._Tail, "__call__", killing)
+        with caplog.at_level(logging.DEBUG, logger="agst.selftrain"):
+            a = self.run(monkeypatch, True, bundle, split, cfg)
+        assert killed and self.silent(caplog) == [1]
+        self.assert_reaped(pids())
+        self.assert_same(a, b)
+
+    @pytest.mark.parametrize("where", ["every process", "caller", "tail"])
+    def test_an_error_after_the_fork_is_raised_as_in_the_loop(self, monkeypatch, tmp_path, where):
+        # round 1's rewiring plan fails after its round forked: where it
+        # fails in every process the loop's error is raised, and where only
+        # the caller or only the tail fails, the run gives the loop's bytes
+        class Broken(Exception):
+            pass
+
+        bundle, split = toy_setup(seed=4, noise=0.15)
+        cfg = quick_cfg(iterations=3, seed=4)
+        b = self.run(monkeypatch, False, bundle, split, cfg)
+        real, caller, planned = selftrain.plan_augmentation, os.getpid(), []
+
+        def failing_plan(*args):
+            planned.append(os.getpid())
+            if (where == "every process" or len(planned) == 1
+                    and (os.getpid() == caller) == (where == "caller")):
+                raise Broken("no plan")
+            return real(*args)
+
+        monkeypatch.setattr(selftrain, "plan_augmentation", failing_plan)
+        pids = self.tail_pids(monkeypatch, tmp_path)
+        if where == "every process":
+            for pipelined in (True, False):
+                with pytest.raises(Broken, match=r"^no plan \[self-training iteration 1\]$"):
+                    self.run(monkeypatch, pipelined, bundle, split, cfg)
+            assert len(pids()) == 1
+        else:
+            self.assert_same(self.run(monkeypatch, True, bundle, split, cfg), b)
+            assert len(pids()) >= 1
+        self.assert_reaped(pids())
 
 
 ORPHANED = """
