@@ -40,7 +40,7 @@ print(f"contrastive: {first.loss_contrastive:.4f} -> {last.loss_contrastive:.4f}
 
 # prediction as run_agst makes it: the float32 student's weights read in
 # float64, on the float64 matrix
-_, probs = forward(params.astype(np.float64), x)
+probs = forward(params.astype(np.float64), x)
 preds = np.argmax(probs, axis=1)
 acc = np.mean(preds[split.test] == bundle.gold[split.test])
 print(f"test accuracy: {acc:.3f}")

@@ -29,7 +29,7 @@ agst_cfg = AgstConfig(train=TrainConfig(patience=30), iterations=1, seed=2)
 result = run_agst(bundle, split, agst_cfg)
 # probabilities as run_agst computes them: the weights and the bundle's
 # features in float64
-_, p = forward(result.final_params.astype(np.float64), bundle.features)
+p = forward(result.final_params.astype(np.float64), bundle.features)
 
 edges = bundle.graph.edges
 probs = edge_probability(p, edges)

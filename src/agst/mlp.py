@@ -9,9 +9,13 @@ encoder (an exponential moving average of its weights) and are constants of
 the gradient.
 
 The student trains in ``STUDENT_DTYPE`` (float32): an epoch is memory-bound
-sparse products and n x hidden passes, so float32 halves its traffic.  What
-reads the student's output stays in float64: prediction, the validation loss
-and ``gradcheck``.
+sparse products and passes over the hidden layer, so float32 halves its
+traffic.  Prediction, the validation loss and ``gradcheck`` stay in float64.
+
+The head runs in class space: with K = [w3 | protos.T / tau] (w3 alone
+without the contrastive term), the logits and the similarity logits are
+h @ (w2 @ K) + (b2 @ K + [b3 | 0]), so the embeddings z = h @ w2 + b2 and
+their gradient are never formed, and no n-row product is hidden x hidden.
 
 The momentum encoder never runs over x.  Its first layer is an average,
 mw1 <- m * mw1 + (1 - m) * w1, so s = x @ mw1 follows
@@ -177,14 +181,12 @@ class EpochWorkspace:
 
     ``train_student`` fills the same workspace every epoch, in this order:
     the live product x @ w1 (into ``h1`` for dense x), its fold into ``s``
-    (the (1 - m) x @ w1 term in ``d_z``), ``pseudo_targets``'s momentum hidden
-    layer ``h_mom`` (in ``d_d1``), the rest of the forward pass, the losses
-    with the contrastive gradient in ``g_sim``, then the backward pass.  The
-    forward pass's state stays valid until the next forward pass into the
-    workspace; ``h_mom`` until the backward pass.  ``s``, the momentum
-    encoder's pre-activation x @ mw1, is the one array carried from epoch to
-    epoch.  No array holds momentum embeddings, an n x hidden contrastive
-    gradient or a parameter gradient.
+    (the (1 - m) x @ w1 term in ``d_d1``), ``pseudo_targets``'s momentum
+    hidden layer ``h_mom`` (in ``d_d1``), the rest of the forward pass, the
+    losses, then the backward pass.  ``h_mom`` stays valid until the backward
+    pass, the rest until the next forward pass; ``s`` = x @ mw1 is carried
+    from epoch to epoch.  No array holds embeddings, live or momentum, their
+    gradient, or a parameter gradient.
     """
 
     def __init__(self, params: StudentParams, n: int):
@@ -197,22 +199,24 @@ class EpochWorkspace:
         self.keep = np.empty(rows, dtype)
         self.alive = np.empty(rows, dtype=bool)      # h1 > 0, then kept by the draw
         self.drawn = np.empty(rows, dtype=bool)      # the dropout draw
-        self.z = np.empty(rows, dtype)           # embeddings
-        self.p = np.empty((n, num_classes), dtype)   # logits, then their softmax
-        # [d(loss)/d(logits) | contrastive gradient w.r.t. the similarity
-        # logits]: one product maps both back to the embeddings
+        # the head's output [logits | similarity logits] and its gradient,
+        # as ``_rows`` of the head's width (c without the contrastive term)
+        self.head = np.empty((n, 2 * num_classes), dtype)
+        self.sim = self.head[:, num_classes:]
         self.d_out = np.empty((n, 2 * num_classes), dtype)
-        self.d_logits = self.d_out[:, :num_classes]
         self.g_sim = self.d_out[:, num_classes:]
-        self.d_z = np.empty(rows, dtype)
+        self.p = np.empty((n, num_classes), dtype)   # the softmax of the logits
         self.d_d1 = np.empty(rows, dtype)
         # bias gradients as ones @ a: a BLAS product, where NumPy's column
-        # sums of an n x hidden array walk it row by row
+        # sums of an n-row array walk it row by row
         self.ones = np.ones(n, dtype)
         self.s: np.ndarray | None = None             # x @ mw1, carried across epochs
-        # pseudo_targets writes the momentum hidden layer before the backward
-        # pass writes d_d1
         self.h_mom = self.d_d1
+
+
+def _rows(a, width):
+    """``a``'s leading entries as n contiguous rows (ones @ a sums strided rows differently)."""
+    return a.reshape(-1)[:a.shape[0] * width].reshape(-1, width)
 
 
 def _product(x, w, out):
@@ -220,12 +224,13 @@ def _product(x, w, out):
     return x @ w if sparse.issparse(x) else np.matmul(x, w, out=out)
 
 
-def _forward(params, x, ws, dropout=0.0, rng=None, xw1=None):
-    """The live encoder ReLU(x @ w1 + b1) @ w2 + b2 and the softmax head,
-    their state left on ``ws``; returns the embeddings and probabilities.
-    ``xw1`` is the product x @ w1 when the caller has taken it.  Dropout
-    applies only given ``rng``; ReLU and dropout are one multiply by
-    ``ws.keep``."""
+def _forward(params, x, ws, k, dropout=0.0, rng=None, xw1=None):
+    """The live hidden layer h = ReLU(x @ w1 + b1) and the head's output
+    h @ (w2 @ k) + (b2 @ k + [b3 | 0]), for ``k`` w3 or [w3 | protos.T / tau],
+    their state left on ``ws``; returns the softmax of the output's first c
+    columns, the logits.  ``xw1`` is the product x @ w1 when the caller has
+    taken it.  Dropout applies only given ``rng``; ReLU and dropout are one
+    multiply by ``ws.keep``."""
     h = _product(x, params.w1, ws.h1) if xw1 is None else xw1
     h += params.b1
     alive = np.greater(h, 0.0, out=ws.alive)
@@ -236,22 +241,22 @@ def _forward(params, x, ws, dropout=0.0, rng=None, xw1=None):
         scale = unit(1.0) / unit(1.0 - dropout)
     h *= np.multiply(alive, scale, out=ws.keep)
     ws.h1 = h
-    np.matmul(h, params.w2, out=ws.z)
-    ws.z += params.b2
-    np.matmul(ws.z, params.w3, out=ws.p)
-    ws.p += params.b3
-    return ws.z, softmax(ws.p, out=ws.p)
+    c = params.b3.size
+    bias = params.b2 @ k
+    bias[:c] += params.b3
+    out = np.matmul(h, params.w2 @ k, out=_rows(ws.head, k.shape[1]))
+    out += bias
+    return softmax(out[:, :c], out=ws.p)
 
 
 def forward(params: StudentParams, x: np.ndarray,
-            workspace: EpochWorkspace | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Embeddings and softmax predictions for every row of ``x``, in the
-    dtype of ``params``; written into ``workspace`` when given, into a fresh
-    one sized to ``x`` otherwise."""
+            workspace: EpochWorkspace | None = None) -> np.ndarray:
+    """Softmax predictions for every row of ``x``, in the dtype of
+    ``params``, written into ``workspace`` (a fresh one when absent)."""
     if x.shape[1] != params.w1.shape[0]:
         raise ValueError(f"feature dim {x.shape[1]} != expected {params.w1.shape[0]}")
     ws = workspace if workspace is not None else EpochWorkspace(params, x.shape[0])
-    return _forward(params, x, ws)
+    return _forward(params, x, ws, params.w3)
 
 
 def momentum_embed(
@@ -277,18 +282,19 @@ def momentum_fold(s: np.ndarray, xw1: np.ndarray, m: float, scratch: np.ndarray)
 
 
 def _backward(params, x, ws, d_out, w_out, grad):
-    """Gradients of the assembled loss given the forward pass's state,
-    d(loss)/d(logits) in ``ws.d_logits``, and d(loss)/d(embeddings) as
-    ``d_out @ w_out``, written into ``grad``, a vector laid out as
-    ``params.live``.  The n-row temporaries live in ``ws``."""
+    """Gradients given the forward pass's state and the gradient ``d_out`` of
+    the head's output, into ``grad`` (laid out as ``params.live``), never
+    forming d(loss)/d(z) = d_out @ w_out.  The n-row temporaries live in ``ws``."""
     g = params.views(grad)
-    d_logits = ws.d_logits
-    np.matmul(ws.z.T, d_logits, out=g["w3"])
-    np.matmul(ws.ones, d_logits, out=g["b3"])
-    d_z = np.matmul(d_out, w_out, out=ws.d_z)
-    np.matmul(ws.h1.T, d_z, out=g["w2"])
-    np.matmul(ws.ones, d_z, out=g["b2"])
-    d_h1 = np.matmul(d_z, params.w2.T, out=ws.d_d1)
+    c = params.b3.size
+    g_out = ws.h1.T @ d_out
+    s = ws.ones @ d_out
+    np.matmul(g_out, w_out, out=g["w2"])
+    np.matmul(s, w_out, out=g["b2"])
+    np.matmul(params.w2.T, g_out[:, :c], out=g["w3"])
+    g["w3"] += np.outer(params.b2, s[:c])
+    g["b3"][...] = s[:c]
+    d_h1 = np.matmul(d_out, w_out @ params.w2.T, out=ws.d_d1)
     d_h1 *= ws.keep
     if sparse.issparse(x):
         g["w1"][...] = x.T @ d_h1
@@ -392,6 +398,8 @@ def filter_pseudo_labels(
     c = protos.shape[0]
     if c < 2:
         raise ValueError("pseudo-label filtering needs at least two classes")
+    if not tau > 0:
+        raise ValueError("tau must be positive")
     w, b = head
     scaled = protos.T / tau
     logits = h @ (w @ scaled)
@@ -404,35 +412,26 @@ def filter_pseudo_labels(
 
 
 def loss_contrastive(
-    z: np.ndarray,
-    protos: np.ndarray,
+    sim: np.ndarray,
     pls: PseudoLabelSet,
-    tau: float,
     out: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Prototype contrastive loss averaged over the kept set, and its gradient
-    w.r.t. the similarity logits z @ protos.T / tau, (n, c), written into
-    ``out`` when given.
-
-    Prototypes are constants here: row i of the gradient is s_i -
-    onehot(hard_i) for a kept node i with similarity distribution s_i, and
-    zero elsewhere.  The gradient w.r.t. z is that times protos / tau.
-    """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    grad = np.empty((z.shape[0], protos.shape[0]), z.dtype) if out is None else out
+    w.r.t. the similarity logits ``sim`` = z @ protos.T / tau, (n, c),
+    written into ``out`` when given.  Prototypes are constants here: row i
+    of the gradient is softmax(sim_i) - onehot(hard_i) for a kept node i,
+    and zero elsewhere."""
+    grad = np.empty(sim.shape, sim.dtype) if out is None else out
     grad.fill(0.0)
     kept = pls.kept
     if kept.size == 0:
         return 0.0, grad
-    # over every row: gathering the kept rows of z would copy most of it
-    sims = softmax(z @ protos.T / tau)[kept]
+    sims = softmax(sim[kept])
     rows = np.arange(kept.size)
     own = pls.hard[kept]
     value = -clamped_log(sims[rows, own]).sum()
     sims[rows, own] -= 1.0
-    value, g = _mean(value, sims, kept.size)
-    grad[kept] = g
+    value, grad[kept] = _mean(value, sims, kept.size)
     return value, grad
 
 
@@ -617,15 +616,16 @@ def joint_objective(
     """
     ws = workspace if workspace is not None else EpochWorkspace(params, x.shape[0])
     grad = np.empty_like(params.live) if grad is None else grad
-    z, p = _forward(params, x, ws, cfg.dropout, rng, xw1)
-    l_lab, l_unl, d_logits = loss_cross_entropy(p, targets, labeled, unlabeled, cfg.lambda1,
-                                                out=ws.d_logits)
+    k = params.w3 if pls is None else np.concatenate([params.w3, protos.T / cfg.tau], axis=1)
+    p = _forward(params, x, ws, k, cfg.dropout, rng, xw1)
+    d_out = _rows(ws.d_out, k.shape[1])
+    l_lab, l_unl, _ = loss_cross_entropy(p, targets, labeled, unlabeled, cfg.lambda1,
+                                         out=d_out[:, :p.shape[1]])
     if pls is None:
-        l_con, d_out, w_out = 0.0, d_logits, params.w3.T
+        l_con, w_out = 0.0, params.w3.T
     else:
-        l_con, _ = loss_contrastive(z, protos, pls, cfg.tau, out=ws.g_sim)
-        # d_z = d_logits @ w3.T + lambda2 * g_sim @ protos / tau, as one product
-        d_out = ws.d_out
+        l_con, _ = loss_contrastive(ws.sim, pls, out=ws.g_sim)
+        # d(loss)/d(z) = d_logits @ w3.T + lambda2 * g_sim @ protos / tau
         w_out = np.concatenate([params.w3.T, protos * (cfg.lambda2 / cfg.tau)])
     joint = l_lab + cfg.lambda1 * l_unl + cfg.lambda2 * l_con
     return joint, (l_lab, l_unl, l_con), _backward(params, x, ws, d_out, w_out, grad)
@@ -692,7 +692,7 @@ def train_student(
         xw1 = _product(x, params.w1, workspace.h1)
         if members is not None and epoch > 1:
             # s = x @ mw1 after the last epoch's momentum_update
-            momentum_fold(workspace.s, xw1, cfg.momentum, workspace.d_z)
+            momentum_fold(workspace.s, xw1, cfg.momentum, workspace.d_d1)
         protos, pls = pseudo_targets(params, workspace.s, members, unlabeled, hard, cfg,
                                      workspace)
         joint, (l_lab, l_unl, l_con), _ = joint_objective(
@@ -707,7 +707,7 @@ def train_student(
 
         val_acc = None
         if has_val:
-            _, p_val = forward(params, x_val, val_workspace)
+            p_val = forward(params, x_val, val_workspace)
             pred_val = np.argmax(p_val, axis=1)
             val_acc = float(np.mean(pred_val == gold_val))
             val_loss = -clamped_log(p_val[rows_val, gold_val]).sum(dtype=np.float64) / gold_val.size

@@ -156,7 +156,7 @@ def _round(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig, iteration: 
         soft = to_distribution(propagate_labels(normalize_adjacency(graph), bundle, split, cfg.lp))
         params, trace = train_student(bundle, split, soft, cfg.train,
                                       student_rng(cfg.seed, iteration), bundle.features, tail)
-        _, probs = forward(params.astype(np.float64), bundle.features)
+        probs = forward(params.astype(np.float64), bundle.features)
         preds, plan = np.argmax(probs, axis=1), plan_augmentation(bundle.graph, probs, cfg.augment)
     except Exception as err:
         raise annotate(err, f"self-training iteration {iteration}") from err

@@ -5,9 +5,8 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
-from agst import SoftLabels, SparseGraph, SplitSpec, class_members, compute_prototypes
+from agst import SoftLabels, SparseGraph, SplitSpec, class_members, compute_prototypes, mlp
 from agst.data import IMBALANCED_TEST_SIZE, MAX_RESAMPLE
 from agst.mlp import PARAM_NAMES, PseudoLabelSet, clamped_log
 from agst.propagation import initial_label_matrix
@@ -158,13 +157,9 @@ def save_dataset(bundle, path) -> None:
             fh.write(f"{node}\t{bundle.gold[node]}\n")
 
 
-# The student's epoch as it was written before the epoch workspace and
-# before the momentum branch moved to class space: every array is fresh, in
-# the dtype of the parameters and features it is given.  The momentum
-# encoder runs over every row of x, the prototypes and the filter read its
-# n x hidden embeddings, and the contrastive gradient is an n x hidden
-# gradient w.r.t. z added to d_z.  ``joint_objective`` below assembles the
-# loss the same way ``agst.mlp.joint_objective`` does.
+# The student's epoch as it was written before the momentum branch moved to
+# class space: the momentum encoder runs over every row of x, and the
+# prototypes and the filter read its n x hidden embeddings.
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -176,45 +171,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def similarity_distribution(z, protos, tau):
     """Softmax over the prototype dot products at temperature tau."""
     return softmax(z @ protos.T / tau)
-
-
-def _forward_cache(params, x, dropout=0.0, rng=None):
-    h1 = x @ params.w1 + params.b1
-    a1 = np.maximum(h1, 0.0)
-    mask = None
-    d1 = a1
-    if rng is not None and dropout > 0.0:
-        # drawn and scaled in the dtype of the hidden layer, an even number
-        # of uniforms (one unused for an odd count): agst.mlp.draw_kept reads
-        # the generator's 64-bit words two 32-bit halves at a time
-        u = rng.random(a1.size + a1.size % 2, dtype=a1.dtype)[:a1.size].reshape(a1.shape)
-        mask = (u >= dropout).astype(a1.dtype) / (1.0 - dropout)
-        d1 = a1 * mask
-    z = d1 @ params.w2 + params.b2
-    logits = z @ params.w3 + params.b3
-    p = softmax(logits)
-    return {"x": x, "h1": h1, "d1": d1, "mask": mask, "z": z, "p": p}
-
-
-def _backward(params, cache, d_logits, d_z_extra=None):
-    """Gradients of the assembled loss given d(loss)/d(logits) and an optional
-    extra d(loss)/d(embeddings) term (the contrastive path)."""
-    grads = {}
-    z, d1, h1, x = cache["z"], cache["d1"], cache["h1"], cache["x"]
-    grads["w3"] = z.T @ d_logits
-    grads["b3"] = d_logits.sum(axis=0)
-    d_z = d_logits @ params.w3.T
-    if d_z_extra is not None:
-        d_z = d_z + d_z_extra
-    grads["w2"] = d1.T @ d_z
-    grads["b2"] = d_z.sum(axis=0)
-    d_d1 = d_z @ params.w2.T
-    if cache["mask"] is not None:
-        d_d1 = d_d1 * cache["mask"]
-    d_h1 = d_d1 * (h1 > 0.0)
-    grads["w1"] = (x.T @ d_h1) if not sparse.issparse(x) else np.asarray(x.T @ d_h1)
-    grads["b1"] = d_h1.sum(axis=0)
-    return grads
 
 
 def momentum_embed(params, features):
@@ -241,24 +197,6 @@ def pseudo_targets(params, x, gold, labeled, unlabeled, soft, cfg):
     return (protos, *filter_pseudo_labels(soft, z_mom, protos, cfg.tau, unlabeled))
 
 
-def loss_ce_labeled(p, gold, nodes):
-    """Cross-entropy against gold labels on ``nodes``; gradient w.r.t. their
-    logits."""
-    rows = p[nodes]
-    targets = gold[nodes]
-    value = -clamped_log(rows[np.arange(nodes.size), targets]).sum()
-    grad = rows.copy()
-    grad[np.arange(nodes.size), targets] -= 1.0
-    return _mean(value, grad, nodes.size)
-
-
-def loss_ce_unlabeled(p, soft, nodes):
-    rows = p[nodes]
-    targets = soft.matrix[nodes].astype(p.dtype, copy=False)
-    value = -(targets * clamped_log(rows)).sum()
-    return _mean(value, rows - targets, nodes.size)
-
-
 def loss_contrastive(z, protos, pls, tau):
     """The contrastive loss and its gradient w.r.t. z, (n, hidden)."""
     grad = np.zeros_like(z)
@@ -279,23 +217,64 @@ def _mean(value, grad, count):
     return float(value), grad
 
 
-def joint_objective(params, x, gold, labeled, unlabeled, soft, cfg, protos, pls, rng=None):
-    """(joint loss, its three parts, gradients, forward cache)."""
-    cache = _forward_cache(params, x, cfg.dropout, rng)
-    p, z = cache["p"], cache["z"]
-    l_lab, g_lab = loss_ce_labeled(p, gold, labeled)
-    l_unl, g_unl = loss_ce_unlabeled(p, soft, unlabeled)
-    if pls is not None:
-        l_con, g_z = loss_contrastive(z, protos, pls, cfg.tau)
-    else:
-        l_con, g_z = 0.0, None
-    joint = l_lab + cfg.lambda1 * l_unl + cfg.lambda2 * l_con
+# The student's epoch in fresh arrays: ``agst.mlp``'s class-space head step
+# by step, every step allocating its result, with the program's own softmax
+# and losses (which allocate when given no ``out``).  An epoch written into a
+# shared ``EpochWorkspace`` must give the same bits.
 
-    d_logits = np.zeros_like(p)
-    d_logits[labeled] += g_lab
-    d_logits[unlabeled] += cfg.lambda1 * g_unl
-    d_z_extra = cfg.lambda2 * g_z if g_z is not None else None
-    return joint, (l_lab, l_unl, l_con), _backward(params, cache, d_logits, d_z_extra), cache
+
+def _forward_cache(params, x, k, dropout=0.0, rng=None):
+    """The hidden layer and the head's output h @ (w2 @ k) + (b2 @ k + [b3 | 0])."""
+    h1 = x @ params.w1 + params.b1
+    keep = (h1 > 0.0).astype(h1.dtype)
+    if rng is not None and dropout > 0.0:
+        # drawn and scaled in the dtype of the hidden layer, an even number
+        # of uniforms (one unused for an odd count): agst.mlp.draw_kept reads
+        # the generator's 64-bit words two 32-bit halves at a time
+        u = rng.random(h1.size + h1.size % 2, dtype=h1.dtype)[:h1.size].reshape(h1.shape)
+        keep = keep * ((u >= dropout).astype(h1.dtype) / (1.0 - dropout))
+    d1 = h1 * keep
+    c = params.b3.size
+    bias = params.b2 @ k
+    bias[:c] += params.b3
+    out = d1 @ (params.w2 @ k) + bias
+    return {"x": x, "d1": d1, "keep": keep, "out": out, "p": mlp.softmax(out[:, :c])}
+
+
+def _backward(params, cache, d_out, w_out):
+    """Gradients given the gradient ``d_out`` of the head's output, whose
+    embedding gradient is ``d_out @ w_out``."""
+    c = params.b3.size
+    d1, x = cache["d1"], cache["x"]
+    ones = np.ones(d1.shape[0], d1.dtype)
+    g_out = d1.T @ d_out
+    s = ones @ d_out
+    d_h1 = (d_out @ (w_out @ params.w2.T)) * cache["keep"]
+    return {
+        "w1": np.asarray(x.T @ d_h1),
+        "b1": ones @ d_h1,
+        "w2": g_out @ w_out,
+        "b2": s @ w_out,
+        "w3": params.w2.T @ g_out[:, :c] + np.outer(params.b2, s[:c]),
+        "b3": s[:c],
+    }
+
+
+def joint_objective(params, x, labeled, unlabeled, targets, cfg, protos, pls, rng=None):
+    """(joint loss, its three parts, gradients, forward cache)."""
+    c = params.b3.size
+    k = params.w3 if pls is None else np.concatenate([params.w3, protos.T / cfg.tau], axis=1)
+    cache = _forward_cache(params, x, k, cfg.dropout, rng)
+    l_lab, l_unl, d_logits = mlp.loss_cross_entropy(cache["p"], targets, labeled, unlabeled,
+                                                    cfg.lambda1)
+    if pls is None:
+        l_con, d_out, w_out = 0.0, d_logits, params.w3.T
+    else:
+        l_con, g_sim = mlp.loss_contrastive(cache["out"][:, c:], pls)
+        d_out = np.concatenate([d_logits, g_sim], axis=1)
+        w_out = np.concatenate([params.w3.T, protos * (cfg.lambda2 / cfg.tau)])
+    joint = l_lab + cfg.lambda1 * l_unl + cfg.lambda2 * l_con
+    return joint, (l_lab, l_unl, l_con), _backward(params, cache, d_out, w_out), cache
 
 
 class Adam:

@@ -29,6 +29,7 @@ from agst.mlp import (
     Adam,
     EpochWorkspace,
     PseudoLabelSet,
+    StudentParams,
     joint_objective,
     pseudo_targets,
     softmax,
@@ -52,22 +53,21 @@ def zero_params(f=3, c=4, hidden=5):
 class TestForward:
     def test_zero_weights_give_uniform_softmax(self):
         params = zero_params(c=4)
-        _, p = forward(params, np.random.default_rng(1).normal(size=(6, 3)))
+        p = forward(params, np.random.default_rng(1).normal(size=(6, 3)))
         assert np.allclose(p, 0.25)
 
     def test_crafted_head_logits(self):
         # logits [ln 3, 0] -> softmax [3/4, 1/4]
         params = zero_params(f=2, c=2)
         params.b3[:] = [math.log(3.0), 0.0]
-        _, p = forward(params, np.zeros((1, 2)))
+        p = forward(params, np.zeros((1, 2)))
         assert np.allclose(p, [[0.75, 0.25]], atol=1e-12)
 
     def test_identical_inputs_identical_rows(self):
         rng = np.random.default_rng(2)
         params = init_params(4, 3, 8, rng)
         x = np.tile(rng.normal(size=(1, 4)), (2, 1))
-        z, p = forward(params, x)
-        assert np.array_equal(z[0], z[1])
+        p = forward(params, x)
         assert np.array_equal(p[0], p[1])
 
     def test_rows_are_distributions(self):
@@ -75,13 +75,13 @@ class TestForward:
         params = init_params(5, 4, 8, rng)
         x = rng.normal(size=(20, 5)) * 10
         # in float64, as prediction reads the student
-        _, p = forward(params.astype(np.float64), x)
+        p = forward(params.astype(np.float64), x)
         assert np.all(p > 0)
         assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-9
         # in the student's float32: the c quotients, the divisor's c - 1
         # additions and the test's own c - 1 additions each round by at most
         # eps/2 of a value <= 1, so a row sum is within 2c eps of 1
-        _, p = forward(params, x.astype(STUDENT_DTYPE))
+        p = forward(params, x.astype(STUDENT_DTYPE))
         assert p.dtype == STUDENT_DTYPE
         assert np.all(p > 0)
         assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 2 * 4 * EPS32
@@ -100,7 +100,7 @@ class TestForward:
         soft = SoftLabels(np.full((5, 2), 0.5), normalized=True)
         cfg = TrainConfig(dropout=0.5, lambda2=0.0)
         targets = student_targets(soft.matrix, gold, labeled)
-        _, p_eval = forward(params, x)
+        p_eval = forward(params, x)
         ws = EpochWorkspace(params, x.shape[0])
         joint_objective(params, x, labeled, unlabeled, targets, cfg, None, None, workspace=ws)
         # without dropout the keep factor is the ReLU's 0 or 1
@@ -111,6 +111,67 @@ class TestForward:
         assert set(np.unique(ws.keep)) <= {0.0, 2.0}
         assert np.any(ws.keep == 2.0)
         assert not np.array_equal(ws.p, p_eval)
+
+
+def embedding_path(x, keep, params, protos, tau, lambda2, d_out):
+    """The head and its gradients through the embeddings z = h @ w2 + b2,
+    formed explicitly, for the hidden layer h = ReLU(x @ w1 + b1) * keep and
+    the gradient ``d_out`` of [logits | similarity logits]."""
+    c = params.b3.size
+    h = (x @ params.w1 + params.b1) * keep
+    z = h @ params.w2 + params.b2
+    d_logits, g_sim = d_out[:, :c], d_out[:, c:]
+    d_z = d_logits @ params.w3.T + lambda2 * g_sim @ protos / tau
+    d_h = d_z @ params.w2.T * keep
+    return {"logits": z @ params.w3 + params.b3, "sim": z @ protos.T / tau,
+            "w1": x.T @ d_h, "b1": d_h.sum(0), "w2": h.T @ d_z, "b2": d_z.sum(0),
+            "w3": z.T @ d_logits, "b3": d_logits.sum(0)}
+
+
+class TestClassSpaceHead:
+    """The head as h @ (w2 @ K) + (b2 @ K + [b3 | 0]), K = [w3 | protos.T / tau],
+    against the embeddings formed explicitly, in float64 on random weights and
+    prototypes.  The error is measured against the embedding path evaluated
+    on absolute values, which bounds the roundoff of either evaluation."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_embedding_path(self, seed, monkeypatch):
+        import agst.mlp as mlp
+
+        rng = np.random.default_rng(seed)
+        n, f = int(rng.integers(4, 40)), int(rng.integers(1, 9))
+        c, hidden = int(rng.integers(2, 8)), int(rng.integers(2, 70))
+        params = init_params(f, c, hidden, rng).astype(np.float64)
+        params.live[:] = rng.normal(size=params.live.size)
+        x = rng.normal(size=(n, f))
+        gold = np.concatenate([np.arange(c), rng.integers(0, c, size=n - c)])
+        labeled = np.array([np.flatnonzero(gold == cls)[0] for cls in range(c)])
+        unlabeled = np.setdiff1d(np.arange(n), labeled)
+        raw = rng.random((n, c)) + 0.1
+        targets = student_targets(raw / raw.sum(1, keepdims=True), gold, labeled, np.float64)
+        protos = rng.normal(size=(c, hidden))
+        pls = PseudoLabelSet(rng.integers(0, c, size=n), unlabeled[rng.random(unlabeled.size) < 0.7])
+        cfg = TrainConfig(tau=float(rng.uniform(0.1, 2.0)), lambda2=float(rng.uniform(0.05, 1.0)),
+                          dropout=0.5, hidden=hidden)
+        logits = []
+
+        def spy(a, out=None):
+            logits.append(a.copy())
+            return softmax(a, out=out)
+
+        monkeypatch.setattr(mlp, "softmax", spy)
+        ws = EpochWorkspace(params, n)
+        _, _, grad = joint_objective(params, x, labeled, unlabeled, targets, cfg, protos, pls,
+                                     rng=np.random.default_rng(seed), workspace=ws)
+        # the forward pass's softmax reads the logits first
+        ours = {"logits": logits[0], "sim": ws.sim, **params.views(grad)}
+        theirs = embedding_path(x, ws.keep, params, protos, cfg.tau, cfg.lambda2, ws.d_out)
+        magnitudes = StudentParams(np.abs(params.live), np.abs(params.momentum), params.dims)
+        size = embedding_path(np.abs(x), ws.keep, magnitudes, np.abs(protos), cfg.tau,
+                              cfg.lambda2, np.abs(ws.d_out))
+        assert set(ours) == set(theirs)
+        for name, value in ours.items():
+            assert np.all(np.abs(value - theirs[name]) <= 1e-12 * size[name]), name
 
 
 def labeled_loss(p, gold, nodes):
@@ -264,11 +325,12 @@ class TestSimilarityDistribution:
         assert s.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_non_positive_tau_rejected(self):
-        # refused whether or not a node is kept
-        for kept in ([0], []):
-            pls = PseudoLabelSet(np.zeros(2, dtype=int), np.array(kept, dtype=int))
-            with pytest.raises(ValueError, match="tau"):
-                loss_contrastive(np.ones((2, 2)), np.ones((2, 2)), pls, 0.0)
+        # the filter divides by tau; refused whether or not a node is unlabeled
+        soft = SoftLabels(np.full((2, 2), 0.5), normalized=True)
+        for unlabeled in ([0], []):
+            for tau in (0.0, -1.0, math.nan):
+                with pytest.raises(ValueError, match="tau"):
+                    filter_on_embeddings(soft, np.ones((2, 2)), np.ones((2, 2)), tau, unlabeled)
 
 
 def filter_on_embeddings(soft, z, protos, tau, unlabeled):
@@ -349,11 +411,16 @@ class TestFilterPseudoLabels:
                 assert (i in pls.kept) == (s[hard[i]] > 1.0 / c) or abs(s[hard[i]] - 1.0 / c) < 1e-12
 
 
+def contrastive(z, protos, pls, tau):
+    """``loss_contrastive`` on the similarity logits of embeddings ``z``."""
+    return loss_contrastive(z @ protos.T / tau, pls)
+
+
 class TestContrastiveLoss:
     def test_empty_kept_set_is_zero(self):
         # the gradient is w.r.t. the n x c similarity logits
         pls = PseudoLabelSet(np.zeros(2, dtype=int), np.array([], dtype=int))
-        value, grad = loss_contrastive(np.ones((2, 3)), np.ones((4, 3)), pls, 0.5)
+        value, grad = loss_contrastive(np.ones((2, 4)), pls)
         assert value == 0.0
         assert np.array_equal(grad, np.zeros((2, 4)))
 
@@ -362,14 +429,14 @@ class TestContrastiveLoss:
         protos = np.array([[1.0, 0.0], [0.0, 0.0]])
         z = np.array([[1.0, 1.0]])
         pls = PseudoLabelSet(np.array([0]), np.array([0]))
-        value, _ = loss_contrastive(z, protos, pls, 1.0)
+        value, _ = contrastive(z, protos, pls, 1.0)
         assert value == pytest.approx(math.log(1 + math.exp(-1.0)), abs=1e-12)
 
     def test_equidistant_node_costs_log_c(self):
         protos = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         z = np.zeros((1, 3))
         pls = PseudoLabelSet(np.array([1]), np.array([0]))
-        value, _ = loss_contrastive(z, protos, pls, 0.5)
+        value, _ = contrastive(z, protos, pls, 0.5)
         assert value == pytest.approx(math.log(3), abs=1e-12)
 
     def test_gradient_formula(self):
@@ -378,7 +445,7 @@ class TestContrastiveLoss:
         protos = rng.normal(size=(2, 4))
         pls = PseudoLabelSet(np.array([0, 1, 0]), np.array([0, 2]))
         tau = 0.7
-        value, grad = loss_contrastive(z, protos, pls, tau)
+        value, grad = contrastive(z, protos, pls, tau)
         assert grad.shape == (3, 2)
         # averaged over the two kept nodes
         for i in (0, 2):
@@ -400,10 +467,10 @@ class TestContrastiveLoss:
         protos = rng.normal(size=(3, 3))
         pls = PseudoLabelSet(rng.integers(0, 3, size=4), np.arange(4))
         tau, kappa = 0.5, 37.0
-        base, _ = loss_contrastive(z, protos, pls, tau)
+        base, _ = contrastive(z, protos, pls, tau)
         z_aug = np.column_stack([z, np.ones(4)])
         protos_aug = np.column_stack([protos, np.full(3, kappa * tau)])
-        shifted, _ = loss_contrastive(z_aug, protos_aug, pls, tau)
+        shifted, _ = contrastive(z_aug, protos_aug, pls, tau)
         assert shifted == pytest.approx(base, abs=1e-9)
 
 
@@ -622,7 +689,7 @@ class TestTrainStudent:
         op = normalize_adjacency(bundle.graph)
         soft = to_distribution(propagate_labels(op, bundle, split, LpConfig()))
         params, _ = fit(bundle, split, soft, TrainConfig(), seed=3)
-        _, p = forward(params, bundle.features.astype(STUDENT_DTYPE))
+        p = forward(params, bundle.features.astype(STUDENT_DTYPE))
         preds = np.argmax(p, axis=1)
         assert np.mean(preds[split.test] == bundle.gold[split.test]) == 1.0
 
@@ -666,9 +733,9 @@ class TestTrainStudent:
         seen = []
 
         def capture(params, x, workspace=None):
-            z, p = real_forward(params, x, workspace)
+            p = real_forward(params, x, workspace)
             seen.append(p.copy())
-            return z, p
+            return p
 
         monkeypatch.setattr(mlp, "forward", capture)
         params, trace = fit(bundle, split, uniform, cfg, seed=seed)
@@ -694,7 +761,7 @@ class TestTrainStudent:
         assert len(trace.records) == len(seen) == stopped
         assert trace.best_epoch == best_epoch
         x_val = bundle.features[split.validation].astype(STUDENT_DTYPE)
-        assert np.array_equal(real_forward(params, x_val)[1], seen[best_epoch - 1])
+        assert np.array_equal(real_forward(params, x_val), seen[best_epoch - 1])
 
     def test_deterministic_given_rng_seed(self):
         bundle, split, uniform = toy_training_setup(seed=9)
@@ -924,23 +991,83 @@ class TestEpochCost:
         cfg = TrainConfig(hidden=hidden)
         ws = EpochWorkspace(params, x.shape[0])
         ws.s = x @ params.mw1
-        z, _ = forward(params, x, ws)
-        # pseudo-labels that agree with the prototypes keep almost every node,
-        # so gathering the kept rows of z would copy nearly all of it
+        # pseudo-labels that agree with the prototypes keep almost every node
         protos, _ = pseudo_targets(params, ws.s, members, unlabeled, gold, cfg, ws)
         hard = np.argmax(reference.momentum_embed(params, x) @ protos.T, axis=1)
         protos, pls = pseudo_targets(params, ws.s, members, unlabeled, hard, cfg, ws)
         assert pls.kept.size > 0.9 * unlabeled.size
         n_by_hidden = n * hidden * np.dtype(STUDENT_DTYPE).itemsize
+        # the similarity logits, into ws.sim
+        targets = student_targets(np.full((n, c), 1.0 / c), gold, labeled)
+        joint_objective(params, x, labeled, unlabeled, targets, cfg, protos, pls, workspace=ws)
 
         tracemalloc.start()
         try:
             pseudo_targets(params, ws.s, members, unlabeled, hard, cfg, ws)
             _, after_targets = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            loss_contrastive(z, protos, pls, cfg.tau, out=ws.g_sim)
+            loss_contrastive(ws.sim, pls, out=ws.g_sim)
             _, after_loss = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert after_targets < n_by_hidden
         assert after_loss < n_by_hidden
+
+    def test_workspace_holds_no_embeddings(self):
+        # the head runs in class space: the n x hidden float arrays are the
+        # hidden layer, its keep factor, d(loss)/d(hidden layer) (which the
+        # momentum hidden layer and the fold's product share) and the carried
+        # pre-activation s; the head's output and its gradient are n x 2c,
+        # the probabilities n x c
+        n, c, hidden = 9, 3, 5
+        params = init_params(4, c, hidden, np.random.default_rng(4))
+        ws = EpochWorkspace(params, n)
+        ws.s = np.zeros((n, hidden), STUDENT_DTYPE)
+        assert not hasattr(ws, "z") and not hasattr(ws, "d_z")
+        wide = {name for name, a in vars(ws).items()
+                if isinstance(a, np.ndarray) and a.dtype.kind == "f" and a.shape == (n, hidden)}
+        assert wide == {"h1", "keep", "d_d1", "h_mom", "s"}
+        assert ws.h_mom is ws.d_d1
+        assert ws.head.shape == ws.d_out.shape == (n, 2 * c)
+        assert ws.p.shape == (n, c)
+        assert np.shares_memory(ws.sim, ws.head) and np.shares_memory(ws.g_sim, ws.d_out)
+
+    @pytest.mark.parametrize("lambda2, dropout", [(0.1, 0.0), (0.0, 0.0), (0.1, 0.5)])
+    def test_epoch_allocates_nothing_n_by_hidden(self, lambda2, dropout):
+        # at cora-csbm's shape (n=2708, hidden 64, c=7) an n x hidden float32
+        # array is 0.69 MB.  On dense x an epoch's n x hidden arrays are all
+        # in its workspace: between the ends of epochs 1 and 2 the traced
+        # peak (the n x c temporaries of the losses, the validation pass into
+        # its own workspace, Adam's and the best-epoch copy's parameter-sized
+        # vectors included) stays below half of one.  The dropout draw adds
+        # its n * hidden / 2 raw 64-bit words, the bytes of one
+        from conftest import make_bundle, split_of
+
+        rng = np.random.default_rng(5)
+        n, f, c, hidden = 2708, 40, 7, 64
+        gold = rng.integers(0, c, size=n)
+        bundle = make_bundle(n, [[0, 1]], gold, c, f=f, rng=rng)
+        labeled = np.concatenate([np.flatnonzero(gold == cls)[:3] for cls in range(c)])
+        split = split_of(labeled, np.setdiff1d(np.arange(80), labeled))
+        raw = rng.random((n, c)) + 0.1
+        soft = SoftLabels(raw / raw.sum(1, keepdims=True), normalized=True)
+        cfg = TrainConfig(hidden=hidden, lambda2=lambda2, dropout=dropout, max_epochs=2)
+        n_by_hidden = n * hidden * np.dtype(STUDENT_DTYPE).itemsize
+        budget = n_by_hidden // 2 + (n_by_hidden if dropout else 0)
+        x = bundle.features.astype(STUDENT_DTYPE)
+        peaks = []
+
+        def on_epoch(epoch, best_epoch, best):
+            current, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak - current)
+            tracemalloc.reset_peak()
+            return False
+
+        tracemalloc.start()
+        try:
+            _, trace = train_student(bundle, split, soft, cfg, np.random.default_rng(5), x,
+                                     on_epoch)
+        finally:
+            tracemalloc.stop()
+        assert len(trace.records) == len(peaks) == 2
+        assert 0 < peaks[1] < budget

@@ -54,7 +54,7 @@ def toy_setup(seed=0, noise=0.0):
 def hard_labels(params, x):
     """Prediction as run_agst makes it: argmax of a float64 forward, on
     ``bundle.features`` when it is to equal run_agst's."""
-    return np.argmax(forward(params.astype(np.float64), x)[1], axis=1)
+    return np.argmax(forward(params.astype(np.float64), x), axis=1)
 
 
 def quick_cfg(**overrides):
