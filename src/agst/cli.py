@@ -73,8 +73,6 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-epochs", type=_positive_int)
     sub.add_argument("--no-val-epochs", type=_positive_int)
     sub.add_argument("--hidden", type=_positive_int)
-    sub.add_argument("--best-iteration", action="store_true",
-                     help="report the best-validation iteration instead of the last")
 
 
 # flags a command reads itself rather than passing on

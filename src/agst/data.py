@@ -10,12 +10,12 @@ On-disk layout is a directory of four UTF-8 text files:
 
 Blank lines are skipped. ``load_dataset`` parses each table in one call and
 checks each rule once over the parsed rows; a fault raises
-DatasetFormatError naming the file and its first faulty line. A table whose
-every token is one ASCII digit, as ``save_dataset`` writes a binary
-bag-of-words table (lines such as ``0,1,0``), is read from its bytes, a block
-of lines at a time, into the columns and digits of its nonzeros, with no
-dense copy; any other table takes numpy's parse of the whole file, and only
-if that fails the line-by-line parse of its stripped non-blank lines. Every
+DatasetFormatError naming the file and its first faulty line. A feature
+table whose every token is one ASCII digit, as ``save_dataset`` writes a
+binary bag-of-words table (``0,1,0``), is read from its bytes, a block of
+lines at a time, into the columns and digits of its nonzeros, with no dense
+copy; any other table takes numpy's parse of the whole file, and only if
+that fails the line-by-line parse of its stripped non-blank lines. Every
 path gives the values the line-by-line parse gives. ``save_dataset`` writes
 the same layout with ``np.savetxt``, and a CSR table of digits from its
 nonzeros.
@@ -253,12 +253,12 @@ class _Table:
         ``dtype``, else ``float``.  Three paths are tried in turn, each
         reading the file from its start:
 
-        1. A one-digit table (``_one_digit_csr``) is its bytes minus
-           ``"0"``: float64 CSR for a float ``dtype``, else dense in
-           ``dtype``. That is exact: ``int`` and ``float`` read a one-digit
-           token to that digit, no token has a sign (so no ``-0``), and each
-           line has ``width`` tokens with no blank line between, so the rows
-           are those the line parse gives.
+        1. For a float ``dtype`` only, a one-digit table
+           (``_one_digit_csr``) is its bytes minus ``"0"``, as float64 CSR.
+           That is exact: ``float`` reads a one-digit token to that digit,
+           no token has a sign (so no ``-0``), and each line has ``width``
+           tokens with no blank line between, so the rows are those the line
+           parse gives.
         2. One ``np.loadtxt`` call (``_loadtxt``) given the path, so numpy
            opens the file as ``open`` does and its C parser reads it in large
            blocks. It skips empty lines and strips the blanks around each
@@ -275,14 +275,15 @@ class _Table:
 
         The first path reads the whole file only if its first 4 KiB could
         begin such a table. Whichever path gives the rows, they and any
-        fault are those the line-by-line parse gives; a well-formed table
-        other than a one-digit one is parsed once, by the second path.
+        fault are those the line-by-line parse gives; every other
+        well-formed table is parsed once, by the second path.
         """
         integer = np.issubdtype(dtype, np.integer)
-        with path.open("rb") as fh:
-            table = _one_digit_csr(fh, delimiter, width)
-        if table is not None:
-            return cls(path, table.toarray().astype(dtype) if integer else table, None)
+        if not integer:
+            with path.open("rb") as fh:
+                table = _one_digit_csr(fh, delimiter, width)
+            if table is not None:
+                return cls(path, table, None)
         rows = _loadtxt(path, dtype, delimiter, width)
         if rows is not None:
             return cls(path, rows, None)

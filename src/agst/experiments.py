@@ -39,7 +39,6 @@ PARAMETERS = {
     "lr": "config.train.learning_rate",
     **{name: f"config.augment.{name}" for name in ("beta_add", "beta_remove")},
     "iterations": "config.iterations",
-    "best_iteration": "config.report_best_iteration",
 }
 
 

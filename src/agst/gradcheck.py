@@ -34,6 +34,8 @@ from .mlp import (
 ROUNDOFF_ULPS = 16
 # the largest relative error ``agst gradcheck`` passes, exclusive
 PASS_BAR = 1e-4
+# the central difference's step
+STEP = 1e-5
 
 
 def grad_check(
@@ -42,19 +44,15 @@ def grad_check(
     split: SplitSpec,
     soft: SoftLabels,
     cfg: TrainConfig,
-    eps: float = 1e-5,
 ) -> float:
     """Max over every parameter of max(0, |a - n| - r) / (|a| + |n|), for the
-    analytic gradient a and the central difference n at step eps, which
-    must be finite and positive.
+    analytic gradient a and the central difference n at step ``STEP``.
 
-    r = ROUNDOFF_ULPS * u * |f| / eps bounds the roundoff of n, u being the
+    r = ROUNDOFF_ULPS * u * |f| / STEP bounds the roundoff of n, u being the
     machine epsilon and |f| the larger loss of the two evaluations (Nocedal &
     Wright, *Numerical Optimization*, section 8.1): a zero or tiny gradient
     whose difference is roundoff alone passes.
     """
-    if not 0.0 < eps < np.inf:
-        raise ValueError(f"eps must be finite and > 0, got {eps}")
     params = params.astype(np.float64)
     x = bundle.features
     unlabeled, hard, targets, members = round_inputs(bundle, split, soft, cfg, np.float64)
@@ -64,18 +62,18 @@ def grad_check(
         return joint_objective(params, x, split.labeled, unlabeled, targets, cfg, protos, pls)
 
     _, _, analytic = objective()
-    roundoff = ROUNDOFF_ULPS * np.finfo(np.float64).eps / eps   # per unit of |f|
+    roundoff = ROUNDOFF_ULPS * np.finfo(np.float64).eps / STEP   # per unit of |f|
 
     worst = 0.0
     live = params.live
     for idx in range(live.size):
         original = live[idx]
-        live[idx] = original + eps
+        live[idx] = original + STEP
         plus = objective()[0]
-        live[idx] = original - eps
+        live[idx] = original - STEP
         minus = objective()[0]
         live[idx] = original
-        numeric = (plus - minus) / (2.0 * eps)
+        numeric = (plus - minus) / (2.0 * STEP)
         a = analytic[idx]
         excess = abs(a - numeric) - roundoff * max(abs(plus), abs(minus))
         if excess > 0.0:
@@ -89,11 +87,7 @@ class GradCheckReport:
     instances: int
 
 
-def run_gradcheck_suite(
-    instances: int = 20,
-    seed: int = 0,
-    eps: float = 1e-5,
-) -> GradCheckReport:
+def run_gradcheck_suite(instances: int = 20, seed: int = 0) -> GradCheckReport:
     """Joint-loss gradient check at the default loss weights on random tiny instances.
 
     Instances whose pre-activations sit within 1e-3 of a ReLU kink are
@@ -121,6 +115,6 @@ def run_gradcheck_suite(
         if np.min(np.abs(features @ params.w1 + params.b1)) < 1e-3:
             continue
         cfg = TrainConfig(dropout=0.0, hidden=hidden)
-        worst = max(worst, grad_check(params, bundle, split, soft, cfg, eps))
+        worst = max(worst, grad_check(params, bundle, split, soft, cfg))
         produced += 1
     return GradCheckReport(max_rel_error=worst, instances=instances)

@@ -59,7 +59,6 @@ class AgstConfig:
     augment: AugmentConfig = field(default_factory=AugmentConfig)
     iterations: int = 3
     seed: int = 0
-    report_best_iteration: bool = False
 
     def __post_init__(self):
         require_integers(self, "iterations", "seed")
@@ -130,17 +129,15 @@ def run_agst(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig) -> RunRes
     overlaps the later rounds.
 
     Returns the per-round stats and the last round's parameters and
-    predictions, or, with ``cfg.report_best_iteration`` and a validation
-    set, those of the first round with the best validation accuracy.
+    predictions.
     """
     require_gold(bundle, split)
     with _one_blas_thread() as pinned:
         rounds = _rounds(bundle, split, cfg, pinned and _can_pipeline(split, cfg))
-    best = max(rounds, key=lambda out: out[2].val_acc) if split.validation.size else None
     for _, _, stats in rounds:
         log.debug("iteration %d: val=%s test=%s +%d/-%d edges", stats.iteration, stats.val_acc,
                   stats.test_acc, stats.added_edges.shape[0], stats.removed_edges.shape[0])
-    final, final_preds, _ = best if cfg.report_best_iteration and best else rounds[-1]
+    final, final_preds, _ = rounds[-1]
     return RunResult(final_params=final, per_iteration=[out[2] for out in rounds],
                      predictions=final_preds)
 

@@ -89,7 +89,7 @@ def test_criterion_2_two_node_fixture():
 
 def test_criterion_3_gradient_integrity():
     started = time.perf_counter()
-    report = run_gradcheck_suite(instances=20, seed=3, eps=1e-5)
+    report = run_gradcheck_suite(instances=20, seed=3)
     elapsed = time.perf_counter() - started
     verdict(3, "joint-loss gradients match central differences on 20 instances",
             report.max_rel_error < 1e-4 and elapsed < 30.0,

@@ -67,9 +67,10 @@ class TestRunCommand:
     # configuration, and the config file in two spellings argparse once took
     @pytest.mark.parametrize("argv", [["--frobnicate"], ["--warm-start"],
                                       ["--normalize-features"], ["--loss-reduction", "sum"],
-                                      ["--config", "x.cfg"], ["--conf=x.cfg"]],
+                                      ["--best-iteration"], ["--config", "x.cfg"],
+                                      ["--conf=x.cfg"]],
                              ids=["frobnicate", "warm-start", "normalize-features",
-                                  "loss-reduction", "config", "conf"])
+                                  "loss-reduction", "best-iteration", "config", "conf"])
     def test_unknown_flag_is_usage_error(self, dataset_dir, capsys, argv):
         assert cli_main(["run", "--dataset", "cora", *argv]) == 2
         assert "unrecognized arguments: " in capsys.readouterr().err
@@ -134,6 +135,14 @@ class TestSweepCommand:
         code = cli_main(["sweep", "--dataset", "cora", "--axis", "k", "--values", "1", *argv])
         assert code == 2
         assert "unrecognized arguments: " in capsys.readouterr().err
+        assert not (dataset_dir / "sweep.csv").exists()
+
+    def test_best_iteration_is_usage_error(self, dataset_dir, capsys):
+        # run's test above holds it too: both commands lost the flag
+        code = cli_main(["sweep", "--dataset", "cora", "--axis", "k", "--values", "1",
+                         "--best-iteration"])
+        assert code == 2
+        assert "unrecognized arguments: --best-iteration" in capsys.readouterr().err
         assert not (dataset_dir / "sweep.csv").exists()
 
     def test_axis_required(self, dataset_dir):
@@ -232,7 +241,6 @@ FLAG_ALONE = [
     (["--max-epochs", "40"], train(max_epochs=40)),
     (["--no-val-epochs", "30"], train(no_val_epochs=30)),
     (["--hidden", "16"], train(hidden=16)),
-    (["--best-iteration"], config(report_best_iteration=True)),
 ]
 SWEEP = ["--axis", "k", "--values", "1"]
 

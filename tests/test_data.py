@@ -20,6 +20,7 @@ from agst import (
     save_dataset,
     two_cluster_bundle,
 )
+from agst import data
 from agst.data import BLOCK_LINES
 
 import reference
@@ -256,6 +257,32 @@ class TestLoadDataset:
         dtypes.clear()
         assert load_dataset(root).features.ravel().tolist() == [0.0, 2.7, 1.0]
         assert np.dtype(np.float64) in dtypes
+
+    @pytest.mark.parametrize("n", [2, 10, 11])
+    def test_only_the_feature_table_is_tried_as_one_digit(self, tmp_path, monkeypatch, n):
+        # up to ten nodes, edges.tsv and labels.tsv are one-digit tables too;
+        # the line rules read them, to int64
+        tried = []
+        real = data._one_digit_csr
+
+        def recording(fh, *args):
+            tried.append(Path(fh.name).name)
+            return real(fh, *args)
+
+        monkeypatch.setattr(data, "_one_digit_csr", recording)
+        edges = [[i, i + 1] for i in range(n - 1)]
+        grid = np.arange(2 * n).reshape(n, 2) % 2
+        root = write_dataset_dir(
+            tmp_path / "d", f"n={n}\nf=2\nc=2\n",
+            "".join(f"{i}\t{j}\n" for i, j in edges),
+            "".join(f"{a},{b}\n" for a, b in grid),
+            "".join(f"{i}\t{i % 2}\n" for i in range(n)))
+        bundle = load_dataset(root)
+        assert tried == ["features.csv"]
+        assert bundle.graph.edges.tolist() == edges
+        assert bundle.gold.dtype == np.int64
+        assert bundle.gold.tolist() == [i % 2 for i in range(n)]
+        assert np.array_equal(as_dense(bundle.features), grid.astype(np.float64))
 
     def test_spellings_only_the_line_scan_accepts(self, tmp_path):
         # int() and float() accept digit underscores; the one-call parse does

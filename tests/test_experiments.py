@@ -220,6 +220,10 @@ class TestMethods:
         with pytest.raises(ValueError, match="unknown protocol 'stratified'"):
             toy_spec(protocol="stratified")
 
+    def test_best_iteration_is_not_a_parameter(self):
+        with pytest.raises(TypeError, match="best_iteration"):
+            experiments.with_parameters(toy_spec(), {"best_iteration": True})
+
     def test_zero_workers_rejected(self):
         with pytest.raises(ValueError, match="workers"):
             toy_spec(workers=0)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,7 @@ from agst import (
     student_targets,
 )
 from agst import gradcheck
-from agst.mlp import ARRAY_NAMES, STUDENT_DTYPE
+from agst.mlp import ARRAY_NAMES, PARAM_NAMES, STUDENT_DTYPE
 
 from conftest import make_bundle, split_of
 
@@ -37,12 +35,12 @@ class TestGradCheck:
     def test_classification_only_matches_tightly(self):
         bundle, split, soft, params = tiny_problem(0)
         cfg = TrainConfig(lambda2=0.0, dropout=0.0, hidden=6)
-        assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-5
+        assert grad_check(params, bundle, split, soft, cfg) < 1e-5
 
     def test_full_joint_loss_matches(self):
         bundle, split, soft, params = tiny_problem(1)
         cfg = TrainConfig(lambda2=0.1, dropout=0.0, hidden=6)
-        assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-4
+        assert grad_check(params, bundle, split, soft, cfg) < 1e-4
 
     def test_float32_weights_are_checked_on_a_float64_copy(self, monkeypatch):
         # init_params gives the student's float32 weights; the check perturbs
@@ -60,7 +58,7 @@ class TestGradCheck:
 
         monkeypatch.setattr(gradcheck, "joint_objective", spy)
         cfg = TrainConfig(lambda2=0.1, dropout=0.0, hidden=6)
-        assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-4
+        assert grad_check(params, bundle, split, soft, cfg) < 1e-4
         assert dtypes == {np.dtype(np.float64)}
         for name in ARRAY_NAMES:
             assert getattr(params, name).dtype == STUDENT_DTYPE
@@ -84,7 +82,7 @@ class TestGradCheck:
                                      None, None)
         assert grad.shape == params.live.shape
         assert np.max(np.abs(grad)) < 1e-8
-        assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-8
+        assert grad_check(params, bundle, split, soft, cfg) < 1e-8
 
     def test_exactly_zero_gradient_passes(self):
         # zero features and negative first-layer biases kill every hidden
@@ -104,25 +102,33 @@ class TestGradCheck:
         _, _, grad = joint_objective(params, bundle.features, split.labeled, unlabeled,
                                      targets, cfg, None, None)
         assert not np.any(grad)
-        assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-4
+        assert grad_check(params, bundle, split, soft, cfg) < 1e-4
 
     def test_individual_losses_each_match(self):
         for lam1, lam2 in ((1.0, 0.0), (0.0, 0.0), (0.0, 0.5)):
             bundle, split, soft, params = tiny_problem(4)
             cfg = TrainConfig(lambda1=lam1, lambda2=lam2, dropout=0.0, hidden=6)
-            assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-4
+            assert grad_check(params, bundle, split, soft, cfg) < 1e-4
 
-    @pytest.mark.parametrize("eps", [0.0, -1e-5, math.nan, math.inf, -math.inf])
-    def test_meaningless_step_rejected(self, eps):
-        # a zero step divides by zero; a non-finite one makes every
-        # difference NaN, which no comparison counts as an error; a negative
-        # one makes the roundoff allowance negative
+    def test_each_entry_is_stepped_by_the_constant(self, monkeypatch):
+        # the analytic evaluation, then each entry of params.live in turn
+        # at +STEP and at -STEP, every other entry as it was
         bundle, split, soft, params = tiny_problem(0)
-        cfg = TrainConfig(dropout=0.0, hidden=6)
-        with pytest.raises(ValueError, match="eps must be finite and > 0"):
-            grad_check(params, bundle, split, soft, cfg, eps=eps)
-        with pytest.raises(ValueError, match="eps must be finite and > 0"):
-            run_gradcheck_suite(instances=1, eps=eps)
+        start = params.live.astype(np.float64)
+        steps = []
+        real = gradcheck.joint_objective
+
+        def spy(checked, *args):
+            steps.append(checked.live - start)
+            return real(checked, *args)
+
+        monkeypatch.setattr(gradcheck, "joint_objective", spy)
+        assert grad_check(params, bundle, split, soft, TrainConfig(dropout=0.0, hidden=6)) < 1e-4
+        size = start.size
+        expected = np.zeros((1 + 2 * size, size))
+        expected[1::2][np.arange(size), np.arange(size)] = gradcheck.STEP
+        expected[2::2][np.arange(size), np.arange(size)] = -gradcheck.STEP
+        assert np.allclose(np.array(steps), expected, rtol=0.0, atol=1e-15)
 
     def test_labeled_node_without_gold_rejected(self):
         # its target would otherwise be the last class
@@ -167,14 +173,31 @@ class TestGradCheckRejects:
         _, pls = pseudo_targets(params, bundle.features @ params.mw1, members, unlabeled,
                                 np.argmax(soft.matrix, axis=1), cfg)
         assert pls.kept.size > 0
-        assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) < 1e-4
+        assert grad_check(params, bundle, split, soft, cfg) < 1e-4
 
         def corrupted(*args, **kwargs):
             joint, parts, grad = joint_objective(*args, **kwargs)
             return joint, parts, corrupt(grad, args)
 
         monkeypatch.setattr(gradcheck, "joint_objective", corrupted)
-        assert grad_check(params, bundle, split, soft, cfg, eps=1e-5) > 1e-4
+        assert grad_check(params, bundle, split, soft, cfg) > 1e-4
+
+
+    @pytest.mark.parametrize("name", PARAM_NAMES)
+    def test_one_wrong_entry_in_any_array_fails(self, monkeypatch, name):
+        # the middle entry of each array laid out in params.live
+        bundle, split, soft, params = tiny_problem(1)
+        cfg = TrainConfig(lambda2=1.0, dropout=0.0, hidden=6)
+
+        def corrupted(checked, *args):
+            joint, parts, grad = joint_objective(checked, *args)
+            grad = grad.copy()
+            view = checked.views(grad)[name]
+            view.flat[view.size // 2] += 1.0
+            return joint, parts, grad
+
+        monkeypatch.setattr(gradcheck, "joint_objective", corrupted)
+        assert grad_check(params, bundle, split, soft, cfg) > 1e-4
 
 
 class TestGradCheckSuite:
@@ -183,17 +206,17 @@ class TestGradCheckSuite:
         assert report.max_rel_error < 1e-4
         assert report.instances == 5
 
-    def test_step_reaches_every_instance(self, monkeypatch):
-        steps = []
+    def test_every_instance_is_checked(self, monkeypatch):
+        checked = []
         check = gradcheck.grad_check
 
         def recording_check(*args):
-            steps.append(args[-1])
+            checked.append(args[0].dims)
             return check(*args)
 
         monkeypatch.setattr(gradcheck, "grad_check", recording_check)
-        report = run_gradcheck_suite(instances=2, seed=0, eps=1e-6)
-        assert steps == [1e-6, 1e-6]
+        report = run_gradcheck_suite(instances=3, seed=0)
+        assert len(checked) == report.instances == 3
         assert report.max_rel_error < gradcheck.PASS_BAR
 
     def test_suite_is_deterministic(self):

@@ -179,22 +179,28 @@ class TestRunAgst:
         assert type(err) is RuntimeError
         assert str(err) == "code 3: lost [self-training iteration 2]"
 
-    @pytest.mark.parametrize("best", [False, True])
-    def test_predictions_match_forward_of_final_params(self, best):
+    @pytest.mark.parametrize("pipelined", [False, True])
+    def test_predictions_match_forward_of_final_params(self, monkeypatch, pipelined):
+        monkeypatch.setattr(selftrain, "_can_pipeline", lambda split, cfg: pipelined)
         bundle, split = toy_setup(seed=7, noise=0.2)
-        cfg = quick_cfg(iterations=2, seed=7, report_best_iteration=best)
-        result = run_agst(bundle, split, cfg)
+        result = run_agst(bundle, split, quick_cfg(iterations=2, seed=7))
         x = bundle.features
         assert np.array_equal(result.predictions, hard_labels(result.final_params, x))
 
-    def test_best_iteration_selection(self):
-        bundle, split = toy_setup(seed=7, noise=0.2)
-        cfg = quick_cfg(iterations=2, seed=7, report_best_iteration=True)
-        result = run_agst(bundle, split, cfg)
-        best = max(s.val_acc for s in result.per_iteration)
-        acc = np.mean(result.predictions[split.validation]
-                      == bundle.gold[split.validation])
-        assert acc == pytest.approx(best)
+    def test_last_round_is_reported(self):
+        # a hard toy whose last round scores lower on validation than the
+        # first: the report is still the last round's
+        bundle = two_cluster_bundle(n=200, separation=1.0, noise_fraction=0.2, seed=3)
+        split = make_split(bundle, "balanced", seed=3, k=5)
+        result = run_agst(bundle, split, quick_cfg(iterations=3, seed=3))
+        first, last = result.per_iteration[0], result.per_iteration[-1]
+        assert last.val_acc < first.val_acc
+        for nodes, acc in ((split.validation, last.val_acc), (split.test, last.test_acc)):
+            assert np.mean(result.predictions[nodes] == bundle.gold[nodes]) == pytest.approx(acc)
+
+    def test_no_option_chooses_the_reported_round(self):
+        with pytest.raises(TypeError, match="report_best_iteration"):
+            AgstConfig(report_best_iteration=True)
 
     def test_split_without_test_nodes_has_no_test_accuracy(self):
         bundle, split = toy_setup(seed=8)
@@ -323,7 +329,7 @@ class TestTestLabelBlindness:
 
     @staticmethod
     def toy():
-        # a hard toy, so that rounds disagree and the best round is a choice
+        # a hard toy, so that rounds disagree
         return two_cluster_bundle(n=200, separation=1.0, noise_fraction=0.2, seed=3)
 
     @classmethod
@@ -354,17 +360,15 @@ class TestTestLabelBlindness:
         assert rounds(a) == rounds(b)
 
     @staticmethod
-    def config(method, best=False):
-        base = AgstConfig(train=TrainConfig(max_epochs=60, no_val_epochs=20), seed=6,
-                          report_best_iteration=best)
+    def config(method):
+        base = AgstConfig(train=TrainConfig(max_epochs=60, no_val_epochs=20), seed=6)
         return method_config(method, base)
 
-    @pytest.mark.parametrize("best", [False, True])
     @pytest.mark.parametrize("method", STUDENT_METHODS)
     @pytest.mark.parametrize("protocol", sorted(SPLITS))
-    def test_student_runs_ignore_test_gold(self, protocol, method, best):
+    def test_student_runs_ignore_test_gold(self, protocol, method):
         bundle, shuffled, split = self.permuted(protocol)
-        cfg = self.config(method, best)
+        cfg = self.config(method)
         a, b = run_agst(bundle, split, cfg), run_agst(shuffled, split, cfg)
         self.assert_same_runs(a, b, ("test_acc", "wall_ms"))
 
@@ -376,6 +380,28 @@ class TestTestLabelBlindness:
         a, b = run_agst(bundle, split, cfg), run_agst(shuffled, split, cfg)
         self.assert_same_runs(a, b, ("wall_ms",))
         assert all(stats.test_acc is not None for stats in a.per_iteration)
+
+    # the runs above fork their patience tails where they may: a validation
+    # set and more than one round; these take the sequential loop instead
+    FORKING_METHODS = [m for m in STUDENT_METHODS if m != "mlp-only"]
+
+    @pytest.mark.parametrize("method", FORKING_METHODS)
+    @pytest.mark.parametrize("protocol", ["balanced", "standard20"])
+    def test_sequential_runs_ignore_test_gold(self, monkeypatch, protocol, method):
+        monkeypatch.setattr(selftrain, "_can_pipeline", lambda split, cfg: False)
+        bundle, shuffled, split = self.permuted(protocol)
+        assert split.validation.size
+        cfg = self.config(method)
+        a, b = run_agst(bundle, split, cfg), run_agst(shuffled, split, cfg)
+        self.assert_same_runs(a, b, ("test_acc", "wall_ms"))
+
+    @pytest.mark.parametrize("method", FORKING_METHODS)
+    def test_sequential_runs_ignore_gold_outside_the_split(self, monkeypatch, method):
+        monkeypatch.setattr(selftrain, "_can_pipeline", lambda split, cfg: False)
+        bundle, shuffled, split = self.permuted_outside(10)
+        cfg = self.config(method)
+        a, b = run_agst(bundle, split, cfg), run_agst(shuffled, split, cfg)
+        self.assert_same_runs(a, b, ("wall_ms",))
 
     @pytest.mark.parametrize("protocol", sorted(SPLITS))
     def test_label_propagation_ignores_test_gold(self, protocol):
@@ -450,13 +476,15 @@ class TestPipelinedRounds:
         assert final_bytes(a) == final_bytes(b)
         assert rounds_without_wall(a) == rounds_without_wall(b)
 
-    @pytest.mark.parametrize("best, train, forks", [
-        (False, {}, 2), (True, {}, 2),
+    @pytest.mark.parametrize("train, forks", [
+        ({}, 2),
+        # rounds with no contrastive term, so no pseudo-targets
+        ({"lambda2": 0.0}, 2),
         # rounds that end before their best epoch has held SETTLE_EPOCHS
-        (False, {"patience": 0}, 0), (False, {"max_epochs": 2}, 0)])
-    def test_same_bytes_as_the_sequential_loop(self, monkeypatch, tmp_path, best, train, forks):
+        ({"patience": 0}, 0), ({"max_epochs": 2}, 0)])
+    def test_same_bytes_as_the_sequential_loop(self, monkeypatch, tmp_path, train, forks):
         bundle, split = toy_setup(seed=4, noise=0.15)
-        cfg = quick_cfg(iterations=3, seed=4, report_best_iteration=best, train=train)
+        cfg = quick_cfg(iterations=3, seed=4, train=train)
         pids = self.tail_pids(monkeypatch, tmp_path)
         a = self.run(monkeypatch, True, bundle, split, cfg)
         assert len(pids()) == forks
