@@ -59,6 +59,8 @@ class ExperimentSpec:
         require_integers(self, "k", "runs", "seed", "workers", "val_per_class")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if self.val_per_class < 0:
+            raise ValueError(f"val_per_class must be >= 0, got {self.val_per_class}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.method not in METHODS:

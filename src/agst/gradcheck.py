@@ -14,10 +14,11 @@ float64 matrix that prediction reads and training reads cast to float32.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .data import DatasetBundle, SplitSpec
+from .data import DatasetBundle, SplitSpec, require_integers
 from .graph import SparseGraph
 from .propagation import SoftLabels
 from .mlp import (
@@ -94,6 +95,9 @@ def run_gradcheck_suite(instances: int = 20, seed: int = 0) -> GradCheckReport:
     redrawn: a centered difference straddling the kink says nothing about
     the gradient on either side.
     """
+    require_integers(SimpleNamespace(instances=instances), "instances")
+    if instances < 1:
+        raise ValueError(f"instances must be >= 1, got {instances}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     produced = 0

@@ -507,8 +507,8 @@ class TrainConfig:
     def __post_init__(self):
         require_integers(self, "patience", "max_epochs", "no_val_epochs", "hidden")
         # each test is written so that NaN fails it
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0 < self.tau < np.inf:
+            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
         if not 0.0 <= self.momentum <= 1.0:
             raise ValueError("momentum must lie in [0, 1]")
         if not (0 <= self.lambda1 < np.inf and 0 <= self.lambda2 < np.inf):

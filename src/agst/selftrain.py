@@ -14,12 +14,13 @@ runs out.  Where ``_can_pipeline`` allows, every round but the last forks
 its patience tail (``_Tail``): once the best epoch has held
 ``SETTLE_EPOCHS`` epochs, the round ends in the caller on that best and the
 next round starts on it, while a child process trains on through the
-patience and, if its round finishes, sends it back.  The fork only
-speculates: ``_standing`` puts each child's round in place of the one cut
-short, and where a child sent nothing, or its best epoch moved, the rounds
-it covered (or the ones after it) run again in the plain loop.  Each round
-does the same arithmetic on the same input as in the sequential loop, so
-the outputs are the same bytes, and an error is raised as in the loop.
+patience and sends back its ``TrainTrace``.  The fork only speculates: the
+rounds stand if every child confirms the best epoch its round was cut at,
+and each round's trace is then the child's.  After a child that sent
+nothing, a best that moved, or an error in the forked run, every round runs
+again in the plain loop.  Each round does the same arithmetic on the same
+input as in the sequential loop, so the outputs are the same bytes, and an
+error is raised as in the loop.
 """
 
 from __future__ import annotations
@@ -125,8 +126,8 @@ def run_agst(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig) -> RunRes
     return, so a replay is byte-exact at any caller's thread count.  With a
     validation set, more than one round and two CPUs, each round's patience
     tail runs in a forked child (see the module docstring) with the same
-    outputs; a round's ``wall_ms`` then runs to the end of its tail and
-    overlaps the later rounds.
+    outputs; a round's ``wall_ms`` is then the caller's own, without the
+    tail.
 
     Returns the per-round stats and the last round's parameters and
     predictions.
@@ -146,13 +147,16 @@ def _round(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig, iteration: 
            previous: AugmentationPlan | None, tail: _Tail | None):
     """Round ``iteration`` on the input graph rewired by ``previous``, the
     last round's plan (None in round 1): (params, predictions, stats, plan).
-    ``tail``, if any, is the student's epoch hook."""
+    ``tail``, if any, is the student's epoch hook; in its forked child the
+    round ends with the student's trace alone."""
     started = time.perf_counter()
     try:
         graph = bundle.graph if previous is None else apply_augmentation(bundle.graph, previous)
         soft = to_distribution(propagate_labels(normalize_adjacency(graph), bundle, split, cfg.lp))
         params, trace = train_student(bundle, split, soft, cfg.train,
                                       student_rng(cfg.seed, iteration), bundle.features, tail)
+        if tail is not None and tail.pid == 0:
+            return trace
         probs = forward(params.astype(np.float64), bundle.features)
         preds, plan = np.argmax(probs, axis=1), plan_augmentation(bundle.graph, probs, cfg.augment)
     except Exception as err:
@@ -230,9 +234,10 @@ def _can_pipeline(split: SplitSpec, cfg: AgstConfig) -> bool:
 
 def _rounds(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig, fork: bool) -> list:
     """The rounds in order, (params, predictions, stats) each.  With
-    ``fork``, every round but the last forks its patience tail; every child
-    is reaped before the rounds that do not stand run again unforked."""
-    rounds, tails = [], []      # rounds: (params, predictions, stats, plan) or an error
+    ``fork``, every round but the last forks its patience tail; unless every
+    child confirms its round, every child is reaped and the rounds run again
+    unforked."""
+    rounds, tails = [], []      # rounds: (params, predictions, stats, plan)
     try:
         for iteration in range(1, cfg.iterations + 1):
             tail, out = _Tail(tails), None
@@ -240,23 +245,21 @@ def _rounds(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig, fork: bool
             try:
                 out = _round(bundle, split, cfg, iteration, rounds[-1][3] if rounds else None,
                              tail if fork and iteration < cfg.iterations else None)
-            except Exception as err:
-                out = err
             finally:
                 if tail.pid == 0:
                     tail.leave(out)
             rounds.append(out)
-            if isinstance(out, Exception):
-                break
-        del rounds[_standing(rounds, tails):]
+        stand = all(tail.confirms(out[2]) for tail, out in zip(tails, rounds))
+    except Exception:
+        if not fork:
+            raise
+        stand = False
     finally:
         for tail in tails:
             tail.reap()
-    if rounds and isinstance(rounds[-1], Exception):
-        raise rounds[-1]
-    for iteration in range(len(rounds) + 1, cfg.iterations + 1):
-        rounds.append(_round(bundle, split, cfg, iteration, rounds[-1][3] if rounds else None,
-                             None))
+    if not stand:
+        log.debug("a forked round did not stand: running the rounds again in order")
+        return _rounds(bundle, split, cfg, False)
     return [out[:3] for out in rounds]
 
 
@@ -266,11 +269,10 @@ class _Tail:
     Once the best epoch has held ``SETTLE_EPOCHS`` epochs, the caller forks
     and returns True, so that its round ends there, on that best.  The child
     (``pid`` 0) returns False on every epoch, so that it trains on, and exits
-    once the process it was forked from is gone; ``leave`` sends its round,
-    if the round finished, through the pipe to ``reader``.  A child that
-    sends nothing, having failed or been killed, costs only a rerun of its
-    round in the caller.  ``tails`` are the run's tails, one a round, whose
-    pipe ends a child closes."""
+    once the process it was forked from is gone; ``leave`` sends its round's
+    trace, if the training finished, through the pipe to ``reader``, and
+    ``confirms`` reads it in the caller.  ``tails`` are the run's tails, one
+    a round, whose pipe ends a child closes."""
 
     def __init__(self, tails: list):
         self.tails, self.parent, self.pid, self.reader = tails, os.getpid(), None, None
@@ -294,15 +296,27 @@ class _Tail:
                 tail.reader.close()
         return False
 
-    def leave(self, out) -> None:
-        """In the child: send ``out`` if it is a finished round, nothing if
+    def leave(self, trace: TrainTrace | None) -> None:
+        """In the child: send ``trace`` if the training finished, nothing if
         an error or anything else ended it, and exit without unwinding into
         the caller's frames."""
         try:
-            if isinstance(out, tuple):
-                self.writer.send(out)
+            if isinstance(trace, TrainTrace):
+                self.writer.send(trace)
         finally:
             os._exit(0)
+
+    def confirms(self, stats: IterationStats) -> bool:
+        """In the caller: whether the round of ``stats`` stands, that is it
+        forked no child, or its child sent a trace whose best epoch is the
+        one the round was cut at, which then replaces the round's trace.  A
+        child that sent nothing raises EOFError here."""
+        if self.pid:
+            trace = self.reader.recv()
+            if trace.best_epoch != stats.trace.best_epoch:
+                return False
+            stats.trace = trace
+        return True
 
     def reap(self) -> None:
         """End and wait for the child, if it has not been reaped yet."""
@@ -311,24 +325,3 @@ class _Tail:
             os.waitpid(self.pid, 0)
             self.reader.close()
             self.pid = None
-
-
-def _standing(rounds: list, tails: list) -> int:
-    """Put each child's round, in round order, in place of the round its
-    caller cut short, and return how many rounds stand: none from the first
-    child that sent nothing, and none after the first whose best epoch moved,
-    since those rounds started on a best that did not hold."""
-    for index, tail in enumerate(tails):
-        if not tail.pid:
-            continue
-        try:
-            out = tail.reader.recv()
-        except EOFError:
-            log.debug("iteration %d's tail sent nothing: running it again", index + 1)
-            return index
-        cut, rounds[index] = rounds[index], out
-        if not isinstance(cut, Exception) and out[2].trace.best_epoch != cut[2].trace.best_epoch:
-            log.debug("iteration %d's best moved to epoch %d in its tail: rerunning the "
-                      "later rounds", index + 1, out[2].trace.best_epoch)
-            return index + 1
-    return len(rounds)

@@ -17,6 +17,7 @@ from agst import (
     confidence_halfwidth,
     method_config,
     run_experiment,
+    run_gradcheck_suite,
     run_single,
     run_sweep,
     two_cluster_bundle,
@@ -51,6 +52,7 @@ def toy_spec(**overrides):
     (ExperimentSpec, "val_per_class", 4.0),
     (ExperimentSpec, "workers", 1.0),
     (ExperimentSpec, "seed", 0.5),
+    (run_gradcheck_suite, "instances", 2.0),
 ])
 def test_integer_setting_refuses_other_values(settings, name, value):
     # a value such as 2.0 would pass the range checks and fail mid-run
@@ -67,6 +69,15 @@ def test_negative_seed_refused_when_built(settings):
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         settings(seed=-1)
     assert settings(seed=0).seed == 0
+
+
+@pytest.mark.parametrize("protocol", ["balanced", "imbalanced"])
+def test_negative_validation_size_refused_when_built(protocol):
+    # the imbalanced protocol draws no validation set, but the value is
+    # still written into the report's config
+    with pytest.raises(ValueError, match=r"^val_per_class must be >= 0, got -1$"):
+        ExperimentSpec(val_per_class=-1, protocol=protocol)
+    assert ExperimentSpec(val_per_class=0, protocol=protocol).val_per_class == 0
 
 
 class TestMethodConfig:

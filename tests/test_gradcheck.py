@@ -223,3 +223,9 @@ class TestGradCheckSuite:
         a = run_gradcheck_suite(instances=3, seed=7)
         b = run_gradcheck_suite(instances=3, seed=7)
         assert a.max_rel_error == b.max_rel_error
+
+    @pytest.mark.parametrize("instances", [0, -3])
+    def test_no_instance_to_check_is_refused(self, instances):
+        # a report of nothing checked would read max_rel_error 0.0, a PASS
+        with pytest.raises(ValueError, match=rf"^instances must be >= 1, got {instances}$"):
+            run_gradcheck_suite(instances=instances)

@@ -638,7 +638,7 @@ class TestAdam:
 
 class TestTrainConfig:
     @pytest.mark.parametrize("field, value", [
-        ("tau", math.nan), ("tau", 0.0),
+        ("tau", math.nan), ("tau", 0.0), ("tau", math.inf),
         ("lambda1", math.nan), ("lambda2", math.nan), ("lambda2", -0.1), ("lambda1", math.inf),
         ("learning_rate", -0.5), ("learning_rate", math.nan), ("learning_rate", 0.0),
         ("learning_rate", math.inf),

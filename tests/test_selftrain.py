@@ -2,6 +2,7 @@ import itertools
 import json
 import logging
 import multiprocessing
+import multiprocessing.connection
 import os
 import re
 import signal
@@ -460,15 +461,11 @@ class TestPipelinedRounds:
                 os.kill(pid, 0)
 
     @staticmethod
-    def reruns(caplog):
-        return [int(m.group(1)) for r in caplog.records
-                if (m := re.match(r"iteration (\d)'s best moved", r.getMessage()))]
-
-    @staticmethod
-    def silent(caplog):
-        """The rounds whose tails sent nothing, by the run's debug lines."""
-        return [int(m.group(1)) for r in caplog.records
-                if (m := re.match(r"iteration (\d)'s tail sent nothing", r.getMessage()))]
+    def fallbacks(caplog):
+        """How many times forked rounds did not stand and ran again in order,
+        by the run's debug lines."""
+        return sum(r.getMessage().endswith("running the rounds again in order")
+                   for r in caplog.records)
 
     @staticmethod
     def assert_same(a, b):
@@ -491,7 +488,7 @@ class TestPipelinedRounds:
         self.assert_reaped(pids())
         self.assert_same(a, self.run(monkeypatch, False, bundle, split, cfg))
 
-    def test_a_moved_best_reruns_the_later_rounds(self, monkeypatch, caplog, tmp_path):
+    def test_a_moved_best_reruns_every_round(self, monkeypatch, caplog, tmp_path):
         # every round forks after its first epoch, before its best settles
         monkeypatch.setattr(selftrain, "SETTLE_EPOCHS", 0)
         bundle, split = toy_setup(seed=7, noise=0.2)
@@ -501,9 +498,78 @@ class TestPipelinedRounds:
         pids = self.tail_pids(monkeypatch, tmp_path)
         with caplog.at_level(logging.DEBUG, logger="agst.selftrain"):
             a = self.run(monkeypatch, True, bundle, split, cfg)
-        assert self.reruns(caplog)[0] == 1
+        assert self.fallbacks(caplog) == 1
         self.assert_reaped(pids())
         self.assert_same(a, b)
+
+    def test_a_best_moved_in_round_two_alone_reruns_every_round(self, monkeypatch, caplog,
+                                                                 tmp_path):
+        # round 2 forks at its first epoch with a best, before that best
+        # settles; round 1 forks once its best has held, and stands
+        bundle, split = toy_setup(seed=7, noise=0.2)
+        cfg = quick_cfg(iterations=3, seed=7)
+        b = self.run(monkeypatch, False, bundle, split, cfg)
+        assert b.per_iteration[1].trace.best_epoch > 1
+        real_train, real_confirms, confirmed = selftrain.train_student, selftrain._Tail.confirms, []
+
+        def early_in_round_two(bundle, split, soft, tcfg, rng, x, on_epoch=None):
+            if (on_epoch is not None
+                    and rng.bit_generator.state == student_rng(cfg.seed, 2).bit_generator.state):
+                hook = on_epoch
+
+                def on_epoch(epoch, best_epoch, best):
+                    return hook(epoch + selftrain.SETTLE_EPOCHS, best_epoch, best)
+            return real_train(bundle, split, soft, tcfg, rng, x, on_epoch)
+
+        def recording(tail, stats):
+            forked, stands = tail.pid, real_confirms(tail, stats)
+            if forked:
+                confirmed.append((stats.iteration, stands))
+            return stands
+
+        monkeypatch.setattr(selftrain, "train_student", early_in_round_two)
+        monkeypatch.setattr(selftrain._Tail, "confirms", recording)
+        pids = self.tail_pids(monkeypatch, tmp_path)
+        with caplog.at_level(logging.DEBUG, logger="agst.selftrain"):
+            a = self.run(monkeypatch, True, bundle, split, cfg)
+        assert confirmed == [(1, True), (2, False)] and self.fallbacks(caplog) == 1
+        assert len(pids()) == 2
+        self.assert_reaped(pids())
+        self.assert_same(a, b)
+
+    def test_only_the_caller_predicts_and_plans(self, monkeypatch, tmp_path):
+        # and a tail sends its round's trace alone
+        bundle, split = toy_setup(seed=4, noise=0.15)
+        cfg = quick_cfg(iterations=3, seed=4)
+        b = self.run(monkeypatch, False, bundle, split, cfg)
+        calls, tails = tmp_path / "calls", tmp_path / "tails"
+        calls.mkdir()
+        tails.mkdir()
+
+        def record(name):
+            with (calls / str(os.getpid())).open("a") as log:
+                log.write(f"{name}\n")
+
+        def spy(name, real):
+            def call(*args):
+                record(name)
+                return real(*args)
+            return call
+
+        for name in ("forward", "plan_augmentation"):
+            monkeypatch.setattr(selftrain, name, spy(name, getattr(selftrain, name)))
+        send = multiprocessing.connection.Connection.send
+        monkeypatch.setattr(multiprocessing.connection.Connection, "send",
+                            lambda pipe, obj: record(type(obj).__name__) or send(pipe, obj))
+        pids = self.tail_pids(monkeypatch, tails)
+        a = self.run(monkeypatch, True, bundle, split, cfg)
+        assert len(pids()) == 2
+        self.assert_reaped(pids())
+        self.assert_same(a, b)
+        seen = {int(path.name): path.read_text().split() for path in calls.iterdir()}
+        assert sorted(seen[os.getpid()]) == ["forward"] * 3 + ["plan_augmentation"] * 3
+        assert sorted(seen.keys() - {os.getpid()}) == sorted(pids())
+        assert all(seen[pid] == ["TrainTrace"] for pid in pids())
 
     def test_an_error_on_a_stale_input_is_dropped_with_the_rerun(self, monkeypatch, caplog):
         # round 2 starts on round 1's first epoch and fails on it; round 1's
@@ -532,7 +598,7 @@ class TestPipelinedRounds:
         monkeypatch.setattr(selftrain, "train_student", fails_when_stale)
         with caplog.at_level(logging.DEBUG, logger="agst.selftrain"):
             a = self.run(monkeypatch, True, bundle, split, cfg)
-        assert len(stale) == 1 and self.reruns(caplog)[0] == 1
+        assert len(stale) == 1 and self.fallbacks(caplog) == 1
         self.assert_same(a, b)
 
     def test_tails_reaped_after_an_interrupt(self, monkeypatch, tmp_path):
@@ -615,9 +681,9 @@ class TestPipelinedRounds:
 
     def test_an_error_in_a_tail_is_raised_as_in_the_loop(self, monkeypatch, caplog, tmp_path):
         # round 1 fails after its best has settled, which in a pipelined run
-        # is in its tail, and round 2 fails too; the tail sends nothing, and
-        # round 1 runs again in the caller, raising a type that would not
-        # survive a pickle round trip
+        # is in its tail, and round 2 fails too; the tail sends nothing, the
+        # rounds run again in order, and round 1 raises in the caller a type
+        # that would not survive a pickle round trip
         class Local(Exception):
             pass
 
@@ -644,7 +710,7 @@ class TestPipelinedRounds:
             with caplog.at_level(logging.DEBUG, logger="agst.selftrain"):
                 with pytest.raises(Local, match=r"^lost \[self-training iteration 1\]$"):
                     self.run(monkeypatch, pipelined, bundle, split, cfg)
-        assert len(pids()) == 1 and self.silent(caplog) == [1]
+        assert len(pids()) == 1 and self.fallbacks(caplog) == 1
         self.assert_reaped(pids())
 
     def test_a_killed_tail_runs_again_in_the_caller(self, monkeypatch, caplog, tmp_path):
@@ -664,7 +730,7 @@ class TestPipelinedRounds:
         monkeypatch.setattr(selftrain._Tail, "__call__", killing)
         with caplog.at_level(logging.DEBUG, logger="agst.selftrain"):
             a = self.run(monkeypatch, True, bundle, split, cfg)
-        assert killed and self.silent(caplog) == [1]
+        assert killed and self.fallbacks(caplog) == 1
         self.assert_reaped(pids())
         self.assert_same(a, b)
 
@@ -672,7 +738,8 @@ class TestPipelinedRounds:
     def test_an_error_after_the_fork_is_raised_as_in_the_loop(self, monkeypatch, tmp_path, where):
         # round 1's rewiring plan fails after its round forked: where it
         # fails in every process the loop's error is raised, and where only
-        # the caller or only the tail fails, the run gives the loop's bytes
+        # the caller fails, the run gives the loop's bytes; a tail never
+        # plans, so one armed to fail there never does
         class Broken(Exception):
             pass
 
