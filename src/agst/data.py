@@ -56,21 +56,14 @@ class DatasetFormatError(ValueError):
     """Malformed dataset file; message carries file name and line number."""
 
 
-def _stores_csr(shape: tuple[int, int], nonzeros: int) -> bool:
-    """Whether a bundle stores an (n, f) feature table with ``nonzeros``
-    nonzero entries as CSR: bag-of-words tables are mostly zeros, and the two
-    x-side products dominate a student epoch, so CSR pays off there."""
-    entries = shape[0] * shape[1]
-    return entries > 500_000 and nonzeros < entries / 4
-
-
 @dataclass
 class DatasetBundle:
     """A graph with node features and (possibly partial) gold labels."""
 
     graph: SparseGraph
     # (n, f) float64 from a dense or scipy sparse input: canonical CSR (sorted,
-    # no duplicate or zero entry) at over 500k entries under 1/4 nonzero, else dense
+    # no duplicate or zero entry) at over 500k entries under 1/4 nonzero, where
+    # CSR speeds up the two x-side products of a student epoch, else dense
     features: np.ndarray | sparse.csr_array
     gold: np.ndarray              # (n,) int64, UNLABELED where unknown
     num_classes: int
@@ -80,18 +73,24 @@ class DatasetBundle:
         if is_csr:
             x = sparse.csr_array(x, dtype=np.float64, copy=True)
             x.sum_duplicates()
-            x.eliminate_zeros()
         else:
             x = np.asarray(x, dtype=np.float64)
         self.gold = np.asarray(self.gold, dtype=np.int64)
         n = self.graph.n
         if x.ndim != 2 or x.shape[0] != n:
             raise ValueError(f"features must be (n, f) with n={n}, got {x.shape}")
-        if not np.isfinite(x.data if is_csr else x).all():
+        values = x.data if is_csr else x
+        if not np.isfinite(values).all():
             raise ValueError("features must be finite (found nan or inf)")
-        wants_csr = _stores_csr(x.shape, x.nnz if is_csr else np.count_nonzero(x))
-        if wants_csr != is_csr:
-            x = sparse.csr_array(x) if wants_csr else x.toarray()
+        entries = x.shape[0] * x.shape[1]
+        if entries > 500_000 and np.count_nonzero(values) < entries / 4:   # -0.0 is zero
+            x = x if is_csr else sparse.csr_array(x)
+            x.eliminate_zeros()
+        elif is_csr:
+            # toarray() adds each stored value to +0.0, which turns -0.0 into +0.0
+            dense = np.zeros(x.shape)
+            dense[np.repeat(np.arange(n), np.diff(x.indptr)), x.indices] = x.data
+            x = dense
         self.features = x
         if self.gold.shape != (n,):
             raise ValueError(f"gold labels must have shape ({n},)")
@@ -594,11 +593,10 @@ def convert_content_release(input_dir: str | Path, output_dir: str | Path) -> di
 
     ids: list[str] = []
     label_names: list[str] = []
-    # each row's entries other than +0.0, as its values and their columns; a
-    # "0" token is +0.0 and is skipped unparsed, and a -0.0 is kept for a
-    # table stored dense
+    # the table as CSR of each row's tokens other than "0": the bundle drops
+    # the zeros left if it stores CSR, and keeps a -0.0 if it stores dense
     values: list[np.ndarray] = []
-    columns: list[np.ndarray] = []
+    columns, indptr = [], [0]
     width = None
     with content.open() as fh:
         for lineno, line in enumerate(fh, 1):
@@ -620,9 +618,9 @@ def convert_content_release(input_dir: str | Path, output_dir: str | Path) -> di
                 raise DatasetFormatError(f"{content.name}:{lineno}: non-numeric feature") from None
             if not np.isfinite(row).all():
                 raise DatasetFormatError(f"{content.name}:{lineno}: non-finite feature")
-            kept = (row != 0) | np.signbit(row)
-            values.append(row[kept])
-            columns.append(np.array(read, dtype=np.int64)[kept])
+            values.append(row)
+            columns.extend(read)
+            indptr.append(len(columns))
             label_names.append(parts[-1])
     if not ids:
         raise DatasetFormatError(f"{content.name}: no nodes (empty file)")
@@ -652,15 +650,7 @@ def convert_content_release(input_dir: str | Path, output_dir: str | Path) -> di
         log.info("%s: skipped %d citation rows with unknown ids", cites, skipped)
 
     n = len(ids)
-    counts = np.fromiter(map(len, values), dtype=np.int64, count=n)
-    values, columns = np.concatenate(values), np.concatenate(columns)
-    if _stores_csr((n, width), np.count_nonzero(values)):
-        # the bundle drops a stored -0.0 as it would drop a dense one
-        features = sparse.csr_array((values, columns, np.concatenate([[0], np.cumsum(counts)])),
-                                    shape=(n, width))
-    else:
-        features = np.zeros((n, width))
-        features[np.repeat(np.arange(n), counts), columns] = values
+    features = sparse.csr_array((np.concatenate(values), columns, indptr), shape=(n, width))
     bundle = DatasetBundle(SparseGraph(n, pairs), features, gold, len(classes))
     save_dataset(bundle, output_dir)
     return {

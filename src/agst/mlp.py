@@ -638,7 +638,7 @@ def train_student(
     cfg: TrainConfig,
     rng: np.random.Generator,
     x: np.ndarray | sparse.csr_array,
-    on_epoch: Callable[[int, int | None, StudentParams | None], bool] | None = None,
+    on_epoch: Callable[[int, int | None], bool] | None = None,
 ) -> tuple[StudentParams, TrainTrace]:
     """Full-batch Adam on the joint loss with validation early stopping.
 
@@ -653,10 +653,9 @@ def train_student(
     ``x`` is ``bundle.features``, dense or CSR, or the same matrix in another
     float dtype; training reads it in ``STUDENT_DTYPE``.  ``rng`` draws the initial
     weights and the dropout.  ``on_epoch``, when given, is called after every
-    epoch that does not end training, with the epoch, the best epoch so far
-    and that epoch's parameters (both None without a validation set), which
-    it must not write; a true return ends training there, with the best
-    parameters so far.
+    epoch that does not end training, with the epoch and the best epoch so
+    far (None without a validation set); a true return ends training there,
+    with the best parameters so far.
     Every epoch writes into one ``EpochWorkspace`` built here, and the
     validation pass into another.  The validation loss is summed in float64.
     """
@@ -727,7 +726,7 @@ def train_student(
                 best_epoch = epoch
             if bad_epochs > cfg.patience:
                 break
-        if on_epoch is not None and on_epoch(epoch, best_epoch, best_params):
+        if on_epoch is not None and on_epoch(epoch, best_epoch):
             break
 
     if has_val:

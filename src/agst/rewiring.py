@@ -181,6 +181,10 @@ def plan_augmentation(graph: SparseGraph, p: np.ndarray, cfg: AugmentConfig) -> 
                          f"class probabilities per node of the {graph.n}-node graph")
     if not np.isfinite(p).all():
         raise ValueError(f"p of shape {p.shape} has a non-finite entry")
+    # the pruning's margin holds for dots in [0, 1], where sigmoid does not saturate
+    if ((p < 0) | (p > 1)).any() or (np.abs(p.sum(axis=1) - 1) > 1e-6).any():
+        raise ValueError(f"p of shape {p.shape} is not rows of class probabilities: "
+                         "entries in [0, 1] that sum to 1 in each row")
     m = graph.m
     quota_add = int(cfg.beta_add * m)
     quota_remove = int(cfg.beta_remove * m)

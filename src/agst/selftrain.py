@@ -17,10 +17,10 @@ next round starts on it, while a child process trains on through the
 patience and sends back its ``TrainTrace``.  The fork only speculates: the
 rounds stand if every child confirms the best epoch its round was cut at,
 and each round's trace is then the child's.  After a child that sent
-nothing, a best that moved, or an error in the forked run, every round runs
-again in the plain loop.  Each round does the same arithmetic on the same
-input as in the sequential loop, so the outputs are the same bytes, and an
-error is raised as in the loop.
+nothing, a best that moved, or an error once a tail has forked, every
+round runs again in the plain loop.  Each round does the same arithmetic
+on the same input as in the sequential loop, so the outputs are the same
+bytes, and an error is raised as in the loop, at once if no tail forked.
 """
 
 from __future__ import annotations
@@ -49,7 +49,9 @@ log = logging.getLogger(__name__)
 # epochs a round's best epoch must hold before the round forks its tail: on
 # cora-csbm seeds 201-210 (best epochs 5-10) no best moved after the fork
 # at 3, one round of 20 at 1, and every forked round at 0; 3 leaves room
-# for a best that creeps up
+# for a best that creeps up.  Hard inputs pay for it: on the PubMed-shaped
+# cSBM at signal 0.30, 16 of 20 forked rounds moved their best, and a forked
+# run_agst took 51.9-59.0 s against 28.5-31.6 s in order
 SETTLE_EPOCHS = 3
 
 
@@ -123,18 +125,18 @@ def run_agst(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig) -> RunRes
     but the last round's plan is only reported, in its ``IterationStats``
     edge counts; no round trains on it.  The rounds run with every loaded
     OpenBLAS at one thread, a setting of the whole process that is undone on
-    return, so a replay is byte-exact at any caller's thread count.  With a
-    validation set, more than one round and two CPUs, each round's patience
-    tail runs in a forked child (see the module docstring) with the same
-    outputs; a round's ``wall_ms`` is then the caller's own, without the
-    tail.
+    return, so a replay is byte-exact at any caller's thread count.  Where
+    ``_can_pipeline`` allows, each round but the last forks its patience
+    tail once its best validation epoch has settled (see the module
+    docstring), with the same outputs; a forked round's ``wall_ms`` is then
+    the caller's own, without the tail.
 
     Returns the per-round stats and the last round's parameters and
     predictions.
     """
     require_gold(bundle, split)
     with _one_blas_thread() as pinned:
-        rounds = _rounds(bundle, split, cfg, pinned and _can_pipeline(split, cfg))
+        rounds = _rounds(bundle, split, cfg, pinned and _can_pipeline())
     for _, _, stats in rounds:
         log.debug("iteration %d: val=%s test=%s +%d/-%d edges", stats.iteration, stats.val_acc,
                   stats.test_acc, stats.added_edges.shape[0], stats.removed_edges.shape[0])
@@ -221,22 +223,20 @@ def _one_blas_thread():
             setter(count)
 
 
-def _can_pipeline(split: SplitSpec, cfg: AgstConfig) -> bool:
-    """Whether the rounds may fork their patience tails: there is a
-    validation set to settle a best epoch, more than one round, at least two
-    CPUs, no other thread (a fork copies none), and this process is not a
-    multiprocessing child such as a pool worker.  ``run_agst`` asks only
-    under ``_one_blas_thread``, so no OpenBLAS thread spins against a tail."""
-    return bool(split.validation.size and cfg.iterations > 1
-                and multiprocessing.parent_process() is None and threading.active_count() == 1
-                and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
+def _can_pipeline() -> bool:
+    """Whether this process may fork patience tails: it is not a
+    multiprocessing child such as a pool worker, no other thread runs (a fork
+    copies none), and it may use two CPUs.  ``run_agst`` asks only under
+    ``_one_blas_thread``, so no OpenBLAS thread spins against a tail."""
+    return (multiprocessing.parent_process() is None and threading.active_count() == 1
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
 
 
 def _rounds(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig, fork: bool) -> list:
-    """The rounds in order, (params, predictions, stats) each.  With
-    ``fork``, every round but the last forks its patience tail; unless every
-    child confirms its round, every child is reaped and the rounds run again
-    unforked."""
+    """The rounds in order, (params, predictions, stats) each.  With ``fork``,
+    every round but the last may fork its patience tail; unless every forked
+    tail confirms its round, the tails are reaped and the rounds run again
+    unforked, but an error raised before any tail forked is raised at once."""
     rounds, tails = [], []      # rounds: (params, predictions, stats, plan)
     try:
         for iteration in range(1, cfg.iterations + 1):
@@ -249,16 +249,20 @@ def _rounds(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig, fork: bool
                 if tail.pid == 0:
                     tail.leave(out)
             rounds.append(out)
-        stand = all(tail.confirms(out[2]) for tail, out in zip(tails, rounds))
-    except Exception:
-        if not fork:
+        for iteration, (tail, out) in enumerate(zip(tails, rounds), 1):
+            cause = tail.doubt(out[2])
+            if cause:
+                break
+    except Exception as err:
+        if not any(tail.pid for tail in tails):
             raise
-        stand = False
+        cause = f"{type(err).__name__}: {err}"
     finally:
         for tail in tails:
             tail.reap()
-    if not stand:
-        log.debug("a forked round did not stand: running the rounds again in order")
+    if cause:
+        log.debug("round %d did not stand (%s): running the rounds again in order",
+                  iteration, cause)
         return _rounds(bundle, split, cfg, False)
     return [out[:3] for out in rounds]
 
@@ -271,18 +275,18 @@ class _Tail:
     (``pid`` 0) returns False on every epoch, so that it trains on, and exits
     once the process it was forked from is gone; ``leave`` sends its round's
     trace, if the training finished, through the pipe to ``reader``, and
-    ``confirms`` reads it in the caller.  ``tails`` are the run's tails, one
+    ``doubt`` reads it in the caller.  ``tails`` are the run's tails, one
     a round, whose pipe ends a child closes."""
 
     def __init__(self, tails: list):
         self.tails, self.parent, self.pid, self.reader = tails, os.getpid(), None, None
 
-    def __call__(self, epoch: int, best_epoch: int | None, best: StudentParams | None) -> bool:
+    def __call__(self, epoch: int, best_epoch: int | None) -> bool:
         if self.pid == 0:
             if os.getppid() != self.parent:
                 os._exit(0)
             return False
-        if best is None or epoch - best_epoch < SETTLE_EPOCHS:
+        if best_epoch is None or epoch - best_epoch < SETTLE_EPOCHS:
             return False
         self.reader, self.writer = multiprocessing.Pipe(duplex=False)
         self.pid = os.fork()
@@ -306,17 +310,17 @@ class _Tail:
         finally:
             os._exit(0)
 
-    def confirms(self, stats: IterationStats) -> bool:
-        """In the caller: whether the round of ``stats`` stands, that is it
-        forked no child, or its child sent a trace whose best epoch is the
-        one the round was cut at, which then replaces the round's trace.  A
-        child that sent nothing raises EOFError here."""
-        if self.pid:
-            trace = self.reader.recv()
-            if trace.best_epoch != stats.trace.best_epoch:
-                return False
-            stats.trace = trace
-        return True
+    def doubt(self, stats: IterationStats) -> str | None:
+        """In the caller: why the round of ``stats`` does not stand, or None
+        if it forked no child, or its child sent a trace whose best epoch is
+        the one the round was cut at, which then replaces the round's trace."""
+        try:
+            trace = self.reader.recv() if self.pid else stats.trace
+        except EOFError:
+            return "its tail sent nothing"
+        if trace.best_epoch != stats.trace.best_epoch:
+            return f"best epoch {stats.trace.best_epoch} at the cut, {trace.best_epoch} in the tail"
+        stats.trace = trace
 
     def reap(self) -> None:
         """End and wait for the child, if it has not been reaped yet."""

@@ -97,7 +97,7 @@ def test_predictions_are_the_argmax_the_benchmark_recomputes(bundle, monkeypatch
 
     monkeypatch.setattr(selftrain, "plan_augmentation", plan)
     # the sequential loop, where every round's plan is made in this process
-    monkeypatch.setattr(selftrain, "_can_pipeline", lambda split, cfg: False)
+    monkeypatch.setattr(selftrain, "_can_pipeline", lambda: False)
     split, cfg = job(bundle, "balanced", seed=3, no_val_epochs=300)
     result = selftrain.run_agst(bundle, split, cfg)
 

@@ -569,6 +569,13 @@ class TestSparseFeatures:
                                np.zeros(self.N, dtype=np.int64), 1)
         assert isinstance(bundle.features, np.ndarray) and bundle.features.sum() == self.N * self.F
 
+    def test_a_csr_input_stored_dense_keeps_a_signed_zero(self):
+        small = sparse.csr_array((np.array([-0.0, 2.0, 0.0]), np.array([1, 0, 1]),
+                                  np.array([0, 1, 3, 3])), shape=(3, 2))
+        x = DatasetBundle(SparseGraph(3, [[0, 1]]), small, np.zeros(3, dtype=np.int64), 1).features
+        assert isinstance(x, np.ndarray) and x.tolist() == [[0.0, 0.0], [2.0, 0.0], [0.0, 0.0]]
+        assert np.signbit(x).tolist() == [[False, True], [False, False], [False, False]]
+
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 420), f=st.integers(1, 1500), density=st.floats(0.0, 1.0),
            seed=st.integers(0, 2**32 - 1))

@@ -1057,7 +1057,7 @@ class TestEpochCost:
         x = bundle.features.astype(STUDENT_DTYPE)
         peaks = []
 
-        def on_epoch(epoch, best_epoch, best):
+        def on_epoch(epoch, best_epoch):
             current, peak = tracemalloc.get_traced_memory()
             peaks.append(peak - current)
             tracemalloc.reset_peak()

@@ -210,6 +210,17 @@ class TestPlanInput:
         with pytest.raises(ValueError, match="non-finite"):
             plan_augmentation(self.graph, p, AugmentConfig())
 
+    @pytest.mark.parametrize("row", [[-0.5, 1.0, 0.5], [1.5, 0.0, 0.0], [0.5, 0.2, 0.2],
+                                     [2.0, 30.0, -1.0]],
+                             ids=["negative", "above-one", "sum-below-one", "logits"])
+    def test_not_probability_rows(self, row):
+        # the pruning assumes dots in [0, 1]; on logit-like rows sigmoid
+        # saturates and the plan leaves the (-probability, i, j) ranking
+        p = random_predictions(np.random.default_rng(9), 20, 3)
+        p[4] = row
+        with pytest.raises(ValueError, match=r"shape \(20, 3\) is not rows of class probabil"):
+            plan_augmentation(self.graph, p, AugmentConfig())
+
 
 def test_search_stops_at_the_norm_bound():
     """On three confident classes of 600 the search looks up under 5% of the

@@ -145,7 +145,7 @@ class TestRunAgst:
 
     def test_last_plan_reported_not_applied(self, monkeypatch):
         # the sequential loop, where every round's apply runs in this process
-        monkeypatch.setattr(selftrain, "_can_pipeline", lambda split, cfg: False)
+        monkeypatch.setattr(selftrain, "_can_pipeline", lambda: False)
         applied = []
         original = selftrain.apply_augmentation
         monkeypatch.setattr(selftrain, "apply_augmentation",
@@ -182,7 +182,7 @@ class TestRunAgst:
 
     @pytest.mark.parametrize("pipelined", [False, True])
     def test_predictions_match_forward_of_final_params(self, monkeypatch, pipelined):
-        monkeypatch.setattr(selftrain, "_can_pipeline", lambda split, cfg: pipelined)
+        monkeypatch.setattr(selftrain, "_can_pipeline", lambda: pipelined)
         bundle, split = toy_setup(seed=7, noise=0.2)
         result = run_agst(bundle, split, quick_cfg(iterations=2, seed=7))
         x = bundle.features
@@ -389,7 +389,7 @@ class TestTestLabelBlindness:
     @pytest.mark.parametrize("method", FORKING_METHODS)
     @pytest.mark.parametrize("protocol", ["balanced", "standard20"])
     def test_sequential_runs_ignore_test_gold(self, monkeypatch, protocol, method):
-        monkeypatch.setattr(selftrain, "_can_pipeline", lambda split, cfg: False)
+        monkeypatch.setattr(selftrain, "_can_pipeline", lambda: False)
         bundle, shuffled, split = self.permuted(protocol)
         assert split.validation.size
         cfg = self.config(method)
@@ -398,7 +398,7 @@ class TestTestLabelBlindness:
 
     @pytest.mark.parametrize("method", FORKING_METHODS)
     def test_sequential_runs_ignore_gold_outside_the_split(self, monkeypatch, method):
-        monkeypatch.setattr(selftrain, "_can_pipeline", lambda split, cfg: False)
+        monkeypatch.setattr(selftrain, "_can_pipeline", lambda: False)
         bundle, shuffled, split = self.permuted_outside(10)
         cfg = self.config(method)
         a, b = run_agst(bundle, split, cfg), run_agst(shuffled, split, cfg)
@@ -437,7 +437,7 @@ class TestPipelinedRounds:
 
     @staticmethod
     def run(monkeypatch, pipelined, bundle, split, cfg):
-        monkeypatch.setattr(selftrain, "_can_pipeline", lambda split, cfg: pipelined)
+        monkeypatch.setattr(selftrain, "_can_pipeline", lambda: pipelined)
         return run_agst(bundle, split, cfg)
 
     @staticmethod
@@ -462,10 +462,14 @@ class TestPipelinedRounds:
 
     @staticmethod
     def fallbacks(caplog):
-        """How many times forked rounds did not stand and ran again in order,
-        by the run's debug lines."""
-        return sum(r.getMessage().endswith("running the rounds again in order")
-                   for r in caplog.records)
+        """The run's debug lines for forked rounds that did not stand and ran
+        again in order, each with its round and cause."""
+        return [r.getMessage() for r in caplog.records
+                if r.getMessage().endswith(": running the rounds again in order")]
+
+    @staticmethod
+    def fallback(iteration, cause):
+        return [f"round {iteration} did not stand ({cause}): running the rounds again in order"]
 
     @staticmethod
     def assert_same(a, b):
@@ -478,10 +482,17 @@ class TestPipelinedRounds:
         # rounds with no contrastive term, so no pseudo-targets
         ({"lambda2": 0.0}, 2),
         # rounds that end before their best epoch has held SETTLE_EPOCHS
-        ({"patience": 0}, 0), ({"max_epochs": 2}, 0)])
+        ({"patience": 0}, 0), ({"max_epochs": 2}, 0),
+        # nothing to overlap: no validation set settles a best epoch, and
+        # the last round is never hooked
+        pytest.param({"val_per_class": 0}, 0, id="no-validation"),
+        pytest.param({"iterations": 1}, 0, id="one-round")])
     def test_same_bytes_as_the_sequential_loop(self, monkeypatch, tmp_path, train, forks):
-        bundle, split = toy_setup(seed=4, noise=0.15)
-        cfg = quick_cfg(iterations=3, seed=4, train=train)
+        train = dict(train)
+        bundle = two_cluster_bundle(n=40, noise_fraction=0.15, seed=4)
+        split = make_split(bundle, "balanced", seed=4, k=3,
+                           val_per_class=train.pop("val_per_class", 4))
+        cfg = quick_cfg(iterations=train.pop("iterations", 3), seed=4, train=train)
         pids = self.tail_pids(monkeypatch, tmp_path)
         a = self.run(monkeypatch, True, bundle, split, cfg)
         assert len(pids()) == forks
@@ -498,7 +509,8 @@ class TestPipelinedRounds:
         pids = self.tail_pids(monkeypatch, tmp_path)
         with caplog.at_level(logging.DEBUG, logger="agst.selftrain"):
             a = self.run(monkeypatch, True, bundle, split, cfg)
-        assert self.fallbacks(caplog) == 1
+        assert self.fallbacks(caplog) == self.fallback(
+            1, f"best epoch 1 at the cut, {b.per_iteration[0].trace.best_epoch} in the tail")
         self.assert_reaped(pids())
         self.assert_same(a, b)
 
@@ -510,29 +522,30 @@ class TestPipelinedRounds:
         cfg = quick_cfg(iterations=3, seed=7)
         b = self.run(monkeypatch, False, bundle, split, cfg)
         assert b.per_iteration[1].trace.best_epoch > 1
-        real_train, real_confirms, confirmed = selftrain.train_student, selftrain._Tail.confirms, []
+        real_train, real_doubt, doubts = selftrain.train_student, selftrain._Tail.doubt, []
 
         def early_in_round_two(bundle, split, soft, tcfg, rng, x, on_epoch=None):
             if (on_epoch is not None
                     and rng.bit_generator.state == student_rng(cfg.seed, 2).bit_generator.state):
                 hook = on_epoch
 
-                def on_epoch(epoch, best_epoch, best):
-                    return hook(epoch + selftrain.SETTLE_EPOCHS, best_epoch, best)
+                def on_epoch(epoch, best_epoch):
+                    return hook(epoch + selftrain.SETTLE_EPOCHS, best_epoch)
             return real_train(bundle, split, soft, tcfg, rng, x, on_epoch)
 
         def recording(tail, stats):
-            forked, stands = tail.pid, real_confirms(tail, stats)
+            forked, cause = tail.pid, real_doubt(tail, stats)
             if forked:
-                confirmed.append((stats.iteration, stands))
-            return stands
+                doubts.append((stats.iteration, cause))
+            return cause
 
         monkeypatch.setattr(selftrain, "train_student", early_in_round_two)
-        monkeypatch.setattr(selftrain._Tail, "confirms", recording)
+        monkeypatch.setattr(selftrain._Tail, "doubt", recording)
         pids = self.tail_pids(monkeypatch, tmp_path)
         with caplog.at_level(logging.DEBUG, logger="agst.selftrain"):
             a = self.run(monkeypatch, True, bundle, split, cfg)
-        assert confirmed == [(1, True), (2, False)] and self.fallbacks(caplog) == 1
+        moved = f"best epoch 1 at the cut, {b.per_iteration[1].trace.best_epoch} in the tail"
+        assert doubts == [(1, None), (2, moved)] and self.fallbacks(caplog) == self.fallback(2, moved)
         assert len(pids()) == 2
         self.assert_reaped(pids())
         self.assert_same(a, b)
@@ -598,7 +611,9 @@ class TestPipelinedRounds:
         monkeypatch.setattr(selftrain, "train_student", fails_when_stale)
         with caplog.at_level(logging.DEBUG, logger="agst.selftrain"):
             a = self.run(monkeypatch, True, bundle, split, cfg)
-        assert len(stale) == 1 and self.fallbacks(caplog) == 1
+        # the line names the error, which the rounds in order never raise
+        assert len(stale) == 1 and self.fallbacks(caplog) == self.fallback(
+            2, "FloatingPointError: stale input [self-training iteration 2]")
         self.assert_same(a, b)
 
     def test_tails_reaped_after_an_interrupt(self, monkeypatch, tmp_path):
@@ -646,6 +661,27 @@ class TestPipelinedRounds:
         self.assert_same(self.run(monkeypatch, True, bundle, split, cfg), b)
         assert len(sent) == 1
         self.assert_reaped(pids())
+
+    def test_an_error_before_any_fork_trains_the_round_once(self, monkeypatch, caplog):
+        # round 1 fails at its first epoch, before its best can settle: no
+        # tail has forked, so nothing runs again
+        bundle, split = toy_setup(seed=6)
+        real, hooks = selftrain.train_student, []
+
+        def failing_first_epoch(bundle, split, soft, tcfg, rng, x, on_epoch=None):
+            hooks.append(on_epoch)
+
+            def on_epoch(epoch, best_epoch):
+                raise FloatingPointError("diverged")
+            return real(bundle, split, soft, tcfg, rng, x, on_epoch)
+
+        monkeypatch.setattr(selftrain, "train_student", failing_first_epoch)
+        with caplog.at_level(logging.DEBUG, logger="agst.selftrain"):
+            with pytest.raises(FloatingPointError,
+                               match=r"^diverged \[self-training iteration 1\]$"):
+                self.run(monkeypatch, True, bundle, split, quick_cfg(iterations=3, seed=6))
+        assert len(hooks) == 1 and isinstance(hooks[0], selftrain._Tail)
+        assert self.fallbacks(caplog) == []
 
     def test_tails_reaped_after_an_error_in_round_one(self, monkeypatch, tmp_path):
         bundle, split = toy_setup(seed=6)
@@ -698,10 +734,10 @@ class TestPipelinedRounds:
             if state == student_rng(cfg.seed, 1).bit_generator.state:
                 hook = on_epoch
 
-                def on_epoch(epoch, best_epoch, best):
-                    if best is not None and epoch - best_epoch > selftrain.SETTLE_EPOCHS:
+                def on_epoch(epoch, best_epoch):
+                    if best_epoch is not None and epoch - best_epoch > selftrain.SETTLE_EPOCHS:
                         raise Local("lost")
-                    return hook is not None and hook(epoch, best_epoch, best)
+                    return hook is not None and hook(epoch, best_epoch)
             return real(bundle, split, soft, tcfg, rng, x, on_epoch)
 
         monkeypatch.setattr(selftrain, "train_student", failing_round)
@@ -710,7 +746,8 @@ class TestPipelinedRounds:
             with caplog.at_level(logging.DEBUG, logger="agst.selftrain"):
                 with pytest.raises(Local, match=r"^lost \[self-training iteration 1\]$"):
                     self.run(monkeypatch, pipelined, bundle, split, cfg)
-        assert len(pids()) == 1 and self.fallbacks(caplog) == 1
+        assert len(pids()) == 1 and self.fallbacks(caplog) == self.fallback(
+            2, "FloatingPointError: diverged [self-training iteration 2]")
         self.assert_reaped(pids())
 
     def test_a_killed_tail_runs_again_in_the_caller(self, monkeypatch, caplog, tmp_path):
@@ -730,16 +767,18 @@ class TestPipelinedRounds:
         monkeypatch.setattr(selftrain._Tail, "__call__", killing)
         with caplog.at_level(logging.DEBUG, logger="agst.selftrain"):
             a = self.run(monkeypatch, True, bundle, split, cfg)
-        assert killed and self.fallbacks(caplog) == 1
+        assert killed and self.fallbacks(caplog) == self.fallback(1, "its tail sent nothing")
         self.assert_reaped(pids())
         self.assert_same(a, b)
 
     @pytest.mark.parametrize("where", ["every process", "caller", "tail"])
-    def test_an_error_after_the_fork_is_raised_as_in_the_loop(self, monkeypatch, tmp_path, where):
+    def test_an_error_after_the_fork_is_raised_as_in_the_loop(self, monkeypatch, caplog, tmp_path,
+                                                              where):
         # round 1's rewiring plan fails after its round forked: where it
         # fails in every process the loop's error is raised, and where only
-        # the caller fails, the run gives the loop's bytes; a tail never
-        # plans, so one armed to fail there never does
+        # the caller fails, the run gives the loop's bytes and its debug line
+        # names the error; a tail never plans, so one armed to fail there
+        # never does
         class Broken(Exception):
             pass
 
@@ -763,8 +802,11 @@ class TestPipelinedRounds:
                     self.run(monkeypatch, pipelined, bundle, split, cfg)
             assert len(pids()) == 1
         else:
-            self.assert_same(self.run(monkeypatch, True, bundle, split, cfg), b)
+            with caplog.at_level(logging.DEBUG, logger="agst.selftrain"):
+                self.assert_same(self.run(monkeypatch, True, bundle, split, cfg), b)
             assert len(pids()) >= 1
+            assert self.fallbacks(caplog) == (self.fallback(
+                1, "Broken: no plan [self-training iteration 1]") if where == "caller" else [])
         self.assert_reaped(pids())
 
 
@@ -772,7 +814,7 @@ ORPHANED = """
 import os, sys
 from pathlib import Path
 from agst import AgstConfig, TrainConfig, make_split, run_agst, selftrain, two_cluster_bundle
-selftrain._can_pipeline = lambda split, cfg: True
+selftrain._can_pipeline = lambda: True
 real = selftrain._Tail.__call__
 def recording(tail, *args):
     forked = real(tail, *args)
@@ -822,37 +864,26 @@ def test_tails_end_when_the_caller_is_killed(tmp_path):
 
 @pytest.fixture
 def pipeline_ready():
-    """Two CPUs: the state in which ``_can_pipeline`` says yes to a split
-    with validation and more than one round."""
+    """Two CPUs: the state in which ``_can_pipeline`` says yes to a lone
+    process that is not a pool worker."""
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("one CPU: the rounds never overlap")
 
 
 class TestPipelineEligibility:
-    @staticmethod
-    def inputs(val_per_class=4, iterations=3):
-        bundle = two_cluster_bundle(n=40, seed=1)
-        split = make_split(bundle, "balanced", seed=1, k=3, val_per_class=val_per_class)
-        return split, quick_cfg(iterations=iterations, seed=1)
-
-    def test_validation_and_rounds_pipeline(self, pipeline_ready):
-        assert selftrain._can_pipeline(*self.inputs())
-
-    @pytest.mark.parametrize("val_per_class, iterations", [(0, 3), (4, 1)],
-                             ids=["no-validation", "one-round"])
-    def test_nothing_to_overlap(self, pipeline_ready, val_per_class, iterations):
-        assert not selftrain._can_pipeline(*self.inputs(val_per_class, iterations))
+    def test_a_lone_process_pipelines(self, pipeline_ready):
+        assert selftrain._can_pipeline()
 
     def test_one_cpu(self, pipeline_ready, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert not selftrain._can_pipeline(*self.inputs())
+        assert not selftrain._can_pipeline()
 
     def test_another_thread_running(self, pipeline_ready):
         release = threading.Event()
         other = threading.Thread(target=release.wait)
         other.start()
         try:
-            assert not selftrain._can_pipeline(*self.inputs())
+            assert not selftrain._can_pipeline()
         finally:
             release.set()
             other.join()
@@ -860,14 +891,13 @@ class TestPipelineEligibility:
     def test_pool_worker(self, pipeline_ready):
         with ProcessPoolExecutor(max_workers=1,
                                  mp_context=multiprocessing.get_context("fork")) as pool:
-            assert pool.submit(selftrain._can_pipeline, *self.inputs()).result(timeout=60) is False
+            assert pool.submit(selftrain._can_pipeline).result(timeout=60) is False
 
     def test_pool_of_two_equals_one_worker_with_validation(self, pipeline_ready):
         bundle = two_cluster_bundle(n=40, noise_fraction=0.1, seed=7)
         spec = ExperimentSpec(protocol="balanced", k=3, runs=2, val_per_class=4, seed=50,
                               config=quick_cfg())
-        assert selftrain._can_pipeline(make_split(bundle, "balanced", seed=50, k=3,
-                                                  val_per_class=4), spec.config)
+        assert selftrain._can_pipeline()
         one, two = (run_experiment(replace(spec, workers=w), bundle).to_dict()
                     for w in (1, 2))
         for report in (one, two):
@@ -1008,7 +1038,7 @@ def test_replay_is_exact_at_each_blas_thread_count(pipeline_ready, monkeypatch):
     # the script replaces these two; monkeypatch puts them back afterwards
     monkeypatch.setattr(selftrain, "_rounds", selftrain._rounds)
     monkeypatch.setattr(experiments, "run_agst", experiments.run_agst)
-    monkeypatch.setattr(selftrain, "_can_pipeline", lambda split, cfg: False)
+    monkeypatch.setattr(selftrain, "_can_pipeline", lambda: False)
     namespace = {}
     exec(REPLAY.replace("print(", "out = ("), namespace)
     sequential = json.loads(namespace["out"])
