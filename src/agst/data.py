@@ -35,6 +35,7 @@ import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import sparse
@@ -464,6 +465,9 @@ def make_split(
 
     Deterministic given the seed.
     """
+    # k may be None: only the balanced protocol reads it
+    given = SimpleNamespace(k=0 if k is None else k, seed=seed, val_per_class=val_per_class)
+    require_integers(given, "k", "seed", "val_per_class")
     if protocol == "standard20":
         protocol, k = "balanced", 20
     if protocol == "balanced":

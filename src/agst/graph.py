@@ -6,6 +6,8 @@ raw pairs and asks it about edges."""
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 from scipy import sparse
 
@@ -21,6 +23,8 @@ class SparseGraph:
     """
 
     def __init__(self, n: int, pairs: np.ndarray | list):
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ValueError(f"n must be an integer, got {n!r}")
         if n < 1:
             raise ValueError("graph needs at least one node")
         self.n = n = int(n)

@@ -11,16 +11,17 @@ is deterministic given its seed; each round draws from ``student_rng``.
 Round r + 1 reads round r only through the parameters of round r's best
 validation epoch, which early stopping settles long before its patience
 runs out.  Where ``_can_pipeline`` allows, every round but the last forks
-its patience tail (``_Tail``): once the best epoch has held
-``SETTLE_EPOCHS`` epochs, the round ends in the caller on that best and the
-next round starts on it, while a child process trains on through the
-patience and sends back its ``TrainTrace``.  The fork only speculates: the
-rounds stand if every child confirms the best epoch its round was cut at,
-and each round's trace is then the child's.  After a child that sent
-nothing, a best that moved, or an error once a tail has forked, every
-round runs again in the plain loop.  Each round does the same arithmetic
-on the same input as in the sequential loop, so the outputs are the same
-bytes, and an error is raised as in the loop, at once if no tail forked.
+(``_Tail``) once its best epoch has held ``SETTLE_EPOCHS`` epochs: the child
+ends the round on that best and runs the later rounds, forking in turn,
+while the parent trains the round on through its patience.  The process
+that trains a round through its patience owns it: it predicts and plans the
+round itself.  It then takes the child's rounds if the child sent them and
+its own best epoch is the one the child was cut at; otherwise it runs the
+later rounds itself, forking again, so a moved best costs only the rounds
+after it.  Each round does the same arithmetic on the same input as in the
+sequential loop, so the outputs are the same bytes.  An error in the caller
+is the loop's own error, and a child's error is raised only where the
+caller's loop meets it.
 """
 
 from __future__ import annotations
@@ -46,12 +47,14 @@ from .rewiring import AugmentationPlan, AugmentConfig, apply_augmentation, plan_
 
 log = logging.getLogger(__name__)
 
-# epochs a round's best epoch must hold before the round forks its tail: on
+# epochs a round's best epoch must hold before the round forks: on
 # cora-csbm seeds 201-210 (best epochs 5-10) no best moved after the fork
 # at 3, one round of 20 at 1, and every forked round at 0; 3 leaves room
-# for a best that creeps up.  Hard inputs pay for it: on the PubMed-shaped
-# cSBM at signal 0.30, 16 of 20 forked rounds moved their best, and a forked
-# run_agst took 51.9-59.0 s against 28.5-31.6 s in order
+# for a best that creeps up.  A best that moves after the fork costs the
+# child's run ahead of it, on the second core, and the parent then runs the
+# later rounds itself: on the PubMed-shaped cSBM at signal 0.30 (seeds
+# 201-203), where most forked rounds move their best, a forked run_agst took
+# 24.5-36.3 s against 24.9-36.7 s in order
 SETTLE_EPOCHS = 3
 
 
@@ -126,10 +129,11 @@ def run_agst(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig) -> RunRes
     edge counts; no round trains on it.  The rounds run with every loaded
     OpenBLAS at one thread, a setting of the whole process that is undone on
     return, so a replay is byte-exact at any caller's thread count.  Where
-    ``_can_pipeline`` allows, each round but the last forks its patience
-    tail once its best validation epoch has settled (see the module
-    docstring), with the same outputs; a forked round's ``wall_ms`` is then
-    the caller's own, without the tail.
+    ``_can_pipeline`` allows, each round but the last forks once its best
+    validation epoch has settled, and the later rounds may come from a
+    child process (see the module docstring), with the same outputs; each
+    round's ``wall_ms`` covers its whole training, prediction and plan, in
+    the process that trained it through its patience.
 
     Returns the per-round stats and the last round's parameters and
     predictions.
@@ -149,16 +153,13 @@ def _round(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig, iteration: 
            previous: AugmentationPlan | None, tail: _Tail | None):
     """Round ``iteration`` on the input graph rewired by ``previous``, the
     last round's plan (None in round 1): (params, predictions, stats, plan).
-    ``tail``, if any, is the student's epoch hook; in its forked child the
-    round ends with the student's trace alone."""
+    ``tail``, if any, is the student's epoch hook."""
     started = time.perf_counter()
     try:
         graph = bundle.graph if previous is None else apply_augmentation(bundle.graph, previous)
         soft = to_distribution(propagate_labels(normalize_adjacency(graph), bundle, split, cfg.lp))
         params, trace = train_student(bundle, split, soft, cfg.train,
                                       student_rng(cfg.seed, iteration), bundle.features, tail)
-        if tail is not None and tail.pid == 0:
-            return trace
         probs = forward(params.astype(np.float64), bundle.features)
         preds, plan = np.argmax(probs, axis=1), plan_augmentation(bundle.graph, probs, cfg.augment)
     except Exception as err:
@@ -224,108 +225,90 @@ def _one_blas_thread():
 
 
 def _can_pipeline() -> bool:
-    """Whether this process may fork patience tails: it is not a
+    """Whether this process may fork its rounds: it is not a
     multiprocessing child such as a pool worker, no other thread runs (a fork
     copies none), and it may use two CPUs.  ``run_agst`` asks only under
-    ``_one_blas_thread``, so no OpenBLAS thread spins against a tail."""
+    ``_one_blas_thread``, so no OpenBLAS thread spins against a forked round."""
     return (multiprocessing.parent_process() is None and threading.active_count() == 1
             and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
 
 
-def _rounds(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig, fork: bool) -> list:
-    """The rounds in order, (params, predictions, stats) each.  With ``fork``,
-    every round but the last may fork its patience tail; unless every forked
-    tail confirms its round, the tails are reaped and the rounds run again
-    unforked, but an error raised before any tail forked is raised at once."""
-    rounds, tails = [], []      # rounds: (params, predictions, stats, plan)
-    try:
-        for iteration in range(1, cfg.iterations + 1):
-            tail, out = _Tail(tails), None
-            tails.append(tail)
-            try:
-                out = _round(bundle, split, cfg, iteration, rounds[-1][3] if rounds else None,
-                             tail if fork and iteration < cfg.iterations else None)
-            finally:
-                if tail.pid == 0:
-                    tail.leave(out)
-            rounds.append(out)
-        for iteration, (tail, out) in enumerate(zip(tails, rounds), 1):
-            cause = tail.doubt(out[2])
-            if cause:
-                break
-    except Exception as err:
-        if not any(tail.pid for tail in tails):
-            raise
-        cause = f"{type(err).__name__}: {err}"
-    finally:
-        for tail in tails:
-            tail.reap()
-    if cause:
-        log.debug("round %d did not stand (%s): running the rounds again in order",
-                  iteration, cause)
-        return _rounds(bundle, split, cfg, False)
-    return [out[:3] for out in rounds]
+def _rounds(bundle: DatasetBundle, split: SplitSpec, cfg: AgstConfig, fork: bool,
+            first: int = 1, plan: AugmentationPlan | None = None) -> list:
+    """Rounds ``first`` on in order, (params, predictions, stats) each, the
+    first on the input graph rewired by ``plan``.  With ``fork``, every round
+    but the last may fork (``_Tail``): the child ends the round on its
+    settled best, runs the later rounds and sends them up, and this process
+    trains the round on through its patience and then takes them if they
+    stand, or else runs them itself.  A child never returns from here."""
+    rounds = []
+    for iteration in range(first, cfg.iterations + 1):
+        tail = _Tail()
+        try:
+            params, preds, stats, plan = _round(bundle, split, cfg, iteration, plan, tail
+                                                if fork and iteration < cfg.iterations else None)
+            if tail.pid == 0:
+                tail.writer.send(_rounds(bundle, split, cfg, fork, iteration + 1, plan))
+            later = tail.later(iteration, stats.trace.best_epoch)
+        finally:
+            tail.end()
+        rounds.append((params, preds, stats))
+        if later:
+            return rounds + later
+    return rounds
 
 
 class _Tail:
-    """``train_student``'s epoch hook that forks a round's patience tail.
+    """``train_student``'s epoch hook that forks a round once its best epoch
+    has held ``SETTLE_EPOCHS`` epochs.
 
-    Once the best epoch has held ``SETTLE_EPOCHS`` epochs, the caller forks
-    and returns True, so that its round ends there, on that best.  The child
-    (``pid`` 0) returns False on every epoch, so that it trains on, and exits
-    once the process it was forked from is gone; ``leave`` sends its round's
-    trace, if the training finished, through the pipe to ``reader``, and
-    ``doubt`` reads it in the caller.  ``tails`` are the run's tails, one
-    a round, whose pipe ends a child closes."""
+    The child (``pid`` 0) is told to end the round there, on that best, and
+    ends with the process that forked it; the parent trains on, and
+    ``later`` reads what the child sent through the pipe."""
 
-    def __init__(self, tails: list):
-        self.tails, self.parent, self.pid, self.reader = tails, os.getpid(), None, None
+    pid = None
 
     def __call__(self, epoch: int, best_epoch: int | None) -> bool:
-        if self.pid == 0:
-            if os.getppid() != self.parent:
-                os._exit(0)
+        if self.pid is not None or best_epoch is None or epoch - best_epoch < SETTLE_EPOCHS:
             return False
-        if best_epoch is None or epoch - best_epoch < SETTLE_EPOCHS:
-            return False
+        parent, self.cut = os.getpid(), best_epoch
         self.reader, self.writer = multiprocessing.Pipe(duplex=False)
         self.pid = os.fork()
         if self.pid:
             self.writer.close()
-            return True
-        # an interrupt is the caller's to handle; it reaps its children itself
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        for tail in self.tails:
-            if tail.reader is not None:
-                tail.reader.close()
-        return False
-
-    def leave(self, trace: TrainTrace | None) -> None:
-        """In the child: send ``trace`` if the training finished, nothing if
-        an error or anything else ended it, and exit without unwinding into
-        the caller's frames."""
-        try:
-            if isinstance(trace, TrainTrace):
-                self.writer.send(trace)
-        finally:
+            return False
+        # prctl(PR_SET_PDEATHSIG, SIGKILL): the kernel ends this process with
+        # its parent, whatever it is doing; the check covers a parent that
+        # was gone before the call
+        ctypes.CDLL(None).prctl(1, ctypes.c_ulong(signal.SIGKILL))
+        if os.getppid() != parent:
             os._exit(0)
+        # an interrupt is the caller's to handle
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        self.reader.close()
+        return True
 
-    def doubt(self, stats: IterationStats) -> str | None:
-        """In the caller: why the round of ``stats`` does not stand, or None
-        if it forked no child, or its child sent a trace whose best epoch is
-        the one the round was cut at, which then replaces the round's trace."""
-        try:
-            trace = self.reader.recv() if self.pid else stats.trace
-        except EOFError:
-            return "its tail sent nothing"
-        if trace.best_epoch != stats.trace.best_epoch:
-            return f"best epoch {stats.trace.best_epoch} at the cut, {trace.best_epoch} in the tail"
-        stats.trace = trace
+    def later(self, iteration: int, best_epoch: int | None) -> list | None:
+        """In the parent: the rounds after ``iteration`` that the child sent,
+        if its round ``iteration`` was cut at ``best_epoch``, the parent's own
+        best; otherwise None, after a debug line that says why."""
+        if not self.pid:
+            return None
+        cause = f"best epoch {self.cut} at the fork, {best_epoch} at the end"
+        if best_epoch == self.cut:
+            try:
+                return self.reader.recv()
+            except EOFError:
+                cause = "its child sent nothing"
+        log.debug("round %d did not hand over (%s): running the later rounds here",
+                  iteration, cause)
 
-    def reap(self) -> None:
-        """End and wait for the child, if it has not been reaped yet."""
+    def end(self) -> None:
+        """In the child, exit without unwinding into the caller's frames; in
+        the parent, end and reap the child, if any."""
+        if self.pid == 0:
+            os._exit(0)
         if self.pid:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.reader.close()
-            self.pid = None

@@ -683,6 +683,18 @@ class TestMakeSplit:
         with pytest.raises(ValueError, match="val_per_class"):
             make_split(big_bundle, "balanced", seed=0, k=3, val_per_class=-2)
 
+    @pytest.mark.parametrize("protocol, name, value", [
+        ("balanced", "k", 2.5), ("balanced", "k", True), ("balanced", "val_per_class", 2.5),
+        ("balanced", "seed", 1.5), ("imbalanced", "seed", True),
+        ("imbalanced", "val_per_class", 2.5)])
+    def test_non_integer_setting_rejected(self, big_bundle, protocol, name, value):
+        # 2.5 used to ask for 32.5 nodes a class or fail in a generator, and
+        # True to be read as 1
+        settings = {"seed": 0, "k": 3, "rate": 0.1, name: value}
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+            make_split(big_bundle, protocol, **settings)
+        make_split(big_bundle, protocol, **{**settings, name: np.int64(2)})
+
     def test_zero_val_per_class_gives_no_validation(self, big_bundle):
         split = make_split(big_bundle, "balanced", seed=0, k=3, val_per_class=0)
         assert split.validation.size == 0 and split.labeled.size > 0

@@ -46,6 +46,11 @@ class TestSparseGraph:
     def test_no_nodes_rejected(self):
         with pytest.raises(ValueError, match="at least one node"):
             SparseGraph(0, [])
+        # 2.7 used to make a graph of 2 nodes
+        for n in (2.7, 2.0, True):
+            with pytest.raises(ValueError, match=rf"^n must be an integer, got {n!r}$"):
+                SparseGraph(n, [[0, 1]])
+        assert SparseGraph(np.int64(2), [[0, 1]]).n == 2
 
     def test_has_edges(self):
         g = SparseGraph(5, [[3, 1], [0, 4], [1, 2], [1, 3]])

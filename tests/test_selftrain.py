@@ -431,9 +431,37 @@ def rounds_without_wall(result):
             for stats in result.per_iteration]
 
 
+def running(pid):
+    """Whether ``pid`` runs, or is a zombie this process has yet to reap."""
+    try:
+        state, ppid = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[:2]
+    except FileNotFoundError:
+        return False
+    return state != "Z" or int(ppid) == os.getpid()
+
+
+def assert_ended(pids, seconds=10):
+    """Every process of ``pids`` ends within ``seconds``: a child whose parent
+    is gone is ended by the kernel and reaped by another process."""
+    deadline = time.monotonic() + seconds
+    while any(running(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in pids if running(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert not left
+
+
+def round_of(rng, cfg):
+    """The round whose student draws from ``rng``, before it draws."""
+    return next(r for r in range(1, cfg.iterations + 1)
+                if rng.bit_generator.state == student_rng(cfg.seed, r).bit_generator.state)
+
+
 class TestPipelinedRounds:
-    """Rounds that fork their patience tails give the sequential loop's
-    outputs, and leave no process behind."""
+    """Rounds that fork give the sequential loop's outputs, each round owned
+    by the process that trained it through its patience, and leave no
+    process behind."""
 
     @staticmethod
     def run(monkeypatch, pipelined, bundle, split, cfg):
@@ -442,17 +470,37 @@ class TestPipelinedRounds:
 
     @staticmethod
     def tail_pids(monkeypatch, tmp_path):
-        """Record the pid of every tail the next pipelined run forks."""
+        """Record the pid of every process the next pipelined run forks,
+        children of children included: the parent records its child right
+        after the fork, and the child itself."""
         real = selftrain._Tail.__call__
+        tmp_path.mkdir(exist_ok=True)
 
         def recording(tail, *args):
-            forked = real(tail, *args)
-            if forked:
-                (tmp_path / str(tail.pid)).touch()
-            return forked
+            forked = tail.pid is not None
+            cut = real(tail, *args)
+            if cut or tail.pid and not forked:
+                (tmp_path / str(tail.pid or os.getpid())).touch()
+            return cut
 
         monkeypatch.setattr(selftrain._Tail, "__call__", recording)
         return lambda: [int(path.name) for path in tmp_path.iterdir()]
+
+    @staticmethod
+    def trained(monkeypatch, tmp_path, cfg):
+        """Record, a file a process, the round of every ``train_student``
+        call; returns the rounds by pid."""
+        real = selftrain.train_student
+        tmp_path.mkdir()
+
+        def recording(bundle, split, soft, tcfg, rng, *args):
+            with (tmp_path / str(os.getpid())).open("a") as log:
+                log.write(f"{round_of(rng, cfg)}\n")
+            return real(bundle, split, soft, tcfg, rng, *args)
+
+        monkeypatch.setattr(selftrain, "train_student", recording)
+        return lambda: {int(path.name): [int(r) for r in path.read_text().split()]
+                        for path in tmp_path.iterdir()}
 
     @staticmethod
     def assert_reaped(pids):
@@ -462,14 +510,19 @@ class TestPipelinedRounds:
 
     @staticmethod
     def fallbacks(caplog):
-        """The run's debug lines for forked rounds that did not stand and ran
-        again in order, each with its round and cause."""
+        """The run's debug lines, in this process, for forked rounds that did
+        not hand their later rounds over, each with its round and cause."""
         return [r.getMessage() for r in caplog.records
-                if r.getMessage().endswith(": running the rounds again in order")]
+                if r.getMessage().endswith(": running the later rounds here")]
 
     @staticmethod
     def fallback(iteration, cause):
-        return [f"round {iteration} did not stand ({cause}): running the rounds again in order"]
+        return [f"round {iteration} did not hand over ({cause}): running the later rounds here"]
+
+    @staticmethod
+    def moved(iteration, stats):
+        return TestPipelinedRounds.fallback(
+            iteration, f"best epoch 1 at the fork, {stats.trace.best_epoch} at the end")
 
     @staticmethod
     def assert_same(a, b):
@@ -499,65 +552,65 @@ class TestPipelinedRounds:
         self.assert_reaped(pids())
         self.assert_same(a, self.run(monkeypatch, False, bundle, split, cfg))
 
-    def test_a_moved_best_reruns_every_round(self, monkeypatch, caplog, tmp_path):
-        # every round forks after its first epoch, before its best settles
+    def test_a_moved_best_costs_only_the_later_rounds(self, monkeypatch, caplog, tmp_path):
+        # every round forks after its first epoch, before its best settles;
+        # the caller trains round 1 once, and runs rounds 2 and 3 itself
         monkeypatch.setattr(selftrain, "SETTLE_EPOCHS", 0)
         bundle, split = toy_setup(seed=7, noise=0.2)
         cfg = quick_cfg(iterations=3, seed=7)
         b = self.run(monkeypatch, False, bundle, split, cfg)
-        assert b.per_iteration[0].trace.best_epoch > 1
-        pids = self.tail_pids(monkeypatch, tmp_path)
+        assert b.per_iteration[0].trace.best_epoch > 1 and b.per_iteration[1].trace.best_epoch > 1
+        trained = self.trained(monkeypatch, tmp_path / "trained", cfg)
+        pids = self.tail_pids(monkeypatch, tmp_path / "pids")
         with caplog.at_level(logging.DEBUG, logger="agst.selftrain"):
             a = self.run(monkeypatch, True, bundle, split, cfg)
-        assert self.fallbacks(caplog) == self.fallback(
-            1, f"best epoch 1 at the cut, {b.per_iteration[0].trace.best_epoch} in the tail")
-        self.assert_reaped(pids())
+        assert trained()[os.getpid()] == [1, 2, 3]
+        assert self.fallbacks(caplog) == self.moved(1, b.per_iteration[0]) + self.moved(
+            2, b.per_iteration[1])
+        assert_ended(pids())
         self.assert_same(a, b)
 
-    def test_a_best_moved_in_round_two_alone_reruns_every_round(self, monkeypatch, caplog,
-                                                                 tmp_path):
-        # round 2 forks at its first epoch with a best, before that best
-        # settles; round 1 forks once its best has held, and stands
+    def test_a_best_moved_in_round_two_costs_round_three_alone(self, monkeypatch, tmp_path):
+        # round 1 forks once its best has held, and its child's rounds
+        # stand; round 2 forks in that child at its first epoch with a best,
+        # before that best settles, so the child runs round 3 itself
         bundle, split = toy_setup(seed=7, noise=0.2)
         cfg = quick_cfg(iterations=3, seed=7)
         b = self.run(monkeypatch, False, bundle, split, cfg)
         assert b.per_iteration[1].trace.best_epoch > 1
-        real_train, real_doubt, doubts = selftrain.train_student, selftrain._Tail.doubt, []
+        trained = self.trained(monkeypatch, tmp_path / "trained", cfg)
+        recording = selftrain.train_student
 
         def early_in_round_two(bundle, split, soft, tcfg, rng, x, on_epoch=None):
-            if (on_epoch is not None
-                    and rng.bit_generator.state == student_rng(cfg.seed, 2).bit_generator.state):
+            if on_epoch is not None and round_of(rng, cfg) == 2:
                 hook = on_epoch
 
                 def on_epoch(epoch, best_epoch):
                     return hook(epoch + selftrain.SETTLE_EPOCHS, best_epoch)
-            return real_train(bundle, split, soft, tcfg, rng, x, on_epoch)
-
-        def recording(tail, stats):
-            forked, cause = tail.pid, real_doubt(tail, stats)
-            if forked:
-                doubts.append((stats.iteration, cause))
-            return cause
+            return recording(bundle, split, soft, tcfg, rng, x, on_epoch)
 
         monkeypatch.setattr(selftrain, "train_student", early_in_round_two)
-        monkeypatch.setattr(selftrain._Tail, "doubt", recording)
-        pids = self.tail_pids(monkeypatch, tmp_path)
-        with caplog.at_level(logging.DEBUG, logger="agst.selftrain"):
-            a = self.run(monkeypatch, True, bundle, split, cfg)
-        moved = f"best epoch 1 at the cut, {b.per_iteration[1].trace.best_epoch} in the tail"
-        assert doubts == [(1, None), (2, moved)] and self.fallbacks(caplog) == self.fallback(2, moved)
-        assert len(pids()) == 2
-        self.assert_reaped(pids())
+        pids = self.tail_pids(monkeypatch, tmp_path / "pids")
+        a = self.run(monkeypatch, True, bundle, split, cfg)
+        # a child records the rounds it starts: round 1's child starts round
+        # 2 and then round 3 itself; round 2's child, killed once round 2's
+        # best moved, may have started round 3 before that
+        seen = trained()
+        assert seen.pop(os.getpid()) == [1] and len(pids()) == 2
+        assert sorted(seen.values(), key=len)[-1] == [2, 3]
+        assert sorted(seen.values(), key=len)[:-1] in ([], [[3]])
+        assert_ended(pids())
         self.assert_same(a, b)
 
-    def test_only_the_caller_predicts_and_plans(self, monkeypatch, tmp_path):
-        # and a tail sends its round's trace alone
+    def test_the_process_that_trains_a_round_whole_owns_it(self, monkeypatch, tmp_path):
+        # the caller trains, predicts and plans round 1; its child cuts round
+        # 1, owns round 2 and sends rounds 2 and 3 up; the child's child cuts
+        # round 2, owns round 3 and sends it up
         bundle, split = toy_setup(seed=4, noise=0.15)
         cfg = quick_cfg(iterations=3, seed=4)
         b = self.run(monkeypatch, False, bundle, split, cfg)
-        calls, tails = tmp_path / "calls", tmp_path / "tails"
+        calls = tmp_path / "calls"
         calls.mkdir()
-        tails.mkdir()
 
         def record(name):
             with (calls / str(os.getpid())).open("a") as log:
@@ -571,30 +624,37 @@ class TestPipelinedRounds:
 
         for name in ("forward", "plan_augmentation"):
             monkeypatch.setattr(selftrain, name, spy(name, getattr(selftrain, name)))
+        real_train = selftrain.train_student
+        monkeypatch.setattr(selftrain, "train_student", lambda *args: record(
+            f"train-{round_of(args[4], cfg)}") or real_train(*args))
         send = multiprocessing.connection.Connection.send
         monkeypatch.setattr(multiprocessing.connection.Connection, "send",
-                            lambda pipe, obj: record(type(obj).__name__) or send(pipe, obj))
-        pids = self.tail_pids(monkeypatch, tails)
+                            lambda pipe, obj: record(f"send-{len(obj)}") or send(pipe, obj))
+        pids = self.tail_pids(monkeypatch, tmp_path / "pids")
         a = self.run(monkeypatch, True, bundle, split, cfg)
-        assert len(pids()) == 2
         self.assert_reaped(pids())
         self.assert_same(a, b)
         seen = {int(path.name): path.read_text().split() for path in calls.iterdir()}
-        assert sorted(seen[os.getpid()]) == ["forward"] * 3 + ["plan_augmentation"] * 3
-        assert sorted(seen.keys() - {os.getpid()}) == sorted(pids())
-        assert all(seen[pid] == ["TrainTrace"] for pid in pids())
+        assert seen.pop(os.getpid()) == ["train-1", "forward", "plan_augmentation"]
+        assert sorted(seen) == sorted(pids())
+        # a child goes on with the call it was forked in
+        assert sorted(seen.values()) == [
+            ["forward", "plan_augmentation", "train-2", "forward", "plan_augmentation", "send-2"],
+            ["forward", "plan_augmentation", "train-3", "forward", "plan_augmentation", "send-1"]]
 
-    def test_an_error_on_a_stale_input_is_dropped_with_the_rerun(self, monkeypatch, caplog):
-        # round 2 starts on round 1's first epoch and fails on it; round 1's
-        # tail then moves its best, and round 2 runs again on the settled one
+    def test_an_error_on_a_stale_input_is_dropped_with_the_rerun(self, monkeypatch, caplog,
+                                                                 tmp_path):
+        # round 1's child starts round 2 on round 1's first epoch and fails
+        # on it; round 1's best then moves, and the caller runs round 2 on the
+        # settled one, where it does not fail
         monkeypatch.setattr(selftrain, "SETTLE_EPOCHS", 0)
         bundle, split = toy_setup(seed=7, noise=0.2)
         cfg = quick_cfg(iterations=3, seed=7)
         real = selftrain.train_student
-        settled, stale = [], []
+        settled = []
 
         def recording(bundle, split, soft, tcfg, rng, *args):
-            if rng.bit_generator.state == student_rng(cfg.seed, 2).bit_generator.state:
+            if round_of(rng, cfg) == 2:
                 settled.append(soft.matrix.copy())
             return real(bundle, split, soft, tcfg, rng, *args)
 
@@ -602,39 +662,61 @@ class TestPipelinedRounds:
         b = self.run(monkeypatch, False, bundle, split, cfg)
 
         def fails_when_stale(bundle, split, soft, tcfg, rng, *args):
-            if (rng.bit_generator.state == student_rng(cfg.seed, 2).bit_generator.state
-                    and not np.array_equal(soft.matrix, settled[0])):
-                stale.append(soft)
+            if round_of(rng, cfg) == 2 and not np.array_equal(soft.matrix, settled[0]):
+                (tmp_path / "stale" / str(os.getpid())).touch()
                 raise FloatingPointError("stale input")
             return real(bundle, split, soft, tcfg, rng, *args)
 
         monkeypatch.setattr(selftrain, "train_student", fails_when_stale)
+        (tmp_path / "stale").mkdir()
+        pids = self.tail_pids(monkeypatch, tmp_path / "pids")
+        recording, caller = selftrain._Tail.__call__, os.getpid()
+
+        def awaiting_the_error(tail, *args):
+            # the caller's round 1 goes on once its child has failed
+            cut = recording(tail, *args)
+            deadline = time.monotonic() + 10
+            while os.getpid() == caller and tail.pid and not any((tmp_path / "stale").iterdir()):
+                assert time.monotonic() < deadline, "the child did not fail"
+                time.sleep(0.005)
+            return cut
+
+        monkeypatch.setattr(selftrain._Tail, "__call__", awaiting_the_error)
         with caplog.at_level(logging.DEBUG, logger="agst.selftrain"):
             a = self.run(monkeypatch, True, bundle, split, cfg)
-        # the line names the error, which the rounds in order never raise
-        assert len(stale) == 1 and self.fallbacks(caplog) == self.fallback(
-            2, "FloatingPointError: stale input [self-training iteration 2]")
+        stale = [int(path.name) for path in (tmp_path / "stale").iterdir()]
+        assert len(stale) == 1 and stale[0] in pids()
+        assert self.fallbacks(caplog) == self.moved(1, b.per_iteration[0]) + self.moved(
+            2, b.per_iteration[1])
+        assert_ended(pids())
         self.assert_same(a, b)
 
     def test_tails_reaped_after_an_interrupt(self, monkeypatch, tmp_path):
+        # the caller is interrupted in round 1's patience, once its child and
+        # the child's child have forked
         bundle, split = toy_setup(seed=4, noise=0.15)
         cfg = quick_cfg(iterations=3, seed=4)
-        real = selftrain.train_student
-
-        def interrupted(bundle, split, soft, tcfg, rng, *args):
-            if rng.bit_generator.state == student_rng(cfg.seed, 2).bit_generator.state:
-                raise KeyboardInterrupt
-            return real(bundle, split, soft, tcfg, rng, *args)
-
-        monkeypatch.setattr(selftrain, "train_student", interrupted)
         pids = self.tail_pids(monkeypatch, tmp_path)
+        recording, caller = selftrain._Tail.__call__, os.getpid()
+
+        def interrupting(tail, *args):
+            cut = recording(tail, *args)
+            if os.getpid() == caller and tail.pid:
+                deadline = time.monotonic() + 10
+                while len(pids()) < 2:
+                    assert time.monotonic() < deadline, "the chain did not form"
+                    time.sleep(0.005)
+                raise KeyboardInterrupt
+            return cut
+
+        monkeypatch.setattr(selftrain._Tail, "__call__", interrupting)
         with pytest.raises(KeyboardInterrupt):
             self.run(monkeypatch, True, bundle, split, cfg)
-        assert len(pids()) == 1
-        self.assert_reaped(pids())
+        assert len(pids()) == 2
+        assert_ended(pids())
 
     def test_a_tail_ignores_an_interrupt(self, monkeypatch, tmp_path):
-        # round 2 interrupts round 1's tail, which trains on and reports
+        # the caller interrupts round 1's child, which runs on and hands over
         def ignores_interrupts(pid):
             status = Path(f"/proc/{pid}/status").read_text()
             return int(re.search(r"^SigIgn:\s*(\w+)", status, re.M).group(1), 16) \
@@ -643,28 +725,28 @@ class TestPipelinedRounds:
         bundle, split = toy_setup(seed=4, noise=0.15)
         cfg = quick_cfg(iterations=3, seed=4)
         b = self.run(monkeypatch, False, bundle, split, cfg)
-        real, sent = selftrain.train_student, []
-
-        def interrupting(bundle, split, soft, tcfg, rng, *args):
-            if not sent and rng.bit_generator.state == student_rng(cfg.seed, 2).bit_generator.state:
-                tail, = pids()
-                deadline = time.monotonic() + 10
-                while not ignores_interrupts(tail):
-                    assert time.monotonic() < deadline, "the tail does not ignore SIGINT"
-                    time.sleep(0.005)
-                os.kill(tail, signal.SIGINT)
-                sent.append(tail)
-            return real(bundle, split, soft, tcfg, rng, *args)
-
-        monkeypatch.setattr(selftrain, "train_student", interrupting)
         pids = self.tail_pids(monkeypatch, tmp_path)
+        recording, caller, sent = selftrain._Tail.__call__, os.getpid(), []
+
+        def interrupting(tail, *args):
+            cut = recording(tail, *args)
+            if os.getpid() == caller and tail.pid and not sent:
+                deadline = time.monotonic() + 10
+                while not ignores_interrupts(tail.pid):
+                    assert time.monotonic() < deadline, "the child does not ignore SIGINT"
+                    time.sleep(0.005)
+                os.kill(tail.pid, signal.SIGINT)
+                sent.append(tail.pid)
+            return cut
+
+        monkeypatch.setattr(selftrain._Tail, "__call__", interrupting)
         self.assert_same(self.run(monkeypatch, True, bundle, split, cfg), b)
-        assert len(sent) == 1
+        assert len(sent) == 1 and sent[0] in pids()
         self.assert_reaped(pids())
 
     def test_an_error_before_any_fork_trains_the_round_once(self, monkeypatch, caplog):
         # round 1 fails at its first epoch, before its best can settle: no
-        # tail has forked, so nothing runs again
+        # child has forked, so nothing runs again
         bundle, split = toy_setup(seed=6)
         real, hooks = selftrain.train_student, []
 
@@ -690,17 +772,19 @@ class TestPipelinedRounds:
         pids = self.tail_pids(monkeypatch, tmp_path)
         with pytest.raises(ValueError, match=r"\[self-training iteration 1\]"):
             self.run(monkeypatch, True, bad, split, quick_cfg(iterations=3, seed=6))
-        self.assert_reaped(pids())
+        assert_ended(pids())
 
     @pytest.mark.parametrize("failing", [2, 3])
     def test_an_error_in_a_later_round_is_raised_as_in_the_loop(self, monkeypatch, tmp_path,
                                                                 failing):
+        # the child that meets it first sends nothing, and each process up
+        # the chain runs the round itself, the caller last
         bundle, split = toy_setup(seed=6)
         cfg = quick_cfg(iterations=3, seed=6)
         real = selftrain.train_student
 
         def failing_round(bundle, split, soft, tcfg, rng, *args):
-            if rng.bit_generator.state == student_rng(cfg.seed, failing).bit_generator.state:
+            if round_of(rng, cfg) == failing:
                 raise FloatingPointError("diverged")
             return real(bundle, split, soft, tcfg, rng, *args)
 
@@ -713,13 +797,14 @@ class TestPipelinedRounds:
             raised.append(str(err.value))
         assert raised == [f"diverged [self-training iteration {failing}]"] * 2
         assert len(pids()) >= failing - 1
-        self.assert_reaped(pids())
+        assert_ended(pids())
 
-    def test_an_error_in_a_tail_is_raised_as_in_the_loop(self, monkeypatch, caplog, tmp_path):
+    def test_an_error_in_the_patience_is_raised_by_the_caller(self, monkeypatch, caplog,
+                                                              tmp_path):
         # round 1 fails after its best has settled, which in a pipelined run
-        # is in its tail, and round 2 fails too; the tail sends nothing, the
-        # rounds run again in order, and round 1 raises in the caller a type
-        # that would not survive a pickle round trip
+        # is after its fork, and round 2 fails too; the caller raises round
+        # 1's error, of a type that would not survive a pickle round trip,
+        # and round 2's, met in the child alone, is never raised
         class Local(Exception):
             pass
 
@@ -728,10 +813,10 @@ class TestPipelinedRounds:
         real = selftrain.train_student
 
         def failing_round(bundle, split, soft, tcfg, rng, x, on_epoch=None):
-            state = rng.bit_generator.state
-            if state == student_rng(cfg.seed, 2).bit_generator.state:
+            if round_of(rng, cfg) == 2:
+                (tmp_path / "round-2" / str(os.getpid())).touch()
                 raise FloatingPointError("diverged")
-            if state == student_rng(cfg.seed, 1).bit_generator.state:
+            if round_of(rng, cfg) == 1:
                 hook = on_epoch
 
                 def on_epoch(epoch, best_epoch):
@@ -741,44 +826,45 @@ class TestPipelinedRounds:
             return real(bundle, split, soft, tcfg, rng, x, on_epoch)
 
         monkeypatch.setattr(selftrain, "train_student", failing_round)
-        pids = self.tail_pids(monkeypatch, tmp_path)
+        (tmp_path / "round-2").mkdir()
+        pids = self.tail_pids(monkeypatch, tmp_path / "pids")
         for pipelined in (True, False):
             with caplog.at_level(logging.DEBUG, logger="agst.selftrain"):
                 with pytest.raises(Local, match=r"^lost \[self-training iteration 1\]$"):
                     self.run(monkeypatch, pipelined, bundle, split, cfg)
-        assert len(pids()) == 1 and self.fallbacks(caplog) == self.fallback(
-            2, "FloatingPointError: diverged [self-training iteration 2]")
-        self.assert_reaped(pids())
+        assert len(pids()) == 1 and self.fallbacks(caplog) == []
+        assert_ended(pids())
+        # the child met round 2's error, unless the caller's killed it first
+        assert [int(path.name) for path in (tmp_path / "round-2").iterdir()] in ([], pids())
 
     def test_a_killed_tail_runs_again_in_the_caller(self, monkeypatch, caplog, tmp_path):
         bundle, split = toy_setup(seed=4, noise=0.15)
         cfg = quick_cfg(iterations=3, seed=4)
         b = self.run(monkeypatch, False, bundle, split, cfg)
         pids = self.tail_pids(monkeypatch, tmp_path)
-        recording, killed = selftrain._Tail.__call__, []
+        recording, caller, killed = selftrain._Tail.__call__, os.getpid(), []
 
         def killing(tail, *args):
-            forked = recording(tail, *args)
-            if forked and not killed:
+            cut = recording(tail, *args)
+            if os.getpid() == caller and tail.pid and not killed:
                 os.kill(tail.pid, signal.SIGKILL)
                 killed.append(tail.pid)
-            return forked
+            return cut
 
         monkeypatch.setattr(selftrain._Tail, "__call__", killing)
         with caplog.at_level(logging.DEBUG, logger="agst.selftrain"):
             a = self.run(monkeypatch, True, bundle, split, cfg)
-        assert killed and self.fallbacks(caplog) == self.fallback(1, "its tail sent nothing")
-        self.assert_reaped(pids())
+        assert killed and self.fallbacks(caplog) == self.fallback(1, "its child sent nothing")
+        assert_ended(pids() + killed)
         self.assert_same(a, b)
 
     @pytest.mark.parametrize("where", ["every process", "caller", "tail"])
     def test_an_error_after_the_fork_is_raised_as_in_the_loop(self, monkeypatch, caplog, tmp_path,
                                                               where):
         # round 1's rewiring plan fails after its round forked: where it
-        # fails in every process the loop's error is raised, and where only
-        # the caller fails, the run gives the loop's bytes and its debug line
-        # names the error; a tail never plans, so one armed to fail there
-        # never does
+        # fails in the caller, the loop's error is raised, and where it
+        # fails in the child alone, the run gives the loop's bytes and its
+        # debug line says the child sent nothing
         class Broken(Exception):
             pass
 
@@ -796,70 +882,77 @@ class TestPipelinedRounds:
 
         monkeypatch.setattr(selftrain, "plan_augmentation", failing_plan)
         pids = self.tail_pids(monkeypatch, tmp_path)
-        if where == "every process":
-            for pipelined in (True, False):
-                with pytest.raises(Broken, match=r"^no plan \[self-training iteration 1\]$"):
-                    self.run(monkeypatch, pipelined, bundle, split, cfg)
-            assert len(pids()) == 1
-        else:
+        if where == "tail":
             with caplog.at_level(logging.DEBUG, logger="agst.selftrain"):
                 self.assert_same(self.run(monkeypatch, True, bundle, split, cfg), b)
             assert len(pids()) >= 1
-            assert self.fallbacks(caplog) == (self.fallback(
-                1, "Broken: no plan [self-training iteration 1]") if where == "caller" else [])
-        self.assert_reaped(pids())
+            assert self.fallbacks(caplog) == self.fallback(1, "its child sent nothing")
+        else:
+            for pipelined in (True, False):
+                planned.clear()
+                with pytest.raises(Broken, match=r"^no plan \[self-training iteration 1\]$"):
+                    self.run(monkeypatch, pipelined, bundle, split, cfg)
+            assert len(pids()) == 1
+        assert_ended(pids())
 
 
 ORPHANED = """
-import os, sys
+import os, sys, time
 from pathlib import Path
 from agst import AgstConfig, TrainConfig, make_split, run_agst, selftrain, two_cluster_bundle
 selftrain._can_pipeline = lambda: True
-real = selftrain._Tail.__call__
+out = Path(sys.argv[1])
+real_call, real_later = selftrain._Tail.__call__, selftrain._Tail.later
+real_round = selftrain._round
 def recording(tail, *args):
-    forked = real(tail, *args)
-    if forked:
-        (Path(sys.argv[1]) / str(tail.pid)).touch()
-    return forked
-selftrain._Tail.__call__ = recording
-bundle = two_cluster_bundle(n=2000, feature_dim=64, noise_fraction=0.2, seed=5)
-split = make_split(bundle, "balanced", seed=5, k=3, val_per_class=20)
-# every round trains its whole epoch budget: tails of 10k epochs
-run_agst(bundle, split, AgstConfig(seed=5, iterations=4, train=TrainConfig(patience=10_000)))
+    cut = real_call(tail, *args)
+    if cut:
+        (out / f"forked-{os.getpid()}").touch()
+    return cut
+def waiting(tail, iteration, best_epoch):
+    if tail.pid and best_epoch == tail.cut:
+        (out / f"waiting-{os.getpid()}").touch()
+    return real_later(tail, iteration, best_epoch)
+def stuck(bundle, split, cfg, iteration, *args):
+    if iteration == cfg.iterations:
+        (out / f"stuck-{os.getpid()}").touch()
+        time.sleep(600)
+    return real_round(bundle, split, cfg, iteration, *args)
+selftrain._Tail.__call__, selftrain._Tail.later, selftrain._round = recording, waiting, stuck
+bundle = two_cluster_bundle(n=400, feature_dim=32, noise_fraction=0.2, seed=1)
+split = make_split(bundle, "balanced", seed=1, k=3, val_per_class=20)
+# no best moves after its fork on this seed, and the last round never ends,
+# so every other process of the chain ends up waiting on its child's rounds
+run_agst(bundle, split, AgstConfig(seed=1, iterations=4, train=TrainConfig(patience=20)))
 """
 
 
 def test_tails_end_when_the_caller_is_killed(tmp_path):
-    # a tail checks its parent every epoch, so it ends long before its 10k
-    # epochs would; a finished tail's send fails once the caller, the only
-    # holder of its pipe's other end, is gone
-    def running(pid):
-        try:
-            return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
-        except FileNotFoundError:
-            return False
+    # every process of the chain ends with the process that forked it, also
+    # while it waits on its own child: the caller's child once the caller is
+    # killed, then that child's child, and so on
+    def pids(kind):
+        return {int(path.name.split("-")[1]) for path in tmp_path.glob(f"{kind}-*")}
 
-    src = str(Path(selftrain.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    caller = subprocess.Popen([sys.executable, "-c", ORPHANED, str(tmp_path)], env=env)
+    caller = subprocess.Popen([sys.executable, "-c", ORPHANED, str(tmp_path)],
+                              env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                                  [str(Path(selftrain.__file__).resolve().parents[1]),
+                                   os.environ.get("PYTHONPATH", "")])))
     try:
         deadline = time.monotonic() + 60
-        while len(list(tmp_path.iterdir())) < 3 and caller.poll() is None:
+        # until the last round is stuck and every other live process of the
+        # chain waits on its child
+        while caller.poll() is None and not (pids("stuck") and {
+                caller.pid, *filter(running, pids("forked"))} - pids("stuck") <= pids("waiting")):
             assert time.monotonic() < deadline
             time.sleep(0.01)
         assert caller.poll() is None, "the run ended before it could be killed"
     finally:
         caller.kill()
         caller.wait()
-    pids = [int(path.name) for path in tmp_path.iterdir()]
-    assert len(pids) == 3
-    deadline = time.monotonic() + 10
-    while any(running(pid) for pid in pids) and time.monotonic() < deadline:
-        time.sleep(0.05)
-    left = [pid for pid in pids if running(pid)]
-    for pid in left:
-        os.kill(pid, signal.SIGKILL)
-    assert not left
+    assert len(pids("forked")) == 3
+    assert pids("waiting") == {caller.pid, *pids("forked")} - pids("stuck")
+    assert_ended(pids("forked"))
 
 
 @pytest.fixture
@@ -992,9 +1085,9 @@ from agst import (AgstConfig, ExperimentSpec, TrainConfig, experiments, make_spl
                   run_experiment, selftrain, two_cluster_bundle)
 forks, params = [], []
 real_rounds, real_run = selftrain._rounds, selftrain.run_agst
-def rounds(bundle, split, cfg, fork):
+def rounds(bundle, split, cfg, fork, *later):
     forks.append(fork)
-    return real_rounds(bundle, split, cfg, fork)
+    return real_rounds(bundle, split, cfg, fork, *later)
 def run(bundle, split, cfg):
     result = real_run(bundle, split, cfg)
     final = result.final_params
